@@ -349,72 +349,13 @@ pub fn lowered_netlist_stats(lowered: &Lowered, lib: &TechLibrary) -> (usize, us
 }
 
 // ---------------------------------------------------------------------------
-// Checked format arithmetic
+// Format helpers
 // ---------------------------------------------------------------------------
 //
-// The `Format::{add,sub,mul,neg}_format` helpers panic past 64 bits;
-// the rewriter needs fallible versions both to guard folding (so a
-// hand-built graph can never panic the optimizer) and to detect "exact"
+// The rewriter uses `Format::checked_*_format` both to guard folding (so
+// a hand-built graph can never panic the optimizer) and to detect "exact"
 // cells: a node whose format is precisely the lossless result format of
 // its operand formats, which is the licence for algebraic rewrites.
-
-fn checked_format(int: i32, frac: i32, signedness: Signedness) -> Option<Format> {
-    let width = int.checked_add(frac)?;
-    if !(1..=64).contains(&width) {
-        return None;
-    }
-    Format::new(width as u32, int, signedness).ok()
-}
-
-fn checked_add_format(a: Format, b: Format) -> Option<Format> {
-    let signed = a.is_signed() || b.is_signed();
-    let eff = |f: Format| {
-        if signed && !f.is_signed() {
-            f.int_bits() + 1
-        } else {
-            f.int_bits()
-        }
-    };
-    let int = eff(a).max(eff(b)) + 1;
-    let frac = a.frac_bits().max(b.frac_bits());
-    let s = if signed {
-        Signedness::Signed
-    } else {
-        Signedness::Unsigned
-    };
-    checked_format(int, frac, s)
-}
-
-fn checked_sub_format(a: Format, b: Format) -> Option<Format> {
-    let eff = |f: Format| {
-        if f.is_signed() {
-            f.int_bits()
-        } else {
-            f.int_bits() + 1
-        }
-    };
-    let int = eff(a).max(eff(b)) + 1;
-    let frac = a.frac_bits().max(b.frac_bits());
-    checked_format(int, frac, Signedness::Signed)
-}
-
-fn checked_mul_format(a: Format, b: Format) -> Option<Format> {
-    let int = a.int_bits().checked_add(b.int_bits())?;
-    let frac = a.frac_bits().checked_add(b.frac_bits())?;
-    let s = if a.is_signed() || b.is_signed() {
-        Signedness::Signed
-    } else {
-        Signedness::Unsigned
-    };
-    checked_format(int, frac, s)
-}
-
-fn checked_neg_format(a: Format) -> Option<Format> {
-    if a.width() + 1 > 64 {
-        return None;
-    }
-    Format::new(a.width() + 1, a.int_bits() + 1, Signedness::Signed).ok()
-}
 
 /// Whether every value of `src` is exactly representable in `dst`
 /// (no quantization, no overflow) — the licence to treat a
@@ -609,15 +550,15 @@ impl<'a> Rewriter<'a> {
     fn fold_bin(op: BinOp, a: Fixed, b: Fixed) -> Option<Fixed> {
         match op {
             BinOp::Add => {
-                checked_add_format(a.format(), b.format())?;
+                a.format().checked_add_format(&b.format())?;
                 Some(a.exact_add(&b))
             }
             BinOp::Sub => {
-                checked_sub_format(a.format(), b.format())?;
+                a.format().checked_sub_format(&b.format())?;
                 Some(a.exact_sub(&b))
             }
             BinOp::Mul => {
-                checked_mul_format(a.format(), b.format())?;
+                a.format().checked_mul_format(&b.format())?;
                 Some(a.exact_mul(&b))
             }
             BinOp::Shl => Some(a.shl(b.to_i64().max(0) as u32)),
@@ -633,9 +574,9 @@ impl<'a> Rewriter<'a> {
         let fa = self.out.node(a).format;
         let fb = self.out.node(b).format;
         match op {
-            BinOp::Add => checked_add_format(fa, fb),
-            BinOp::Sub => checked_sub_format(fa, fb),
-            BinOp::Mul => checked_mul_format(fa, fb),
+            BinOp::Add => fa.checked_add_format(&fb),
+            BinOp::Sub => fa.checked_sub_format(&fb),
+            BinOp::Mul => fa.checked_mul_format(&fb),
             _ => None,
         }
     }
@@ -761,7 +702,7 @@ impl<'a> Rewriter<'a> {
             NodeKind::Un(op) => {
                 if let Some(a) = c0 {
                     let folded = match op {
-                        UnOp::Neg => checked_neg_format(a.format()).map(|_| a.negate()),
+                        UnOp::Neg => a.format().checked_neg_format().map(|_| a.negate()),
                         UnOp::Signum => {
                             Some(Fixed::from_int(a.signum() as i64, Format::signed(2, 2)))
                         }
@@ -783,7 +724,7 @@ impl<'a> Rewriter<'a> {
                         }
                     }
                     (UnOp::Neg, NodeKind::Un(UnOp::Neg))
-                        if checked_neg_format(inner.format) == Some(fmt) =>
+                        if inner.format.checked_neg_format() == Some(fmt) =>
                     {
                         let x = inner.preds[0];
                         return self.cast_to(x, fmt);
@@ -914,8 +855,8 @@ impl<'a> Rewriter<'a> {
                     let fa = self.src.node(node.preds[0]).format;
                     let fb = self.src.node(node.preds[1]).format;
                     let exact = match op {
-                        BinOp::Add => checked_add_format(fa, fb),
-                        _ => checked_sub_format(fa, fb),
+                        BinOp::Add => fa.checked_add_format(&fb),
+                        _ => fa.checked_sub_format(&fb),
                     };
                     exact == Some(node.format)
                 }
@@ -990,7 +931,7 @@ impl<'a> Rewriter<'a> {
         }
         let (mut id, pos, _) = terms[0];
         if !pos {
-            let fmt = checked_neg_format(self.out.node(id).format)?;
+            let fmt = self.out.node(id).format.checked_neg_format()?;
             id = self.simplify(NodeKind::Un(UnOp::Neg), fmt, vec![id]);
         }
         // The chain's own format contains the exact range of the
@@ -1502,7 +1443,7 @@ mod tests {
         let mut acc = reads[0];
         for &r in reads.iter().skip(1) {
             let fa = dfg.node(acc).format;
-            let fmt_i = checked_add_format(fa, f8).unwrap();
+            let fmt_i = fa.checked_add_format(&f8).unwrap();
             acc = dfg.push(NodeKind::Bin(BinOp::Add), vec![acc, r], fmt_i);
         }
         dfg.push(NodeKind::VarWrite(ps[5]), vec![acc], fmt(12, 8));

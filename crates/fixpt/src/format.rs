@@ -213,8 +213,16 @@ impl Format {
     ///
     /// # Panics
     ///
-    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits.
+    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits; see
+    /// [`checked_add_format`](Format::checked_add_format).
     pub fn add_format(&self, other: &Format) -> Format {
+        self.checked_add_format(other)
+            .unwrap_or_else(|| too_wide("sum", self, other))
+    }
+
+    /// [`add_format`](Format::add_format), or `None` when the exact sum
+    /// format would exceed [`MAX_WIDTH`] bits.
+    pub fn checked_add_format(&self, other: &Format) -> Option<Format> {
         let signed = self.is_signed() || other.is_signed();
         let eff = |f: &Format| {
             if signed && !f.is_signed() {
@@ -223,18 +231,9 @@ impl Format {
                 f.int_bits
             }
         };
-        let int = eff(self).max(eff(other)) + 1;
+        let int = eff(self).max(eff(other)).checked_add(1)?;
         let frac = self.frac_bits().max(other.frac_bits());
-        let width = exact_width(int, frac, "sum", self, other);
-        Format {
-            width,
-            int_bits: int,
-            signedness: if signed {
-                Signedness::Signed
-            } else {
-                Signedness::Unsigned
-            },
-        }
+        exact_format(int, frac, signed)
     }
 
     /// The exact (lossless) format of the difference of values in `self` and
@@ -242,8 +241,16 @@ impl Format {
     ///
     /// # Panics
     ///
-    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits.
+    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits; see
+    /// [`checked_sub_format`](Format::checked_sub_format).
     pub fn sub_format(&self, other: &Format) -> Format {
+        self.checked_sub_format(other)
+            .unwrap_or_else(|| too_wide("difference", self, other))
+    }
+
+    /// [`sub_format`](Format::sub_format), or `None` when the exact
+    /// difference format would exceed [`MAX_WIDTH`] bits.
+    pub fn checked_sub_format(&self, other: &Format) -> Option<Format> {
         let eff = |f: &Format| {
             if f.is_signed() {
                 f.int_bits
@@ -251,14 +258,9 @@ impl Format {
                 f.int_bits + 1
             }
         };
-        let int = eff(self).max(eff(other)) + 1;
+        let int = eff(self).max(eff(other)).checked_add(1)?;
         let frac = self.frac_bits().max(other.frac_bits());
-        let width = exact_width(int, frac, "difference", self, other);
-        Format {
-            width,
-            int_bits: int,
-            signedness: Signedness::Signed,
-        }
+        exact_format(int, frac, true)
     }
 
     /// The exact (lossless) format of the product of values in `self` and
@@ -266,49 +268,55 @@ impl Format {
     ///
     /// # Panics
     ///
-    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits.
+    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits; see
+    /// [`checked_mul_format`](Format::checked_mul_format).
     pub fn mul_format(&self, other: &Format) -> Format {
-        let int = self.int_bits + other.int_bits;
-        let frac = self.frac_bits() + other.frac_bits();
-        let signed = self.is_signed() || other.is_signed();
-        let width = exact_width(int, frac, "product", self, other);
-        Format {
-            width,
-            int_bits: int,
-            signedness: if signed {
-                Signedness::Signed
-            } else {
-                Signedness::Unsigned
-            },
-        }
+        self.checked_mul_format(other)
+            .unwrap_or_else(|| too_wide("product", self, other))
+    }
+
+    /// [`mul_format`](Format::mul_format), or `None` when the exact
+    /// product format would exceed [`MAX_WIDTH`] bits.
+    pub fn checked_mul_format(&self, other: &Format) -> Option<Format> {
+        let int = self.int_bits.checked_add(other.int_bits)?;
+        let frac = self.frac_bits().checked_add(other.frac_bits())?;
+        exact_format(int, frac, self.is_signed() || other.is_signed())
     }
 
     /// The exact format of the negation of values in `self`: signed, one
     /// extra integer bit when the operand was unsigned or at full negative
     /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the exact result format exceeds [`MAX_WIDTH`] bits; see
+    /// [`checked_neg_format`](Format::checked_neg_format).
     pub fn neg_format(&self) -> Format {
-        let int = self.int_bits + 1;
-        let width = self.width + 1;
-        assert!(
-            width <= MAX_WIDTH,
-            "exact negation of {self} exceeds the {MAX_WIDTH}-bit limit"
-        );
-        Format {
-            width,
-            int_bits: int,
-            signedness: Signedness::Signed,
-        }
+        self.checked_neg_format()
+            .unwrap_or_else(|| panic!("exact negation of {self} exceeds the {MAX_WIDTH}-bit limit"))
+    }
+
+    /// [`neg_format`](Format::neg_format), or `None` when the exact
+    /// negation format would exceed [`MAX_WIDTH`] bits.
+    pub fn checked_neg_format(&self) -> Option<Format> {
+        exact_format(self.int_bits.checked_add(1)?, self.frac_bits(), true)
     }
 }
 
-/// Width of an exact result format; panics when it exceeds [`MAX_WIDTH`].
-fn exact_width(int: i32, frac: i32, what: &str, a: &Format, b: &Format) -> u32 {
-    let width = (int + frac).max(1);
-    assert!(
-        width as u32 <= MAX_WIDTH,
-        "exact {what} of {a} and {b} exceeds the {MAX_WIDTH}-bit limit"
-    );
-    width as u32
+/// The exact result format with `int` integer and `frac` fractional bits,
+/// or `None` when it is wider than [`MAX_WIDTH`].
+fn exact_format(int: i32, frac: i32, signed: bool) -> Option<Format> {
+    let width = u32::try_from(int.checked_add(frac)?.max(1)).ok()?;
+    let signedness = if signed {
+        Signedness::Signed
+    } else {
+        Signedness::Unsigned
+    };
+    Format::new(width, int, signedness).ok()
+}
+
+fn too_wide(what: &str, a: &Format, b: &Format) -> ! {
+    panic!("exact {what} of {a} and {b} exceeds the {MAX_WIDTH}-bit limit")
 }
 
 impl fmt::Display for Format {
@@ -394,6 +402,31 @@ mod tests {
         assert_eq!(s.int_bits(), 5);
         assert_eq!(s.frac_bits(), 5);
         assert_eq!(s.width(), 10);
+    }
+
+    #[test]
+    fn checked_formats_refuse_only_past_the_width_limit() {
+        let wide = Format::signed(64, 48);
+        let narrow = Format::signed(16, 0);
+        assert_eq!(wide.checked_add_format(&narrow), None);
+        assert_eq!(wide.checked_sub_format(&narrow), None);
+        assert_eq!(wide.checked_mul_format(&narrow), None);
+        assert_eq!(wide.checked_neg_format(), None);
+        let a = Format::signed(8, 3);
+        let b = Format::unsigned(6, 4);
+        assert_eq!(a.checked_add_format(&b), Some(a.add_format(&b)));
+        assert_eq!(a.checked_sub_format(&b), Some(a.sub_format(&b)));
+        assert_eq!(a.checked_mul_format(&b), Some(a.mul_format(&b)));
+        assert_eq!(b.checked_neg_format(), Some(b.neg_format()));
+        // The widest exact results still fit.
+        let half = Format::signed(32, 0);
+        assert_eq!(half.checked_mul_format(&half).map(|f| f.width()), Some(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-bit limit")]
+    fn add_format_panics_past_the_width_limit() {
+        Format::signed(64, 48).add_format(&Format::signed(16, 0));
     }
 
     #[test]

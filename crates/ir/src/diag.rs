@@ -301,21 +301,48 @@ impl FromIterator<Diagnostic> for Diagnostics {
     }
 }
 
-/// Escapes a string as a JSON string literal.
+/// Escapes a string as a JSON string literal. Runs of bytes that need
+/// no escape are copied whole: emitted Verilog is tens of kilobytes per
+/// artifact, and every store write and service reply escapes it.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every escaped character is ASCII, so `run..i` always slices on a
+    // character boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_str;
+
+    #[test]
+    fn json_str_escapes_exactly_the_json_specials() {
+        assert_eq!(json_str(""), r#""""#);
+        assert_eq!(json_str("plain"), r#""plain""#);
+        assert_eq!(
+            json_str("a\"b\\c\nd\re\tf\u{1}g\u{1f}"),
+            r#""a\"b\\c\nd\re\tf\u0001g\u001f""#
+        );
+        // Multi-byte characters pass through whole, escapes around them.
+        assert_eq!(json_str("µs→\"é\""), r#""µs→\"é\"""#);
+    }
 }

@@ -41,11 +41,30 @@
 //! [`StoreConfig::max_bytes`] — approximates least-recently-used and is
 //! deterministic given the timestamps. Negative entries share the same
 //! budget and eviction order.
+//!
+//! Each handle keeps an in-memory index of the entries: `(mtime, size)`
+//! per digest and side, the `(mtime, digest)` eviction order, and
+//! running entry and byte totals per side. [`ArtifactStore::open`] builds
+//! it with the only directory walk the store makes; afterwards inserts,
+//! LRU touches, quarantines and evictions keep it current (the mtime of
+//! a new entry comes from one `stat` of the renamed file, a touch records
+//! the exact time it set). So the budget check after every insert is a
+//! comparison of the running total, and [`ArtifactStore::stats`] is O(1).
+//!
+//! The census therefore counts what *this handle* has seen. A second
+//! handle on the same root (another process, say) is reconciled lazily:
+//! an entry it wrote is adopted, with its size, when this handle finds
+//! it on disk (a lookup hit, or losing an insert race to it), and an
+//! entry it removed is dropped when this handle finds it gone (a lookup
+//! miss, an insert, or an eviction that finds nothing to remove).
+//! Reopening the root re-walks the directory and agrees with the disk.
 
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime};
 
 use hls_core::DesignMetrics;
@@ -60,8 +79,9 @@ pub const ENTRY_SCHEMA: &str = "hls-serve-artifact/v1";
 /// Age past which a writer/evictor lock is presumed abandoned.
 pub const STALE_LOCK: Duration = Duration::from_secs(30);
 
-/// Which side of the store an entry lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which side of the store an entry lives on. Ordered positive first,
+/// which breaks `(mtime, digest)` ties in the eviction order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EntryKind {
     /// A synthesized artifact under `objects/`.
     Positive,
@@ -229,6 +249,50 @@ pub struct StoreStats {
     pub quarantined: u64,
 }
 
+/// What one handle knows of the entries on disk (see the module docs).
+/// Each update is made under the handle's lock together with the
+/// filesystem call or `stat` it records, so concurrent hits, inserts and
+/// evictions through one handle cannot leave it out of step with the disk.
+#[derive(Debug, Default)]
+struct Index {
+    /// `digest → (mtime, size)`, one map per [`EntryKind`].
+    sides: [HashMap<String, (SystemTime, u64)>; 2],
+    /// Running byte total per side.
+    bytes: [u64; 2],
+    /// Every entry in eviction order.
+    lru: BTreeSet<(SystemTime, String, EntryKind)>,
+}
+
+impl Index {
+    /// Records (or re-records) one entry.
+    fn put(&mut self, kind: EntryKind, digest: &str, mtime: SystemTime, size: u64) {
+        self.remove(kind, digest);
+        self.sides[kind as usize].insert(digest.to_string(), (mtime, size));
+        self.bytes[kind as usize] += size;
+        self.lru.insert((mtime, digest.to_string(), kind));
+    }
+
+    /// Forgets one entry, if indexed.
+    fn remove(&mut self, kind: EntryKind, digest: &str) {
+        if let Some((mtime, size)) = self.sides[kind as usize].remove(digest) {
+            self.bytes[kind as usize] -= size;
+            self.lru.remove(&(mtime, digest.to_string(), kind));
+        }
+    }
+
+    fn total_bytes(&self) -> u64 {
+        self.bytes[0] + self.bytes[1]
+    }
+
+    /// Removes and returns the least recently used entry.
+    fn pop_oldest(&mut self) -> Option<(SystemTime, String, EntryKind, u64)> {
+        let (mtime, digest, kind) = self.lru.pop_first()?;
+        let (_, size) = self.sides[kind as usize].remove(&digest)?;
+        self.bytes[kind as usize] -= size;
+        Some((mtime, digest, kind, size))
+    }
+}
+
 impl StoreStats {
     /// Serializes the counters for service reports.
     pub fn to_json(&self) -> Json {
@@ -248,12 +312,14 @@ impl StoreStats {
     }
 }
 
-/// A handle on one on-disk store. Cheap to open; safe to share across
-/// threads and processes (all mutation is atomic-rename or lock-guarded).
+/// A handle on one on-disk store. Opening walks the store once to build
+/// the index; safe to share across threads and processes (all mutation
+/// is atomic-rename or lock-guarded).
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
     max_bytes: u64,
+    index: Mutex<Index>,
     hits: AtomicU64,
     misses: AtomicU64,
     neg_hits: AtomicU64,
@@ -266,7 +332,7 @@ pub struct ArtifactStore {
 impl ArtifactStore {
     /// Opens (creating if needed) the store rooted at `root`, sweeping
     /// staging files abandoned by a crashed writer (older than
-    /// [`STALE_LOCK`]) out of `tmp/`.
+    /// [`STALE_LOCK`]) out of `tmp/`, and indexes the entries on disk.
     pub fn open(root: &Path, config: StoreConfig) -> io::Result<ArtifactStore> {
         for sub in ["objects", "negative", "tmp", "quarantine", "locks"] {
             fs::create_dir_all(root.join(sub))?;
@@ -290,9 +356,16 @@ impl ArtifactStore {
                 }
             }
         }
+        let mut index = Index::default();
+        for kind in [EntryKind::Positive, EntryKind::Negative] {
+            walk(&root.join(kind.dir()), |digest, mtime, size| {
+                index.put(kind, digest, mtime, size)
+            });
+        }
         Ok(ArtifactStore {
             root: root.to_path_buf(),
             max_bytes: config.max_bytes,
+            index: Mutex::new(index),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             neg_hits: AtomicU64::new(0),
@@ -306,6 +379,27 @@ impl ArtifactStore {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    fn index(&self) -> MutexGuard<'_, Index> {
+        self.index.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether the entry is on disk, reconciling the index with the
+    /// `stat`: an entry found is (re-)recorded with its size and mtime,
+    /// an entry gone is forgotten.
+    fn present(&self, kind: EntryKind, digest: &str) -> bool {
+        let mut index = self.index();
+        match fs::metadata(self.entry_path(kind, digest)) {
+            Ok(meta) => {
+                index.put(kind, digest, mtime_of(&meta), meta.len());
+                true
+            }
+            Err(_) => {
+                index.remove(kind, digest);
+                false
+            }
+        }
     }
 
     fn shard_dir(&self, kind: EntryKind, digest: &str) -> PathBuf {
@@ -362,6 +456,7 @@ impl ArtifactStore {
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => {
+                self.present(kind, digest);
                 if kind == EntryKind::Positive {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                 }
@@ -371,8 +466,17 @@ impl ArtifactStore {
         match check_entry(&text, digest, kind.schema()) {
             Some(doc) => {
                 // LRU touch; failure to touch only ages the entry early.
-                if let Ok(f) = fs::File::options().write(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
+                let now = SystemTime::now();
+                let mut index = self.index();
+                let touch = fs::File::options()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_modified(now));
+                if touch.is_ok() {
+                    index.put(kind, digest, now, text.len() as u64);
+                } else {
+                    drop(index);
+                    self.present(kind, digest);
                 }
                 // Move the body out of the verified document — cloning
                 // a multi-thousand-node parse tree per hit would double
@@ -397,6 +501,8 @@ impl ArtifactStore {
             EntryKind::Negative => format!("{digest}.neg.json"),
         };
         let dest = self.root.join("quarantine").join(name);
+        let mut index = self.index();
+        index.remove(kind, digest);
         if fs::rename(&path, &dest).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -420,25 +526,36 @@ impl ArtifactStore {
     }
 
     fn write_document(&self, kind: EntryKind, key: &RequestKey, body: Json) -> io::Result<()> {
-        let path = self.entry_path(kind, &key.digest);
-        if path.exists() {
+        if self.present(kind, &key.digest) {
             return Ok(());
         }
         let _guard = LockGuard::acquire(&self.root, &key.digest)?;
-        if path.exists() {
+        if self.present(kind, &key.digest) {
             return Ok(()); // lost the race; the winner wrote our bytes
         }
         let body_text = body.write();
-        let entry = Json::obj(vec![
+        let head = Json::obj(vec![
             ("schema", Json::str(kind.schema())),
             ("preimage", Json::str(key.preimage.clone())),
             (
                 "body_digest",
                 Json::str(stable_digest(body_text.as_bytes())),
             ),
-            ("body", body),
-        ]);
-        self.stage_and_rename(kind, &key.digest, &entry.write())?;
+        ])
+        .write();
+        // `body` is the entry's last field (see `check_entry`), so the
+        // document is the head with the body text spliced in before its
+        // closing brace — byte-identical to serializing the whole entry,
+        // without serializing the body twice.
+        let entry = format!("{},\"body\":{body_text}}}", &head[..head.len() - 1]);
+        self.publish(kind, &key.digest, &entry)
+    }
+
+    /// Writes a new entry, records it in the index and trims the store
+    /// to its budget.
+    fn publish(&self, kind: EntryKind, digest: &str, text: &str) -> io::Result<()> {
+        self.stage_and_rename(kind, digest, text)?;
+        self.present(kind, digest);
         self.count_insert(kind);
         self.enforce_budget()?;
         Ok(())
@@ -467,11 +584,15 @@ impl ArtifactStore {
     /// replication read path: the raw bytes round-trip to a peer store
     /// unchanged, so a replica serves byte-identical artifacts.
     pub fn read_raw(&self, kind: EntryKind, digest: &str) -> Option<String> {
-        let text = fs::read_to_string(self.entry_path(kind, digest)).ok()?;
+        let Ok(text) = fs::read_to_string(self.entry_path(kind, digest)) else {
+            self.present(kind, digest);
+            return None;
+        };
         if check_entry(&text, digest, kind.schema()).is_none() {
             self.quarantine(kind, digest);
             return None;
         }
+        self.present(kind, digest);
         Some(text)
     }
 
@@ -485,44 +606,14 @@ impl ArtifactStore {
         if check_entry(text, digest, kind.schema()).is_none() {
             return Ok(false);
         }
-        let path = self.entry_path(kind, digest);
-        if path.exists() {
+        if self.present(kind, digest) {
             return Ok(true);
         }
         let _guard = LockGuard::acquire(&self.root, digest)?;
-        if !path.exists() {
-            self.stage_and_rename(kind, digest, text)?;
-            self.count_insert(kind);
-            self.enforce_budget()?;
+        if !self.present(kind, digest) {
+            self.publish(kind, digest, text)?;
         }
         Ok(true)
-    }
-
-    /// Walks one side of the store and returns `(path, digest, mtime,
-    /// size)` per entry, sorted by `(mtime, digest)` ascending.
-    fn scan(&self, kind: EntryKind) -> Vec<(PathBuf, String, SystemTime, u64)> {
-        let mut entries = Vec::new();
-        let Ok(shards) = fs::read_dir(self.root.join(kind.dir())) else {
-            return entries;
-        };
-        for shard in shards.flatten() {
-            let Ok(files) = fs::read_dir(shard.path()) else {
-                continue;
-            };
-            for file in files.flatten() {
-                let path = file.path();
-                let Some(stem) = path.file_stem().and_then(|s| s.to_str()).map(String::from) else {
-                    continue;
-                };
-                let Ok(meta) = file.metadata() else {
-                    continue;
-                };
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                entries.push((path, stem, mtime, meta.len()));
-            }
-        }
-        entries.sort_by(|a, b| (a.2, &a.1).cmp(&(b.2, &b.1)));
-        entries
     }
 
     /// Evicts least-recently-used entries (positive and negative share
@@ -531,37 +622,43 @@ impl ArtifactStore {
     /// Runs under the store-wide eviction lock, so concurrent writers
     /// trim once.
     pub fn enforce_budget(&self) -> io::Result<Vec<String>> {
-        let mut entries = self.scan(EntryKind::Positive);
-        entries.extend(self.scan(EntryKind::Negative));
-        entries.sort_by(|a, b| (a.2, &a.1).cmp(&(b.2, &b.1)));
-        let mut total: u64 = entries.iter().map(|e| e.3).sum();
-        if total <= self.max_bytes {
+        if self.index().total_bytes() <= self.max_bytes {
             return Ok(Vec::new());
         }
         let _guard = LockGuard::acquire(&self.root, "evict")?;
+        let mut index = self.index();
         let mut evicted = Vec::new();
-        for (path, digest, _mtime, size) in entries {
-            if total <= self.max_bytes {
+        let mut stuck = Vec::new();
+        while index.total_bytes() > self.max_bytes {
+            let Some((mtime, digest, kind, size)) = index.pop_oldest() else {
                 break;
+            };
+            match fs::remove_file(self.entry_path(kind, &digest)) {
+                Ok(()) => {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    evicted.push(digest);
+                }
+                // Another handle removed it; forgetting it was all to do.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(_) => stuck.push((kind, digest, mtime, size)),
             }
-            if fs::remove_file(&path).is_ok() {
-                total -= size;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted.push(digest);
-            }
+        }
+        for (kind, digest, mtime, size) in stuck {
+            index.put(kind, &digest, mtime, size);
         }
         Ok(evicted)
     }
 
-    /// Current counters plus an on-disk census.
+    /// Current counters plus the census of the index: O(1), and exact
+    /// for everything this handle has seen (see the module docs).
     pub fn stats(&self) -> StoreStats {
-        let entries = self.scan(EntryKind::Positive);
-        let negative = self.scan(EntryKind::Negative);
+        let index = self.index();
+        let [pos, neg] = &index.sides;
         StoreStats {
-            entries: entries.len() as u64,
-            bytes: entries.iter().map(|e| e.3).sum(),
-            neg_entries: negative.len() as u64,
-            neg_bytes: negative.iter().map(|e| e.3).sum(),
+            entries: pos.len() as u64,
+            bytes: index.bytes[EntryKind::Positive as usize],
+            neg_entries: neg.len() as u64,
+            neg_bytes: index.bytes[EntryKind::Negative as usize],
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             neg_hits: self.neg_hits.load(Ordering::Relaxed),
@@ -571,6 +668,32 @@ impl ArtifactStore {
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Calls `visit(digest, mtime, size)` for every entry file under one side
+/// of the store (`<side>/<shard>/<digest>.json`).
+fn walk(side: &Path, mut visit: impl FnMut(&str, SystemTime, u64)) {
+    let Ok(shards) = fs::read_dir(side) else {
+        return;
+    };
+    for shard in shards.flatten() {
+        let Ok(files) = fs::read_dir(shard.path()) else {
+            continue;
+        };
+        for file in files.flatten() {
+            let path = file.path();
+            let (Some(digest), Ok(meta)) =
+                (path.file_stem().and_then(|s| s.to_str()), file.metadata())
+            else {
+                continue;
+            };
+            visit(digest, mtime_of(&meta), meta.len());
+        }
+    }
+}
+
+fn mtime_of(meta: &fs::Metadata) -> SystemTime {
+    meta.modified().unwrap_or(SystemTime::UNIX_EPOCH)
 }
 
 /// Parses and integrity-checks one entry document, returning the parsed

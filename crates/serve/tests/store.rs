@@ -394,3 +394,188 @@ fn foreign_raw_documents_are_reverified_before_admission() {
         let _ = fs::remove_dir_all(root);
     }
 }
+
+/// `[entries, bytes, neg_entries, neg_bytes]` from a walk of the tree.
+fn disk_census(root: &Path) -> [u64; 4] {
+    let side = |dir: &str| {
+        let (mut n, mut bytes) = (0, 0);
+        for shard in fs::read_dir(root.join(dir)).unwrap().flatten() {
+            for file in fs::read_dir(shard.path()).unwrap().flatten() {
+                n += 1;
+                bytes += file.metadata().unwrap().len();
+            }
+        }
+        [n, bytes]
+    };
+    let [entries, bytes] = side("objects");
+    let [neg_entries, neg_bytes] = side("negative");
+    [entries, bytes, neg_entries, neg_bytes]
+}
+
+fn census(store: &ArtifactStore) -> [u64; 4] {
+    let s = store.stats();
+    [s.entries, s.bytes, s.neg_entries, s.neg_bytes]
+}
+
+fn entry_file(root: &Path, side: &str, digest: &str) -> PathBuf {
+    root.join(side)
+        .join(&digest[..2])
+        .join(format!("{digest}.json"))
+}
+
+fn failure(tag: &str) -> NegativeEntry {
+    NegativeEntry {
+        design: tag.to_string(),
+        code: "infeasible-clock".into(),
+        error: format!("{tag}: operation cannot fit the clock"),
+        diagnostics: Json::Arr(Vec::new()),
+    }
+}
+
+#[test]
+fn census_matches_a_directory_walk_through_random_operations() {
+    use hls_serve::EntryKind;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    // Raw documents come from a donor store, as replication does.
+    let donor_root = scratch("census-donor");
+    let donor = ArtifactStore::open(&donor_root, StoreConfig::default()).unwrap();
+    let tags: Vec<String> = (0..12).map(|i| format!("census-{i:02}")).collect();
+    let mut raw = Vec::new();
+    for tag in &tags {
+        let k = key(tag);
+        donor.insert(&k, &artifact(tag)).unwrap();
+        donor.insert_negative(&k, &failure(tag)).unwrap();
+        raw.push([
+            donor.read_raw(EntryKind::Positive, &k.digest).unwrap(),
+            donor.read_raw(EntryKind::Negative, &k.digest).unwrap(),
+        ]);
+    }
+    // A budget of about five positive entries, so inserts also evict.
+    let budget = raw[0][0].len() as u64 * 5;
+
+    let root = scratch("census");
+    let store = ArtifactStore::open(&root, StoreConfig { max_bytes: budget }).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5eed_ce05);
+    for step in 0..300 {
+        let i = rng.gen_range(0..tags.len());
+        let (tag, k) = (&tags[i], key(&tags[i]));
+        let op = rng.gen_range(0..8u32);
+        match op {
+            0 => store.insert(&k, &artifact(tag)).unwrap(),
+            1 => store.insert_negative(&k, &failure(tag)).unwrap(),
+            2 => assert!(store
+                .insert_raw(EntryKind::Positive, &k.digest, &raw[i][0])
+                .unwrap()),
+            3 => assert!(store
+                .insert_raw(EntryKind::Negative, &k.digest, &raw[i][1])
+                .unwrap()),
+            4 => {
+                store.lookup(&k);
+            }
+            5 => {
+                store.lookup_negative(&k);
+            }
+            6 => {
+                // An external truncation, then the load that quarantines it.
+                let negative = rng.gen_bool(0.5);
+                let path = entry_file(
+                    &root,
+                    if negative { "negative" } else { "objects" },
+                    &k.digest,
+                );
+                if let Ok(text) = fs::read_to_string(&path) {
+                    fs::write(&path, &text[..text.len() / 2]).unwrap();
+                    let served = if negative {
+                        store.lookup_negative(&k).is_some()
+                    } else {
+                        store.lookup(&k).is_some()
+                    };
+                    assert!(!served, "step {step}: a torn entry must not serve");
+                    assert!(!path.exists(), "step {step}: torn entry quarantined");
+                }
+            }
+            _ => {
+                store.enforce_budget().unwrap();
+                assert!(census(&store)[1] + census(&store)[3] <= budget);
+            }
+        }
+        assert_eq!(census(&store), disk_census(&root), "step {step} (op {op})");
+    }
+    let stats = store.stats();
+    assert!(stats.evictions > 0, "the budget must have bitten");
+    assert!(stats.quarantined > 0, "truncations must have been drawn");
+    assert!(stats.entries > 0 && stats.neg_entries > 0);
+
+    // A fresh handle's walk agrees with the live index.
+    let live = census(&store);
+    drop(store);
+    let reopened = ArtifactStore::open(&root, StoreConfig { max_bytes: budget }).unwrap();
+    assert_eq!(census(&reopened), live);
+    for root in [&root, &donor_root] {
+        let _ = fs::remove_dir_all(root);
+    }
+}
+
+#[test]
+fn insert_over_budget_evicts_lru_on_a_live_handle() {
+    // Equal-length tags give equal-size entries.
+    let tag = |i: usize| format!("lru-{i:02}");
+    let size = {
+        let root = scratch("evict-live-probe");
+        let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+        store.insert(&key(&tag(0)), &artifact(&tag(0))).unwrap();
+        let bytes = store.stats().bytes;
+        let _ = fs::remove_dir_all(&root);
+        bytes
+    };
+    let root = scratch("evict-live");
+    let store = ArtifactStore::open(
+        &root,
+        StoreConfig {
+            max_bytes: size * 4 + size / 2,
+        },
+    )
+    .unwrap();
+    // Sleeps keep every mtime distinct even on coarse filesystem clocks.
+    let tick = || thread::sleep(Duration::from_millis(20));
+    for i in 0..4 {
+        store.insert(&key(&tag(i)), &artifact(&tag(i))).unwrap();
+        tick();
+    }
+    // Refresh the oldest entry: it is now the most recently used.
+    assert!(store.lookup(&key(&tag(0))).is_some());
+    tick();
+    // The untouched entries, in (mtime, digest) order, as on disk.
+    let mut untouched: Vec<(SystemTime, String)> = (1..4)
+        .map(|i| {
+            let digest = key(&tag(i)).digest;
+            let path = entry_file(&root, "objects", &digest);
+            (fs::metadata(path).unwrap().modified().unwrap(), digest)
+        })
+        .collect();
+    untouched.sort();
+
+    // Two inserts on the live handle overflow the budget twice.
+    for i in 4..6 {
+        store.insert(&key(&tag(i)), &artifact(&tag(i))).unwrap();
+        tick();
+    }
+    let stats = store.stats();
+    assert_eq!(stats.evictions, 2);
+    assert_eq!(stats.entries, 4);
+    assert!(stats.bytes <= size * 4 + size / 2);
+    for (n, (_, digest)) in untouched.iter().enumerate() {
+        assert_eq!(
+            entry_file(&root, "objects", digest).exists(),
+            n == 2,
+            "only the two oldest untouched entries are evicted"
+        );
+    }
+    for i in [0, 4, 5] {
+        assert!(store.lookup(&key(&tag(i))).is_some(), "entry {i} survives");
+    }
+    assert_eq!(census(&store), disk_census(&root));
+    let _ = fs::remove_dir_all(&root);
+}

@@ -134,9 +134,9 @@ pub(crate) fn eval_node(
             let a = val(node.preds[0]);
             let b = val(node.preds[1]);
             match op {
-                BinOp::Add => t.intern(Op::Add(a, b)),
-                BinOp::Sub => t.intern(Op::Sub(a, b)),
-                BinOp::Mul => t.intern(Op::Mul(a, b)),
+                BinOp::Add => t.intern_exact(Op::Add(a, b))?,
+                BinOp::Sub => t.intern_exact(Op::Sub(a, b))?,
+                BinOp::Mul => t.intern_exact(Op::Mul(a, b))?,
                 BinOp::Shl | BinOp::Shr => {
                     let n = t
                         .const_value(b)
@@ -164,12 +164,12 @@ pub(crate) fn eval_node(
         NodeKind::MulPow2 => {
             let a = val(node.preds[0]);
             let b = val(node.preds[1]);
-            t.intern(Op::Mul(a, b))
+            t.intern_exact(Op::Mul(a, b))?
         }
         NodeKind::Un(op) => {
             let a = val(node.preds[0]);
             match op {
-                UnOp::Neg => t.intern(Op::Neg(a)),
+                UnOp::Neg => t.intern_exact(Op::Neg(a))?,
                 UnOp::Signum => t.intern(Op::Signum(a)),
                 UnOp::Not => t.intern(Op::Not(a)),
             }

@@ -182,8 +182,9 @@ fn exec_stmt(t: &mut SymTable, func: &Function, s: &Stmt, env: &mut SymEnv) -> E
 /// mirror of `hls_ir::Interpreter::eval`'s dynamic format rules (variables
 /// and array elements hold their declared formats thanks to cast-on-assign;
 /// arithmetic widens exactly; shifts keep their operand's format). Returns
-/// `None` when the format is data-dependent (a `Select` whose arms differ)
-/// or the expression is boolean-valued.
+/// `None` when the format is data-dependent (a `Select` whose arms differ),
+/// the expression is boolean-valued, or an exact intermediate format would
+/// exceed the 64-bit limit.
 fn machine_format(func: &Function, e: &Expr) -> Option<fixpt::Format> {
     match e {
         Expr::Const(c) => Some(c.format()),
@@ -191,14 +192,20 @@ fn machine_format(func: &Function, e: &Expr) -> Option<fixpt::Format> {
         Expr::Var(v) => func.var(*v).ty.format(),
         Expr::Load { array, .. } => func.var(*array).ty.format(),
         Expr::Unary { op, arg } => match op {
-            UnOp::Neg => Some(machine_format(func, arg)?.neg_format()),
+            UnOp::Neg => machine_format(func, arg)?.checked_neg_format(),
             UnOp::Signum => Some(fixpt::Format::signed(2, 2)),
             UnOp::Not => None,
         },
         Expr::Binary { op, lhs, rhs } => match op {
-            BinOp::Add => Some(machine_format(func, lhs)?.add_format(&machine_format(func, rhs)?)),
-            BinOp::Sub => Some(machine_format(func, lhs)?.sub_format(&machine_format(func, rhs)?)),
-            BinOp::Mul => Some(machine_format(func, lhs)?.mul_format(&machine_format(func, rhs)?)),
+            BinOp::Add => {
+                machine_format(func, lhs)?.checked_add_format(&machine_format(func, rhs)?)
+            }
+            BinOp::Sub => {
+                machine_format(func, lhs)?.checked_sub_format(&machine_format(func, rhs)?)
+            }
+            BinOp::Mul => {
+                machine_format(func, lhs)?.checked_mul_format(&machine_format(func, rhs)?)
+            }
             BinOp::Shl | BinOp::Shr => machine_format(func, lhs),
             BinOp::And | BinOp::Or => None,
         },
@@ -259,7 +266,7 @@ fn eval(t: &mut SymTable, func: &Function, e: &Expr, env: &SymEnv) -> ExecResult
         Expr::Unary { op, arg } => {
             let a = eval(t, func, arg, env)?;
             Ok(match op {
-                UnOp::Neg => t.intern(Op::Neg(a)),
+                UnOp::Neg => t.intern_exact(Op::Neg(a))?,
                 UnOp::Signum => t.intern(Op::Signum(a)),
                 UnOp::Not => t.intern(Op::Not(a)),
             })
@@ -289,7 +296,7 @@ fn eval(t: &mut SymTable, func: &Function, e: &Expr, env: &SymEnv) -> ExecResult
                 // pin it into the node so symbolic rewrites cannot change
                 // what the shift wraps/truncates in.
                 let fm = machine_format(func, lhs).ok_or_else(|| {
-                    Unsupported("shift operand with data-dependent runtime format".into())
+                    Unsupported("shift operand without a static runtime format".into())
                 })?;
                 Ok(t.intern(if matches!(op, BinOp::Shl) {
                     Op::Shl(a, n as u32, fm)
@@ -300,12 +307,12 @@ fn eval(t: &mut SymTable, func: &Function, e: &Expr, env: &SymEnv) -> ExecResult
             BinOp::Add | BinOp::Sub | BinOp::Mul => {
                 let a = eval(t, func, lhs, env)?;
                 let b = eval(t, func, rhs, env)?;
-                Ok(t.intern(match op {
+                t.intern_exact(match op {
                     BinOp::Add => Op::Add(a, b),
                     BinOp::Sub => Op::Sub(a, b),
                     BinOp::Mul => Op::Mul(a, b),
                     _ => unreachable!(),
-                }))
+                })
             }
         },
         Expr::Compare { op, lhs, rhs } => {

@@ -26,6 +26,8 @@ use std::collections::{BTreeMap, HashMap};
 use fixpt::{Fixed, Format, Overflow, Quantization, Signedness};
 use hls_ir::CmpOp;
 
+use crate::state::{ExecResult, Unsupported};
+
 /// Identifier of one hash-consed node in a [`SymTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SymId(u32);
@@ -252,34 +254,6 @@ pub fn bool_format() -> Format {
     Format::integer(1, Signedness::Unsigned)
 }
 
-/// [`Format::add_format`] without the width panic: `None` when the exact
-/// sum format would exceed the representable width, so canonicalizing
-/// rewrites can bail instead of crashing mid-proof.
-fn checked_add_format(a: Format, b: Format) -> Option<Format> {
-    let signed = a.is_signed() || b.is_signed();
-    let eff = |f: &Format| {
-        if signed && !f.is_signed() {
-            f.int_bits() + 1
-        } else {
-            f.int_bits()
-        }
-    };
-    let int = eff(&a).max(eff(&b)) + 1;
-    let frac = a.frac_bits().max(b.frac_bits());
-    let width = u32::try_from((int + frac).max(1)).ok()?;
-    let s = if signed {
-        Signedness::Signed
-    } else {
-        Signedness::Unsigned
-    };
-    Format::new(width, int, s).ok()
-}
-
-/// [`Format::neg_format`] without the width panic.
-fn checked_neg_format(f: Format) -> Option<Format> {
-    Format::new(f.width() + 1, f.int_bits() + 1, Signedness::Signed).ok()
-}
-
 /// A hash-consed arena of symbolic nodes with normalizing construction.
 #[derive(Debug, Default, Clone)]
 pub struct SymTable {
@@ -361,6 +335,24 @@ impl SymTable {
         }
     }
 
+    /// [`intern`](Self::intern) for arithmetic translated from a design:
+    /// an `Add`, `Sub`, `Mul` or `Neg` whose exact result format would
+    /// exceed the 64-bit limit is refused instead of interned. No exact
+    /// node can stand for such a value (its concrete evaluation would
+    /// overflow the fixed-point arithmetic), so the execution gives up and
+    /// the caller falls back to fuzzing — never to a verdict.
+    pub fn intern_exact(&mut self, op: Op) -> ExecResult<SymId> {
+        let arithmetic = matches!(op, Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Neg(_));
+        let known = op.operands().iter().all(|&o| self.format_of(o).is_some());
+        if arithmetic && known && self.fmt_of(&op).is_none() {
+            return Err(Unsupported(format!(
+                "exact arithmetic exceeds the {}-bit format limit",
+                fixpt::MAX_WIDTH
+            )));
+        }
+        Ok(self.intern(op))
+    }
+
     /// Interns an op as-is, bypassing the rewrites — used on ops the
     /// rewriter just returned (already canonical) and by the chain
     /// canonicalizers when rebuilding a flattened sum (each spine node is
@@ -420,7 +412,7 @@ impl SymTable {
             match self.const_value(l) {
                 Some(c) => {
                     acc = Some(match acc {
-                        Some(p) => match checked_add_format(p.format(), c.format()) {
+                        Some(p) => match p.format().checked_add_format(&c.format()) {
                             Some(_) => p.exact_add(&c),
                             None => return Err(Op::Add(a, b)),
                         },
@@ -479,7 +471,7 @@ impl SymTable {
                 Some(f) => f,
                 None => return Err(Op::Add(a, b)),
             };
-            fmt = match checked_add_format(fmt, lf) {
+            fmt = match fmt.checked_add_format(&lf) {
                 Some(f) => f,
                 None => return Err(Op::Add(a, b)),
             };
@@ -518,8 +510,8 @@ impl SymTable {
             Op::Sub(a, b) => {
                 let widened = self
                     .format_of(a)
-                    .zip(self.format_of(b).and_then(checked_neg_format));
-                match widened.and_then(|(fa, nf)| checked_add_format(fa, nf)) {
+                    .zip(self.format_of(b).and_then(|f| f.checked_neg_format()));
+                match widened.and_then(|(fa, nf)| fa.checked_add_format(&nf)) {
                     Some(_) => {
                         let nb = self.intern(Op::Neg(b));
                         Ok(self.intern(Op::Add(a, nb)))
@@ -542,14 +534,14 @@ impl SymTable {
                     // no intermediate may pass the width limit.
                     let mut negf = Vec::with_capacity(leaves.len());
                     for &l in &leaves {
-                        match self.format_of(l).and_then(checked_neg_format) {
+                        match self.format_of(l).and_then(|f| f.checked_neg_format()) {
                             Some(f) => negf.push(f),
                             None => return Err(Op::Neg(a)),
                         }
                     }
                     let mut acc = negf[0];
                     for &f in &negf[1..] {
-                        acc = match checked_add_format(acc, f) {
+                        acc = match acc.checked_add_format(&f) {
                             Some(f) => f,
                             None => return Err(Op::Neg(a)),
                         };
@@ -690,10 +682,10 @@ impl SymTable {
         let f = |id: SymId| self.format_of(id);
         match *op {
             Op::Input(_, fm) | Op::Const(_, fm) => Some(fm),
-            Op::Add(a, b) => Some(f(a)?.add_format(&f(b)?)),
-            Op::Sub(a, b) => Some(f(a)?.sub_format(&f(b)?)),
-            Op::Mul(a, b) => Some(f(a)?.mul_format(&f(b)?)),
-            Op::Neg(a) => Some(f(a)?.neg_format()),
+            Op::Add(a, b) => f(a)?.checked_add_format(&f(b)?),
+            Op::Sub(a, b) => f(a)?.checked_sub_format(&f(b)?),
+            Op::Mul(a, b) => f(a)?.checked_mul_format(&f(b)?),
+            Op::Neg(a) => f(a)?.checked_neg_format(),
             Op::Signum(_) => Some(Format::signed(2, 2)),
             Op::Not(_) | Op::And(..) | Op::Or(..) | Op::Cmp(..) => Some(bool_format()),
             Op::Ite(_, t, e) => match (f(t), f(e)) {
