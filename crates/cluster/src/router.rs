@@ -18,6 +18,11 @@
 //! across connections — N clients sweeping the same grid cost one
 //! synthesis per point cluster-wide.
 //!
+//! A batch is prepared (parsed and digested) once, on arrival: the
+//! digests route it, claim its in-flight slots, and are handed with the
+//! parsed functions to [`serve_prepared`], so the service never parses
+//! or digests a request again.
+//!
 //! Fresh results (positive artifacts *and* fresh negative-cache
 //! entries) are replicated synchronously to the next `replicas - 1`
 //! distinct ring members before the batch returns, so a warm read
@@ -32,8 +37,8 @@ use std::time::Duration;
 
 use hls_ir::Json;
 use hls_serve::{
-    batch_to_json, parse_batch, serve_batch, ArtifactStore, CountersSnapshot, EntryKind,
-    RequestOutcome, ServiceConfig, SynthesisRequest,
+    batch_to_json, parse_batch, prepare_batch, serve_prepared, ArtifactStore, CountersSnapshot,
+    EntryKind, Prepared, RequestOutcome, ServiceConfig, SynthesisRequest,
 };
 
 use crate::listen::{Connection, Listener};
@@ -252,13 +257,14 @@ impl ClusterNode {
     /// which shard served each one.
     pub fn route_batch(&self, requests: &[SynthesisRequest], forwarded: bool) -> Json {
         let single = self.cfg.members.len() <= 1;
-        let routes: Vec<Route> = requests
+        let prepared = prepare_batch(requests);
+        let routes: Vec<Route> = prepared
             .iter()
-            .map(|r| {
+            .map(|p| {
                 if forwarded || single {
                     return Route::Local;
                 }
-                match r.prepare() {
+                match p {
                     // Unparseable sources have no digest; serve locally
                     // so the parse error is reported here.
                     Err(_) => Route::Local,
@@ -316,7 +322,7 @@ impl ClusterNode {
                 })
                 .collect();
 
-            let (local_outcomes, local_counters) = self.serve_local(requests, &local);
+            let (local_outcomes, local_counters) = self.serve_local(requests, &prepared, &local);
             for (slot, outcome) in local.iter().zip(local_outcomes) {
                 outcomes[*slot] = Some(outcome.to_json());
             }
@@ -354,7 +360,7 @@ impl ClusterNode {
                     self.counters.remote_errors.fetch_add(1, Ordering::Relaxed);
                     fallback_n += indices.len() as u64;
                     let (fallback_outcomes, fallback_counters) =
-                        self.serve_local(requests, &indices);
+                        self.serve_local(requests, &prepared, &indices);
                     for (slot, outcome) in indices.iter().zip(fallback_outcomes) {
                         let mut v = outcome.to_json();
                         if let Json::Obj(fields) = &mut v {
@@ -401,10 +407,12 @@ impl ClusterNode {
 
     /// Serves the requests at `indices` on this shard with
     /// cross-connection in-flight dedup, returning outcomes in the
-    /// same order as `indices`.
+    /// same order as `indices`. `prepared` is [`prepare_batch`] of
+    /// `requests`.
     fn serve_local(
         &self,
         requests: &[SynthesisRequest],
+        prepared: &[Prepared],
         indices: &[usize],
     ) -> (Vec<RequestOutcome>, CountersSnapshot) {
         // Claim or follow the in-flight slot for each digest. Requests
@@ -419,7 +427,7 @@ impl ClusterNode {
             indices
                 .iter()
                 .map(|&i| {
-                    let Ok((_, key)) = requests[i].prepare() else {
+                    let Ok((_, key)) = &prepared[i] else {
                         return (i, Part::Run);
                     };
                     match table.get(&key.digest) {
@@ -430,7 +438,7 @@ impl ClusterNode {
                                 cv: Condvar::new(),
                             });
                             table.insert(key.digest.clone(), slot);
-                            claimed.push((i, key.digest));
+                            claimed.push((i, key.digest.clone()));
                             (i, Part::Run)
                         }
                     }
@@ -443,9 +451,11 @@ impl ClusterNode {
             .filter(|(_, p)| matches!(p, Part::Run))
             .map(|(i, _)| *i)
             .collect();
-        let run_requests: Vec<SynthesisRequest> =
-            to_run.iter().map(|&i| requests[i].clone()).collect();
-        let report = serve_batch(&run_requests, &self.store, &self.cfg.service);
+        let report = serve_prepared(
+            to_run.iter().map(|&i| (&requests[i], &prepared[i])),
+            &self.store,
+            &self.cfg.service,
+        );
 
         // Publish executor outcomes and release the slots.
         {
@@ -503,8 +513,8 @@ impl ClusterNode {
                         // The executor died or timed out: run it
                         // ourselves rather than hang the client.
                         None => {
-                            let one = [requests[i].clone()];
-                            let mut r = serve_batch(&one, &self.store, &self.cfg.service);
+                            let one = [(&requests[i], &prepared[i])];
+                            let mut r = serve_prepared(one, &self.store, &self.cfg.service);
                             r.outcomes
                                 .pop()
                                 .unwrap_or_else(|| missing_outcome(&requests[i].design))

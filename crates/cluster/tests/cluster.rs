@@ -14,7 +14,9 @@ use hls_cluster::{
     serve, Addr, ClusterConfig, ClusterNode, Frame, HashRing, Listener, PeerClient, DEFAULT_VNODES,
 };
 use hls_ir::Json;
-use hls_serve::{EntryKind, ServiceConfig, SynthesisRequest};
+use hls_serve::{
+    serve_batch, ArtifactStore, EntryKind, ServiceConfig, StoreConfig, SynthesisRequest,
+};
 use qam_decoder::{table1_library, QAM_DECODER_SOURCE};
 
 const SRC: &str = "void twice(sc_fixed<8,4> x, sc_fixed<10,6> *y) { *y = x + x; }";
@@ -232,30 +234,25 @@ fn owner_loss_is_survived_by_replica_holders() {
     let cold = report(&members[0], &requests);
     let cold_outcomes = outcomes(&cold);
 
-    // Find a request owned by shard 2 and the surviving shard that
-    // holds its replica; the ring is deterministic, so recompute it.
+    // The victim is whichever shard owns the first request's digest, and
+    // the survivor the next shard holding its replica; the ring is
+    // deterministic, so recompute it rather than assume an owner.
     let names: Vec<String> = members.iter().map(|m| m.to_string()).collect();
     let ring = HashRing::new(&names, DEFAULT_VNODES);
-    let mut probe = None;
-    for (i, o) in cold_outcomes.iter().enumerate() {
-        let digest = o.get("digest").and_then(Json::as_str).expect("digest");
-        let prefix = u8::from_str_radix(&digest[..2], 16).expect("hex prefix");
-        let replicas = ring.replicas(prefix, 2);
-        if replicas[0] == 2 {
-            probe = Some((i, replicas[1]));
-            break;
-        }
-    }
-    let Some((victim_req, survivor)) = probe else {
-        // Deterministic grid: if this trips, widen the grid above.
-        panic!("no request in the grid is owned by shard 2");
-    };
+    let victim_req = 0;
+    let digest = cold_outcomes[victim_req]
+        .get("digest")
+        .and_then(Json::as_str)
+        .expect("digest");
+    let prefix = u8::from_str_radix(&digest[..2], 16).expect("hex prefix");
+    let replicas = ring.replicas(prefix, 2);
+    let (victim, survivor) = (replicas[0], replicas[1]);
 
-    // Kill shard 2 the Unix way: unlink its socket so connects fail.
-    let Addr::Unix(path) = &members[2] else {
+    // Kill the owner the Unix way: unlink its socket so connects fail.
+    let Addr::Unix(path) = &members[victim] else {
         unreachable!()
     };
-    fs::remove_file(path).expect("unlink shard 2's socket");
+    fs::remove_file(path).expect("unlink the owner's socket");
 
     // The survivor that holds the replica serves the hit locally after
     // the forward fails.
@@ -342,6 +339,79 @@ fn deterministic_failures_are_negative_cached_and_replicated() {
         Some(0),
         "negative hit must not re-run the pipeline"
     );
+}
+
+/// An outcome's wire form, minus the pass trace of a fresh synthesis
+/// (its per-pass wall times differ from run to run).
+fn comparable(outcome: &Json) -> String {
+    let mut o = outcome.clone();
+    if o.get("cache_hit").and_then(Json::as_bool) != Some(true) {
+        if let Json::Obj(fields) = &mut o {
+            fields.retain(|(k, _)| k != "trace");
+        }
+    }
+    o.write()
+}
+
+#[test]
+fn router_and_service_agree_on_a_mixed_batch() {
+    let twin = |tag: &str| ArtifactStore::open(&scratch(tag), StoreConfig::default()).unwrap();
+    let (direct, routed) = (twin("agree-direct"), twin("agree-routed"));
+    let stored = req(6.0);
+    // No operation fits a 0.05 ns clock: a deterministic failure.
+    let infeasible = req(0.05);
+
+    // Prime one twin with an answer and a failure, and copy the entries
+    // byte for byte, so both stores hold the same replies.
+    let primed = serve_batch(
+        &[stored.clone(), infeasible.clone()],
+        &direct,
+        &ServiceConfig::default(),
+    );
+    let mut copied = 0;
+    for o in &primed.outcomes {
+        for kind in [EntryKind::Positive, EntryKind::Negative] {
+            if let Some(entry) = direct.read_raw(kind, &o.digest) {
+                let fresh = routed.insert_raw(kind, &o.digest, &entry);
+                assert!(fresh.expect("the twin accepts the entry"));
+                copied += 1;
+            }
+        }
+    }
+    assert_eq!(copied, 2, "one positive and one negative entry");
+
+    let mut broken = SynthesisRequest::new("void broken(");
+    broken.design = "broken".into();
+    let fresh = req(9.0);
+    let batch = vec![
+        broken,
+        stored.clone(),
+        fresh.clone(),
+        infeasible,
+        stored,
+        fresh,
+    ];
+    let service = serve_batch(&batch, &direct, &ServiceConfig::default());
+    let node = ClusterNode::new(ClusterConfig::single(ServiceConfig::default()), routed)
+        .expect("node builds");
+    let report = node.route_batch(&batch, false);
+
+    let want: Vec<String> = service
+        .outcomes
+        .iter()
+        .map(|o| comparable(&o.to_json()))
+        .collect();
+    let got: Vec<String> = outcomes(&report).iter().map(comparable).collect();
+    assert_eq!(got.len(), batch.len());
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "outcome {i} differs between router and service");
+    }
+    // The batch covers every path the hand-off carries.
+    let o = &service.outcomes;
+    assert!(o[0].error.as_ref().unwrap().contains("does not parse"));
+    assert!(o[1].cache_hit && o[4].cache_hit && o[4].deduped);
+    assert!(o[2].artifact.is_some() && !o[2].cache_hit && o[5].deduped);
+    assert!(o[3].negative_hit);
 }
 
 #[test]

@@ -16,10 +16,11 @@
 //!   every load with quarantine for corrupt entries, and deterministic
 //!   size-bounded LRU eviction.
 //! - [`request`] defines the JSON wire schema for request batches.
-//! - [`service`] is the batch engine: a scoped-thread worker pool with
-//!   in-flight dedup, cost-ordered scheduling and admission control
-//!   driven by the explorer's [`hls_core::ExploreBudget`] cost model,
-//!   and per-stage observability.
+//! - [`service`] is the batch engine: in-flight dedup, store lookups
+//!   before any admission work, then a scoped-thread worker pool with
+//!   cost-ordered scheduling and admission control for misses, driven
+//!   by the explorer's [`hls_core::ExploreBudget`] cost model, and
+//!   per-stage observability.
 //!
 //! The `synthd` binary wraps it all as a one-shot filter, an NDJSON
 //! daemon, or (on Unix) a socket server.
@@ -61,9 +62,12 @@ pub mod store;
 
 pub use digest::{request_key, request_key_for_text, RequestKey, REQUEST_SCHEMA};
 pub use negative::{NegativeEntry, NEGATIVE_SCHEMA};
-pub use request::{batch_from_json, batch_to_json, parse_batch, SynthesisRequest};
+pub use request::{
+    batch_from_json, batch_to_json, parse_batch, prepare_batch, Prepared, SynthesisRequest,
+};
 pub use service::{
-    serve_batch, BatchReport, CountersSnapshot, HistogramSnapshot, RequestOutcome, ServiceConfig,
+    serve_batch, serve_prepared, BatchReport, CountersSnapshot, HistogramSnapshot, RequestOutcome,
+    ServiceConfig,
 };
 pub use store::{
     ArtifactStore, CachedArtifact, EntryKind, StoreConfig, StoreStats, Verdict, ENTRY_SCHEMA,

@@ -18,10 +18,12 @@
 //! strict about what it understands and loud about what it does not:
 //! every error names the request index and the offending field.
 
+use std::collections::HashMap;
+
 use hls_core::{Directives, TechLibrary};
 use hls_ir::{parse_function, Function, Json};
 
-use crate::digest::{request_key, RequestKey};
+use crate::digest::{request_key_for_text, RequestKey};
 
 /// One parsed synthesis request.
 #[derive(Debug, Clone)]
@@ -97,14 +99,6 @@ impl SynthesisRequest {
         Json::obj(fields)
     }
 
-    /// Parses the source and computes the request's content address.
-    pub fn prepare(&self) -> Result<(Function, RequestKey), String> {
-        let func = parse_function(&self.source)
-            .map_err(|e| format!("request source does not parse: {e}"))?;
-        let key = request_key(&func, &self.directives, &self.library, self.verify);
-        Ok((func, key))
-    }
-
     /// The label to report for this request.
     pub fn label<'a>(&'a self, func: &'a Function) -> &'a str {
         if self.design.is_empty() {
@@ -113,6 +107,37 @@ impl SynthesisRequest {
             &self.design
         }
     }
+}
+
+/// One request after [`prepare_batch`]: its parsed function and content
+/// address, or the message its source failed to parse with.
+pub type Prepared = Result<(Function, RequestKey), String>;
+
+/// Parses every request's source and derives its content address, in
+/// request order. Each unique source text is parsed and canonically
+/// rendered once — sweeps reuse one design under many directive sets,
+/// and the front end is pure in the source.
+pub fn prepare_batch(requests: &[SynthesisRequest]) -> Vec<Prepared> {
+    let mut parsed: HashMap<&str, Result<(Function, String), String>> = HashMap::new();
+    requests
+        .iter()
+        .map(|r| {
+            let (func, text) = parsed
+                .entry(r.source.as_str())
+                .or_insert_with(|| {
+                    parse_function(&r.source)
+                        .map(|f| {
+                            let text = f.to_string();
+                            (f, text)
+                        })
+                        .map_err(|e| format!("request source does not parse: {e}"))
+                })
+                .as_ref()
+                .map_err(Clone::clone)?;
+            let key = request_key_for_text(text, &r.directives, &r.library, r.verify);
+            Ok((func.clone(), key))
+        })
+        .collect()
 }
 
 /// Serializes requests as a `{"requests": [...]}` batch — the wire form
@@ -167,10 +192,34 @@ mod tests {
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].design, "twice");
         assert!(parsed[0].verify);
-        let (f1, k1) = req.prepare().unwrap();
-        let (_, k2) = parsed[0].prepare().unwrap();
+        let mut prepared = prepare_batch(&[req.clone(), parsed[0].clone()]).into_iter();
+        let (f1, k1) = prepared.next().unwrap().unwrap();
+        let (_, k2) = prepared.next().unwrap().unwrap();
         assert_eq!(k1, k2, "round-trip preserves the content address");
         assert_eq!(req.label(&f1), "twice");
+    }
+
+    #[test]
+    fn prepare_batch_keys_match_request_key_and_keep_parse_errors() {
+        let mut other = SynthesisRequest::new(SRC);
+        other.verify = true;
+        let batch = [
+            SynthesisRequest::new(SRC),
+            SynthesisRequest::new("void broken("),
+            other,
+        ];
+        let prepared = prepare_batch(&batch);
+        assert_eq!(prepared.len(), 3);
+        let func = parse_function(SRC).unwrap();
+        for i in [0, 2] {
+            let (f, key) = prepared[i].as_ref().unwrap();
+            assert_eq!(f, &func);
+            let r = &batch[i];
+            let expected = crate::digest::request_key(&func, &r.directives, &r.library, r.verify);
+            assert_eq!(key, &expected, "request {i}");
+        }
+        let err = prepared[1].as_ref().unwrap_err();
+        assert!(err.starts_with("request source does not parse"), "{err}");
     }
 
     #[test]

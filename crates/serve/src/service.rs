@@ -1,43 +1,58 @@
 //! The concurrent batch-synthesis engine.
 //!
-//! [`serve_batch`] takes a batch of parsed requests and drives them
-//! through lookup → synthesis → verification → insert on a scoped-thread
-//! worker pool:
+//! [`serve_batch`] is [`prepare_batch`] followed by [`serve_prepared`];
+//! callers that already prepared their requests (the cluster router,
+//! which needs each digest to route) call [`serve_prepared`] directly,
+//! so no request is parsed or digested twice in one process. Each
+//! request's work runs once, in this order:
 //!
-//! - **In-flight dedup**: requests with the same content address are
-//!   collapsed to one job; duplicates share the executor's result and
-//!   are counted in [`CountersSnapshot::deduped`].
-//! - **Cost-ordered scheduling**: each unique job gets the explorer's
-//!   resource-aware admissible bound ([`lower_bound`], computed on the
-//!   loop-transformed design exactly as the sweep computes it), and the
-//!   queue runs cheapest-first by bounded operation count — the same
-//!   size signal the explorer feeds its [`ExploreBudget`] cost model.
-//!   Completed syntheses train an observed ns-per-bounded-op model.
-//! - **Admission control**: with [`ServiceConfig::max_cost_ns`] set, a
-//!   job whose modeled cost reaches the ceiling is rejected up front —
-//!   unless it is cheaper than the budget's `min_prune_cost_ns`, which
-//!   (as in the explorer) always runs, keeping the model fed. A
-//!   rejection carries a structured [`Diagnostic`] with the candidate's
-//!   bounded latency, area and operation count, so callers can tell a
-//!   design that was *too big* from one that merely arrived late.
-//! - **Negative caching**: a miss first probes the store's negative
-//!   side — if this exact request already *failed* the pipeline, the
-//!   stored [`NegativeEntry`] (error + structured diagnostics) is
-//!   served for a store read instead of a pipeline re-run, and fresh
-//!   deterministic failures are persisted the same way. Only
-//!   content-addressed failures are cached: parse errors never reach a
-//!   digest and admission rejections depend on the dynamic cost model,
-//!   so neither is persisted.
-//! - **Observability**: hit/miss/dedup/error counters plus negative-hit
-//!   and negative-insert counters, the queue's peak depth, and
-//!   power-of-two latency histograms per stage.
+//! 1. **Prepare**: each unique source is parsed and canonically
+//!    rendered once, and every request's content address is derived
+//!    from that rendering.
+//! 2. **Dedup**: requests with the same content address collapse to one
+//!    job; duplicates share the executor's result and are counted in
+//!    [`CountersSnapshot::deduped`].
+//! 3. **Lookup**: each unique job probes the store, then its negative
+//!    side, on the coordinating thread. A hit returns the stored
+//!    artifact byte-identically; a negative hit replays the stored
+//!    [`NegativeEntry`] (error + structured diagnostics) — this exact
+//!    request already *failed* the pipeline. Neither is bounded, priced
+//!    or admitted, so neither carries a modeled cost.
+//! 4. **Bound misses**: when two or more misses queue, each gets the
+//!    explorer's resource-aware admissible bound ([`lower_bound`],
+//!    computed on the loop-transformed design exactly as the sweep
+//!    computes it), and the queue runs cheapest-first by bounded
+//!    operation count — the same size signal the explorer feeds its
+//!    [`ExploreBudget`] cost model. A lone miss is not bounded: it needs
+//!    no order, and no model can price it (below).
+//! 5. **Admission**: with [`ServiceConfig::max_cost_ns`] set, a queued
+//!    miss whose modeled cost reaches the ceiling is rejected — unless
+//!    it is cheaper than the budget's `min_prune_cost_ns`, which (as in
+//!    the explorer) always runs, keeping the model fed. A rejection
+//!    carries a structured [`Diagnostic`] with the candidate's bounded
+//!    latency, area and operation count, so callers can tell a design
+//!    that was *too big* from one that merely arrived late.
+//! 6. **Synthesize**: admitted misses run the pipeline (+ equivalence
+//!    check when requested) on a scoped-thread worker pool and are
+//!    inserted; fresh deterministic failures are persisted to the
+//!    negative side. Only content-addressed failures are cached: parse
+//!    errors never reach a digest and admission rejections depend on
+//!    the dynamic cost model, so neither is persisted.
 //!
-//! Cache hits bypass the pipeline entirely and return the stored
-//! artifact byte-identically. [`ServiceConfig::synth_delay`] injects a
-//! fixed latency into every pipeline invocation (success or failure) to
-//! model an external backend tool — commercial HLS runs take seconds to
-//! minutes, not the milliseconds of this in-process pipeline — which is
-//! what the cluster fabric benchmarks scale against.
+//! The cost model (observed ns per bounded operation, trained by
+//! completed syntheses) lives for one batch. It has no observation
+//! before the batch's first synthesis finishes, which is why a lone
+//! miss can never be priced or rejected.
+//!
+//! **Observability**: hit/miss/dedup/error counters plus negative-hit
+//! and negative-insert counters, the unique-job count (`queue_peak`),
+//! and power-of-two latency histograms per stage.
+//!
+//! [`ServiceConfig::synth_delay`] injects a fixed latency into every
+//! pipeline invocation (success or failure) to model an external
+//! backend tool — commercial HLS runs take seconds to minutes, not the
+//! milliseconds of this in-process pipeline — which is what the cluster
+//! fabric benchmarks scale against.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,13 +66,13 @@ use hls_core::{
     apply_loop_transforms, lower_bound, DesignBound, Diagnostic, Diagnostics, ExploreBudget,
     PassCache, PassCacheStats, PipelineConfig,
 };
-use hls_ir::{parse_function, Function, Json};
+use hls_ir::{Function, Json};
 use hls_verify::{verify_equiv, verify_equiv_cached, ProofCache, ProofCacheStats};
 use rtl::compile_traced;
 
 use crate::digest::RequestKey;
 use crate::negative::NegativeEntry;
-use crate::request::SynthesisRequest;
+use crate::request::{prepare_batch, Prepared, SynthesisRequest};
 use crate::store::{ArtifactStore, CachedArtifact, Verdict};
 
 /// Service tuning.
@@ -270,9 +285,10 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
-    fn failed(design: &str, digest: &str, error: String) -> RequestOutcome {
+    /// An outcome with every flag clear and nothing attached.
+    fn empty(design: String, digest: &str) -> RequestOutcome {
         RequestOutcome {
-            design: design.to_string(),
+            design,
             digest: digest.to_string(),
             cache_hit: false,
             deduped: false,
@@ -282,7 +298,14 @@ impl RequestOutcome {
             modeled_cost_ns: None,
             diagnostics: None,
             artifact: None,
+            error: None,
+        }
+    }
+
+    fn failed(design: &str, digest: &str, error: String) -> RequestOutcome {
+        RequestOutcome {
             error: Some(error),
+            ..RequestOutcome::empty(design.to_string(), digest)
         }
     }
 
@@ -384,14 +407,16 @@ impl CostModel {
     }
 }
 
-struct Job {
-    index: usize,
-    func: Function,
-    key: RequestKey,
+/// One unique request the store could not answer.
+struct Job<'a> {
+    req: &'a SynthesisRequest,
+    func: &'a Function,
+    key: &'a RequestKey,
     /// The explorer's admissible bound for this candidate, computed on
-    /// the loop-transformed design — sizes the queue and prices
-    /// admission, and is reported verbatim on rejection.
-    bound: DesignBound,
+    /// the loop-transformed design when two or more misses queue —
+    /// sizes the queue and prices admission, and is reported verbatim
+    /// on rejection.
+    bound: Option<DesignBound>,
 }
 
 #[derive(Default)]
@@ -416,94 +441,98 @@ pub fn serve_batch(
     store: &ArtifactStore,
     cfg: &ServiceConfig,
 ) -> BatchReport {
-    // Parse (and canonically render) each unique source text once —
-    // sweeps reuse one design under many directive sets, and the front
-    // end is pure in the source.
-    let mut parsed: HashMap<&str, Result<(Function, String), String>> = HashMap::new();
-    let prepared: Vec<Result<(Function, RequestKey), String>> = requests
-        .iter()
-        .map(|r| {
-            let (func, text) = parsed
-                .entry(r.source.as_str())
-                .or_insert_with(|| {
-                    parse_function(&r.source)
-                        .map(|f| {
-                            let text = f.to_string();
-                            (f, text)
-                        })
-                        .map_err(|e| format!("request source does not parse: {e}"))
-                })
-                .as_ref()
-                .map_err(Clone::clone)?;
-            let key =
-                crate::digest::request_key_for_text(text, &r.directives, &r.library, r.verify);
-            Ok((func.clone(), key))
-        })
-        .collect();
+    let prepared = prepare_batch(requests);
+    serve_prepared(requests.iter().zip(&prepared), store, cfg)
+}
 
-    // Collapse identical content addresses onto one job each.
+/// Runs requests that [`prepare_batch`] already prepared, each paired
+/// with its preparation, returning outcomes in the pairs' order.
+pub fn serve_prepared<'a>(
+    batch: impl IntoIterator<Item = (&'a SynthesisRequest, &'a Prepared)>,
+    store: &ArtifactStore,
+    cfg: &ServiceConfig,
+) -> BatchReport {
+    let batch: Vec<(&SynthesisRequest, &Prepared)> = batch.into_iter().collect();
+    let counters = Counters::default();
+
+    // Collapse identical content addresses onto one job each, and answer
+    // every job the store already holds before anything is bounded.
     let mut executor: HashMap<&str, usize> = HashMap::new();
     let mut deduped = 0u64;
-    let mut jobs: Vec<Job> = Vec::new();
-    for (i, p) in prepared.iter().enumerate() {
-        let Ok((func, key)) = p else { continue };
+    let mut results: HashMap<&str, RequestOutcome> = HashMap::new();
+    let mut misses: Vec<Job> = Vec::new();
+    for (i, &(req, prepared)) in batch.iter().enumerate() {
+        let Ok((func, key)) = prepared else { continue };
         if executor.contains_key(key.digest.as_str()) {
             deduped += 1;
             continue;
         }
         executor.insert(&key.digest, i);
-        // Bound the transformed design, exactly as the explorer bounds
-        // sweep candidates: unrolling changes the operation count the
-        // cost model sizes against.
-        let transformed = apply_loop_transforms(func, &requests[i].directives);
-        let bound = lower_bound(
-            &transformed.func,
-            &requests[i].directives,
-            &requests[i].library,
-        );
-        jobs.push(Job {
-            index: i,
-            func: func.clone(),
-            key: key.clone(),
-            bound,
-        });
+        match lookup(req, func, key, store, &counters) {
+            Some(outcome) => {
+                results.insert(&key.digest, outcome);
+            }
+            None => misses.push(Job {
+                req,
+                func,
+                key,
+                bound: None,
+            }),
+        }
     }
-    let queue_peak = jobs.len() as u64;
-    // Cheapest-first: workers pop from the back.
-    jobs.sort_by(|a, b| (b.bound.ops, &b.key.digest).cmp(&(a.bound.ops, &a.key.digest)));
+    let queue_peak = executor.len() as u64;
 
-    let counters = Counters::default();
+    // A lone miss needs no order, and the batch's cost model has no
+    // observation to price it with, so its bound would never be read.
+    if misses.len() >= 2 {
+        for job in &mut misses {
+            // Bound the transformed design, exactly as the explorer
+            // bounds sweep candidates: unrolling changes the operation
+            // count the cost model sizes against.
+            let transformed = apply_loop_transforms(job.func, &job.req.directives);
+            job.bound = Some(lower_bound(
+                &transformed.func,
+                &job.req.directives,
+                &job.req.library,
+            ));
+        }
+        // Cheapest-first: workers pop from the back.
+        let ops = |j: &Job| j.bound.as_ref().map_or(0, |b| b.ops);
+        misses.sort_by(|a, b| (ops(b), &b.key.digest).cmp(&(ops(a), &a.key.digest)));
+    }
+
     let model = CostModel::default();
-    let queue = Mutex::new(jobs);
-    let results: Mutex<HashMap<String, RequestOutcome>> = Mutex::new(HashMap::new());
+    let workers = cfg.workers.max(1).min(misses.len());
+    let queue = Mutex::new(misses);
+    let results = Mutex::new(results);
 
     thread::scope(|s| {
-        for _ in 0..cfg.workers.max(1) {
+        for _ in 0..workers {
             // A panicking worker poisons these locks while the job that
             // panicked is simply absent from `results`; the survivors
             // keep draining the queue, so recover the guard.
             s.spawn(|| loop {
                 let job = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
                 let Some(job) = job else { break };
-                let outcome = run_job(&job, requests, store, cfg, &model, &counters);
+                let outcome = run_job(&job, store, cfg, &model, &counters);
                 results
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(job.key.digest.clone(), outcome);
+                    .insert(&job.key.digest, outcome);
             });
         }
     });
 
     let results = results.into_inner().unwrap_or_else(|e| e.into_inner());
-    let outcomes = prepared
+    let outcomes = batch
         .iter()
         .enumerate()
-        .map(|(i, p)| match p {
+        .map(|(i, &(req, prepared))| match prepared {
             Err(e) => {
                 counters.errors.fetch_add(1, Ordering::Relaxed);
-                RequestOutcome::failed(&requests[i].design, "", e.clone())
+                RequestOutcome::failed(&req.design, "", e.clone())
             }
-            Ok((_, key)) => match results.get(&key.digest) {
+            Ok((_, key)) => match results.get(key.digest.as_str()) {
                 Some(done) => {
                     let mut o = done.clone();
                     o.deduped = executor.get(key.digest.as_str()) != Some(&i);
@@ -515,7 +544,7 @@ pub fn serve_batch(
                 None => {
                     counters.errors.fetch_add(1, Ordering::Relaxed);
                     RequestOutcome::failed(
-                        &requests[i].design,
+                        &req.design,
                         &key.digest,
                         "internal: worker died before recording an outcome".to_string(),
                     )
@@ -546,23 +575,54 @@ pub fn serve_batch(
     }
 }
 
+/// Answers one unique request from the store: its artifact, else its
+/// cached failure. `None` means it has to be synthesized.
+fn lookup(
+    req: &SynthesisRequest,
+    func: &Function,
+    key: &RequestKey,
+    store: &ArtifactStore,
+    counters: &Counters,
+) -> Option<RequestOutcome> {
+    let t = Instant::now();
+    let cached = store.lookup(key);
+    counters.lookup.record(t.elapsed());
+    let mut outcome = RequestOutcome::empty(req.label(func).to_string(), &key.digest);
+    if let Some(artifact) = cached {
+        counters.hits.fetch_add(1, Ordering::Relaxed);
+        outcome.cache_hit = true;
+        outcome.artifact = Some(artifact);
+        return Some(outcome);
+    }
+
+    // A positive miss may still be a *negative* hit: this exact request
+    // already failed the pipeline deterministically, so replay the
+    // stored failure instead of re-running.
+    let failure = store.lookup_negative(key)?;
+    counters.neg_hits.fetch_add(1, Ordering::Relaxed);
+    counters.errors.fetch_add(1, Ordering::Relaxed);
+    outcome.negative_hit = true;
+    outcome.error = Some(format!("synthesis: {}", failure.error));
+    outcome.failure = Some(failure);
+    Some(outcome)
+}
+
 fn run_job(
     job: &Job,
-    requests: &[SynthesisRequest],
     store: &ArtifactStore,
     cfg: &ServiceConfig,
     model: &CostModel,
     counters: &Counters,
 ) -> RequestOutcome {
-    let req = &requests[job.index];
-    let design = req.label(&job.func).to_string();
-    let modeled_cost_ns = model.modeled_ns(job.bound.ops);
+    let req = job.req;
+    let design = req.label(job.func).to_string();
+    let modeled_cost_ns = job.bound.as_ref().and_then(|b| model.modeled_ns(b.ops));
 
     // Admission: reject jobs modeled at/over the ceiling — unless they
     // are cheaper than the budget's always-run threshold. The rejection
     // reports the bound that sized the job, so the caller sees exactly
     // what the admission decision was based on.
-    if let (Some(max), Some(cost)) = (cfg.max_cost_ns, modeled_cost_ns) {
+    if let (Some(max), Some(cost), Some(bound)) = (cfg.max_cost_ns, modeled_cost_ns, &job.bound) {
         if cost >= max && cost >= cfg.budget.min_prune_cost_ns {
             counters.rejected.fetch_add(1, Ordering::Relaxed);
             let diag = Diagnostic::error(
@@ -572,66 +632,20 @@ fn run_job(
             .in_pass("admission")
             .with_note(format!(
                 "admissible bound: latency >= {} cycles, area >= {:.1}",
-                job.bound.latency_cycles, job.bound.area
+                bound.latency_cycles, bound.area
             ))
-            .with_note(format!("bounded operations: {}", job.bound.ops));
+            .with_note(format!("bounded operations: {}", bound.ops));
             return RequestOutcome {
-                design,
-                digest: job.key.digest.clone(),
-                cache_hit: false,
-                deduped: false,
                 rejected: true,
-                negative_hit: false,
-                failure: None,
                 modeled_cost_ns,
                 diagnostics: Some(Diagnostics::from(diag)),
-                artifact: None,
-                error: Some(format!(
-                    "admission: modeled cost {cost} ns reaches the {max} ns ceiling"
-                )),
+                ..RequestOutcome::failed(
+                    &design,
+                    &job.key.digest,
+                    format!("admission: modeled cost {cost} ns reaches the {max} ns ceiling"),
+                )
             };
         }
-    }
-
-    let t = Instant::now();
-    let cached = store.lookup(&job.key);
-    counters.lookup.record(t.elapsed());
-    if let Some(artifact) = cached {
-        counters.hits.fetch_add(1, Ordering::Relaxed);
-        return RequestOutcome {
-            design,
-            digest: job.key.digest.clone(),
-            cache_hit: true,
-            deduped: false,
-            rejected: false,
-            negative_hit: false,
-            failure: None,
-            modeled_cost_ns,
-            diagnostics: None,
-            artifact: Some(artifact),
-            error: None,
-        };
-    }
-
-    // A positive miss may still be a *negative* hit: this exact request
-    // already failed the pipeline deterministically, so replay the
-    // stored failure instead of re-running.
-    if let Some(failure) = store.lookup_negative(&job.key) {
-        counters.neg_hits.fetch_add(1, Ordering::Relaxed);
-        counters.errors.fetch_add(1, Ordering::Relaxed);
-        return RequestOutcome {
-            design,
-            digest: job.key.digest.clone(),
-            cache_hit: false,
-            deduped: false,
-            rejected: false,
-            negative_hit: true,
-            modeled_cost_ns,
-            diagnostics: None,
-            artifact: None,
-            error: Some(format!("synthesis: {}", failure.error)),
-            failure: Some(failure),
-        };
     }
     counters.misses.fetch_add(1, Ordering::Relaxed);
 
@@ -640,7 +654,7 @@ fn run_job(
         cache: cfg.pass_cache.clone(),
         ..PipelineConfig::default()
     };
-    let (result, run) = compile_traced(&job.func, &req.directives, &req.library, &pipeline_config);
+    let (result, run) = compile_traced(job.func, &req.directives, &req.library, &pipeline_config);
     if !cfg.synth_delay.is_zero() {
         // Models the external backend tool's wall time (applies to
         // failed runs too: a real tool burns its runtime before
@@ -649,7 +663,9 @@ fn run_job(
     }
     let synth_time = t.elapsed();
     counters.synth.record(synth_time);
-    model.observe(job.bound.ops, synth_time);
+    if let Some(bound) = &job.bound {
+        model.observe(bound.ops, synth_time);
+    }
 
     let artifacts = match result {
         Ok(a) => a,
@@ -667,7 +683,7 @@ fn run_job(
             outcome.modeled_cost_ns = modeled_cost_ns;
             // Persist the deterministic failure so retries are store
             // reads; a store error only costs the cache, not the reply.
-            match store.insert_negative(&job.key, &failure) {
+            match store.insert_negative(job.key, &failure) {
                 Ok(()) => {
                     counters.neg_inserts.fetch_add(1, Ordering::Relaxed);
                 }
@@ -702,23 +718,15 @@ fn run_job(
         diagnostics: Json::parse(&run.diagnostics.to_json()).unwrap_or(Json::Arr(Vec::new())),
     };
     let t = Instant::now();
-    let insert = store.insert(&job.key, &artifact);
+    let insert = store.insert(job.key, &artifact);
     counters.insert.record(t.elapsed());
     counters.synthesized.fetch_add(1, Ordering::Relaxed);
-    let error = insert
-        .err()
-        .map(|e| format!("artifact served but not cached: {e}"));
     RequestOutcome {
-        design,
-        digest: job.key.digest.clone(),
-        cache_hit: false,
-        deduped: false,
-        rejected: false,
-        negative_hit: false,
-        failure: None,
         modeled_cost_ns,
-        diagnostics: None,
         artifact: Some(artifact),
-        error,
+        error: insert
+            .err()
+            .map(|e| format!("artifact served but not cached: {e}")),
+        ..RequestOutcome::empty(design, &job.key.digest)
     }
 }

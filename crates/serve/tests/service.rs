@@ -1,5 +1,6 @@
-//! Batch-service behavior: in-flight dedup, admission control, and the
-//! acceptance criterion — a warm-cache Table-1 sweep returning
+//! Batch-service behavior: in-flight dedup, admission control (which
+//! never sees a request the store can answer), and the acceptance
+//! criterion — a warm-cache Table-1 sweep returning
 //! bit-identical artifacts without touching the pipeline.
 
 use std::fs;
@@ -101,6 +102,72 @@ fn admission_rejects_modeled_over_budget_jobs() {
     let json = rejected.to_json();
     let diags = json.get("diagnostics").expect("diagnostics serialized");
     assert!(matches!(diags, hls_ir::Json::Arr(v) if !v.is_empty()));
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// The admission config of `admission_rejects_modeled_over_budget_jobs`:
+/// once the model has one observation, every bounded job is over budget.
+fn strict_admission() -> ServiceConfig {
+    ServiceConfig {
+        workers: 1,
+        budget: ExploreBudget {
+            min_prune_cost_ns: 0,
+        },
+        max_cost_ns: Some(1),
+        ..ServiceConfig::default()
+    }
+}
+
+#[test]
+fn admission_never_refuses_a_stored_answer() {
+    let root = scratch("admission-hit");
+    let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+    let stored = serve_batch(
+        &[SynthesisRequest::new(SUM)],
+        &store,
+        &ServiceConfig::default(),
+    );
+    assert!(stored.outcomes[0].artifact.is_some());
+
+    // `twice` is a miss that would train the model; `sum` must still be
+    // answered from the store, never priced against the ceiling.
+    let batch = vec![SynthesisRequest::new(TWICE), SynthesisRequest::new(SUM)];
+    let report = serve_batch(&batch, &store, &strict_admission());
+    assert_eq!(report.counters.rejected, 0);
+    assert_eq!(report.counters.hits, 1);
+    assert_eq!(report.counters.synthesized, 1);
+    let sum = &report.outcomes[1];
+    assert!(
+        sum.cache_hit,
+        "stored answer must be a hit: {:?}",
+        sum.error
+    );
+    assert_eq!(sum.modeled_cost_ns, None, "a hit is never priced");
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn admission_never_refuses_a_stored_failure() {
+    let root = scratch("admission-neg");
+    let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+    let mut bad = SynthesisRequest::new(TWICE);
+    bad.directives.clock_period_ns = 0.05;
+    let stored = serve_batch(
+        std::slice::from_ref(&bad),
+        &store,
+        &ServiceConfig::default(),
+    );
+    assert_eq!(stored.counters.neg_inserts, 1);
+
+    let batch = vec![SynthesisRequest::new(TWICE), bad];
+    let report = serve_batch(&batch, &store, &strict_admission());
+    assert_eq!(report.counters.rejected, 0);
+    assert_eq!(report.counters.neg_hits, 1);
+    let o = &report.outcomes[1];
+    assert!(o.negative_hit, "stored failure must be replayed: {o:?}");
+    assert!(!o.rejected);
+    assert_eq!(o.modeled_cost_ns, None, "a negative hit is never priced");
+    assert_eq!(o.failure.as_ref().unwrap().code, "infeasible-clock");
     let _ = fs::remove_dir_all(&root);
 }
 
