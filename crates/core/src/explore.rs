@@ -19,14 +19,18 @@
 //!   refinement overlaps the uniform sweep) synthesize once.
 //! - **Prefix memoization** — the loop-transform prefix of the pipeline
 //!   depends only on the merge policy and loop directives, not on the
-//!   clock, mappings or FU limits — and the lowering right after it is
-//!   equally clock-independent. Candidates sharing that prefix (every
-//!   point of a clock sweep, notably) transform *and lower* once, reusing
-//!   both through the pass manager's seeded prefix passes; a clock-only
-//!   twin re-runs nothing upstream of the scheduler.
+//!   clock, mappings or FU limits — and the lowering and netlist
+//!   optimization after it are equally clock-independent. Candidates
+//!   sharing that prefix (every point of a clock sweep, notably)
+//!   transform, lower and optimize once: each unique transform signature
+//!   gets one prefix holding the transform result and the optimized
+//!   netlist, and every candidate replays it through the pass manager's
+//!   seeded prefix passes ([`crate::Pipeline::synthesis_with_prefix`]).
+//!   A clock-only twin re-runs nothing upstream of the scheduler.
 //! - **Parallel evaluation** — with the `parallel` feature (on by
-//!   default), unique candidates are synthesized across all available
-//!   cores via scoped threads. Results are keyed by candidate index, so
+//!   default), the prefixes and then the unique candidates are built
+//!   across all available cores via scoped threads, the calling thread
+//!   working alongside the spawned ones. Results are keyed by index, so
 //!   point order, failure order and the Pareto frontier are identical to
 //!   the serial path ([`explore_serial`]) regardless of thread timing.
 //! - **Branch-and-bound pruning** — with an [`ExploreBudget`], each
@@ -62,10 +66,11 @@ use std::sync::Arc;
 use crate::bound::{bound_from_profile, bound_profile, BoundProfile, DesignBound};
 use crate::directives::{Directives, MergePolicy, Unroll};
 use crate::error::SynthesisError;
-use crate::lower::{lower, Lowered};
+use crate::lower::lower;
+use crate::netlist::optimize_lowered;
+use crate::passcache::{self, NetlistEntry, PassCache};
 use crate::pipeline::{
-    synthesize_traced, synthesize_traced_with_prefix, synthesize_traced_with_transform,
-    PipelineConfig,
+    synthesize_traced, synthesize_traced_with_prefix, NetlistSeed, PassTrace, PipelineConfig,
 };
 use crate::synthesize::SynthesisResult;
 use crate::tech::TechLibrary;
@@ -180,8 +185,9 @@ pub struct ExploreConfig {
     pub clock_period_ns: f64,
     /// Additional clock periods to sweep. Empty (the default) means only
     /// [`ExploreConfig::clock_period_ns`] is explored; non-empty replaces
-    /// it with this list. Points of a clock sweep share their
-    /// loop-transform prefix, which runs once per unique knob setting.
+    /// it with this list. Points of a clock sweep share their prefix
+    /// (loop transforms, lowering and netlist-opt), which runs once per
+    /// unique transform signature.
     pub clock_periods_ns: Vec<f64>,
     /// Unroll factors to try per loop (1 = rolled). The sweep applies one
     /// factor to *all* loops of trip count ≥ factor per point, plus the
@@ -373,14 +379,95 @@ pub fn transform_signature(d: &Directives) -> String {
 /// The latency/area outcome of synthesizing one unique directive set.
 type JobOutcome = Result<(u64, f64), SynthesisError>;
 
-/// One unique directive set to synthesize, with its (optionally) shared
-/// precomputed prefix: the transform result and the lowering, both
-/// clock-independent and shared across every job of one transform
-/// signature.
+/// The clock-independent prefix every candidate of one transform
+/// signature shares: the transform result, the optimized netlist of its
+/// lowering and, under a budget, the bound profile of that netlist.
+struct Prefix {
+    transformed: Arc<TransformResult>,
+    netlist: Arc<NetlistSeed>,
+    profile: Option<BoundProfile>,
+}
+
+/// One unique directive set to synthesize, with the prefix of its
+/// transform signature (`None` for invalid IR, which the pipeline's
+/// validate pass must report).
 struct Job<'a> {
     directives: &'a Directives,
-    transformed: Option<Arc<TransformResult>>,
-    lowered: Option<Arc<Lowered>>,
+    prefix: Option<&'a Prefix>,
+}
+
+/// Builds the prefix of `d`'s transform signature: loop transforms, then
+/// lowering, then netlist-opt, then (when `budgeted`) the bound profile of
+/// the optimized netlist — the design synthesis actually schedules, so
+/// the lower bound stays admissible.
+///
+/// With a pass cache, every stage is read from it or computed and
+/// published, as the pipeline's passes do. The netlist stage is read
+/// first, since a hit needs no lowering, and is published as a full
+/// [`NetlistEntry`], obligations included. The prefix itself keeps no
+/// obligations: explore's pipelines register no hook, and the checker
+/// proves every optimized design end to end, so nothing reads them, while
+/// their two `Lowered` snapshots per changing rewrite, kept for every
+/// signature of a sweep, would dominate its memory.
+fn build_prefix(
+    func: &Function,
+    d: &Directives,
+    lib: &TechLibrary,
+    cache: Option<(&PassCache, &str)>,
+    budgeted: bool,
+) -> Prefix {
+    let (transformed, netlist) = match cache {
+        Some((cache, base)) => {
+            let tkey = passcache::transform_key(base, d);
+            let transformed = cache.get_transform(&tkey).unwrap_or_else(|| {
+                let t = Arc::new(apply_loop_transforms(func, d));
+                cache.put_transform(&tkey, &t);
+                t
+            });
+            let lkey = passcache::lower_key(&tkey, d);
+            let nkey = passcache::netlist_key(&lkey, d, lib);
+            let netlist = match cache.get_netlist(&nkey) {
+                Some(entry) => NetlistSeed {
+                    lowered: entry.lowered.clone(),
+                    report: entry.report.clone(),
+                },
+                None => {
+                    let raw = cache.get_lowered(&lkey).unwrap_or_else(|| {
+                        let l = Arc::new(lower(&transformed.func, d));
+                        cache.put_lowered(&lkey, &l);
+                        l
+                    });
+                    let mut lowered = (*raw).clone();
+                    let outcome = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
+                    cache.put_netlist(
+                        &nkey,
+                        &Arc::new(NetlistEntry {
+                            lowered: lowered.clone(),
+                            report: outcome.report.clone(),
+                            obligations: Arc::new(outcome.obligations),
+                        }),
+                    );
+                    NetlistSeed {
+                        lowered,
+                        report: outcome.report,
+                    }
+                }
+            };
+            (transformed, netlist)
+        }
+        None => {
+            let transformed = apply_loop_transforms(func, d);
+            let mut lowered = lower(&transformed.func, d);
+            let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib).report;
+            (Arc::new(transformed), NetlistSeed { lowered, report })
+        }
+    };
+    let profile = budgeted.then(|| bound_profile(&netlist.lowered, d, lib));
+    Prefix {
+        transformed,
+        netlist: Arc::new(netlist),
+        profile,
+    }
 }
 
 /// An equivalence checker for one design point: `Ok(())` if the
@@ -425,7 +512,7 @@ struct JobResult {
     check: Option<Result<(), String>>,
     /// The full result ([`CheckOp::Store`] only).
     stored: Option<SynthesisResult>,
-    /// Wall time of the back-end passes (lower/schedule/allocate/metrics)
+    /// Wall time of the back-end passes (lower through metrics)
     /// — the part of the pipeline pruning would have skipped; feeds the
     /// explorer's cost model.
     tail_ns: u64,
@@ -433,14 +520,20 @@ struct JobResult {
 
 /// The pipeline passes branch-and-bound pruning skips; their wall time is
 /// what the cost model predicts.
-const TAIL_PASSES: [&str; 4] = ["lower", "schedule", "allocate", "metrics"];
+const TAIL_PASSES: [&str; 5] = ["lower", "netlist-opt", "schedule", "allocate", "metrics"];
+
+/// An observer of every evaluated job's pass trace, called on the worker
+/// that ran the job. The public entry points pass a no-op; the unit tests
+/// use it to see which passes a job replayed.
+type TraceObserver<'a> = dyn Fn(&PassTrace) + Sync + 'a;
 
 fn run_job(
     func: &Function,
     job: &Job<'_>,
     lib: &TechLibrary,
     check: CheckOp<'_, '_>,
-    cache: Option<&Arc<crate::passcache::PassCache>>,
+    cache: Option<&Arc<PassCache>>,
+    observe: &TraceObserver<'_>,
 ) -> JobResult {
     let pipeline_config = PipelineConfig {
         cache: cache.cloned(),
@@ -450,24 +543,18 @@ fn run_job(
         skip_trace_stats: true,
         ..PipelineConfig::default()
     };
-    let (result, run) = match (&job.transformed, &job.lowered) {
-        (Some(t), Some(l)) => synthesize_traced_with_prefix(
+    let (result, run) = match job.prefix {
+        Some(p) => synthesize_traced_with_prefix(
             func,
             job.directives,
             lib,
             &pipeline_config,
-            Arc::clone(t),
-            Arc::clone(l),
+            Arc::clone(&p.transformed),
+            Arc::clone(&p.netlist),
         ),
-        (Some(t), None) => synthesize_traced_with_transform(
-            func,
-            job.directives,
-            lib,
-            &pipeline_config,
-            Arc::clone(t),
-        ),
-        _ => synthesize_traced(func, job.directives, lib, &pipeline_config),
+        None => synthesize_traced(func, job.directives, lib, &pipeline_config),
     };
+    observe(&run.trace);
     let tail_ns = run
         .trace
         .passes
@@ -500,9 +587,12 @@ fn run_job(
 }
 
 /// Maps `f` over `0..n`, across the worker pool when `parallel` (and the
-/// `parallel` feature) allow it. A shared atomic cursor hands out indices;
-/// each value lands at its own slot, so the returned order is independent
-/// of thread scheduling.
+/// `parallel` feature) allow it. The pool is `available_parallelism()`
+/// workers, the calling thread among them: it works alongside the spawned
+/// threads instead of parking in the scope join, so a 2-core host runs
+/// two threads (and two malloc arenas), not three. A shared atomic cursor
+/// hands out indices; each value lands at its own slot, so the returned
+/// order is independent of thread scheduling.
 fn par_map<T, F>(parallel: bool, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -520,17 +610,19 @@ where
 
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let v = f(i);
-                        *slots[i].lock().expect("no panics hold this lock") = Some(v);
-                    });
+            let work = || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let v = f(i);
+                *slots[i].lock().expect("no panics hold this lock") = Some(v);
+            };
+            std::thread::scope(|s| {
+                for _ in 1..workers {
+                    s.spawn(work);
+                }
+                work();
             });
             return slots
                 .into_iter()
@@ -778,6 +870,7 @@ fn explore_impl(
     lib: &TechLibrary,
     parallel: bool,
     check: Option<&PointChecker<'_>>,
+    observe: &TraceObserver<'_>,
 ) -> ExploreResult {
     let candidates = candidates_for(func, config);
 
@@ -795,89 +888,54 @@ fn explore_impl(
         })
         .collect();
 
-    // Prefix memoization: precompute one transform per unique
-    // (merge policy, loop directives) combination, deterministically and
-    // before the parallel fan-out, and share it across the jobs (clock
-    // sweeps hit this hard: every clock reuses the same prefix). Skipped
-    // when the IR is invalid — the pipeline's validate pass must report
-    // that, and transforms assume validated IR.
-    let mut transforms: BTreeMap<String, Arc<TransformResult>> = BTreeMap::new();
-    let base_key = if hls_ir::validate(func).is_empty() {
-        config
-            .cache
-            .as_ref()
-            .map(|_| crate::passcache::base_key(func))
-    } else {
-        None
+    // Prefix memoization: one prefix per unique (merge policy, loop
+    // directives) combination, built from the first job of that
+    // signature and shared by all of them (clock sweeps hit this hard:
+    // every clock reuses the same prefix). Lowering and netlist-opt read
+    // the per-loop pipeline IIs, which are part of the signature, but not
+    // the clock; the explorer never varies interface or array mappings,
+    // FU limits or the optimizer config, so one prefix serves the whole
+    // signature. Skipped when the IR is invalid: the pipeline's validate
+    // pass must report that, and transforms assume validated IR.
+    let valid = hls_ir::validate(func).is_empty();
+    let mut representatives: Vec<&Directives> = Vec::new();
+    let mut prefix_of_sig: BTreeMap<String, usize> = BTreeMap::new();
+    let prefix_of_job: Vec<Option<usize>> = uniques
+        .iter()
+        .map(|d| {
+            valid.then(|| {
+                *prefix_of_sig
+                    .entry(transform_signature(d))
+                    .or_insert_with(|| {
+                        representatives.push(d);
+                        representatives.len() - 1
+                    })
+            })
+        })
+        .collect();
+    let base_key = match &config.cache {
+        Some(_) if valid => Some(passcache::base_key(func)),
+        _ => None,
     };
-    if hls_ir::validate(func).is_empty() {
-        for d in &uniques {
-            transforms.entry(transform_signature(d)).or_insert_with(|| {
-                if let (Some(cache), Some(base)) = (&config.cache, &base_key) {
-                    let key = crate::passcache::transform_key(base, d);
-                    if let Some(t) = cache.get_transform(&key) {
-                        return t;
-                    }
-                    let t = Arc::new(apply_loop_transforms(func, d));
-                    cache.put_transform(&key, &t);
-                    t
-                } else {
-                    Arc::new(apply_loop_transforms(func, d))
-                }
-            });
-        }
-    }
-    let transform_evaluations = transforms.len();
-
-    // One lowering per transform prefix: lowering depends on the
-    // transformed function and the lowering-relevant directives — the
-    // per-loop pipeline IIs, which are part of the signature; the
-    // explorer never varies interface or array mappings — but not on the
-    // clock, so every clock twin shares it. Under a budget, the bound
-    // profile rides along: one resource-aware profile per prefix,
-    // specialized per clock below.
-    let mut lowerings: BTreeMap<String, Arc<Lowered>> = BTreeMap::new();
-    let mut profiles: BTreeMap<String, BoundProfile> = BTreeMap::new();
-    for d in &uniques {
-        let sig = transform_signature(d);
-        let Some(t) = transforms.get(&sig) else {
-            continue;
-        };
-        let low = lowerings.entry(sig.clone()).or_insert_with(|| {
-            if let (Some(cache), Some(base)) = (&config.cache, &base_key) {
-                let key = crate::passcache::lower_key(&crate::passcache::transform_key(base, d), d);
-                if let Some(l) = cache.get_lowered(&key) {
-                    return l;
-                }
-                let l = Arc::new(lower(&t.func, d));
-                cache.put_lowered(&key, &l);
-                l
-            } else {
-                Arc::new(lower(&t.func, d))
-            }
-        });
-        if config.budget.is_some() && !profiles.contains_key(&sig) {
-            // Profile the netlist synthesis will actually schedule: the
-            // pipeline's netlist-opt pass shrinks the seeded lowering, so
-            // an unoptimized profile would overestimate the lower bound
-            // and wrongly prune feasible points. The grid never varies
-            // the opt level, so one optimized profile per prefix is safe.
-            let mut opt = (**low).clone();
-            crate::netlist::optimize_lowered(&mut opt, &d.netlist_opt, lib);
-            let p = bound_profile(&opt, d, lib);
-            profiles.insert(sig, p);
-        }
-    }
+    // The prefixes are built across the worker pool, each exactly once,
+    // before any job runs: pruning orders the jobs by their bounds.
+    let prefixes: Vec<Prefix> = par_map(parallel, representatives.len(), |k| {
+        build_prefix(
+            func,
+            representatives[k],
+            lib,
+            config.cache.as_deref().zip(base_key.as_deref()),
+            config.budget.is_some(),
+        )
+    });
+    let transform_evaluations = prefixes.len();
 
     let jobs: Vec<Job<'_>> = uniques
         .iter()
-        .map(|d| {
-            let sig = transform_signature(d);
-            Job {
-                directives: d,
-                transformed: transforms.get(&sig).map(Arc::clone),
-                lowered: lowerings.get(&sig).map(Arc::clone),
-            }
+        .zip(&prefix_of_job)
+        .map(|(d, p)| Job {
+            directives: d,
+            prefix: p.map(|k| &prefixes[k]),
         })
         .collect();
 
@@ -892,17 +950,13 @@ fn explore_impl(
     // nothing to prune, since every job just reports the validation
     // error). Each is a cheap per-clock specialization of its prefix's
     // shared profile.
-    let bounds: Vec<Option<DesignBound>> = if config.budget.is_some() {
-        jobs.iter()
-            .map(|j| {
-                profiles
-                    .get(&transform_signature(j.directives))
-                    .map(|p| bound_from_profile(p, j.directives))
-            })
-            .collect()
-    } else {
-        vec![None; jobs.len()]
-    };
+    let bounds: Vec<Option<DesignBound>> = jobs
+        .iter()
+        .map(|j| {
+            let profile = j.prefix?.profile.as_ref()?;
+            Some(bound_from_profile(profile, j.directives))
+        })
+        .collect();
 
     // A representative label per unique job (the first candidate that
     // mapped to it) — the name pruning reports as a dominating witness.
@@ -977,7 +1031,14 @@ fn explore_impl(
             });
         }
         let results = par_map(parallel, to_run.len(), |k| {
-            run_job(func, &jobs[to_run[k]], lib, check_op, config.cache.as_ref())
+            run_job(
+                func,
+                &jobs[to_run[k]],
+                lib,
+                check_op,
+                config.cache.as_ref(),
+                observe,
+            )
         });
         for (&i, r) in to_run.iter().zip(results) {
             if let Ok((lat, area)) = &r.outcome {
@@ -1103,13 +1164,13 @@ fn frontier_indices(points: &[DesignPoint]) -> Vec<usize> {
 /// synthesized across all available cores; the result is deterministic
 /// and identical to [`explore_serial`] either way.
 pub fn explore(func: &Function, config: &ExploreConfig, lib: &TechLibrary) -> ExploreResult {
-    explore_impl(func, config, lib, true, None)
+    explore_impl(func, config, lib, true, None, &|_| {})
 }
 
 /// Explores on the current thread only — the single-threaded reference
 /// path for [`explore`], independent of the `parallel` feature.
 pub fn explore_serial(func: &Function, config: &ExploreConfig, lib: &TechLibrary) -> ExploreResult {
-    explore_impl(func, config, lib, false, None)
+    explore_impl(func, config, lib, false, None, &|_| {})
 }
 
 /// [`explore`] with fused equivalence checking: the points selected by
@@ -1130,7 +1191,7 @@ pub fn explore_with_check(
     lib: &TechLibrary,
     check: &PointChecker<'_>,
 ) -> ExploreResult {
-    explore_impl(func, config, lib, true, Some(check))
+    explore_impl(func, config, lib, true, Some(check), &|_| {})
 }
 
 /// The pre-fusion reference flow: explore serially with pruning disabled,
@@ -1149,7 +1210,7 @@ pub fn explore_with_check_serial(
         budget: None,
         ..config.clone()
     };
-    let mut result = explore_impl(func, &cfg, lib, false, None);
+    let mut result = explore_impl(func, &cfg, lib, false, None, &|_| {});
     let targets: Vec<(String, Directives)> = match config.verify {
         VerifyLevel::Off => Vec::new(),
         VerifyLevel::Pareto => result
@@ -1375,6 +1436,34 @@ mod tests {
                 p.label
             );
             assert_eq!(p.area, fresh.metrics.area, "{}", p.label);
+        }
+    }
+
+    #[test]
+    fn netlist_opt_runs_once_per_transform_signature() {
+        // The optimizer runs when a signature's prefix is built; every
+        // evaluated job, each clock twin included, replays that result.
+        use std::sync::Mutex;
+        let f = two_loops();
+        let lib = TechLibrary::asic_100mhz();
+        let cfg = ExploreConfig {
+            clock_periods_ns: vec![5.0, 10.0, 20.0],
+            ..ExploreConfig::default()
+        };
+        for parallel in [false, true] {
+            let replayed: Mutex<Vec<bool>> = Mutex::new(Vec::new());
+            let r = explore_impl(&f, &cfg, &lib, parallel, None, &|trace| {
+                let record = trace
+                    .passes
+                    .iter()
+                    .find(|p| p.pass == "netlist-opt")
+                    .expect("every job reaches netlist-opt");
+                replayed.lock().expect("no panics").push(record.memo_hit);
+            });
+            let replayed = replayed.into_inner().expect("no panics");
+            assert_eq!(replayed.len(), r.evaluations);
+            assert!(replayed.iter().all(|&hit| hit), "parallel: {parallel}");
+            assert!(r.transform_evaluations < r.evaluations);
         }
     }
 
@@ -1677,9 +1766,14 @@ mod tests {
         };
         let seen: Mutex<Vec<String>> = Mutex::new(Vec::new());
         let r = explore_with_check(&f, &cfg, &lib, &|func, d, l, result| {
-            // The stored result must be the very design the explorer
-            // reports — byte-for-byte equal metrics to a fresh synthesis.
+            // The stored result must be the very design a fresh synthesis
+            // builds: the same optimized netlist, schedules and allocation
+            // (a prefix seeded from the wrong signature cannot pass), and
+            // so the same metrics.
             let fresh = crate::synthesize::synthesize(func, d, l).expect("feasible");
+            assert_eq!(result.lowered, fresh.lowered);
+            assert_eq!(result.schedules, fresh.schedules);
+            assert_eq!(result.allocation, fresh.allocation);
             assert_eq!(result.metrics.latency_cycles, fresh.metrics.latency_cycles);
             assert_eq!(result.metrics.area, fresh.metrics.area);
             seen.lock()

@@ -63,9 +63,9 @@ pub use netlist::{
 };
 pub use passcache::{NetlistEntry, PassCache, PassCacheConfig, PassCacheStats};
 pub use pipeline::{
-    synthesize_traced, synthesize_traced_with_prefix, synthesize_traced_with_transform,
-    CacheActivity, InvariantCheck, IrStats, Pass, PassHook, PassRecord, PassTrace, Pipeline,
-    PipelineConfig, PipelineRun, PipelineState,
+    synthesize_traced, synthesize_traced_with_prefix, CacheActivity, InvariantCheck, IrStats,
+    NetlistSeed, Pass, PassHook, PassRecord, PassTrace, Pipeline, PipelineConfig, PipelineRun,
+    PipelineState,
 };
 pub use schedule::{recurrence_min_ii, schedule_dfg, Schedule};
 pub use synthesize::{synthesize, SynthesisResult};

@@ -536,41 +536,24 @@ impl<'a> Pipeline<'a> {
             .with_pass(ValidateIrPass)
             .with_pass(CheckDirectivesPass)
             .with_pass(LoopTransformsPass { seeded: None })
-            .with_pass(LowerPass { seeded: None })
-            .with_pass(NetlistOptPass)
+            .with_pass(LowerPass { seeded: false })
+            .with_pass(NetlistOptPass { seeded: None })
             .with_pass(SchedulePass)
             .with_pass(AllocatePass)
             .with_pass(MetricsPass)
     }
 
-    /// Like [`Pipeline::synthesis`], but the transform pass reuses a
-    /// precomputed result (the shared-prefix memoization `explore` uses
-    /// for clock sweeps: identical transform prefixes run once).
-    pub fn synthesis_with_transform(
-        config: PipelineConfig,
-        transformed: Arc<TransformResult>,
-    ) -> Self {
-        Pipeline::new(config)
-            .with_pass(ValidateIrPass)
-            .with_pass(CheckDirectivesPass)
-            .with_pass(LoopTransformsPass {
-                seeded: Some(transformed),
-            })
-            .with_pass(LowerPass { seeded: None })
-            .with_pass(NetlistOptPass)
-            .with_pass(SchedulePass)
-            .with_pass(AllocatePass)
-            .with_pass(MetricsPass)
-    }
-
-    /// Like [`Pipeline::synthesis_with_transform`], but the lower pass
-    /// *also* reuses a precomputed result — the full shared prefix of a
-    /// clock sweep (transform + lowering are both clock-independent), so a
-    /// clock-only twin re-runs nothing upstream of the scheduler.
+    /// Like [`Pipeline::synthesis`], but replaying a precomputed
+    /// clock-independent prefix: the transform result, and the optimized
+    /// design that netlist-opt produced from its lowering. The
+    /// `loop-transforms`, `lower` and `netlist-opt` passes are memo hits,
+    /// so a clock-only twin re-runs nothing upstream of the scheduler.
+    /// The explorer builds one such prefix per transform signature and
+    /// seeds every candidate of that signature with it.
     pub fn synthesis_with_prefix(
         config: PipelineConfig,
         transformed: Arc<TransformResult>,
-        lowered: Arc<Lowered>,
+        netlist: Arc<NetlistSeed>,
     ) -> Self {
         Pipeline::new(config)
             .with_pass(ValidateIrPass)
@@ -578,10 +561,10 @@ impl<'a> Pipeline<'a> {
             .with_pass(LoopTransformsPass {
                 seeded: Some(transformed),
             })
-            .with_pass(LowerPass {
-                seeded: Some(lowered),
+            .with_pass(LowerPass { seeded: true })
+            .with_pass(NetlistOptPass {
+                seeded: Some(netlist),
             })
-            .with_pass(NetlistOptPass)
             .with_pass(SchedulePass)
             .with_pass(AllocatePass)
             .with_pass(MetricsPass)
@@ -919,14 +902,17 @@ impl Pass for LoopTransformsPass {
 /// Lowers the transformed IR: hoisting, output staging, segmentation and
 /// interface synthesis.
 pub struct LowerPass {
-    /// A precomputed lowering to reuse (shared-prefix memo). Lowering
-    /// depends on the transformed function, the per-loop pipeline IIs and
-    /// the interface mappings — but *not* the clock — so every point of a
-    /// clock sweep can share one lowering. Seeding with a result computed
-    /// under different lowering-relevant directives is unsound; the
-    /// explorer only seeds within one transform signature with identical
+    /// `true` when a seeded `netlist-opt` pass later in the pipeline
+    /// installs the design ([`Pipeline::synthesis_with_prefix`]). Lowering
+    /// already ran when that prefix was built, so this pass computes
+    /// nothing: it records a memo hit and carries the pass-cache key chain
+    /// on to the stages below. Lowering reads the per-loop pipeline IIs and
+    /// the interface mappings but *not* the clock, so every point of a
+    /// clock sweep can share one prefix; seeding a prefix built under
+    /// different lowering-relevant directives is unsound, and the explorer
+    /// only shares prefixes within one transform signature with identical
     /// interface directives.
-    pub seeded: Option<Arc<Lowered>>,
+    pub seeded: bool,
 }
 
 impl Pass for LowerPass {
@@ -952,21 +938,16 @@ impl Pass for LowerPass {
             (Some(_), Some(tkey)) => Some(passcache::lower_key(tkey, &state.directives)),
             _ => None,
         };
-        state.lowered = Some(match &self.seeded {
-            Some(l) => {
-                diags.push(Diagnostic::note(
-                    "memo-hit",
-                    "lowered prefix reused from memo cache",
-                ));
-                if let (Some(cache), Some(key)) = (&state.cache, &lkey) {
-                    if !cache.contains(key) {
-                        cache.put_lowered(key, l);
-                        state.cache_events.inserts += 1;
-                    }
-                }
-                (**l).clone()
-            }
-            None => match (&state.cache, &lkey) {
+        if self.seeded {
+            // Nothing is published: the design this run carries is the
+            // seeded netlist-opt result, and an optimized design must never
+            // land under a lowering key.
+            diags.push(Diagnostic::note(
+                "memo-hit",
+                "lowered prefix reused from memo cache",
+            ));
+        } else {
+            state.lowered = Some(match (&state.cache, &lkey) {
                 (Some(cache), Some(key)) => {
                     if let Some(l) = cache.get_lowered(key) {
                         state.cache_events.hits += 1;
@@ -984,8 +965,8 @@ impl Pass for LowerPass {
                     }
                 }
                 _ => lower(&state.func, &state.directives),
-            },
-        });
+            });
+        }
         if let Some(key) = lkey {
             state.put_artifact("cache-key:lower", key);
         }
@@ -1001,7 +982,29 @@ impl Pass for LowerPass {
 /// under the `netlist-obligations` artifact key for the `hls-verify`
 /// gate to discharge, and the per-pass measurements land under
 /// `netlist-report`.
-pub struct NetlistOptPass;
+pub struct NetlistOptPass {
+    /// A precomputed optimization to replay (shared-prefix memo): the pass
+    /// installs the seed's design and report instead of optimizing. The
+    /// seed carries no proof obligations, so a seeded run leaves the
+    /// `netlist-obligations` artifact *absent* rather than empty: the
+    /// seed's rewrites did change the design, and an empty list would say
+    /// there was nothing to prove. Soundness then rests on an end-to-end
+    /// proof of the optimized design, as in any gated run, where the
+    /// per-rewrite verdicts only attribute a failure to a pass.
+    pub seeded: Option<Arc<NetlistSeed>>,
+}
+
+/// A netlist-opt result to replay with [`NetlistOptPass::seeded`]: the
+/// optimized design and the report of the optimization that produced it.
+/// Unlike a pass-cache [`NetlistEntry`] it holds no proof obligations,
+/// so a seeded pass never publishes it to the cache.
+#[derive(Debug, Clone)]
+pub struct NetlistSeed {
+    /// The design after optimization.
+    pub lowered: Lowered,
+    /// Per-pass measurements of the optimization.
+    pub report: NetlistReport,
+}
 
 impl Pass for NetlistOptPass {
     fn name(&self) -> &'static str {
@@ -1017,12 +1020,31 @@ impl Pass for NetlistOptPass {
         state: &mut PipelineState,
         diags: &mut Diagnostics,
     ) -> Result<(), SynthesisError> {
-        let cfg = state.directives.netlist_opt;
-        let lib = state.lib.clone();
         let nkey = match (&state.cache, state.artifact::<String>("cache-key:lower")) {
-            (Some(_), Some(lkey)) => Some(passcache::netlist_key(lkey, &state.directives, &lib)),
+            (Some(_), Some(lkey)) => {
+                Some(passcache::netlist_key(lkey, &state.directives, &state.lib))
+            }
             _ => None,
         };
+        if let Some(seed) = &self.seeded {
+            // The seed was read from or published to the cache, obligations
+            // included, when it was built; only the key chain goes on.
+            diags.push(Diagnostic::note(
+                "memo-hit",
+                "optimized netlist reused from memo cache",
+            ));
+            if state.directives.netlist_opt.is_enabled() {
+                diags.push(Diagnostic::note("netlist-opt", seed.report.describe()));
+            }
+            state.lowered = Some(seed.lowered.clone());
+            state.put_artifact("netlist-report", seed.report.clone());
+            if let Some(key) = nkey {
+                state.put_artifact("cache-key:netlist-opt", key);
+            }
+            return Ok(());
+        }
+        let cfg = state.directives.netlist_opt;
+        let lib = state.lib.clone();
         let lowered = state
             .lowered
             .as_mut()
@@ -1323,35 +1345,20 @@ fn finish_run(state: &PipelineState, run: &PipelineRun) -> Result<SynthesisResul
     }
 }
 
-/// [`synthesize_traced`] reusing a precomputed transform prefix — the
-/// memoization `explore` applies when many candidates (e.g. a clock
-/// sweep) share identical loop-transform inputs.
-pub fn synthesize_traced_with_transform(
-    func: &Function,
-    directives: &Directives,
-    lib: &TechLibrary,
-    config: &PipelineConfig,
-    transformed: Arc<TransformResult>,
-) -> (Result<SynthesisResult, SynthesisError>, PipelineRun) {
-    let pipeline = Pipeline::synthesis_with_transform(config.clone(), transformed);
-    let mut state = PipelineState::new(func, directives, lib);
-    let run = pipeline.run(&mut state);
-    (finish_run(&state, &run), run)
-}
-
-/// [`synthesize_traced`] reusing both halves of a precomputed clock-
-/// independent prefix — the transform result *and* the lowering. This is
-/// what makes clock-only twins in a dense sweep nearly free: only
-/// schedule/allocate/metrics re-run per clock.
+/// [`synthesize_traced`] replaying a precomputed clock-independent
+/// prefix ([`Pipeline::synthesis_with_prefix`]): the transform result and
+/// the optimized netlist. Only validation, directive checking, schedule,
+/// allocate and metrics do real work, which is what makes the clock-only
+/// twins of a dense sweep nearly free.
 pub fn synthesize_traced_with_prefix(
     func: &Function,
     directives: &Directives,
     lib: &TechLibrary,
     config: &PipelineConfig,
     transformed: Arc<TransformResult>,
-    lowered: Arc<Lowered>,
+    netlist: Arc<NetlistSeed>,
 ) -> (Result<SynthesisResult, SynthesisError>, PipelineRun) {
-    let pipeline = Pipeline::synthesis_with_prefix(config.clone(), transformed, lowered);
+    let pipeline = Pipeline::synthesis_with_prefix(config.clone(), transformed, netlist);
     let mut state = PipelineState::new(func, directives, lib);
     let run = pipeline.run(&mut state);
     (finish_run(&state, &run), run)
@@ -1429,26 +1436,38 @@ mod tests {
         }
     }
 
+    /// The explorer's shared prefix for `d`: the transform result and the
+    /// optimized netlist of its lowering.
+    fn prefix(
+        f: &Function,
+        d: &Directives,
+        lib: &TechLibrary,
+    ) -> (Arc<TransformResult>, Arc<NetlistSeed>) {
+        let t = apply_loop_transforms(f, d);
+        let mut lowered = lower(&t.func, d);
+        let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib).report;
+        (Arc::new(t), Arc::new(NetlistSeed { lowered, report }))
+    }
+
     #[test]
     fn memo_hit_skips_invariant_revalidation_and_records_cached() {
         let f = sum_loop();
         let d = Directives::new(10.0).unroll("sum", Unroll::Factor(2));
         let lib = TechLibrary::asic_100mhz();
-        let t = Arc::new(apply_loop_transforms(&f, &d));
+        let (t, n) = prefix(&f, &d, &lib);
         let (r, run) =
-            synthesize_traced_with_transform(&f, &d, &lib, &PipelineConfig::checked(), t);
+            synthesize_traced_with_prefix(&f, &d, &lib, &PipelineConfig::checked(), t, n);
         assert!(r.is_ok());
-        let tp = run
-            .trace
-            .passes
-            .iter()
-            .find(|p| p.pass == "loop-transforms")
-            .unwrap();
-        assert!(tp.memo_hit);
-        assert_eq!(tp.invariants_checked, InvariantCheck::Cached);
-        // The non-memoized mutating pass is still checked.
-        let lp = run.trace.passes.iter().find(|p| p.pass == "lower").unwrap();
-        assert_eq!(lp.invariants_checked, InvariantCheck::Checked);
+        let record = |name: &str| run.trace.passes.iter().find(|p| p.pass == name).unwrap();
+        // Both mutating passes replay the prefix: memo hits, not re-walked.
+        for name in ["loop-transforms", "lower"] {
+            assert!(record(name).memo_hit, "{name}");
+            assert_eq!(record(name).invariants_checked, InvariantCheck::Cached);
+        }
+        // The optimizer is replayed too, so nothing upstream of the
+        // scheduler ran.
+        assert!(record("netlist-opt").memo_hit);
+        assert!(!record("schedule").memo_hit);
         // And the JSON carries the mixed-type value.
         assert!(run
             .trace
@@ -1585,19 +1604,29 @@ mod tests {
         let f = sum_loop();
         let d = Directives::new(10.0).unroll("sum", Unroll::Factor(2));
         let lib = TechLibrary::asic_100mhz();
-        let (plain, _) = synthesize_traced(&f, &d, &lib, &PipelineConfig::default());
-        let t = Arc::new(apply_loop_transforms(&f, &d));
+        let (plain, plain_run) = synthesize_traced(&f, &d, &lib, &PipelineConfig::default());
+        let (t, n) = prefix(&f, &d, &lib);
         let (seeded, run) =
-            synthesize_traced_with_transform(&f, &d, &lib, &PipelineConfig::default(), t);
+            synthesize_traced_with_prefix(&f, &d, &lib, &PipelineConfig::default(), t, n);
         let (plain, seeded) = (plain.unwrap(), seeded.unwrap());
+        assert_eq!(plain.transformed, seeded.transformed);
+        assert_eq!(plain.lowered, seeded.lowered);
+        assert_eq!(plain.schedules, seeded.schedules);
         assert_eq!(plain.metrics.latency_cycles, seeded.metrics.latency_cycles);
         assert_eq!(plain.metrics.area, seeded.metrics.area);
-        let tp = run
-            .trace
-            .passes
-            .iter()
-            .find(|p| p.pass == "loop-transforms")
-            .unwrap();
-        assert!(tp.memo_hit);
+        for name in ["loop-transforms", "lower", "netlist-opt"] {
+            let record = run.trace.passes.iter().find(|p| p.pass == name).unwrap();
+            assert!(record.memo_hit, "{name}");
+        }
+        // The seeded run reports the same optimization; its diagnostics
+        // differ from the cold run's only by the memo-hit notes.
+        let notes = |run: &PipelineRun| -> Vec<(String, String)> {
+            run.diagnostics
+                .iter()
+                .filter(|d| d.code != "memo-hit")
+                .map(|d| (d.code.to_string(), d.message.clone()))
+                .collect()
+        };
+        assert_eq!(notes(&plain_run), notes(&run));
     }
 }
