@@ -1,7 +1,8 @@
 //! Netlist-optimizer measurement: runs every Table-1 architecture across
 //! a clock sweep with the rewrite passes off and on (`OptLevel::Full`),
 //! records the per-pass cell/depth/critical-path deltas, discharges every
-//! emitted equivalence obligation through the `hls-verify` prover, and
+//! rewrite's equivalence obligation (`netlist_obligations` of the
+//! point's lowering) through the `hls-verify` prover, and
 //! writes the machine-readable record to `BENCH_netlist.json` at the repo
 //! root (schema documented in DESIGN.md under "Netlist optimization").
 //!
@@ -14,8 +15,8 @@
 
 use hls_core::netlist::logic_depth;
 use hls_core::{
-    optimize_lowered, NetlistObligation, NetlistReport, OptLevel, PassDelta, Pipeline,
-    PipelineConfig, PipelineState,
+    netlist_obligations, optimize_lowered, NetlistObligation, NetlistReport, OptLevel, PassDelta,
+    Pipeline, PipelineConfig, PipelineState,
 };
 use hls_ir::{Expr, FunctionBuilder, Ty};
 use hls_verify::{check_netlist_obligations, ProveOptions, ProveVerdict};
@@ -37,10 +38,13 @@ fn run_point(
     let mut state = PipelineState::new(func, directives, lib);
     let run = pipeline.run(&mut state);
     let report = state.take_artifact("netlist-report").unwrap_or_default();
-    let obligations = state
-        .take_artifact::<std::sync::Arc<Vec<NetlistObligation>>>("netlist-obligations")
-        .map(|obs| std::sync::Arc::try_unwrap(obs).unwrap_or_else(|obs| (*obs).clone()))
-        .unwrap_or_default();
+    // The optimizer is deterministic: re-running it on the transformed
+    // function's lowering yields the obligations of the run above.
+    let obligations = netlist_obligations(
+        &hls_core::lower(&state.func, directives),
+        &directives.netlist_opt,
+        lib,
+    );
     let metrics = match run.error {
         None => state.to_result().map(|r| r.metrics),
         Some(_) => None,
@@ -215,10 +219,11 @@ fn main() {
     let chain = chain_kernel(8);
     let d = hls_core::Directives::new(10.0).netlist_opt_level(OptLevel::Full);
     let mut low = hls_core::lower(&chain, &d);
+    let obligations = netlist_obligations(&low, &d.netlist_opt, &lib);
     let depth_serial = low.segments.iter().map(|s| logic_depth(s.dfg())).max();
-    let outcome = optimize_lowered(&mut low, &d.netlist_opt, &lib);
+    let report = optimize_lowered(&mut low, &d.netlist_opt, &lib);
     let depth_tree = low.segments.iter().map(|s| logic_depth(s.dfg())).max();
-    for v in check_netlist_obligations(&outcome.obligations, &opts) {
+    for v in check_netlist_obligations(&obligations, &opts) {
         match v {
             ProveVerdict::Proved { .. } => proved += 1,
             ProveVerdict::Unknown { .. } => unknown += 1,
@@ -233,13 +238,12 @@ fn main() {
         "== acc_chain(8) microbench ==  depth {} -> {}  ({})",
         depth_serial,
         depth_tree,
-        outcome.report.describe()
+        report.describe()
     );
     let micro = format!(
         "{{\"kernel\":\"acc_chain8\",\"depth_before\":{depth_serial},\
          \"depth_after\":{depth_tree},\"passes\":[{}]}}",
-        outcome
-            .report
+        report
             .deltas
             .iter()
             .map(|p| p.to_json().write())

@@ -27,6 +27,15 @@
 //! `--max-cost-ns` tune eviction, the worker pool and admission;
 //! `--synth-delay-ms` injects per-synthesis latency modeling an
 //! external backend tool (used by the cluster benchmarks).
+//!
+//! `--incremental` attaches a prefix cache and a proof cache to every
+//! synthesis: a request that differs from an earlier one only in its
+//! clock replays that request's prefix (loop transforms, lowering and
+//! the optimized netlist) and re-runs only `schedule` onward, and a
+//! clock twin's proof replays too. `--pass-cache-dir DIR` (implies
+//! `--incremental`) persists one document per prefix under `DIR` and the
+//! proof verdicts under `DIR/proofs`, so a restarted daemon replays
+//! them. `--stats` then reports both caches beside the store.
 
 use std::io::{BufRead, Read};
 use std::path::PathBuf;
@@ -210,7 +219,6 @@ fn main() -> ExitCode {
     if opts.incremental {
         let pass_cfg = PassCacheConfig {
             persist_dir: opts.pass_cache_dir.clone(),
-            ..PassCacheConfig::default()
         };
         opts.service.pass_cache = Some(Arc::new(PassCache::new(pass_cfg)));
         let proof_cfg = ProofCacheConfig {

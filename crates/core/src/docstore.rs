@@ -1,11 +1,11 @@
-//! Persistent document tier for the pass cache.
+//! Persistent document tier for the prefix and proof caches.
 //!
 //! A minimal content-addressed object store mirroring the `hls-serve`
 //! artifact store's durability envelope: atomic tmp+rename publication,
 //! a self-describing schema/key/body-digest envelope rechecked on every
 //! load, and quarantine (never silent reuse) of torn or corrupted
-//! entries. It is deliberately simpler than the serve store — no locks,
-//! no negative entries, no budget enforcement — because a pass-cache
+//! entries. It is deliberately simpler than the serve store — no file locks,
+//! no negative entries, no budget enforcement — because a cache
 //! miss is always recoverable by recomputation, so every failure mode
 //! here degrades to a miss.
 //!
@@ -16,11 +16,19 @@
 //! quarantine/<key>.json              entries that failed integrity
 //! tmp/                               in-flight writes (tmp+rename)
 //! ```
+//!
+//! The census ([`DocStore::census`], [`DocStore::quarantined`]) is a
+//! running count: [`DocStore::open`] walks `objects/` and `quarantine/`
+//! once, and the handle then updates the totals with its own puts and
+//! quarantines, so reading them never touches the disk. Entries written
+//! or removed by another process show up at the next open.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use hls_ir::{stable_digest, Json};
 
@@ -36,16 +44,40 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct DocStore {
     root: PathBuf,
+    /// Running census, updated under this lock together with the
+    /// rename it mirrors.
+    census: Mutex<Census>,
+}
+
+/// What this handle knows is on disk: the size of every object file,
+/// their total, and the number of quarantined files.
+#[derive(Debug, Default)]
+struct Census {
+    objects: HashMap<PathBuf, u64>,
+    bytes: u64,
+    quarantined: u64,
 }
 
 impl DocStore {
-    /// Opens (creating if needed) a store rooted at `root`.
+    /// Opens (creating if needed) a store rooted at `root`, counting the
+    /// entries already in it.
     pub fn open(root: &Path) -> io::Result<DocStore> {
         fs::create_dir_all(root.join("objects"))?;
         fs::create_dir_all(root.join("tmp"))?;
+        let objects: HashMap<PathBuf, u64> = list_files(&root.join("objects")).collect();
+        let census = Census {
+            bytes: objects.values().sum(),
+            objects,
+            quarantined: list_files(&root.join("quarantine")).count() as u64,
+        };
         Ok(DocStore {
             root: root.to_path_buf(),
+            census: Mutex::new(census),
         })
+    }
+
+    fn census_lock(&self) -> std::sync::MutexGuard<'_, Census> {
+        self.census.lock().expect("docstore census poisoned")
     }
 
     fn object_path(&self, key: &str) -> PathBuf {
@@ -89,12 +121,13 @@ impl DocStore {
             ),
             ("body", body.clone()),
         ]);
+        let text = envelope.write();
         let tmp = self.root.join("tmp").join(format!(
             "{}-{}.tmp",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, envelope.write()).is_err() {
+        if fs::write(&tmp, &text).is_err() {
             let _ = fs::remove_file(&tmp);
             return;
         }
@@ -102,9 +135,16 @@ impl DocStore {
         if let Some(dir) = dest.parent() {
             let _ = fs::create_dir_all(dir);
         }
+        let mut census = self.census_lock();
         if fs::rename(&tmp, &dest).is_err() {
             let _ = fs::remove_file(&tmp);
+            return;
         }
+        let size = text.len() as u64;
+        if let Some(old) = census.objects.insert(dest, size) {
+            census.bytes -= old;
+        }
+        census.bytes += size;
     }
 
     /// Loads the document stored under `key`, rechecking the envelope's
@@ -146,28 +186,40 @@ impl DocStore {
     fn quarantine(&self, key: &str, path: &Path) {
         let qdir = self.root.join("quarantine");
         let _ = fs::create_dir_all(&qdir);
-        if fs::rename(path, qdir.join(format!("{key}.json"))).is_err() {
-            // Could not isolate it; at minimum make sure it cannot be
-            // served again.
-            let _ = fs::remove_file(path);
+        let qpath = qdir.join(format!("{key}.json"));
+        let mut census = self.census_lock();
+        let requarantine = qpath.exists();
+        if fs::rename(path, &qpath).is_ok() {
+            if !requarantine {
+                census.quarantined += 1;
+            }
+        } else if fs::remove_file(path).is_err() {
+            // Could not isolate it, nor make sure it cannot be served
+            // again: it stays in the tree, and in the census.
+            return;
+        }
+        if let Some(size) = census.objects.remove(path) {
+            census.bytes -= size;
         }
     }
 
-    /// Number of quarantined entries (for tests and stats).
+    /// Number of quarantined entries (for tests and stats), from the
+    /// running census.
     pub fn quarantined(&self) -> u64 {
-        count_files(&self.root.join("quarantine")).0
+        self.census_lock().quarantined
     }
 
-    /// `(entries, bytes)` currently stored under `objects/`.
+    /// `(entries, bytes)` stored under `objects/`, from the running
+    /// census.
     pub fn census(&self) -> (u64, u64) {
-        count_files(&self.root.join("objects"))
+        let c = self.census_lock();
+        (c.objects.len() as u64, c.bytes)
     }
 }
 
-/// Recursively counts regular files and their total size under `dir`.
-fn count_files(dir: &Path) -> (u64, u64) {
-    let mut entries = 0u64;
-    let mut bytes = 0u64;
+/// Every regular file under `dir`, recursively, with its size.
+fn list_files(dir: &Path) -> impl Iterator<Item = (PathBuf, u64)> {
+    let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         let Ok(rd) = fs::read_dir(&d) else { continue };
@@ -176,12 +228,11 @@ fn count_files(dir: &Path) -> (u64, u64) {
             if meta.is_dir() {
                 stack.push(e.path());
             } else {
-                entries += 1;
-                bytes += meta.len();
+                files.push((e.path(), meta.len()));
             }
         }
     }
-    (entries, bytes)
+    files.into_iter()
 }
 
 #[cfg(test)]
@@ -240,6 +291,48 @@ mod tests {
         let body = Json::obj(vec![("x", Json::count(9))]);
         store.put(&key, &body);
         assert_eq!(store.get(&key), Some(body));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn running_census_matches_a_directory_walk() {
+        let root = tmp_root("census");
+        let walk = || {
+            let objects: Vec<(PathBuf, u64)> = list_files(&root.join("objects")).collect();
+            let bytes = objects.iter().map(|(_, b)| b).sum::<u64>();
+            let quarantined = list_files(&root.join("quarantine")).count() as u64;
+            ((objects.len() as u64, bytes), quarantined)
+        };
+        let mut store = DocStore::open(&root).unwrap();
+        // xorshift64: a seeded mix of puts (new keys, and rewrites of a
+        // different size), torn-entry quarantines and reopens.
+        let mut seed = 0x2005_0317_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for step in 0..300 {
+            let key = stable_digest(format!("k{}", next() % 16).as_bytes());
+            match next() % 8 {
+                0..=3 => store.put(
+                    &key,
+                    &Json::Arr(vec![Json::count(7); (next() % 5) as usize]),
+                ),
+                4..=6 => {
+                    let path = store.object_path(&key);
+                    if let Ok(text) = fs::read_to_string(&path) {
+                        fs::write(&path, &text[..text.len() / 2]).unwrap();
+                    }
+                    assert!(store.get(&key).is_none(), "step {step}");
+                }
+                _ => store = DocStore::open(&root).unwrap(),
+            }
+            let ((entries, bytes), quarantined) = walk();
+            assert_eq!(store.census(), (entries, bytes), "step {step}");
+            assert_eq!(store.quarantined(), quarantined, "step {step}");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

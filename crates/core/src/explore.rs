@@ -24,9 +24,9 @@
 //!   sharing that prefix (every point of a clock sweep, notably)
 //!   transform, lower and optimize once: each unique transform signature
 //!   gets one prefix holding the transform result and the optimized
-//!   netlist, and every candidate replays it through the pass manager's
-//!   seeded prefix passes ([`crate::Pipeline::synthesis_with_prefix`]).
-//!   A clock-only twin re-runs nothing upstream of the scheduler.
+//!   netlist, and every candidate replays it through the pass manager
+//!   ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
+//!   re-runs nothing upstream of the scheduler.
 //! - **Parallel evaluation** — with the `parallel` feature (on by
 //!   default), the prefixes and then the unique candidates are built
 //!   across all available cores via scoped threads, the calling thread
@@ -70,11 +70,11 @@ use crate::lower::lower;
 use crate::netlist::optimize_lowered;
 use crate::passcache::{self, NetlistEntry, PassCache};
 use crate::pipeline::{
-    synthesize_traced, synthesize_traced_with_prefix, NetlistSeed, PassTrace, PipelineConfig,
+    synthesize_traced, synthesize_traced_with_prefix, PassTrace, PipelineConfig,
 };
 use crate::synthesize::SynthesisResult;
 use crate::tech::TechLibrary;
-use crate::transform::{apply_loop_transforms, TransformResult};
+use crate::transform::apply_loop_transforms;
 use hls_ir::Function;
 
 /// One explored design point.
@@ -217,12 +217,11 @@ pub struct ExploreConfig {
     /// dominated interior points can disappear (into
     /// [`ExploreResult::pruned`]).
     pub budget: Option<ExploreBudget>,
-    /// A shared content-addressed pass cache
-    /// ([`crate::passcache::PassCache`]). When set, the sweep's prefix
-    /// memoization and every synthesized point consult it, so repeated
-    /// sweeps (and sweeps sharing stage inputs across calls) reuse results
-    /// instead of recomputing them. `None` (the default) keeps the classic
-    /// in-sweep memoization only.
+    /// A shared prefix cache ([`crate::passcache::PassCache`]). When set,
+    /// each transform signature's prefix is read from it, or built and
+    /// published, so repeated sweeps (and the serve path, which shares
+    /// the cache's keys) reuse prefixes instead of rebuilding them.
+    /// `None` (the default) keeps the in-sweep prefix sharing only.
     pub cache: Option<Arc<crate::passcache::PassCache>>,
 }
 
@@ -380,11 +379,10 @@ pub fn transform_signature(d: &Directives) -> String {
 type JobOutcome = Result<(u64, f64), SynthesisError>;
 
 /// The clock-independent prefix every candidate of one transform
-/// signature shares: the transform result, the optimized netlist of its
-/// lowering and, under a budget, the bound profile of that netlist.
+/// signature shares: the transform result and the optimized netlist of
+/// its lowering and, under a budget, the bound profile of that netlist.
 struct Prefix {
-    transformed: Arc<TransformResult>,
-    netlist: Arc<NetlistSeed>,
+    netlist: Arc<NetlistEntry>,
     profile: Option<BoundProfile>,
 }
 
@@ -399,16 +397,9 @@ struct Job<'a> {
 /// Builds the prefix of `d`'s transform signature: loop transforms, then
 /// lowering, then netlist-opt, then (when `budgeted`) the bound profile of
 /// the optimized netlist — the design synthesis actually schedules, so
-/// the lower bound stays admissible.
-///
-/// With a pass cache, every stage is read from it or computed and
-/// published, as the pipeline's passes do. The netlist stage is read
-/// first, since a hit needs no lowering, and is published as a full
-/// [`NetlistEntry`], obligations included. The prefix itself keeps no
-/// obligations: explore's pipelines register no hook, and the checker
-/// proves every optimized design end to end, so nothing reads them, while
-/// their two `Lowered` snapshots per changing rewrite, kept for every
-/// signature of a sweep, would dominate its memory.
+/// the lower bound stays admissible. With a prefix cache, the netlist is
+/// read from it, or built and published under the key the pipeline
+/// uses.
 fn build_prefix(
     func: &Function,
     d: &Directives,
@@ -416,58 +407,29 @@ fn build_prefix(
     cache: Option<(&PassCache, &str)>,
     budgeted: bool,
 ) -> Prefix {
-    let (transformed, netlist) = match cache {
+    let build = || {
+        let transformed = apply_loop_transforms(func, d);
+        let mut lowered = lower(&transformed.func, d);
+        let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
+        Arc::new(NetlistEntry {
+            transformed,
+            lowered,
+            report,
+        })
+    };
+    let netlist = match cache {
         Some((cache, base)) => {
-            let tkey = passcache::transform_key(base, d);
-            let transformed = cache.get_transform(&tkey).unwrap_or_else(|| {
-                let t = Arc::new(apply_loop_transforms(func, d));
-                cache.put_transform(&tkey, &t);
-                t
-            });
-            let lkey = passcache::lower_key(&tkey, d);
-            let nkey = passcache::netlist_key(&lkey, d, lib);
-            let netlist = match cache.get_netlist(&nkey) {
-                Some(entry) => NetlistSeed {
-                    lowered: entry.lowered.clone(),
-                    report: entry.report.clone(),
-                },
-                None => {
-                    let raw = cache.get_lowered(&lkey).unwrap_or_else(|| {
-                        let l = Arc::new(lower(&transformed.func, d));
-                        cache.put_lowered(&lkey, &l);
-                        l
-                    });
-                    let mut lowered = (*raw).clone();
-                    let outcome = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
-                    cache.put_netlist(
-                        &nkey,
-                        &Arc::new(NetlistEntry {
-                            lowered: lowered.clone(),
-                            report: outcome.report.clone(),
-                            obligations: Arc::new(outcome.obligations),
-                        }),
-                    );
-                    NetlistSeed {
-                        lowered,
-                        report: outcome.report,
-                    }
-                }
-            };
-            (transformed, netlist)
+            let key = passcache::prefix_key(base, d, lib);
+            cache.get(&key).unwrap_or_else(|| {
+                let netlist = build();
+                cache.put(&key, &netlist);
+                netlist
+            })
         }
-        None => {
-            let transformed = apply_loop_transforms(func, d);
-            let mut lowered = lower(&transformed.func, d);
-            let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib).report;
-            (Arc::new(transformed), NetlistSeed { lowered, report })
-        }
+        None => build(),
     };
     let profile = budgeted.then(|| bound_profile(&netlist.lowered, d, lib));
-    Prefix {
-        transformed,
-        netlist: Arc::new(netlist),
-        profile,
-    }
+    Prefix { netlist, profile }
 }
 
 /// An equivalence checker for one design point: `Ok(())` if the
@@ -532,11 +494,9 @@ fn run_job(
     job: &Job<'_>,
     lib: &TechLibrary,
     check: CheckOp<'_, '_>,
-    cache: Option<&Arc<PassCache>>,
     observe: &TraceObserver<'_>,
 ) -> JobResult {
     let pipeline_config = PipelineConfig {
-        cache: cache.cloned(),
         // The sweep only reads pass timings and memo flags from the
         // traces; the per-pass design-size snapshots would cost more
         // than a fully memo-served job.
@@ -549,7 +509,6 @@ fn run_job(
             job.directives,
             lib,
             &pipeline_config,
-            Arc::clone(&p.transformed),
             Arc::clone(&p.netlist),
         ),
         None => synthesize_traced(func, job.directives, lib, &pipeline_config),
@@ -1031,14 +990,7 @@ fn explore_impl(
             });
         }
         let results = par_map(parallel, to_run.len(), |k| {
-            run_job(
-                func,
-                &jobs[to_run[k]],
-                lib,
-                check_op,
-                config.cache.as_ref(),
-                observe,
-            )
+            run_job(func, &jobs[to_run[k]], lib, check_op, observe)
         });
         for (&i, r) in to_run.iter().zip(results) {
             if let Ok((lat, area)) = &r.outcome {

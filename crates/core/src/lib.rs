@@ -58,14 +58,13 @@ pub use hls_ir::{Anchor, Diagnostic, Diagnostics, Severity};
 pub use lower::{lower, Lowered, Port, Segment};
 pub use metrics::{segment_cycles, DesignMetrics, SegmentCycles};
 pub use netlist::{
-    apply_unsound_rewrite_for_selftest, optimize_lowered, NetlistObligation, NetlistOptConfig,
-    NetlistOutcome, NetlistReport, OptLevel, PassDelta,
+    apply_unsound_rewrite_for_selftest, netlist_obligations, optimize_lowered, NetlistObligation,
+    NetlistOptConfig, NetlistReport, OptLevel, PassDelta,
 };
 pub use passcache::{NetlistEntry, PassCache, PassCacheConfig, PassCacheStats};
 pub use pipeline::{
-    synthesize_traced, synthesize_traced_with_prefix, CacheActivity, InvariantCheck, IrStats,
-    NetlistSeed, Pass, PassHook, PassRecord, PassTrace, Pipeline, PipelineConfig, PipelineRun,
-    PipelineState,
+    synthesize_traced, synthesize_traced_with_prefix, CacheActivity, InvariantCheck, IrStats, Pass,
+    PassHook, PassRecord, PassTrace, Pipeline, PipelineConfig, PipelineRun, PipelineState,
 };
 pub use schedule::{recurrence_min_ii, schedule_dfg, Schedule};
 pub use synthesize::{synthesize, SynthesisResult};

@@ -28,13 +28,16 @@
 //! `node.format`" survives — the Verilog emitter's fraction alignment
 //! and the simulators' exact arithmetic both rely on it.
 //!
-//! Soundness is not taken on faith: [`optimize_lowered`] returns one
-//! [`NetlistObligation`] per pass that changed anything (the whole
-//! design before and after), and `hls-verify` discharges each one by
-//! symbolic execution of both versions from a common free entry state
-//! (with an exhaustive bit-blast fallback for narrow cones). The
-//! pipeline's `netlist-opt` stage fails the run if any obligation
-//! cannot be proved.
+//! [`optimize_lowered`] rewrites the design and reports per-pass
+//! measurements; it keeps no snapshots. Soundness is checked on demand:
+//! [`netlist_obligations`] re-runs the same passes on a copy of the raw
+//! lowering and returns one [`NetlistObligation`] per pass that changed
+//! anything (the whole design before and after). `hls-verify`
+//! discharges each one by symbolic execution of both versions from a
+//! common free entry state, with an exhaustive bit-blast fallback for
+//! narrow cones. Its `EquivGate` does this at the pipeline's
+//! `netlist-opt` stage: a refuted rewrite fails the run, an undecided
+//! one only warns, and the end-to-end proof at `metrics` still applies.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -261,9 +264,9 @@ impl NetlistReport {
 
 /// An equivalence obligation: "the design `after` computes the same
 /// final register/array state as `before` from every entry state".
-/// Emitted once per pass that changed anything; discharged by
-/// `hls_verify`'s symbolic executor (the `netlist-opt` equivalence
-/// gate), never assumed.
+/// [`netlist_obligations`] emits one per pass that changed anything;
+/// `hls_verify`'s symbolic executor discharges them (the `netlist-opt`
+/// equivalence gate), never assumes them.
 #[derive(Debug, Clone)]
 pub struct NetlistObligation {
     /// The pass that performed the rewrite.
@@ -272,15 +275,6 @@ pub struct NetlistObligation {
     pub before: Lowered,
     /// The design after the pass.
     pub after: Lowered,
-}
-
-/// What [`optimize_lowered`] produced.
-#[derive(Debug, Clone, Default)]
-pub struct NetlistOutcome {
-    /// Per-pass measurements.
-    pub report: NetlistReport,
-    /// One obligation per pass that changed the design.
-    pub obligations: Vec<NetlistObligation>,
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,21 +1169,49 @@ fn const_prop(lowered: &mut Lowered, lib: &TechLibrary) -> usize {
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Optimizes a lowered design in place. Returns per-pass measurements
-/// and one equivalence obligation per pass that changed the design
-/// (discharged by the `hls-verify` netlist gate).
+/// Optimizes a lowered design in place and returns per-pass
+/// measurements. Takes no snapshots: callers that need the per-pass proof
+/// obligations ask [`netlist_obligations`] for them.
 pub fn optimize_lowered(
     lowered: &mut Lowered,
     cfg: &NetlistOptConfig,
     lib: &TechLibrary,
-) -> NetlistOutcome {
-    let mut outcome = NetlistOutcome::default();
+) -> NetlistReport {
+    run_passes(lowered, cfg, lib, None)
+}
+
+/// The equivalence obligations of optimizing `raw`: the same passes
+/// [`optimize_lowered`] runs, re-run on a copy, with one obligation per
+/// pass that changed the design. The optimizer is deterministic, so the
+/// obligations chain from `raw` to exactly the design
+/// [`optimize_lowered`] produces from it.
+pub fn netlist_obligations(
+    raw: &Lowered,
+    cfg: &NetlistOptConfig,
+    lib: &TechLibrary,
+) -> Vec<NetlistObligation> {
+    let mut lowered = raw.clone();
+    let mut obligations = Vec::new();
+    run_passes(&mut lowered, cfg, lib, Some(&mut obligations));
+    obligations
+}
+
+/// The pass loop behind [`optimize_lowered`] and [`netlist_obligations`]:
+/// with a sink, each pass snapshots the design first and records the
+/// before/after pair when it changed something.
+fn run_passes(
+    lowered: &mut Lowered,
+    cfg: &NetlistOptConfig,
+    lib: &TechLibrary,
+    mut obligations: Option<&mut Vec<NetlistObligation>>,
+) -> NetlistReport {
+    let mut report = NetlistReport::default();
     for &mode in cfg.passes() {
-        let before = lowered.clone();
+        let before = obligations.is_some().then(|| lowered.clone());
         let (cells_before, depth_before, crit_before) = lowered_netlist_stats(lowered, lib);
         let changed_segments = run_mode(lowered, mode, lib);
         let (cells_after, depth_after, crit_after) = lowered_netlist_stats(lowered, lib);
-        outcome.report.deltas.push(PassDelta {
+        report.deltas.push(PassDelta {
             pass: mode.name(),
             changed_segments,
             cells_before,
@@ -1199,15 +1221,17 @@ pub fn optimize_lowered(
             critical_ns_before: crit_before,
             critical_ns_after: crit_after,
         });
-        if changed_segments > 0 {
-            outcome.obligations.push(NetlistObligation {
+        if let (Some(sink), Some(before), true) =
+            (obligations.as_deref_mut(), before, changed_segments > 0)
+        {
+            sink.push(NetlistObligation {
                 pass: mode.name(),
                 before,
                 after: lowered.clone(),
             });
         }
     }
-    outcome
+    report
 }
 
 /// Deliberately breaks a design (swaps the operands of the first
@@ -1324,7 +1348,8 @@ mod tests {
         let _ = w;
         dfg.live_in = vec![a];
         let mut lowered = wrap(&func, dfg);
-        let out = optimize_lowered(&mut lowered, &NetlistOptConfig::basic(), &lib());
+        let raw = lowered.clone();
+        let report = optimize_lowered(&mut lowered, &NetlistOptConfig::basic(), &lib());
         let dfg = lowered.segments[0].dfg();
         assert_eq!(
             count_kind(dfg, |k| matches!(k, NodeKind::Bin(BinOp::Add))),
@@ -1336,8 +1361,11 @@ mod tests {
             _ => false,
         });
         assert!(five, "the folded constant 5 feeds the multiply");
-        assert!(!out.obligations.is_empty(), "folding emits an obligation");
-        assert_eq!(out.report.deltas.len(), 2, "basic = fold + cse");
+        assert!(
+            !netlist_obligations(&raw, &NetlistOptConfig::basic(), &lib()).is_empty(),
+            "folding emits an obligation"
+        );
+        assert_eq!(report.deltas.len(), 2, "basic = fold + cse");
     }
 
     #[test]
@@ -1450,7 +1478,7 @@ mod tests {
         dfg.live_in = ps[..5].to_vec();
         let mut lowered = wrap(&func, dfg);
         let depth_before = logic_depth(lowered.segments[0].dfg());
-        let out = optimize_lowered(&mut lowered, &NetlistOptConfig::full(), &lib());
+        let report = optimize_lowered(&mut lowered, &NetlistOptConfig::full(), &lib());
         let dfg = lowered.segments[0].dfg();
         let depth_after = logic_depth(dfg);
         assert_eq!(depth_before, 4);
@@ -1458,8 +1486,7 @@ mod tests {
             depth_after < depth_before,
             "the serial chain becomes a tree: depth {depth_before} -> {depth_after}"
         );
-        let rb = out
-            .report
+        let rb = report
             .deltas
             .iter()
             .find(|d| d.pass == "rebalance")
@@ -1489,10 +1516,10 @@ mod tests {
         dfg.live_in = vec![a];
         let mut lowered = wrap(&func, dfg);
         let before = lowered.clone();
-        let out = optimize_lowered(&mut lowered, &NetlistOptConfig::off(), &lib());
+        let report = optimize_lowered(&mut lowered, &NetlistOptConfig::off(), &lib());
         assert_eq!(lowered, before, "Off leaves the design untouched");
-        assert!(out.obligations.is_empty());
-        assert!(out.report.deltas.is_empty());
+        assert!(netlist_obligations(&before, &NetlistOptConfig::off(), &lib()).is_empty());
+        assert!(report.deltas.is_empty());
     }
 
     #[test]

@@ -1,53 +1,54 @@
-//! Content-addressed pass-level cache for incremental synthesis.
+//! The prefix cache: one content-addressed entry per transform signature.
 //!
-//! Every cacheable pipeline stage (`loop-transforms`, `lower`,
-//! `netlist-opt`, `schedule`, `allocate`) derives a stable key from its
-//! *exact* inputs: the key of the input slot it consumes (so keys chain
-//! through the pipeline), the directive subset the stage actually reads,
-//! the [`TechLibrary::fingerprint`] when the stage uses the timing/area
-//! model, and the clock period bits only for clock-dependent stages.
-//! Identical inputs therefore reuse identical results across sweep
-//! points, across serve requests, and — for the clock-independent prefix
-//! — across process restarts; any key-relevant input change misses by
-//! construction.
+//! A *prefix* ([`NetlistEntry`]) is the clock-independent head of a
+//! synthesis run: the loop-transform result, the optimized [`Lowered`]
+//! design that `netlist-opt` produced from its lowering, and that
+//! optimization's [`NetlistReport`]. It is the design the flow schedules,
+//! emits and proves, and the one artifact worth reusing: `schedule` and
+//! `allocate` read the clock and together cost about a tenth of a
+//! millisecond, so they always run.
 //!
-//! The cache is two-tiered:
+//! Prefixes are keyed by [`netlist_key`], the end of a key chain:
+//! [`base_key`] digests the exact input function, and [`transform_key`],
+//! [`lower_key`] and [`netlist_key`] each add the inputs of one stage —
+//! the directive subset the stage reads and, from `netlist-opt` on, the
+//! [`TechLibrary::fingerprint`]. No key reads the clock, so clock twins
+//! share one prefix; any other input change misses by construction.
 //!
-//! - a sharded in-memory map with an LRU cap on entries and approximate
-//!   bytes (mirroring the serve store's `(mtime,digest)` LRU), and
-//! - an optional persistent tier ([`crate::docstore`]) holding the
-//!   clock-independent stages (`loop-transforms`, `lower`, `netlist-opt`)
-//!   with the serve store's tmp+rename / integrity-recheck / quarantine
-//!   envelope. `schedule` and `allocate` results are cheap to recompute
-//!   from a cached netlist and clock-dependent, so they stay in memory
-//!   only.
-//!
-//! Hits replay the stage's exact output object; the pipeline reports
-//! them as memo hits in [`crate::pipeline::PassTrace`], so cached and
-//! cold runs produce byte-identical artifacts.
+//! The pipeline makes at most one lookup, before `loop-transforms`, and
+//! one publication, after `netlist-opt` ([`crate::pipeline`]); the
+//! explorer reads or publishes one prefix per transform signature.
+//! Storage is one in-memory map bounded by a fixed LRU entry count, and
+//! an optional persistent tier ([`crate::docstore`]) holding one
+//! document per prefix, with tmp+rename publication, an integrity
+//! re-check on load and quarantine of torn entries. A hit replays the
+//! exact cold-run objects, so cached and uncached runs produce
+//! byte-identical artifacts.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hls_ir::{stable_digest, Expr, Function, Json, Stmt};
+use hls_ir::{stable_digest, Function, Json};
 
-use crate::allocate::Allocation;
 use crate::directives::Directives;
 use crate::docstore::DocStore;
 use crate::lower::Lowered;
-use crate::netlist::{NetlistObligation, NetlistReport};
+use crate::netlist::NetlistReport;
 use crate::persist;
-use crate::schedule::Schedule;
 use crate::tech::TechLibrary;
 use crate::transform::TransformResult;
 
-/// Key-derivation schema tag; bumped whenever key composition changes so
-/// stale persistent tiers read as misses.
-const KEY_SCHEMA: &str = "pc1";
+/// Key-derivation schema tag; bumped whenever key composition or the
+/// cached value changes shape, so stale persistent tiers read as misses.
+const KEY_SCHEMA: &str = "pc2";
 
-const SHARDS: usize = 16;
+/// In-memory entry bound. A prefix of one of the paper's Table-1
+/// designs retains 60–141 KB of heap, so 64 entries cap the tier near
+/// 9 MB for designs of that size, while holding every transform
+/// signature of the Table-1 sweep (30) twice over (DESIGN.md §12).
+const CAPACITY: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Key derivation
@@ -88,7 +89,8 @@ pub fn lower_key(transform_key: &str, d: &Directives) -> String {
 
 /// `netlist-opt` key: lowered-design key plus the optimizer config and
 /// the library fingerprint (rebalancing uses the delay model).
-/// Clock-independent — clock twins share this entry.
+/// Clock-independent — clock twins share this entry. It is the key a
+/// prefix is cached under.
 pub fn netlist_key(lower_key: &str, d: &Directives, lib: &TechLibrary) -> String {
     stable_digest(
         format!(
@@ -100,143 +102,43 @@ pub fn netlist_key(lower_key: &str, d: &Directives, lib: &TechLibrary) -> String
     )
 }
 
-/// `schedule` key: optimized-netlist key plus the exact clock period
-/// bits and the array/interface/FU-limit directives the scheduler reads,
-/// plus the library fingerprint.
-pub fn schedule_key(netlist_key: &str, d: &Directives, lib: &TechLibrary) -> String {
-    stable_digest(
-        format!(
-            "{KEY_SCHEMA};schedule;{netlist_key};clk={:016x};arrays={:?};ifaces={:?};fu={:?};lib={}",
-            d.clock_period_ns.to_bits(),
-            d.arrays,
-            d.interfaces,
-            d.fu_limits,
-            lib.fingerprint()
-        )
-        .as_bytes(),
-    )
-}
-
-/// `allocate` key: schedule key (which already pins the clock and
-/// netlist) plus the array mapping directives and library fingerprint
-/// binding/area read.
-pub fn allocate_key(schedule_key: &str, d: &Directives, lib: &TechLibrary) -> String {
-    stable_digest(
-        format!(
-            "{KEY_SCHEMA};allocate;{schedule_key};arrays={:?};lib={}",
-            d.arrays,
-            lib.fingerprint()
-        )
-        .as_bytes(),
-    )
+/// The whole chain from a [`base_key`]: the [`netlist_key`] of the prefix
+/// that `d` and `lib` build from the keyed function.
+pub fn prefix_key(base_key: &str, d: &Directives, lib: &TechLibrary) -> String {
+    netlist_key(&lower_key(&transform_key(base_key, d), d), d, lib)
 }
 
 // ---------------------------------------------------------------------------
-// Cached values
+// The cached value
 // ---------------------------------------------------------------------------
 
-/// The netlist optimizer's cached output: the rewritten design plus the
-/// measurements and proof obligations it shipped (replayed on a hit so
-/// downstream verification sees exactly what a cold run would).
+/// A prefix: everything a synthesis run computes before it reads the
+/// clock. The pipeline replays it for `loop-transforms`, `lower` and
+/// `netlist-opt`, and the explorer builds one per transform signature.
 #[derive(Debug, Clone)]
 pub struct NetlistEntry {
-    /// The design after optimization.
+    /// The loop-transform result the design was lowered from.
+    pub transformed: TransformResult,
+    /// The design after netlist optimization.
     pub lowered: Lowered,
-    /// Per-pass measurements.
+    /// Per-pass measurements of the optimization.
     pub report: NetlistReport,
-    /// One proof obligation per pass that changed the design. Shared so a
-    /// hit hands downstream verification the cached list without copying
-    /// the two `Lowered` snapshots inside every obligation.
-    pub obligations: Arc<Vec<NetlistObligation>>,
 }
 
-#[derive(Clone)]
-enum Value {
-    Transform(Arc<TransformResult>),
-    Lowered(Arc<Lowered>),
-    Netlist(Arc<NetlistEntry>),
-    Schedule(Arc<Vec<Schedule>>),
-    Allocate(Arc<Allocation>),
+fn entry_to_json(e: &NetlistEntry) -> Json {
+    Json::obj(vec![
+        ("transformed", persist::transform_to_json(&e.transformed)),
+        ("lowered", persist::lowered_to_json(&e.lowered)),
+        ("report", persist::report_to_json(&e.report)),
+    ])
 }
 
-struct Entry {
-    value: Value,
-    bytes: usize,
-    tick: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<String, Entry>,
-    bytes: usize,
-}
-
-// ---------------------------------------------------------------------------
-// Size estimation (for the approximate-bytes LRU cap)
-// ---------------------------------------------------------------------------
-
-fn stmt_weight(stmts: &[Stmt]) -> usize {
-    fn expr_w(e: &Expr) -> usize {
-        1 + match e {
-            Expr::Load { index, .. } => expr_w(index),
-            Expr::Unary { arg, .. } => expr_w(arg),
-            Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
-                expr_w(lhs) + expr_w(rhs)
-            }
-            Expr::Select { cond, then_, else_ } => expr_w(cond) + expr_w(then_) + expr_w(else_),
-            Expr::Cast { arg, .. } => expr_w(arg),
-            _ => 0,
-        }
-    }
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::Assign { value, .. } => 1 + expr_w(value),
-            Stmt::Store { index, value, .. } => 1 + expr_w(index) + expr_w(value),
-            Stmt::For(l) => 2 + stmt_weight(&l.body),
-            Stmt::If { cond, then_, else_ } => {
-                1 + expr_w(cond) + stmt_weight(then_) + stmt_weight(else_)
-            }
-        })
-        .sum()
-}
-
-fn approx_func(f: &Function) -> usize {
-    64 * f.vars.len() + 48 * stmt_weight(&f.body)
-}
-
-fn approx_transform(t: &TransformResult) -> usize {
-    approx_func(&t.func) + 64 * t.merges.len() + 64
-}
-
-fn approx_lowered(l: &Lowered) -> usize {
-    approx_func(&l.func)
-        + l.segments
-            .iter()
-            .map(|s| 64 + 48 * s.dfg().len())
-            .sum::<usize>()
-        + 64 * l.ports.len()
-        + 64
-}
-
-fn approx_netlist(e: &NetlistEntry) -> usize {
-    approx_lowered(&e.lowered)
-        + e.obligations
-            .iter()
-            .map(|ob| approx_lowered(&ob.before) + approx_lowered(&ob.after))
-            .sum::<usize>()
-        + 96 * e.report.deltas.len()
-}
-
-fn approx_schedules(s: &[Schedule]) -> usize {
-    s.iter()
-        .map(|x| 64 + 32 * x.node_cycle.len())
-        .sum::<usize>()
-        + 32
-}
-
-fn approx_allocation(a: &Allocation) -> usize {
-    128 + 96 * a.fu_groups.len()
+fn entry_from_json(j: &Json) -> Option<NetlistEntry> {
+    Some(NetlistEntry {
+        transformed: persist::transform_from_json(j.get("transformed")?)?,
+        lowered: persist::lowered_from_json(j.get("lowered")?)?,
+        report: persist::report_from_json(j.get("report")?)?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -244,24 +146,10 @@ fn approx_allocation(a: &Allocation) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Configuration for [`PassCache`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PassCacheConfig {
-    /// Maximum in-memory entries before LRU eviction.
-    pub max_entries: usize,
-    /// Maximum approximate in-memory bytes before LRU eviction.
-    pub max_bytes: usize,
     /// Root of the persistent tier; `None` keeps the cache memory-only.
     pub persist_dir: Option<PathBuf>,
-}
-
-impl Default for PassCacheConfig {
-    fn default() -> Self {
-        PassCacheConfig {
-            max_entries: 8192,
-            max_bytes: 256 << 20,
-            persist_dir: None,
-        }
-    }
 }
 
 /// A census of the cache's activity and occupancy.
@@ -269,18 +157,16 @@ impl Default for PassCacheConfig {
 pub struct PassCacheStats {
     /// Lookups served from either tier.
     pub hits: u64,
-    /// Lookups that found nothing (the stage ran cold).
+    /// Lookups that found nothing (the prefix ran cold).
     pub misses: u64,
-    /// Values inserted into the in-memory tier.
+    /// Prefixes inserted into the in-memory tier.
     pub inserts: u64,
-    /// In-memory entries displaced by the LRU cap.
+    /// In-memory entries displaced by the LRU bound.
     pub evictions: u64,
     /// The subset of `hits` served by the persistent tier.
     pub persist_hits: u64,
     /// Current in-memory entry count.
     pub entries: u64,
-    /// Current approximate in-memory bytes.
-    pub bytes: u64,
     /// Entries in the persistent tier (0 when disabled).
     pub persist_entries: u64,
     /// Bytes in the persistent tier (0 when disabled).
@@ -299,7 +185,6 @@ impl PassCacheStats {
             ("evictions", Json::count(self.evictions)),
             ("persist_hits", Json::count(self.persist_hits)),
             ("entries", Json::count(self.entries)),
-            ("bytes", Json::count(self.bytes)),
             ("persist_entries", Json::count(self.persist_entries)),
             ("persist_bytes", Json::count(self.persist_bytes)),
             ("persist_quarantined", Json::count(self.persist_quarantined)),
@@ -307,20 +192,25 @@ impl PassCacheStats {
     }
 }
 
-/// The two-tier content-addressed pass cache. Cheap to share: clone an
-/// `Arc<PassCache>` into every [`crate::pipeline::PipelineConfig`] that
-/// should reuse results.
+/// The in-memory tier: prefixes by key, each with its last-use tick.
+#[derive(Default)]
+struct Lru {
+    map: HashMap<String, (Arc<NetlistEntry>, u64)>,
+    tick: u64,
+}
+
+/// The two-tier content-addressed prefix cache. Cheap to share: clone an
+/// `Arc<PassCache>` into every [`crate::pipeline::PipelineConfig`] (or
+/// [`crate::ExploreConfig`]) that should reuse prefixes.
 pub struct PassCache {
-    shards: Vec<Mutex<Shard>>,
-    tick: AtomicU64,
+    lru: Mutex<Lru>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
     persist_hits: AtomicU64,
     persist: Option<DocStore>,
-    entries_cap: usize,
-    bytes_cap: usize,
 }
 
 impl std::fmt::Debug for PassCache {
@@ -339,48 +229,33 @@ impl Default for PassCache {
 
 impl PassCache {
     /// Creates a cache. The persistent tier is best-effort: if the
-    /// directory cannot be created the cache runs memory-only (a pass
-    /// cache must never turn an I/O problem into a synthesis failure).
+    /// directory cannot be created the cache runs memory-only (a cache
+    /// must never turn an I/O problem into a synthesis failure).
     pub fn new(cfg: PassCacheConfig) -> PassCache {
-        let persist = cfg
-            .persist_dir
-            .as_ref()
-            .and_then(|dir| DocStore::open(dir).ok());
+        PassCache::with_capacity(cfg, CAPACITY)
+    }
+
+    fn with_capacity(cfg: PassCacheConfig, capacity: usize) -> PassCache {
         PassCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            tick: AtomicU64::new(0),
+            lru: Mutex::new(Lru::default()),
+            capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
-            persist,
-            entries_cap: (cfg.max_entries / SHARDS).max(1),
-            bytes_cap: (cfg.max_bytes / SHARDS).max(1),
+            persist: cfg
+                .persist_dir
+                .as_ref()
+                .and_then(|dir| DocStore::open(dir).ok()),
         }
     }
 
-    /// A memory-only cache with the default caps.
-    pub fn in_memory() -> PassCache {
-        PassCache::new(PassCacheConfig::default())
-    }
-
-    /// True when a persistent tier is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.persist.is_some()
-    }
-
-    /// Snapshot of counters and occupancy across both tiers.
+    /// Snapshot of counters and occupancy across both tiers. Constant
+    /// time: the persistent tier keeps a running census.
     pub fn stats(&self) -> PassCacheStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for shard in &self.shards {
-            let s = shard.lock().expect("pass cache shard poisoned");
-            entries += s.map.len() as u64;
-            bytes += s.bytes as u64;
-        }
+        let entries = self.lru().map.len() as u64;
         let (persist_entries, persist_bytes) = self.persist.as_ref().map_or((0, 0), |p| p.census());
-        let persist_quarantined = self.persist.as_ref().map_or(0, |p| p.quarantined());
         PassCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -388,246 +263,81 @@ impl PassCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             persist_hits: self.persist_hits.load(Ordering::Relaxed),
             entries,
-            bytes,
             persist_entries,
             persist_bytes,
-            persist_quarantined,
+            persist_quarantined: self.persist.as_ref().map_or(0, |p| p.quarantined()),
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
-        let b = key.as_bytes().first().copied().unwrap_or(0) as usize;
-        // Keys are lowercase hex; the low nibble spreads uniformly.
-        &self.shards[b & (SHARDS - 1)]
+    fn lru(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.lru.lock().expect("prefix cache poisoned")
     }
 
-    fn get_mem(&self, key: &str) -> Option<Value> {
-        let mut shard = self.shard(key).lock().expect("pass cache shard poisoned");
-        let entry = shard.map.get_mut(key)?;
-        entry.tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        Some(entry.value.clone())
-    }
-
-    fn put_mem(&self, key: &str, value: Value, bytes: usize) {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).lock().expect("pass cache shard poisoned");
-        if let Some(old) = shard
-            .map
-            .insert(key.to_string(), Entry { value, bytes, tick })
-        {
-            shard.bytes = shard.bytes.saturating_sub(old.bytes);
+    /// Looks up the prefix cached under `key` (a [`netlist_key`]): the
+    /// in-memory tier first, then the persistent one.
+    pub fn get(&self, key: &str) -> Option<Arc<NetlistEntry>> {
+        let found = {
+            let mut lru = self.lru();
+            lru.tick += 1;
+            let tick = lru.tick;
+            lru.map.get_mut(key).map(|(entry, used)| {
+                *used = tick;
+                Arc::clone(entry)
+            })
+        };
+        if let Some(entry) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(entry);
         }
-        shard.bytes += bytes;
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        // LRU eviction against both caps, mirroring the serve store's
-        // oldest-first budget enforcement.
-        while shard.map.len() > self.entries_cap || shard.bytes > self.bytes_cap {
-            let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if oldest == key && shard.map.len() == 1 {
-                // A single entry over the byte cap stays resident; evicting
-                // the value we just inserted would make the cache useless
-                // for designs larger than the cap.
-                break;
-            }
-            if let Some(e) = shard.map.remove(&oldest) {
-                shard.bytes = shard.bytes.saturating_sub(e.bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn hit(&self, from_persist: bool) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if from_persist {
+        let stored = self.persist.as_ref().and_then(|p| p.get(key));
+        if let Some(entry) = stored.as_ref().and_then(entry_from_json) {
+            let entry = Arc::new(entry);
+            self.insert_mem(key, &entry);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             self.persist_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(entry);
         }
-    }
-
-    fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
-    fn persist_put(&self, key: &str, stage: &str, data: impl FnOnce() -> Json) {
+    /// Publishes a prefix to both tiers.
+    pub fn put(&self, key: &str, entry: &Arc<NetlistEntry>) {
+        self.insert_mem(key, entry);
         if let Some(store) = &self.persist {
             // Content-addressed entries are immutable: a key already on
             // disk holds exactly this body, so rewriting it would only
             // burn a tmp+rename cycle.
-            if store.contains(key) {
-                return;
-            }
-            let body = Json::obj(vec![("stage", Json::str(stage)), ("data", data())]);
-            store.put(key, &body);
-        }
-    }
-
-    /// Whether the in-memory tier currently holds `key`.
-    ///
-    /// A read-only probe: no counters move and the entry's LRU position
-    /// is untouched, so memo layers that already hold the value can skip
-    /// a redundant [`put`](PassCache::put_transform) without distorting
-    /// the hit/miss statistics.
-    pub fn contains(&self, key: &str) -> bool {
-        self.shard(key)
-            .lock()
-            .expect("pass cache shard poisoned")
-            .map
-            .contains_key(key)
-    }
-
-    fn persist_get(&self, key: &str, stage: &str) -> Option<Json> {
-        let store = self.persist.as_ref()?;
-        let body = store.get(key)?;
-        if body.get("stage")?.as_str()? != stage {
-            return None;
-        }
-        body.get("data").cloned()
-    }
-
-    /// Looks up a `loop-transforms` result.
-    pub fn get_transform(&self, key: &str) -> Option<Arc<TransformResult>> {
-        if let Some(Value::Transform(t)) = self.get_mem(key) {
-            self.hit(false);
-            return Some(t);
-        }
-        if let Some(data) = self.persist_get(key, "loop-transforms") {
-            if let Some(t) = persist::transform_from_json(&data) {
-                let t = Arc::new(t);
-                self.put_mem(key, Value::Transform(t.clone()), approx_transform(&t));
-                self.hit(true);
-                return Some(t);
+            if !store.contains(key) {
+                store.put(key, &entry_to_json(entry));
             }
         }
-        self.miss();
-        None
     }
 
-    /// Stores a `loop-transforms` result in both tiers.
-    pub fn put_transform(&self, key: &str, t: &Arc<TransformResult>) {
-        self.put_mem(key, Value::Transform(t.clone()), approx_transform(t));
-        self.persist_put(key, "loop-transforms", || persist::transform_to_json(t));
-    }
-
-    /// Looks up a `lower` result.
-    pub fn get_lowered(&self, key: &str) -> Option<Arc<Lowered>> {
-        if let Some(Value::Lowered(l)) = self.get_mem(key) {
-            self.hit(false);
-            return Some(l);
+    fn insert_mem(&self, key: &str, entry: &Arc<NetlistEntry>) {
+        let mut lru = self.lru();
+        lru.tick += 1;
+        let tick = lru.tick;
+        lru.map.insert(key.to_string(), (Arc::clone(entry), tick));
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        while lru.map.len() > self.capacity {
+            let oldest = lru
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone())
+                .expect("an over-full map has entries");
+            lru.map.remove(&oldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(data) = self.persist_get(key, "lower") {
-            if let Some(l) = persist::lowered_from_json(&data) {
-                let l = Arc::new(l);
-                self.put_mem(key, Value::Lowered(l.clone()), approx_lowered(&l));
-                self.hit(true);
-                return Some(l);
-            }
-        }
-        self.miss();
-        None
     }
-
-    /// Stores a `lower` result in both tiers.
-    pub fn put_lowered(&self, key: &str, l: &Arc<Lowered>) {
-        self.put_mem(key, Value::Lowered(l.clone()), approx_lowered(l));
-        self.persist_put(key, "lower", || persist::lowered_to_json(l));
-    }
-
-    /// Looks up a `netlist-opt` outcome (design, report, obligations).
-    pub fn get_netlist(&self, key: &str) -> Option<Arc<NetlistEntry>> {
-        if let Some(Value::Netlist(e)) = self.get_mem(key) {
-            self.hit(false);
-            return Some(e);
-        }
-        if let Some(data) = self.persist_get(key, "netlist-opt") {
-            if let Some(e) = netlist_entry_from_json(&data) {
-                let e = Arc::new(e);
-                self.put_mem(key, Value::Netlist(e.clone()), approx_netlist(&e));
-                self.hit(true);
-                return Some(e);
-            }
-        }
-        self.miss();
-        None
-    }
-
-    /// Stores a `netlist-opt` outcome in both tiers.
-    pub fn put_netlist(&self, key: &str, e: &Arc<NetlistEntry>) {
-        self.put_mem(key, Value::Netlist(e.clone()), approx_netlist(e));
-        self.persist_put(key, "netlist-opt", || netlist_entry_to_json(e));
-    }
-
-    /// Looks up a `schedule` result (in-memory tier only: schedules are
-    /// clock-dependent and cheap relative to the stages above them).
-    pub fn get_schedules(&self, key: &str) -> Option<Arc<Vec<Schedule>>> {
-        if let Some(Value::Schedule(s)) = self.get_mem(key) {
-            self.hit(false);
-            return Some(s);
-        }
-        self.miss();
-        None
-    }
-
-    /// Stores a `schedule` result.
-    pub fn put_schedules(&self, key: &str, s: &Arc<Vec<Schedule>>) {
-        self.put_mem(key, Value::Schedule(s.clone()), approx_schedules(s));
-    }
-
-    /// Looks up an `allocate` result (in-memory tier only).
-    pub fn get_allocation(&self, key: &str) -> Option<Arc<Allocation>> {
-        if let Some(Value::Allocate(a)) = self.get_mem(key) {
-            self.hit(false);
-            return Some(a);
-        }
-        self.miss();
-        None
-    }
-
-    /// Stores an `allocate` result.
-    pub fn put_allocation(&self, key: &str, a: &Arc<Allocation>) {
-        self.put_mem(key, Value::Allocate(a.clone()), approx_allocation(a));
-    }
-}
-
-fn netlist_entry_to_json(e: &NetlistEntry) -> Json {
-    Json::obj(vec![
-        ("lowered", persist::lowered_to_json(&e.lowered)),
-        ("report", persist::report_to_json(&e.report)),
-        (
-            "obligations",
-            Json::Arr(
-                e.obligations
-                    .iter()
-                    .map(persist::obligation_to_json)
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn netlist_entry_from_json(j: &Json) -> Option<NetlistEntry> {
-    Some(NetlistEntry {
-        lowered: persist::lowered_from_json(j.get("lowered")?)?,
-        report: persist::report_from_json(j.get("report")?)?,
-        obligations: j
-            .get("obligations")?
-            .as_arr()?
-            .iter()
-            .map(persist::obligation_from_json)
-            .collect::<Option<Vec<_>>>()
-            .map(Arc::new)?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::directives::MergePolicy;
+    use crate::netlist::optimize_lowered;
     use crate::transform::apply_loop_transforms;
     use hls_ir::parse_function;
 
@@ -641,9 +351,24 @@ mod tests {
         }
     "#;
 
-    fn sample_transform() -> Arc<TransformResult> {
+    fn sample_entry() -> Arc<NetlistEntry> {
         let func = parse_function(SRC).unwrap();
-        Arc::new(apply_loop_transforms(&func, &Directives::new(10.0)))
+        let d = Directives::new(10.0);
+        let transformed = apply_loop_transforms(&func, &d);
+        let mut lowered = crate::lower(&transformed.func, &d);
+        let report = optimize_lowered(&mut lowered, &d.netlist_opt, &TechLibrary::asic_100mhz());
+        Arc::new(NetlistEntry {
+            transformed,
+            lowered,
+            report,
+        })
+    }
+
+    fn assert_same(a: &NetlistEntry, b: &NetlistEntry) {
+        assert_eq!(a.transformed.func, b.transformed.func);
+        assert_eq!(a.transformed.merges, b.transformed.merges);
+        assert_eq!(a.lowered, b.lowered);
+        assert_eq!(a.report, b.report);
     }
 
     #[test]
@@ -655,9 +380,7 @@ mod tests {
         let t = transform_key(&b, &d);
         let l = lower_key(&t, &d);
         let n = netlist_key(&l, &d, &lib);
-        let s = schedule_key(&n, &d, &lib);
-        let a = allocate_key(&s, &d, &lib);
-        let all = [&b, &t, &l, &n, &s, &a];
+        let all = [&b, &t, &l, &n];
         for (i, x) in all.iter().enumerate() {
             assert_eq!(x.len(), 32);
             for y in &all[i + 1..] {
@@ -666,6 +389,7 @@ mod tests {
         }
         // Determinism: recomputation yields the same key.
         assert_eq!(t, transform_key(&base_key(&func), &d));
+        assert_eq!(n, prefix_key(&b, &d, &lib));
     }
 
     #[test]
@@ -681,51 +405,27 @@ mod tests {
         assert_eq!(lower_key(&t, &d1), lower_key(&t, &d2));
         let l = lower_key(&t, &d1);
         assert_eq!(netlist_key(&l, &d1, &lib), netlist_key(&l, &d2, &lib));
-        let n = netlist_key(&l, &d1, &lib);
-        // One clock LSB forces a schedule miss.
-        assert_ne!(schedule_key(&n, &d1, &lib), schedule_key(&n, &d2, &lib));
     }
 
     #[test]
     fn lru_evicts_oldest_first() {
-        let cache = PassCache::new(PassCacheConfig {
-            max_entries: SHARDS, // one entry per shard
-            max_bytes: usize::MAX,
-            persist_dir: None,
-        });
-        let t = sample_transform();
-        // Two keys landing in the same shard: second insert evicts first.
-        let k1 = "00aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa";
-        let k2 = "00bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb";
-        cache.put_transform(k1, &t);
-        cache.put_transform(k2, &t);
-        assert!(cache.get_transform(k1).is_none());
-        assert!(cache.get_transform(k2).is_some());
+        let cache = PassCache::with_capacity(PassCacheConfig::default(), 2);
+        let e = sample_entry();
+        let (k1, k2, k3) = ("aa", "bb", "cc");
+        cache.put(k1, &e);
+        cache.put(k2, &e);
+        // A hit refreshes k1, so the third insert displaces k2.
+        assert!(cache.get(k1).is_some());
+        cache.put(k3, &e);
+        assert!(cache.get(k2).is_none());
+        assert!(cache.get(k1).is_some());
+        assert!(cache.get(k3).is_some());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.inserts, 2);
-        assert_eq!(s.hits, 1);
+        assert_eq!(s.inserts, 3);
+        assert_eq!(s.entries, 2);
+        assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 1);
-    }
-
-    #[test]
-    fn byte_cap_keeps_most_recent() {
-        let t = sample_transform();
-        let one = approx_transform(&t);
-        let cache = PassCache::new(PassCacheConfig {
-            max_entries: usize::MAX >> 1,
-            // Per-shard cap fits one entry but not two.
-            max_bytes: one * SHARDS + SHARDS,
-            persist_dir: None,
-        });
-        cache.put_transform("00aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", &t);
-        cache.put_transform("00bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb", &t);
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 1);
-        assert!(cache
-            .get_transform("00bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb")
-            .is_some());
     }
 
     #[test]
@@ -760,8 +460,6 @@ mod tests {
         // are library-blind by construction; the first library consumer
         // (netlist-opt) and everything after it must miss.
         assert_ne!(netlist_key(&l, &d, &lib1), netlist_key(&l, &d, &lib2));
-        let n = netlist_key(&l, &d, &lib1);
-        assert_ne!(schedule_key(&n, &d, &lib1), schedule_key(&n, &d, &lib2));
     }
 
     #[test]
@@ -783,29 +481,28 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("hls-passcache-test-{}-corrupt", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let t = sample_transform();
+        let e = sample_entry();
         let key = stable_digest(b"corrupt-me");
         let config = PassCacheConfig {
             persist_dir: Some(dir.clone()),
-            ..PassCacheConfig::default()
         };
-        PassCache::new(config.clone()).put_transform(&key, &t);
+        PassCache::new(config.clone()).put(&key, &e);
         // Tear every persisted object in place, as a crash mid-write
         // (against the store's tmp+rename discipline) or disk fault
         // would.
         truncate_objects(&dir);
         let cache = PassCache::new(config.clone());
         assert!(
-            cache.get_transform(&key).is_none(),
+            cache.get(&key).is_none(),
             "torn entry must read as a miss, never a wrong value"
         );
         assert!(cache.stats().persist_quarantined >= 1, "teardown recorded");
         // The miss's recompute repopulates the persistent tier...
-        cache.put_transform(&key, &t);
+        cache.put(&key, &e);
         // ...and a fresh process serves the repaired entry again.
         let cache = PassCache::new(config);
-        let back = cache.get_transform(&key).expect("repopulated entry");
-        assert_eq!(back.func, t.func);
+        let back = cache.get(&key).expect("repopulated entry");
+        assert_same(&back, &e);
         assert_eq!(cache.stats().persist_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -815,24 +512,38 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("hls-passcache-test-{}-reopen", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let t = sample_transform();
-        let key = stable_digest(b"transform-key");
-        {
-            let cache = PassCache::new(PassCacheConfig {
-                persist_dir: Some(dir.clone()),
-                ..PassCacheConfig::default()
-            });
-            cache.put_transform(&key, &t);
-        }
-        let cache = PassCache::new(PassCacheConfig {
+        let e = sample_entry();
+        let key = stable_digest(b"prefix-key");
+        let config = PassCacheConfig {
             persist_dir: Some(dir.clone()),
-            ..PassCacheConfig::default()
-        });
-        let back = cache.get_transform(&key).expect("persisted entry");
-        assert_eq!(back.func, t.func);
+        };
+        PassCache::new(config.clone()).put(&key, &e);
+        let cache = PassCache::new(config);
+        let back = cache.get(&key).expect("persisted entry");
+        assert_same(&back, &e);
         let s = cache.stats();
         assert_eq!(s.persist_hits, 1);
-        assert!(s.persist_entries >= 1);
+        assert_eq!(s.persist_entries, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn documents_of_another_shape_read_as_misses() {
+        // A document that is not a prefix (as an older tier's per-stage
+        // documents are) decodes to nothing, so the lookup misses.
+        let dir =
+            std::env::temp_dir().join(format!("hls-passcache-test-{}-shape", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = stable_digest(b"old-stage-doc");
+        DocStore::open(&dir).unwrap().put(
+            &key,
+            &Json::obj(vec![("stage", Json::str("lower")), ("data", Json::Null)]),
+        );
+        let cache = PassCache::new(PassCacheConfig {
+            persist_dir: Some(dir.clone()),
+        });
+        assert!(cache.get(&key).is_none());
+        assert_eq!(cache.stats().misses, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

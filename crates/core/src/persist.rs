@@ -1,8 +1,10 @@
 //! Deterministic JSON codecs for mid-pipeline artifacts.
 //!
-//! The persistent tier of the pass cache ([`crate::passcache`]) stores
-//! stage outputs — [`TransformResult`], [`Lowered`], and the netlist
-//! optimizer's report/obligation pair — on disk. These codecs give them a
+//! The persistent tier of the prefix cache ([`crate::passcache`]) stores
+//! each prefix — its [`TransformResult`], its optimized [`Lowered`]
+//! design and the netlist optimizer's [`NetlistReport`] — on disk, and
+//! the proof cache keys designs by their [`Lowered`] encoding. These
+//! codecs give them a
 //! byte-stable encoding built on [`hls_ir::Json`]: key order is fixed,
 //! floats are rendered as IEEE-754 bit patterns (never shortest-decimal),
 //! and `i64`/`i128` values travel as decimal strings so nothing is
@@ -22,7 +24,7 @@ use hls_ir::{
 use crate::dfg::{Dfg, Node, NodeId, NodeKind};
 use crate::directives::InterfaceKind;
 use crate::lower::{Lowered, Port, Segment};
-use crate::netlist::{NetlistObligation, NetlistReport, PassDelta};
+use crate::netlist::{NetlistReport, PassDelta};
 use crate::transform::{HazardKind, MergeHazard, MergeReport, TransformResult};
 
 // ---------------------------------------------------------------------------
@@ -898,24 +900,6 @@ pub fn report_from_json(j: &Json) -> Option<NetlistReport> {
     })
 }
 
-/// Encodes a [`NetlistObligation`] (pass name plus before/after designs).
-pub fn obligation_to_json(ob: &NetlistObligation) -> Json {
-    Json::obj(vec![
-        ("pass", Json::str(ob.pass)),
-        ("before", lowered_to_json(&ob.before)),
-        ("after", lowered_to_json(&ob.after)),
-    ])
-}
-
-/// Decodes a [`NetlistObligation`]; `None` on any malformed field.
-pub fn obligation_from_json(j: &Json) -> Option<NetlistObligation> {
-    Some(NetlistObligation {
-        pass: pass_name_intern(j.get("pass")?.as_str()?)?,
-        before: lowered_from_json(j.get("before")?)?,
-        after: lowered_from_json(j.get("after")?)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,11 +952,11 @@ mod tests {
     }
 
     #[test]
-    fn lowered_report_and_obligations_round_trip() {
+    fn lowered_and_report_round_trip() {
         let func = parse_function(SRC).unwrap();
         let d = Directives::new(10.0);
         let mut low = crate::lower(&func, &d);
-        let outcome = optimize_lowered(
+        let report = optimize_lowered(
             &mut low,
             &NetlistOptConfig::default(),
             &TechLibrary::asic_100mhz(),
@@ -981,7 +965,7 @@ mod tests {
         let back = lowered_from_json(&Json::parse(&lowered_to_json(&low).write()).unwrap());
         assert_eq!(Some(low), back);
 
-        let r = &outcome.report;
+        let r = &report;
         let back = report_from_json(&Json::parse(&report_to_json(r).write()).unwrap()).unwrap();
         assert_eq!(r, &back);
         for (i, (a, b)) in r.deltas.iter().zip(&back.deltas).enumerate() {
@@ -991,15 +975,6 @@ mod tests {
                 "delta {i} before bits"
             );
             assert_eq!(a.critical_ns_after.to_bits(), b.critical_ns_after.to_bits());
-        }
-
-        assert!(!outcome.obligations.is_empty());
-        for ob in &outcome.obligations {
-            let back = obligation_from_json(&Json::parse(&obligation_to_json(ob).write()).unwrap())
-                .unwrap();
-            assert_eq!(ob.pass, back.pass);
-            assert_eq!(ob.before, back.before);
-            assert_eq!(ob.after, back.after);
         }
     }
 

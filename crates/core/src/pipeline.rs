@@ -30,7 +30,7 @@ use crate::directives::Directives;
 use crate::error::SynthesisError;
 use crate::lower::{lower, Lowered, Segment};
 use crate::metrics::{segment_cycles, DesignMetrics};
-use crate::netlist::{optimize_lowered, NetlistObligation, NetlistReport};
+use crate::netlist::optimize_lowered;
 use crate::passcache::{self, NetlistEntry, PassCache};
 use crate::schedule::{recurrence_min_ii, schedule_dfg, Schedule};
 use crate::synthesize::SynthesisResult;
@@ -70,12 +70,19 @@ pub struct PipelineState {
     /// Opaque artifacts for downstream passes (FSMD, compiled simulation,
     /// Verilog), keyed by a stable name.
     pub artifacts: BTreeMap<&'static str, Box<dyn Any + Send>>,
-    /// The content-addressed pass cache consulted by cacheable passes
-    /// (populated from [`PipelineConfig::cache`] when the run starts).
+    /// The prefix cache `loop-transforms` consults and `netlist-opt`
+    /// publishes to (populated from [`PipelineConfig::cache`] when the
+    /// run starts).
     pub cache: Option<Arc<PassCache>>,
-    /// Exact pass-cache activity of *this* run (the shared cache's own
+    /// Exact prefix-cache activity of *this* run (the shared cache's own
     /// counters aggregate concurrent runs).
     pub cache_events: CacheActivity,
+    /// The prefix this run replays: `loop-transforms`, `lower` and
+    /// `netlist-opt` install its transform result and optimized design
+    /// as memo hits instead of computing them. Filled by
+    /// [`synthesize_traced_with_prefix`], or by `loop-transforms` on a
+    /// cache hit.
+    pub prefix: Option<Arc<NetlistEntry>>,
 }
 
 impl PipelineState {
@@ -93,6 +100,7 @@ impl PipelineState {
             artifacts: BTreeMap::new(),
             cache: None,
             cache_events: CacheActivity::default(),
+            prefix: None,
         }
     }
 
@@ -288,11 +296,13 @@ pub struct PipelineConfig {
     /// [`requires`](Pass::requires) a disabled or missing one before the
     /// run starts; violations abort with `invalid-pipeline-config`.
     pub disabled_passes: Vec<String>,
-    /// A shared content-addressed pass cache. When set, the cacheable
-    /// passes (`loop-transforms`, `lower`, `netlist-opt`, `schedule`,
-    /// `allocate`) consult it before computing and publish their results
-    /// after; hits surface as memo hits in the trace. `None` (the
-    /// default) runs every pass cold.
+    /// A shared prefix cache. When set, `loop-transforms` looks the run's
+    /// prefix up before computing, a hit replays `loop-transforms`,
+    /// `lower` and `netlist-opt` as memo hits, and on a miss
+    /// `netlist-opt` publishes the prefix it computed. A pipeline that
+    /// disables one of those three passes leaves the cache alone.
+    /// `schedule` and `allocate` read the clock and always run. `None`
+    /// (the default) runs every pass cold.
     pub cache: Option<Arc<PassCache>>,
     /// Skip the per-pass [`IrStats`] snapshots in the trace (they read as
     /// all-zero). Walking the design before and after every pass costs
@@ -323,12 +333,6 @@ impl PipelineConfig {
             .without_pass("schedule")
             .without_pass("allocate")
             .without_pass("metrics")
-    }
-
-    /// Attaches a shared pass cache (builder style).
-    pub fn with_cache(mut self, cache: Arc<PassCache>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Disables the named pass (builder style).
@@ -373,18 +377,19 @@ impl InvariantCheck {
 // Trace
 // ---------------------------------------------------------------------------
 
-/// Pass-cache lookups, misses and insertions attributable to one run.
+/// Prefix-cache lookups, misses and insertions attributable to one run:
+/// at most one lookup and one insertion.
 ///
 /// Counted by the run itself (not diffed from the shared cache's global
 /// counters), so the numbers stay exact when many runs share one cache
 /// concurrently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheActivity {
-    /// Stage results served from the pass cache.
+    /// Prefixes served from the cache.
     pub hits: u64,
-    /// Stage lookups that found nothing.
+    /// Prefix lookups that found nothing.
     pub misses: u64,
-    /// Stage results published to the cache.
+    /// Prefixes published to the cache.
     pub inserts: u64,
 }
 
@@ -417,7 +422,7 @@ pub struct PassTrace {
     pub passes: Vec<PassRecord>,
     /// Total wall time in nanoseconds.
     pub total_ns: u64,
-    /// Pass-cache activity of this run (all zero when no cache was
+    /// Prefix-cache activity of this run (all zero when no cache was
     /// attached).
     pub cache: CacheActivity,
 }
@@ -535,36 +540,9 @@ impl<'a> Pipeline<'a> {
         Pipeline::new(config)
             .with_pass(ValidateIrPass)
             .with_pass(CheckDirectivesPass)
-            .with_pass(LoopTransformsPass { seeded: None })
-            .with_pass(LowerPass { seeded: false })
-            .with_pass(NetlistOptPass { seeded: None })
-            .with_pass(SchedulePass)
-            .with_pass(AllocatePass)
-            .with_pass(MetricsPass)
-    }
-
-    /// Like [`Pipeline::synthesis`], but replaying a precomputed
-    /// clock-independent prefix: the transform result, and the optimized
-    /// design that netlist-opt produced from its lowering. The
-    /// `loop-transforms`, `lower` and `netlist-opt` passes are memo hits,
-    /// so a clock-only twin re-runs nothing upstream of the scheduler.
-    /// The explorer builds one such prefix per transform signature and
-    /// seeds every candidate of that signature with it.
-    pub fn synthesis_with_prefix(
-        config: PipelineConfig,
-        transformed: Arc<TransformResult>,
-        netlist: Arc<NetlistSeed>,
-    ) -> Self {
-        Pipeline::new(config)
-            .with_pass(ValidateIrPass)
-            .with_pass(CheckDirectivesPass)
-            .with_pass(LoopTransformsPass {
-                seeded: Some(transformed),
-            })
-            .with_pass(LowerPass { seeded: true })
-            .with_pass(NetlistOptPass {
-                seeded: Some(netlist),
-            })
+            .with_pass(LoopTransformsPass)
+            .with_pass(LowerPass)
+            .with_pass(NetlistOptPass)
             .with_pass(SchedulePass)
             .with_pass(AllocatePass)
             .with_pass(MetricsPass)
@@ -594,8 +572,18 @@ impl<'a> Pipeline<'a> {
             ..PipelineRun::default()
         };
         let total_start = Instant::now();
-        if state.cache.is_none() {
-            state.cache = self.config.cache.clone();
+        // A prefix spans three passes: a pipeline that does not run all
+        // of them neither replays nor publishes one.
+        let runs = |name: &str| {
+            self.config.is_enabled(name) && self.passes.iter().any(|p| p.name() == name)
+        };
+        if PREFIX_PASSES.iter().all(|name| runs(name)) {
+            if state.cache.is_none() {
+                state.cache = self.config.cache.clone();
+            }
+        } else {
+            state.cache = None;
+            state.prefix = None;
         }
 
         // Reject unsatisfiable configurations up front: every enabled
@@ -649,7 +637,7 @@ impl<'a> Pipeline<'a> {
             let diags_before = run.diagnostics.len();
             let start = Instant::now();
             let result = pass.run(state, &mut run.diagnostics);
-            // The transform pass marks cache reuse with a note.
+            // A pass replaying the prefix marks it with a note.
             let memo_hit = run
                 .diagnostics
                 .iter()
@@ -816,12 +804,21 @@ impl Pass for CheckDirectivesPass {
     }
 }
 
+/// The passes a prefix covers: a run replays them together or not at
+/// all.
+const PREFIX_PASSES: [&str; 3] = ["loop-transforms", "lower", "netlist-opt"];
+
+/// Artifact key under which a missed lookup leaves the prefix key for
+/// `netlist-opt` to publish under.
+const PREFIX_KEY: &str = "prefix-key";
+
 /// Applies counter narrowing, unrolling and merging; accepted merge
 /// hazards surface as `merge-hazard` warnings.
-pub struct LoopTransformsPass {
-    /// A precomputed transform result to reuse (shared-prefix memo).
-    pub seeded: Option<Arc<TransformResult>>,
-}
+///
+/// With a prefix cache attached and no prefix in the state, this pass
+/// makes the run's one lookup; a hit fills [`PipelineState::prefix`].
+/// With a prefix, it replays the prefix's transform result.
+pub struct LoopTransformsPass;
 
 impl Pass for LoopTransformsPass {
     fn name(&self) -> &'static str {
@@ -837,52 +834,33 @@ impl Pass for LoopTransformsPass {
         state: &mut PipelineState,
         diags: &mut Diagnostics,
     ) -> Result<(), SynthesisError> {
-        // The content-addressed key covers the input function and the
-        // directive subset the transform pipeline reads; `state.func` is
-        // still the pipeline input at this point.
-        let tkey = state.cache.as_ref().map(|_| {
+        if let (None, Some(cache)) = (&state.prefix, state.cache.clone()) {
+            // `state.func` is still the pipeline input here; the key
+            // covers it and every directive and library input of the
+            // three prefix passes.
             let base = passcache::base_key(&state.func);
-            passcache::transform_key(&base, &state.directives)
-        });
-        let t = match &self.seeded {
-            Some(t) => {
+            let key = passcache::prefix_key(&base, &state.directives, &state.lib);
+            match cache.get(&key) {
+                Some(prefix) => {
+                    state.cache_events.hits += 1;
+                    state.prefix = Some(prefix);
+                }
+                None => {
+                    state.cache_events.misses += 1;
+                    state.put_artifact(PREFIX_KEY, key);
+                }
+            }
+        }
+        let t = match &state.prefix {
+            Some(prefix) => {
                 diags.push(Diagnostic::note(
                     "memo-hit",
-                    "transform prefix reused from memo cache",
+                    "loop transforms replayed from the prefix",
                 ));
-                if let (Some(cache), Some(key)) = (&state.cache, &tkey) {
-                    // Clock sweeps seed every twin with the same prefix;
-                    // publish it once and skip the no-op re-inserts.
-                    if !cache.contains(key) {
-                        cache.put_transform(key, t);
-                        state.cache_events.inserts += 1;
-                    }
-                }
-                (**t).clone()
+                prefix.transformed.clone()
             }
-            None => match (&state.cache, &tkey) {
-                (Some(cache), Some(key)) => {
-                    if let Some(t) = cache.get_transform(key) {
-                        state.cache_events.hits += 1;
-                        diags.push(Diagnostic::note(
-                            "memo-hit",
-                            "loop transforms reused from pass cache",
-                        ));
-                        (*t).clone()
-                    } else {
-                        state.cache_events.misses += 1;
-                        let t = Arc::new(apply_loop_transforms(&state.func, &state.directives));
-                        cache.put_transform(key, &t);
-                        state.cache_events.inserts += 1;
-                        (*t).clone()
-                    }
-                }
-                _ => apply_loop_transforms(&state.func, &state.directives),
-            },
+            None => apply_loop_transforms(&state.func, &state.directives),
         };
-        if let Some(key) = tkey {
-            state.put_artifact("cache-key:loop-transforms", key);
-        }
         for m in &t.merges {
             for h in &m.hazards {
                 diags.push(
@@ -901,19 +879,11 @@ impl Pass for LoopTransformsPass {
 
 /// Lowers the transformed IR: hoisting, output staging, segmentation and
 /// interface synthesis.
-pub struct LowerPass {
-    /// `true` when a seeded `netlist-opt` pass later in the pipeline
-    /// installs the design ([`Pipeline::synthesis_with_prefix`]). Lowering
-    /// already ran when that prefix was built, so this pass computes
-    /// nothing: it records a memo hit and carries the pass-cache key chain
-    /// on to the stages below. Lowering reads the per-loop pipeline IIs and
-    /// the interface mappings but *not* the clock, so every point of a
-    /// clock sweep can share one prefix; seeding a prefix built under
-    /// different lowering-relevant directives is unsound, and the explorer
-    /// only shares prefixes within one transform signature with identical
-    /// interface directives.
-    pub seeded: bool,
-}
+///
+/// With a prefix, lowering already ran when the prefix was built: the
+/// pass records a memo hit and computes nothing, and `netlist-opt`
+/// installs the prefix's optimized design.
+pub struct LowerPass;
 
 impl Pass for LowerPass {
     fn name(&self) -> &'static str {
@@ -929,46 +899,13 @@ impl Pass for LowerPass {
         state: &mut PipelineState,
         diags: &mut Diagnostics,
     ) -> Result<(), SynthesisError> {
-        // Chain off the transform stage's key; without it (custom
-        // pipeline, transforms disabled) lowering runs uncached.
-        let lkey = match (
-            &state.cache,
-            state.artifact::<String>("cache-key:loop-transforms"),
-        ) {
-            (Some(_), Some(tkey)) => Some(passcache::lower_key(tkey, &state.directives)),
-            _ => None,
-        };
-        if self.seeded {
-            // Nothing is published: the design this run carries is the
-            // seeded netlist-opt result, and an optimized design must never
-            // land under a lowering key.
+        if state.prefix.is_some() {
             diags.push(Diagnostic::note(
                 "memo-hit",
-                "lowered prefix reused from memo cache",
+                "lowering replayed from the prefix",
             ));
         } else {
-            state.lowered = Some(match (&state.cache, &lkey) {
-                (Some(cache), Some(key)) => {
-                    if let Some(l) = cache.get_lowered(key) {
-                        state.cache_events.hits += 1;
-                        diags.push(Diagnostic::note(
-                            "memo-hit",
-                            "lowering reused from pass cache",
-                        ));
-                        (*l).clone()
-                    } else {
-                        state.cache_events.misses += 1;
-                        let l = Arc::new(lower(&state.func, &state.directives));
-                        cache.put_lowered(key, &l);
-                        state.cache_events.inserts += 1;
-                        (*l).clone()
-                    }
-                }
-                _ => lower(&state.func, &state.directives),
-            });
-        }
-        if let Some(key) = lkey {
-            state.put_artifact("cache-key:lower", key);
+            state.lowered = Some(lower(&state.func, &state.directives));
         }
         Ok(())
     }
@@ -977,34 +914,15 @@ impl Pass for LowerPass {
 /// Optimizes the lowered netlist in place: constant folding, cross-state
 /// constant propagation, common-subexpression sharing and delay-aware
 /// chain rebalancing, as selected by
-/// [`Directives::netlist_opt`](crate::Directives). Every pass that
-/// changed a segment leaves a [`NetlistObligation`](crate::netlist)
-/// under the `netlist-obligations` artifact key for the `hls-verify`
-/// gate to discharge, and the per-pass measurements land under
-/// `netlist-report`.
-pub struct NetlistOptPass {
-    /// A precomputed optimization to replay (shared-prefix memo): the pass
-    /// installs the seed's design and report instead of optimizing. The
-    /// seed carries no proof obligations, so a seeded run leaves the
-    /// `netlist-obligations` artifact *absent* rather than empty: the
-    /// seed's rewrites did change the design, and an empty list would say
-    /// there was nothing to prove. Soundness then rests on an end-to-end
-    /// proof of the optimized design, as in any gated run, where the
-    /// per-rewrite verdicts only attribute a failure to a pass.
-    pub seeded: Option<Arc<NetlistSeed>>,
-}
-
-/// A netlist-opt result to replay with [`NetlistOptPass::seeded`]: the
-/// optimized design and the report of the optimization that produced it.
-/// Unlike a pass-cache [`NetlistEntry`] it holds no proof obligations,
-/// so a seeded pass never publishes it to the cache.
-#[derive(Debug, Clone)]
-pub struct NetlistSeed {
-    /// The design after optimization.
-    pub lowered: Lowered,
-    /// Per-pass measurements of the optimization.
-    pub report: NetlistReport,
-}
+/// [`Directives::netlist_opt`](crate::Directives). The per-pass
+/// measurements land under the `netlist-report` artifact key; proof
+/// obligations are computed only on demand
+/// ([`crate::netlist::netlist_obligations`]).
+///
+/// With a prefix, the pass installs the prefix's optimized design and
+/// report instead of optimizing. After a cache miss it publishes the
+/// prefix this run computed.
+pub struct NetlistOptPass;
 
 impl Pass for NetlistOptPass {
     fn name(&self) -> &'static str {
@@ -1020,78 +938,42 @@ impl Pass for NetlistOptPass {
         state: &mut PipelineState,
         diags: &mut Diagnostics,
     ) -> Result<(), SynthesisError> {
-        let nkey = match (&state.cache, state.artifact::<String>("cache-key:lower")) {
-            (Some(_), Some(lkey)) => {
-                Some(passcache::netlist_key(lkey, &state.directives, &state.lib))
-            }
-            _ => None,
-        };
-        if let Some(seed) = &self.seeded {
-            // The seed was read from or published to the cache, obligations
-            // included, when it was built; only the key chain goes on.
+        if let Some(prefix) = &state.prefix {
             diags.push(Diagnostic::note(
                 "memo-hit",
-                "optimized netlist reused from memo cache",
+                "optimized netlist replayed from the prefix",
             ));
             if state.directives.netlist_opt.is_enabled() {
-                diags.push(Diagnostic::note("netlist-opt", seed.report.describe()));
+                diags.push(Diagnostic::note("netlist-opt", prefix.report.describe()));
             }
-            state.lowered = Some(seed.lowered.clone());
-            state.put_artifact("netlist-report", seed.report.clone());
-            if let Some(key) = nkey {
-                state.put_artifact("cache-key:netlist-opt", key);
-            }
+            let (lowered, report) = (prefix.lowered.clone(), prefix.report.clone());
+            state.lowered = Some(lowered);
+            state.put_artifact("netlist-report", report);
             return Ok(());
         }
+        let key = state.take_artifact::<String>(PREFIX_KEY);
         let cfg = state.directives.netlist_opt;
-        let lib = state.lib.clone();
         let lowered = state
             .lowered
             .as_mut()
             .ok_or_else(|| missing_slot("netlist-opt", "lower"))?;
-        let (report, obligations): (NetlistReport, Arc<Vec<NetlistObligation>>) =
-            match (&state.cache, &nkey) {
-                (Some(cache), Some(key)) => {
-                    if let Some(entry) = cache.get_netlist(key) {
-                        state.cache_events.hits += 1;
-                        // Replay the exact cold-run output: the optimized
-                        // design, the measurements and the obligations the
-                        // verify gate will re-discharge or look up.
-                        *lowered = entry.lowered.clone();
-                        diags.push(Diagnostic::note(
-                            "memo-hit",
-                            "optimized netlist reused from pass cache",
-                        ));
-                        (entry.report.clone(), Arc::clone(&entry.obligations))
-                    } else {
-                        state.cache_events.misses += 1;
-                        let outcome = optimize_lowered(lowered, &cfg, &lib);
-                        let obligations = Arc::new(outcome.obligations);
-                        cache.put_netlist(
-                            key,
-                            &Arc::new(NetlistEntry {
-                                lowered: lowered.clone(),
-                                report: outcome.report.clone(),
-                                obligations: Arc::clone(&obligations),
-                            }),
-                        );
-                        state.cache_events.inserts += 1;
-                        (outcome.report, obligations)
-                    }
-                }
-                _ => {
-                    let outcome = optimize_lowered(lowered, &cfg, &lib);
-                    (outcome.report, Arc::new(outcome.obligations))
-                }
+        let report = optimize_lowered(lowered, &cfg, &state.lib);
+        if let (Some(cache), Some(key)) = (&state.cache, key) {
+            let prefix = NetlistEntry {
+                transformed: TransformResult {
+                    func: state.func.clone(),
+                    merges: state.merges.clone(),
+                },
+                lowered: lowered.clone(),
+                report: report.clone(),
             };
+            cache.put(&key, &Arc::new(prefix));
+            state.cache_events.inserts += 1;
+        }
         if cfg.is_enabled() {
             diags.push(Diagnostic::note("netlist-opt", report.describe()));
         }
         state.put_artifact("netlist-report", report);
-        state.put_artifact("netlist-obligations", obligations);
-        if let Some(key) = nkey {
-            state.put_artifact("cache-key:netlist-opt", key);
-        }
         Ok(())
     }
 }
@@ -1112,31 +994,8 @@ impl Pass for SchedulePass {
     fn run(
         &self,
         state: &mut PipelineState,
-        diags: &mut Diagnostics,
+        _diags: &mut Diagnostics,
     ) -> Result<(), SynthesisError> {
-        let skey = match (
-            &state.cache,
-            state.artifact::<String>("cache-key:netlist-opt"),
-        ) {
-            (Some(_), Some(nkey)) => {
-                Some(passcache::schedule_key(nkey, &state.directives, &state.lib))
-            }
-            _ => None,
-        };
-        if let (Some(cache), Some(key)) = (&state.cache, &skey) {
-            if let Some(s) = cache.get_schedules(key) {
-                state.cache_events.hits += 1;
-                diags.push(Diagnostic::note(
-                    "memo-hit",
-                    "schedules reused from pass cache",
-                ));
-                state.schedules = Some((*s).clone());
-                let key = key.clone();
-                state.put_artifact("cache-key:schedule", key);
-                return Ok(());
-            }
-            state.cache_events.misses += 1;
-        }
         let lowered = state
             .lowered
             .as_ref()
@@ -1182,16 +1041,7 @@ impl Pass for SchedulePass {
             }
             schedules.push(sched);
         }
-        // Only a completed schedule set is cached — an infeasible II
-        // returned above, so errors can never be replayed as results.
-        if let (Some(cache), Some(key)) = (&state.cache, &skey) {
-            cache.put_schedules(key, &Arc::new(schedules.clone()));
-            state.cache_events.inserts += 1;
-        }
         state.schedules = Some(schedules);
-        if let Some(key) = skey {
-            state.put_artifact("cache-key:schedule", key);
-        }
         Ok(())
     }
 }
@@ -1211,26 +1061,8 @@ impl Pass for AllocatePass {
     fn run(
         &self,
         state: &mut PipelineState,
-        diags: &mut Diagnostics,
+        _diags: &mut Diagnostics,
     ) -> Result<(), SynthesisError> {
-        let akey = match (&state.cache, state.artifact::<String>("cache-key:schedule")) {
-            (Some(_), Some(skey)) => {
-                Some(passcache::allocate_key(skey, &state.directives, &state.lib))
-            }
-            _ => None,
-        };
-        if let (Some(cache), Some(key)) = (&state.cache, &akey) {
-            if let Some(a) = cache.get_allocation(key) {
-                state.cache_events.hits += 1;
-                diags.push(Diagnostic::note(
-                    "memo-hit",
-                    "allocation reused from pass cache",
-                ));
-                state.allocation = Some((*a).clone());
-                return Ok(());
-            }
-            state.cache_events.misses += 1;
-        }
         let lowered = state
             .lowered
             .as_ref()
@@ -1246,10 +1078,6 @@ impl Pass for AllocatePass {
             &state.directives,
             &state.lib,
         );
-        if let (Some(cache), Some(key)) = (&state.cache, &akey) {
-            cache.put_allocation(key, &Arc::new(allocation.clone()));
-            state.cache_events.inserts += 1;
-        }
         state.allocation = Some(allocation);
         Ok(())
     }
@@ -1345,21 +1173,29 @@ fn finish_run(state: &PipelineState, run: &PipelineRun) -> Result<SynthesisResul
     }
 }
 
-/// [`synthesize_traced`] replaying a precomputed clock-independent
-/// prefix ([`Pipeline::synthesis_with_prefix`]): the transform result and
-/// the optimized netlist. Only validation, directive checking, schedule,
-/// allocate and metrics do real work, which is what makes the clock-only
-/// twins of a dense sweep nearly free.
+/// [`synthesize_traced`] replaying a precomputed prefix: the transform
+/// result and the optimized netlist that `loop-transforms`, `lower` and
+/// `netlist-opt` install as memo hits. Only validation, directive
+/// checking, schedule, allocate and metrics do real work, which is what
+/// makes the clock-only twins of a dense sweep nearly free. The explorer
+/// builds one prefix per transform signature and replays it for every
+/// candidate of that signature.
+///
+/// The prefix must have been built from `func` under inputs with the
+/// same [`passcache::prefix_key`]: the clock may differ, but the loop,
+/// array and interface directives, the optimizer config and the library
+/// may not. Replaying any other prefix yields a design that does not
+/// implement `directives`.
 pub fn synthesize_traced_with_prefix(
     func: &Function,
     directives: &Directives,
     lib: &TechLibrary,
     config: &PipelineConfig,
-    transformed: Arc<TransformResult>,
-    netlist: Arc<NetlistSeed>,
+    prefix: Arc<NetlistEntry>,
 ) -> (Result<SynthesisResult, SynthesisError>, PipelineRun) {
-    let pipeline = Pipeline::synthesis_with_prefix(config.clone(), transformed, netlist);
+    let pipeline = Pipeline::synthesis(config.clone());
     let mut state = PipelineState::new(func, directives, lib);
+    state.prefix = Some(prefix);
     let run = pipeline.run(&mut state);
     (finish_run(&state, &run), run)
 }
@@ -1438,15 +1274,15 @@ mod tests {
 
     /// The explorer's shared prefix for `d`: the transform result and the
     /// optimized netlist of its lowering.
-    fn prefix(
-        f: &Function,
-        d: &Directives,
-        lib: &TechLibrary,
-    ) -> (Arc<TransformResult>, Arc<NetlistSeed>) {
-        let t = apply_loop_transforms(f, d);
-        let mut lowered = lower(&t.func, d);
-        let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib).report;
-        (Arc::new(t), Arc::new(NetlistSeed { lowered, report }))
+    fn prefix(f: &Function, d: &Directives, lib: &TechLibrary) -> Arc<NetlistEntry> {
+        let transformed = apply_loop_transforms(f, d);
+        let mut lowered = lower(&transformed.func, d);
+        let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
+        Arc::new(NetlistEntry {
+            transformed,
+            lowered,
+            report,
+        })
     }
 
     #[test]
@@ -1454,9 +1290,8 @@ mod tests {
         let f = sum_loop();
         let d = Directives::new(10.0).unroll("sum", Unroll::Factor(2));
         let lib = TechLibrary::asic_100mhz();
-        let (t, n) = prefix(&f, &d, &lib);
-        let (r, run) =
-            synthesize_traced_with_prefix(&f, &d, &lib, &PipelineConfig::checked(), t, n);
+        let p = prefix(&f, &d, &lib);
+        let (r, run) = synthesize_traced_with_prefix(&f, &d, &lib, &PipelineConfig::checked(), p);
         assert!(r.is_ok());
         let record = |name: &str| run.trace.passes.iter().find(|p| p.pass == name).unwrap();
         // Both mutating passes replay the prefix: memo hits, not re-walked.
@@ -1605,9 +1440,9 @@ mod tests {
         let d = Directives::new(10.0).unroll("sum", Unroll::Factor(2));
         let lib = TechLibrary::asic_100mhz();
         let (plain, plain_run) = synthesize_traced(&f, &d, &lib, &PipelineConfig::default());
-        let (t, n) = prefix(&f, &d, &lib);
+        let p = prefix(&f, &d, &lib);
         let (seeded, run) =
-            synthesize_traced_with_prefix(&f, &d, &lib, &PipelineConfig::default(), t, n);
+            synthesize_traced_with_prefix(&f, &d, &lib, &PipelineConfig::default(), p);
         let (plain, seeded) = (plain.unwrap(), seeded.unwrap());
         assert_eq!(plain.transformed, seeded.transformed);
         assert_eq!(plain.lowered, seeded.lowered);

@@ -92,10 +92,10 @@ pub struct ServiceConfig {
     /// the cluster benchmarks use it to measure fabric scaling
     /// independently of this machine's core count.
     pub synth_delay: Duration,
-    /// A shared content-addressed pass cache threaded into every
-    /// pipeline invocation. With a persistent tier, a restarted daemon
-    /// replays the clock-independent stage prefix (loop transforms,
-    /// lowering, netlist optimization) without re-running anything.
+    /// A shared prefix cache threaded into every pipeline invocation: a
+    /// clock twin of an earlier request replays its clock-independent
+    /// prefix (loop transforms, lowering, netlist optimization). With a
+    /// persistent tier, a restarted daemon replays it too.
     pub pass_cache: Option<Arc<PassCache>>,
     /// A shared proof-verdict cache: verified requests replay FSMD
     /// equivalence verdicts for machines already proved (clock twins
@@ -214,7 +214,7 @@ pub struct CountersSnapshot {
     pub verify_us: HistogramSnapshot,
     /// Store-insert latency per miss.
     pub insert_us: HistogramSnapshot,
-    /// Pass-cache census, when the service runs one.
+    /// Prefix-cache census, when the service runs one.
     pub pass_cache: Option<PassCacheStats>,
     /// Proof-cache census, when the service runs one.
     pub proof_cache: Option<ProofCacheStats>,

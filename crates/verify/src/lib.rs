@@ -47,13 +47,12 @@ pub use fuzz::{
 pub use mutate::{mutate_fsmd, mutations_for, Mutation};
 pub use netlist::{
     check_netlist_obligation, check_netlist_obligation_with, check_netlist_obligations,
-    check_netlist_obligations_cached, check_netlist_obligations_keyed, exec_lowered,
-    NetlistCrossCheck,
+    check_netlist_obligations_keyed, exec_lowered, NetlistCrossCheck,
 };
 pub use pipeline::{
     explore_verified, explore_verified_serial, explore_verified_with, verify_equiv,
-    verify_equiv_cached, verify_equiv_persist, verify_equiv_with, CachedEquivGate, EquivGate,
-    ExploreProver, ProverStats, VerifyFinding, VerifyReport,
+    verify_equiv_cached, verify_equiv_persist, verify_equiv_with, EquivGate, ExploreProver,
+    ProverStats, VerifyFinding, VerifyReport,
 };
 pub use proofcache::{
     fsmd_key, obligation_key, obligation_key_tagged, ProofCache, ProofCacheConfig, ProofCacheStats,

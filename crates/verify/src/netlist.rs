@@ -1,8 +1,9 @@
 //! Per-pass equivalence obligations for the netlist optimizer.
 //!
-//! Every rewrite the netlist pass manager performs ships a
-//! [`NetlistObligation`] — the lowered design before and after one pass.
-//! This module discharges them: both designs execute symbolically over one
+//! `hls_core::netlist_obligations` describes every rewrite the netlist
+//! pass manager performs as a [`NetlistObligation`] — the lowered design
+//! before and after one pass. This module discharges them: both designs
+//! execute symbolically over one
 //! shared [`SymTable`] from a common *fully arbitrary* start state (every
 //! register and array element a fresh free input, so the proof covers
 //! every reachable machine state, not just the reset state), and every
@@ -24,7 +25,7 @@ use hls_core::{Lowered, NetlistObligation, Segment};
 use crate::equiv::{bit_blast, Obligation, ProofCex, ProofMethod, ProveOptions, ProveVerdict};
 use crate::fsmd_exec::{eval_node, FsmdState};
 use crate::fuzz::{random_fixed, SplitMix64};
-use crate::proofcache::{obligation_key, ProofCache};
+use crate::proofcache::ProofCache;
 use crate::state::{ExecResult, Unsupported};
 use crate::sym::{bool_format, Evaluator, SymId, SymTable};
 
@@ -35,31 +36,16 @@ pub fn check_netlist_obligations(
     obligations: &[NetlistObligation],
     opts: &ProveOptions,
 ) -> Vec<ProveVerdict> {
-    check_netlist_obligations_cached(obligations, opts, None)
+    check_netlist_obligations_keyed(obligations, None, opts, None, None)
 }
 
-/// [`check_netlist_obligations`] through an optional
-/// [`ProofCache`]: each obligation's verdict is replayed when its
-/// content key hits and recorded when it was freshly proved. Verdict
-/// order matches the obligation order either way, and a cached verdict
-/// is byte-identical to recomputation (the key covers the exact proof
-/// inputs, including the pass name and blast budget).
-pub fn check_netlist_obligations_cached(
-    obligations: &[NetlistObligation],
-    opts: &ProveOptions,
-    cache: Option<&ProofCache>,
-) -> Vec<ProveVerdict> {
-    let keys: Option<Vec<String>> = cache.map(|_| {
-        obligations
-            .iter()
-            .map(|ob| obligation_key(ob, opts))
-            .collect()
-    });
-    check_netlist_obligations_keyed(obligations, keys.as_deref(), opts, None, cache)
-}
-
-/// [`check_netlist_obligations_cached`] with the content keys supplied
-/// by the caller.
+/// [`check_netlist_obligations`] through an optional [`ProofCache`],
+/// with the content keys supplied by the caller: each obligation's
+/// verdict is replayed when its key hits and recorded when it was
+/// freshly proved. Verdict order matches the obligation order either
+/// way, and a cached verdict is byte-identical to recomputation (the
+/// key covers the exact proof inputs, including the pass name and blast
+/// budget).
 ///
 /// Deriving a key serializes both sides of the obligation — often more
 /// work than replaying the verdict it looks up. A sweep that memoizes
@@ -73,6 +59,7 @@ pub fn check_netlist_obligations_cached(
 /// misaligned key is a soundness bug on the caller. With `keys` `None`
 /// (or no cache), every obligation is proved directly.
 ///
+/// [`obligation_key`]: crate::proofcache::obligation_key
 /// [`obligation_key_tagged`]: crate::proofcache::obligation_key_tagged
 pub fn check_netlist_obligations_keyed(
     obligations: &[NetlistObligation],
@@ -470,8 +457,11 @@ fn unknown_all(func: &hls_ir::Function, reason: String) -> ProveVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proofcache::obligation_key_tagged;
-    use hls_core::{lower, optimize_lowered, Directives, NetlistOptConfig, TechLibrary};
+    use crate::proofcache::{obligation_key, obligation_key_tagged};
+    use hls_core::{
+        lower, netlist_obligations, optimize_lowered, Directives, NetlistOptConfig, OptLevel,
+        TechLibrary,
+    };
     use hls_ir::parse_function;
 
     // Narrow on purpose: the corrupted-rewrite test below must land
@@ -490,13 +480,54 @@ mod tests {
     fn lowered_pair() -> Vec<NetlistObligation> {
         let func = parse_function(SRC).unwrap();
         let d = Directives::new(10.0);
-        let mut low = lower(&func, &d);
-        let outcome = optimize_lowered(
-            &mut low,
+        netlist_obligations(
+            &lower(&func, &d),
             &NetlistOptConfig::default(),
             &TechLibrary::asic_100mhz(),
-        );
-        outcome.obligations
+        )
+    }
+
+    #[test]
+    fn on_demand_obligations_describe_the_optimizers_run() {
+        // For every Table-1 design, the obligations chain from the raw
+        // lowering, name exactly the passes the report says changed
+        // something, and end at the design `optimize_lowered` produces.
+        let ir = qam_decoder::build_qam_decoder_ir(&qam_decoder::DecoderParams::default());
+        let lib = qam_decoder::table1_library();
+        for arch in qam_decoder::table1_architectures() {
+            for level in [OptLevel::Full, OptLevel::Basic] {
+                let d = arch.directives.clone().netlist_opt_level(level);
+                let transformed = hls_core::apply_loop_transforms(&ir.func, &d);
+                let raw = lower(&transformed.func, &d);
+                let obs = netlist_obligations(&raw, &d.netlist_opt, &lib);
+                let mut optimized = raw.clone();
+                let report = optimize_lowered(&mut optimized, &d.netlist_opt, &lib);
+                let what = format!("{} at {level:?}", arch.name);
+                assert!(!obs.is_empty(), "{what}: the optimizer rewrites something");
+                assert!(
+                    obs[0].before == raw,
+                    "{what}: the chain starts at the raw lowering"
+                );
+                for pair in obs.windows(2) {
+                    assert!(
+                        pair[0].after == pair[1].before,
+                        "{what}: the chain is unbroken"
+                    );
+                }
+                let changed: Vec<&str> = report
+                    .deltas
+                    .iter()
+                    .filter(|delta| delta.changed_segments > 0)
+                    .map(|delta| delta.pass)
+                    .collect();
+                let named: Vec<&str> = obs.iter().map(|ob| ob.pass).collect();
+                assert_eq!(named, changed, "{what}");
+                assert!(
+                    obs.last().map(|ob| &ob.after) == Some(&optimized),
+                    "{what}: the chain ends at the optimizer's output"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use hls_core::{
-    explore_with_check, explore_with_check_serial, synthesize, Diagnostic, Diagnostics,
-    ExploreConfig, ExploreResult, PassHook, PipelineState, TechLibrary,
+    explore_with_check, explore_with_check_serial, lower, netlist_obligations, synthesize,
+    Diagnostic, Diagnostics, ExploreConfig, ExploreResult, PassHook, PipelineState, TechLibrary,
 };
 use hls_ir::Function;
 use rtl::Fsmd;
@@ -410,11 +410,15 @@ impl ExploreProver {
 ///
 /// Registered via `Pipeline::with_hook`, it fires twice:
 ///
-/// - after `netlist-opt`, it discharges the optimizer's per-pass rewrite
-///   obligations through [`crate::check_netlist_obligations`] — a refuted
-///   rewrite becomes a `netlist-equiv-failed` error (aborting synthesis
-///   with the offending pass named), an undecidable one a warning, and a
-///   fully proved set a `netlist-equiv-ok` note;
+/// - after `netlist-opt`, it re-lowers the transformed function, asks
+///   `hls_core::netlist_obligations` for the per-pass rewrite
+///   obligations of that lowering and discharges them through
+///   [`crate::check_netlist_obligations`]. The obligations must end at
+///   the design the pipeline carries: if they do not (a replayed prefix
+///   the gate never saw being optimized, say), or a rewrite is refuted,
+///   the gate emits a `netlist-equiv-failed` error, aborting synthesis.
+///   An undecidable rewrite becomes a warning, and a fully proved set a
+///   `netlist-equiv-ok` note;
 /// - after `metrics` (the last synthesis stage), it builds the FSMD and
 ///   runs [`verify_equiv`] on it — end to end, against the *optimized*
 ///   design, so netlist `Unknown`s cost attribution but never soundness.
@@ -427,108 +431,79 @@ pub struct EquivGate;
 
 impl PassHook for EquivGate {
     fn after_pass(&self, pass: &str, state: &PipelineState, diags: &mut Diagnostics) {
-        gate_after_pass(pass, state, diags, None);
-    }
-}
-
-/// [`EquivGate`] with a shared [`ProofCache`]: identical gating
-/// semantics and byte-identical diagnostics, but netlist obligations
-/// and the end-to-end FSMD proof replay cached verdicts — across
-/// repeated synthesis runs, serve requests and (with a persistent
-/// cache) daemon restarts.
-#[derive(Debug, Clone)]
-pub struct CachedEquivGate {
-    cache: Arc<ProofCache>,
-}
-
-impl CachedEquivGate {
-    /// A gate sharing `cache`.
-    pub fn new(cache: Arc<ProofCache>) -> CachedEquivGate {
-        CachedEquivGate { cache }
-    }
-}
-
-impl PassHook for CachedEquivGate {
-    fn after_pass(&self, pass: &str, state: &PipelineState, diags: &mut Diagnostics) {
-        gate_after_pass(pass, state, diags, Some(&self.cache));
-    }
-}
-
-/// Shared body of the cached and uncached gates.
-fn gate_after_pass(
-    pass: &str,
-    state: &PipelineState,
-    diags: &mut Diagnostics,
-    cache: Option<&ProofCache>,
-) {
-    {
-        if pass == "netlist-opt" {
-            let obligations = state
-                .artifact::<std::sync::Arc<Vec<hls_core::NetlistObligation>>>("netlist-obligations")
-                .map(|obs| obs.as_slice())
-                .unwrap_or_default();
-            if obligations.is_empty() {
-                return;
-            }
-            let opts = ProveOptions::default();
-            let mut proved = 0usize;
-            let mut unknown: Vec<String> = Vec::new();
-            for (ob, verdict) in obligations
-                .iter()
-                .zip(crate::check_netlist_obligations_cached(
-                    obligations,
-                    &opts,
-                    cache,
-                ))
-            {
-                match verdict {
-                    ProveVerdict::Proved { .. } => proved += 1,
-                    ProveVerdict::Disproved(cex) => {
-                        diags.push(Diagnostic::error(
-                            "netlist-equiv-failed",
-                            format!(
-                                "pass {} broke observable {} (ir={}, rtl={})",
-                                ob.pass, cex.observable, cex.ir_value, cex.rtl_value
-                            ),
-                        ));
-                        return;
-                    }
-                    ProveVerdict::Unknown { reason, .. } => unknown.push(reason),
+        match pass {
+            "netlist-opt" => gate_netlist(state, diags),
+            "metrics" => {
+                let Some(result) = state.to_result() else {
+                    return;
+                };
+                let report = verify_equiv(&Fsmd::from_synthesis(&result));
+                if report.passed() {
+                    diags.push(Diagnostic::note("equiv-ok", report.describe()));
+                } else {
+                    diags.push(Diagnostic::error("equiv-failed", report.describe()));
                 }
             }
-            if unknown.is_empty() {
-                diags.push(Diagnostic::note(
-                    "netlist-equiv-ok",
-                    format!("{proved} netlist rewrite obligation(s) proved"),
-                ));
-            } else {
-                diags.push(Diagnostic::warning(
-                    "netlist-equiv-unknown",
+            _ => {}
+        }
+    }
+}
+
+/// The gate's `netlist-opt` check: the rewrite obligations of lowering
+/// `state.func` must end at the design the pipeline carries, and every
+/// one must prove.
+fn gate_netlist(state: &PipelineState, diags: &mut Diagnostics) {
+    let Some(carried) = &state.lowered else {
+        return;
+    };
+    let raw = lower(&state.func, &state.directives);
+    let obligations = netlist_obligations(&raw, &state.directives.netlist_opt, &state.lib);
+    let optimized = obligations.last().map_or(&raw, |ob| &ob.after);
+    if optimized != carried {
+        diags.push(Diagnostic::error(
+            "netlist-equiv-failed",
+            "the carried design is not the optimizer's output for this lowering",
+        ));
+        return;
+    }
+    if obligations.is_empty() {
+        return;
+    }
+    let mut proved = 0usize;
+    let mut unknown: Vec<String> = Vec::new();
+    for (ob, verdict) in obligations.iter().zip(crate::check_netlist_obligations(
+        &obligations,
+        &ProveOptions::default(),
+    )) {
+        match verdict {
+            ProveVerdict::Proved { .. } => proved += 1,
+            ProveVerdict::Disproved(cex) => {
+                diags.push(Diagnostic::error(
+                    "netlist-equiv-failed",
                     format!(
-                        "{proved} proved, {} undecided ({}); end-to-end gate still applies",
-                        unknown.len(),
-                        unknown.join("; ")
+                        "pass {} broke observable {} (ir={}, rtl={})",
+                        ob.pass, cex.observable, cex.ir_value, cex.rtl_value
                     ),
                 ));
+                return;
             }
-            return;
+            ProveVerdict::Unknown { reason, .. } => unknown.push(reason),
         }
-        if pass != "metrics" {
-            return;
-        }
-        let Some(result) = state.to_result() else {
-            return;
-        };
-        let fsmd = Fsmd::from_synthesis(&result);
-        let report = match cache {
-            Some(cache) => verify_equiv_cached(&fsmd, cache),
-            None => verify_equiv(&fsmd),
-        };
-        if report.passed() {
-            diags.push(Diagnostic::note("equiv-ok", report.describe()));
-        } else {
-            diags.push(Diagnostic::error("equiv-failed", report.describe()));
-        }
+    }
+    if unknown.is_empty() {
+        diags.push(Diagnostic::note(
+            "netlist-equiv-ok",
+            format!("{proved} netlist rewrite obligation(s) proved"),
+        ));
+    } else {
+        diags.push(Diagnostic::warning(
+            "netlist-equiv-unknown",
+            format!(
+                "{proved} proved, {} undecided ({}); end-to-end gate still applies",
+                unknown.len(),
+                unknown.join("; ")
+            ),
+        ));
     }
 }
 
