@@ -1,15 +1,39 @@
-//! Criterion bench: cost of each flow stage in isolation — transforms,
-//! lowering, scheduling — over the decoder IR.
+//! Criterion bench: cost of each flow stage in isolation — parsing C
+//! source, transforms, lowering, scheduling — over the decoder IR.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hls_core::{apply_loop_transforms, lower, schedule_dfg, Directives, TechLibrary};
-use qam_decoder::{build_qam_decoder_ir, DecoderParams};
+use hls_ir::parse_function;
+use qam_decoder::{build_qam_decoder_ir, DecoderParams, QAM_DECODER_SOURCE};
+
+/// A 32-tap FIR in the shape of the end-to-end benchmark's FIR family.
+const FIR_SOURCE: &str =
+    "void fir32(sc_fixed<10,0> x_in, sc_fixed<12,0> c[32], sc_fixed<24,7> *y) {
+    static sc_fixed<10,0> d[32];
+    shift: for (int k = 31; k > 0; k--) {
+        d[k] = d[k - 1];
+    }
+    d[0] = x_in;
+    sc_fixed<24,7> acc = 0;
+    mac: for (int k = 0; k < 32; k++) {
+        acc += d[k] * c[k];
+    }
+    *y = acc;
+}
+";
 
 fn bench_stages(c: &mut Criterion) {
     let ir = build_qam_decoder_ir(&DecoderParams::default());
     let d = Directives::new(10.0);
     let lib = TechLibrary::asic_100mhz();
     let mut g = c.benchmark_group("flow_stages");
+
+    g.bench_function("parse_decoder", |b| {
+        b.iter(|| std::hint::black_box(parse_function(QAM_DECODER_SOURCE).expect("parses")))
+    });
+    g.bench_function("parse_fir", |b| {
+        b.iter(|| std::hint::black_box(parse_function(FIR_SOURCE).expect("parses")))
+    });
 
     g.bench_function("build_ir", |b| {
         b.iter(|| std::hint::black_box(build_qam_decoder_ir(&DecoderParams::default())))

@@ -45,6 +45,9 @@ pub struct PutEntry {
     pub entry: String,
 }
 
+/// A named frame field.
+type Field = (&'static str, Json);
+
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -121,11 +124,21 @@ impl Frame {
 
     /// Serializes the frame as a single JSON object.
     pub fn to_json(&self) -> Json {
+        let (mut fields, payload) = self.fields();
+        fields.extend(payload.map(|(key, v)| (key, v.clone())));
+        Json::obj(fields)
+    }
+
+    /// The frame's fields in wire order, except that its payload document
+    /// (a batch's `requests`, a report), which is always the last field,
+    /// comes apart and borrowed so that writing a frame never copies it.
+    fn fields(&self) -> (Vec<Field>, Option<(&'static str, &Json)>) {
         let mut fields = vec![("proto", Json::str(PROTO)), ("op", Json::str(self.op()))];
         match self {
             Frame::Batch { requests } | Frame::Synth { requests } => {
-                fields.push(("requests", requests.clone()));
+                return (fields, Some(("requests", requests)));
             }
+            Frame::Report(v) => return (fields, Some(("report", v))),
             Frame::Get { digest } => fields.push(("digest", Json::str(digest.clone()))),
             Frame::Put { entries } => fields.push((
                 "entries",
@@ -143,7 +156,6 @@ impl Frame {
                 ),
             )),
             Frame::Ping | Frame::Stats => {}
-            Frame::Report(v) => fields.push(("report", v.clone())),
             Frame::Entry { found } => match found {
                 Some((kind, entry)) => {
                     fields.push(("found", Json::Bool(true)));
@@ -156,11 +168,24 @@ impl Frame {
             Frame::Pong { shard } => fields.push(("shard", Json::count(*shard))),
             Frame::Error { message } => fields.push(("error", Json::str(message.clone()))),
         }
-        Json::obj(fields)
+        (fields, None)
     }
 
     /// Parses a frame, checking the protocol version.
     pub fn from_json(v: &Json) -> Result<Frame, String> {
+        Frame::from_owned(v.clone())
+    }
+
+    /// [`Frame::from_json`] on an owned document: the payload moves into
+    /// the frame instead of being copied.
+    fn from_owned(mut v: Json) -> Result<Frame, String> {
+        let payload = match (payload_key(&v), &mut v) {
+            (Some(key), Json::Obj(pairs)) => pairs
+                .iter()
+                .position(|(k, _)| k == key)
+                .map(|i| pairs.remove(i).1),
+            _ => None,
+        };
         let proto = v
             .get("proto")
             .and_then(Json::as_str)
@@ -174,17 +199,14 @@ impl Frame {
             .get("op")
             .and_then(Json::as_str)
             .ok_or("frame: missing op")?;
-        let requests = || {
-            v.get("requests")
-                .cloned()
-                .ok_or_else(|| format!("frame: `{op}` needs requests"))
-        };
+        let requests =
+            |payload: Option<Json>| payload.ok_or_else(|| format!("frame: `{op}` needs requests"));
         match op {
             "batch" => Ok(Frame::Batch {
-                requests: requests()?,
+                requests: requests(payload)?,
             }),
             "synth" => Ok(Frame::Synth {
-                requests: requests()?,
+                requests: requests(payload)?,
             }),
             "get" => Ok(Frame::Get {
                 digest: v
@@ -224,9 +246,7 @@ impl Frame {
             }
             "ping" => Ok(Frame::Ping),
             "stats" => Ok(Frame::Stats),
-            "report" => Ok(Frame::Report(
-                v.get("report").cloned().unwrap_or(Json::Null),
-            )),
+            "report" => Ok(Frame::Report(payload.unwrap_or(Json::Null))),
             "entry" => {
                 let found = v.get("found").and_then(Json::as_bool).unwrap_or(false);
                 if !found {
@@ -265,10 +285,26 @@ impl Frame {
 
     /// Writes the frame as one NDJSON line.
     pub fn write_line(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut line = self.to_json().write();
+        let (fields, payload) = self.fields();
+        let mut line = Json::obj(fields).write();
+        if let Some((key, v)) = payload {
+            line.pop(); // the closing brace
+            line.push_str(&format!(",\"{key}\":"));
+            v.write_into(&mut line);
+            line.push('}');
+        }
         line.push('\n');
         w.write_all(line.as_bytes())?;
         w.flush()
+    }
+}
+
+/// The field that carries the payload document of a frame with this op.
+fn payload_key(v: &Json) -> Option<&'static str> {
+    match v.get("op").and_then(Json::as_str)? {
+        "batch" | "synth" => Some("requests"),
+        "report" => Some("report"),
+        _ => None,
     }
 }
 
@@ -300,7 +336,7 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Incoming>> {
     }
     let classified = match Json::parse(&line) {
         Ok(v) if v.get("proto").is_none() => Incoming::Legacy(line.trim().to_string()),
-        Ok(v) => match Frame::from_json(&v) {
+        Ok(v) => match Frame::from_owned(v) {
             Ok(f) => Incoming::Frame(f),
             Err(e) => Incoming::Malformed(e),
         },
@@ -348,6 +384,30 @@ mod tests {
         for f in frames {
             let back = Frame::from_json(&f.to_json()).unwrap();
             assert_eq!(back, f);
+        }
+    }
+
+    #[test]
+    fn written_lines_are_the_json_encoding() {
+        let frames = [
+            Frame::Batch {
+                requests: Json::Arr(vec![Json::obj(vec![("source", Json::str("void f() {}"))])]),
+            },
+            Frame::Synth {
+                requests: Json::Arr(Vec::new()),
+            },
+            Frame::Report(Json::obj(vec![("outcomes", Json::Arr(Vec::new()))])),
+            Frame::Stored { stored: 3 },
+        ];
+        for f in frames {
+            let mut buf = Vec::new();
+            f.write_line(&mut buf).unwrap();
+            assert_eq!(
+                String::from_utf8(buf.clone()).unwrap(),
+                f.to_json().write() + "\n"
+            );
+            let back = read_frame(&mut std::io::Cursor::new(buf)).unwrap().unwrap();
+            assert_eq!(back, Incoming::Frame(f));
         }
     }
 

@@ -167,7 +167,8 @@ impl Json {
         out
     }
 
-    fn write_into(&self, out: &mut String) {
+    /// Appends the compact deterministic encoding to `out`.
+    pub fn write_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

@@ -62,15 +62,12 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first problem found (lexical,
-/// syntactic, unknown name, non-constant loop bound, or a decimal constant
-/// with no exact binary representation).
+/// syntactic, unknown name, non-constant loop bound, an integer literal
+/// above `i64::MAX`, or a decimal constant with no exact binary
+/// representation in at most 30 fraction bits).
 pub fn parse_function(src: &str) -> Result<Function, ParseError> {
-    let tokens = lex(src).map_err(|e| ParseError {
-        message: e.to_string(),
-        line: e.line,
-    })?;
     let mut p = Parser {
-        toks: tokens,
+        toks: lex(src)?,
         pos: 0,
         vars: Vec::new(),
         params: Vec::new(),
@@ -80,28 +77,30 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
     p.function()
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// Recursive-descent state. Names stay borrowed from the source until
+/// `declare` stores one in a [`Var`].
+struct Parser<'s> {
+    toks: Vec<Token<'s>>,
     pos: usize,
     vars: Vec<Var>,
     params: Vec<VarId>,
-    scopes: Vec<HashMap<String, VarId>>,
-    consts: HashMap<String, i64>,
+    scopes: Vec<HashMap<&'s str, VarId>>,
+    consts: HashMap<&'s str, i64>,
 }
 
-impl Parser {
+impl<'s> Parser<'s> {
     // ----- token helpers -------------------------------------------------
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].kind
+    fn peek(&self) -> Tok<'s> {
+        self.toks[self.pos].kind
     }
 
     fn line(&self) -> u32 {
         self.toks[self.pos].line
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].kind.clone();
+    fn bump(&mut self) -> Tok<'s> {
+        let t = self.toks[self.pos].kind;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -117,7 +116,7 @@ impl Parser {
 
     fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
         match self.peek() {
-            Tok::Punct(q) if *q == p => {
+            Tok::Punct(q) if q == p => {
                 self.bump();
                 Ok(())
             }
@@ -126,7 +125,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Tok::Punct(q) if *q == p) {
+        if matches!(self.peek(), Tok::Punct(q) if q == p) {
             self.bump();
             true
         } else {
@@ -134,8 +133,8 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn expect_ident(&mut self) -> Result<&'s str, ParseError> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -155,7 +154,7 @@ impl Parser {
 
     // ----- names ----------------------------------------------------------
 
-    fn declare(&mut self, name: &str, ty: Ty, kind: VarKind, len: Option<usize>) -> VarId {
+    fn declare(&mut self, name: &'s str, ty: Ty, kind: VarKind, len: Option<usize>) -> VarId {
         let id = VarId::from_raw(self.vars.len() as u32);
         self.vars.push(Var {
             name: name.to_string(),
@@ -166,7 +165,7 @@ impl Parser {
         self.scopes
             .last_mut()
             .expect("scope stack never empty")
-            .insert(name.to_string(), id);
+            .insert(name, id);
         id
     }
 
@@ -182,7 +181,7 @@ impl Parser {
         let name = self.expect_ident()?;
         let default = (Quantization::Trn, Overflow::Wrap);
         let (q, o) = default;
-        match name.as_str() {
+        match name {
             "int" => Ok((Ty::int(32), q, o)),
             "bool" => Ok((Ty::uint(1), q, o)),
             "sc_fixed" | "sc_ufixed" => {
@@ -251,7 +250,7 @@ impl Parser {
 
     fn parse_quant(&mut self) -> Result<Quantization, ParseError> {
         let m = self.expect_ident()?;
-        match m.as_str() {
+        match m {
             "SC_TRN" => Ok(Quantization::Trn),
             "SC_TRN_ZERO" => Ok(Quantization::TrnZero),
             "SC_RND" => Ok(Quantization::Rnd),
@@ -265,7 +264,7 @@ impl Parser {
 
     fn parse_ovf(&mut self) -> Result<Overflow, ParseError> {
         let m = self.expect_ident()?;
-        match m.as_str() {
+        match m {
             "SC_WRAP" => Ok(Overflow::Wrap),
             "SC_SAT" => Ok(Overflow::Sat),
             "SC_SAT_ZERO" => Ok(Overflow::SatZero),
@@ -279,7 +278,7 @@ impl Parser {
         match self.peek() {
             Tok::Ident(s) => {
                 matches!(
-                    s.as_str(),
+                    s,
                     "int" | "bool" | "sc_fixed" | "sc_ufixed" | "sc_int" | "sc_uint"
                 ) || (s.starts_with("int") && s[3..].parse::<u32>().is_ok())
                     || (s.starts_with("uint") && s[4..].parse::<u32>().is_ok())
@@ -338,13 +337,13 @@ impl Parser {
             self.expect_punct(")")?;
             return Ok(v);
         }
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(v)
             }
             Tok::Ident(name) => {
-                if let Some(v) = self.consts.get(&name).copied() {
+                if let Some(v) = self.consts.get(name).copied() {
                     self.bump();
                     Ok(v)
                 } else {
@@ -389,7 +388,7 @@ impl Parser {
             other => return self.err(format!("trailing input after function: {other}")),
         }
         Ok(Function {
-            name,
+            name: name.to_string(),
             vars: std::mem::take(&mut self.vars),
             params: std::mem::take(&mut self.params),
             body,
@@ -408,7 +407,7 @@ impl Parser {
         if pointer && len.is_some() {
             return self.err("a parameter cannot be both a pointer and an array");
         }
-        let id = self.declare(&name, ty, VarKind::Param, len);
+        let id = self.declare(name, ty, VarKind::Param, len);
         self.params.push(id);
         Ok(())
     }
@@ -460,7 +459,7 @@ impl Parser {
                 None
             };
             self.expect_punct(";")?;
-            self.declare(&name, ty, VarKind::Static, len);
+            self.declare(name, ty, VarKind::Static, len);
             return Ok(());
         }
         // if (...) {...} else {...}
@@ -485,13 +484,13 @@ impl Parser {
             return Ok(());
         }
         // label: for (...)
-        if let Tok::Ident(name) = self.peek().clone() {
-            if matches!(&self.toks[self.pos + 1].kind, Tok::Punct(":"))
-                && matches!(&self.toks.get(self.pos + 2).map(|t| &t.kind), Some(Tok::Ident(s)) if s == "for")
+        if let Tok::Ident(name) = self.peek() {
+            if matches!(self.toks[self.pos + 1].kind, Tok::Punct(":"))
+                && matches!(self.toks.get(self.pos + 2), Some(t) if t.kind == Tok::Ident("for"))
             {
                 self.bump(); // label
                 self.bump(); // ':'
-                let stmt = self.for_loop(name)?;
+                let stmt = self.for_loop(name.to_string())?;
                 out.push(stmt);
                 return Ok(());
             }
@@ -505,7 +504,7 @@ impl Parser {
             } else {
                 None
             };
-            let id = self.declare(&name, ty, VarKind::Local, len);
+            let id = self.declare(name, ty, VarKind::Local, len);
             if self.eat_punct("=") {
                 if len.is_some() {
                     return self.err("array initializers are not supported");
@@ -518,10 +517,8 @@ impl Parser {
         }
         // Assignment: lvalue (=|+=|-=) expr ;
         let (target, index) = self.lvalue()?;
-        let op = match self.peek().clone() {
-            Tok::Punct("=") => "=",
-            Tok::Punct("+=") => "+=",
-            Tok::Punct("-=") => "-=",
+        let op = match self.peek() {
+            Tok::Punct(op @ ("=" | "+=" | "-=")) => op,
             other => return self.err(format!("expected an assignment operator, found {other}")),
         };
         self.bump();
@@ -557,9 +554,9 @@ impl Parser {
         let counter_is_decl = self.eat_keyword("int");
         let counter_name = self.expect_ident()?;
         let var = if counter_is_decl {
-            self.declare(&counter_name, Ty::int(32), VarKind::Counter, None)
+            self.declare(counter_name, Ty::int(32), VarKind::Counter, None)
         } else {
-            match self.lookup(&counter_name) {
+            match self.lookup(counter_name) {
                 Some(v) => v,
                 None => return self.err(format!("unknown loop counter `{counter_name}`")),
             }
@@ -609,13 +606,13 @@ impl Parser {
     fn lvalue(&mut self) -> Result<(VarId, Option<Expr>), ParseError> {
         if self.eat_punct("*") {
             let name = self.expect_ident()?;
-            return match self.lookup(&name) {
+            return match self.lookup(name) {
                 Some(v) => Ok((v, None)),
                 None => self.err(format!("unknown variable `{name}`")),
             };
         }
         let name = self.expect_ident()?;
-        let Some(v) = self.lookup(&name) else {
+        let Some(v) = self.lookup(name) else {
             return self.err(format!("unknown variable `{name}`"));
         };
         if self.eat_punct("[") {
@@ -733,14 +730,14 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::int_const(v))
             }
             Tok::Decimal(text) => {
                 self.bump();
-                self.decimal_const(&text)
+                self.decimal_const(text)
             }
             Tok::Ident(name) => {
                 // Builtin: sign(expr).
@@ -751,12 +748,12 @@ impl Parser {
                     self.expect_punct(")")?;
                     return Ok(Expr::signum(arg));
                 }
-                if let Some(v) = self.consts.get(&name).copied() {
+                if let Some(v) = self.consts.get(name).copied() {
                     self.bump();
                     return Ok(Expr::int_const(v));
                 }
                 self.bump();
-                let Some(var) = self.lookup(&name) else {
+                let Some(var) = self.lookup(name) else {
                     return self.err(format!("unknown variable `{name}`"));
                 };
                 if self.eat_punct("[") {
@@ -772,31 +769,38 @@ impl Parser {
     }
 
     /// Converts a decimal literal to an exact binary fixed-point constant.
+    ///
+    /// With its digits read as the integer `m` and `k` of them after the
+    /// point, the literal is `m / 10^k`, which is exact in binary iff `5^k`
+    /// divides `m`; it then equals `(m / 5^k) / 2^k`. Trailing fraction
+    /// zeros are dropped first, so that quotient is odd and `k` is the
+    /// number of fraction bits the constant needs.
     fn decimal_const(&mut self, text: &str) -> Result<Expr, ParseError> {
-        let v: f64 = text.parse().map_err(|_| ParseError {
-            message: format!("bad decimal `{text}`"),
+        let (whole, fraction) = text.split_once('.').unwrap_or((text, ""));
+        let fraction = fraction.trim_end_matches('0');
+        let mut digits = whole.bytes().chain(fraction.bytes());
+        let Some(m) = digits.try_fold(0i128, |m, d| {
+            m.checked_mul(10)?.checked_add(i128::from(d - b'0'))
+        }) else {
+            return self.err(format!("decimal `{text}` has too many digits"));
+        };
+        let frac = fraction.len();
+        if frac > 30 || m % 5i128.pow(frac as u32) != 0 {
+            return self.err(format!(
+                "decimal `{text}` has no exact binary representation"
+            ));
+        }
+        let mantissa = m / 5i128.pow(frac as u32);
+        let width = BitInt::required_width(mantissa, Signedness::Signed).max(2);
+        if width > fixpt::MAX_WIDTH {
+            return self.err(format!("decimal `{text}` needs {width} bits"));
+        }
+        let fmt = Format::signed(width, width as i32 - frac as i32);
+        let f = Fixed::from_raw(mantissa, fmt).map_err(|e| ParseError {
+            message: e.to_string(),
             line: self.line(),
         })?;
-        // Find the smallest fractional bit count that represents it exactly.
-        for frac in 0..=30u32 {
-            let scaled = v * 2f64.powi(frac as i32);
-            if (scaled - scaled.round()).abs() < 1e-9 {
-                let mantissa = scaled.round() as i128;
-                let width = BitInt::required_width(mantissa, Signedness::Signed).max(2);
-                if width > fixpt::MAX_WIDTH {
-                    return self.err(format!("decimal `{text}` needs {width} bits"));
-                }
-                let fmt = Format::signed(width, width as i32 - frac as i32);
-                let f = Fixed::from_raw(mantissa, fmt).map_err(|e| ParseError {
-                    message: e.to_string(),
-                    line: self.line(),
-                })?;
-                return Ok(Expr::Const(f));
-            }
-        }
-        self.err(format!(
-            "decimal `{text}` has no exact binary representation"
-        ))
+        Ok(Expr::Const(f))
     }
 }
 
@@ -937,6 +941,83 @@ mod tests {
             err.message.contains("no exact binary representation"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn out_of_range_integer_literals_rejected() {
+        for (src, literal) in [
+            (
+                "void f(int8 *o) {\n l: for (int k = 0; k < 18446744073709551620; k++) { *o = k; } }",
+                "18446744073709551620",
+            ),
+            (
+                "void f(int8 *o) {\n *o = 99999999999999999999; }",
+                "99999999999999999999",
+            ),
+            ("void f(int8 *o) {\n *o = 9223372036854775808; }", "9223372036854775808"),
+        ] {
+            let err = parse_function(src).expect_err("literal out of range");
+            assert_eq!(err.line, 2, "{err}");
+            assert!(err.message.contains(&format!("`{literal}`")), "{err}");
+        }
+        let f = parse_function("void f(int64 *o) { *o = 9223372036854775807; }").expect("parses");
+        assert!(matches!(
+            &f.body[..],
+            [Stmt::Assign { value, .. }] if *value == Expr::int_const(i64::MAX)
+        ));
+    }
+
+    /// The constant a one-assignment source stores.
+    fn assigned_const(text: &str) -> Result<Fixed, ParseError> {
+        let f = parse_function(&format!("void f(sc_fixed<10,2> *o) {{ *o = {text}; }}"))?;
+        match &f.body[..] {
+            [Stmt::Assign {
+                value: Expr::Const(c),
+                ..
+            }] => Ok(*c),
+            other => panic!("{text}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decimal_exactness_decided_on_the_digits() {
+        for text in [
+            "0.5000000000001",
+            "0.06250000000000000001",
+            "0.0000000001",
+            "123456789.123",
+        ] {
+            let err = assigned_const(text).expect_err(text);
+            assert!(
+                err.message.contains("no exact binary representation"),
+                "{err}"
+            );
+        }
+        // (text, mantissa, width, integer bits): 2^-30 and 3 + 2^-30 are
+        // exact, the rest read as they always have.
+        for (text, raw, width, int_bits) in [
+            ("0.000000000931322574615478515625", 1, 2, -28),
+            ("3.000000000931322574615478515625", 3 << 30 | 1, 33, 3),
+            ("0.0625", 1, 2, -2),
+            ("0.00390625", 1, 2, -6),
+            ("0.5", 1, 2, 1),
+            ("0.50", 1, 2, 1),
+            ("1.5", 3, 3, 2),
+            ("1.", 1, 2, 2),
+            ("40.0", 40, 7, 7),
+        ] {
+            let fmt = Format::signed(width, int_bits);
+            assert_eq!(
+                assigned_const(text).expect(text),
+                Fixed::from_raw(raw, fmt).expect("in range"),
+                "{text}"
+            );
+        }
+        let long = format!("1{}.5", "0".repeat(40));
+        let err = assigned_const(&long).expect_err("too many digits");
+        assert!(err.message.contains("too many digits"), "{err}");
+        let err = assigned_const("36893488147419103232.5").expect_err("too wide");
+        assert!(err.message.contains("needs 68 bits"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,16 @@ proptest! {
         let _ = parse_function(&s);
     }
 
+    /// Text mixing ASCII with non-ASCII whitespace, letters and CJK never
+    /// panics: the lexer walks bytes and slices the source at byte offsets.
+    #[test]
+    fn non_ascii_text_never_panics(
+        s in "[a-z_0-9 .;=+*/#<>(){}\n\u{b}\u{85}\u{a0}\u{2028}\u{3000}éßΩ中文字]{0,160}"
+    ) {
+        let _ = parse_function(&s);
+        let _ = parse_function(&format!("void f(int8 *o) {{ *o = 1; }}{s}"));
+    }
+
     /// Token-shaped garbage (valid lexemes, random order) never panics.
     #[test]
     fn token_soup_never_panics(parts in prop::collection::vec(
