@@ -1,10 +1,15 @@
 //! Criterion bench: cost of each flow stage in isolation — parsing C
-//! source, transforms, lowering, scheduling — over the decoder IR.
+//! source, transforms, lowering, scheduling — over the decoder IR, and
+//! one warm store hit served by a cluster node.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hls_cluster::{read_frame, ClusterConfig, ClusterNode, Frame, Incoming};
 use hls_core::{apply_loop_transforms, lower, schedule_dfg, Directives, TechLibrary};
 use hls_ir::parse_function;
-use qam_decoder::{build_qam_decoder_ir, DecoderParams, QAM_DECODER_SOURCE};
+use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
+use qam_decoder::{
+    build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams, QAM_DECODER_SOURCE,
+};
 
 /// A 32-tap FIR in the shape of the end-to-end benchmark's FIR family.
 const FIR_SOURCE: &str =
@@ -61,5 +66,48 @@ fn bench_stages(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_stages);
+/// One warm decoder hit through a `ClusterNode`, in process: from the
+/// request frame's bytes to the reply line's bytes, as `handle_connection`
+/// answers each frame (without the socket).
+fn bench_serve_hit(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("flow-stages-serve-hit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir, StoreConfig::default()).expect("store opens");
+    let node = ClusterNode::new(ClusterConfig::single(ServiceConfig::default()), store)
+        .expect("node builds");
+    let merged = table1_architectures().remove(0);
+    let request = SynthesisRequest {
+        design: merged.name.to_string(),
+        source: QAM_DECODER_SOURCE.to_string(),
+        directives: merged.directives,
+        library: table1_library(),
+        verify: false,
+    };
+    let mut frame = Vec::new();
+    Frame::Batch {
+        requests: batch_to_json(&[request]),
+    }
+    .write_line(&mut frame)
+    .expect("frames write to memory");
+    let call = || {
+        let Ok(Some(Incoming::Frame(f))) = read_frame(&mut frame.as_slice()) else {
+            panic!("the request frame reads back");
+        };
+        node.reply_line(f)
+    };
+    assert!(
+        !call().contains("\"cache_hit\":true"),
+        "the first call synthesizes"
+    );
+    assert!(
+        call().contains("\"cache_hit\":true"),
+        "the second call hits"
+    );
+    let mut g = c.benchmark_group("flow_stages");
+    g.bench_function("serve_hit", |b| b.iter(call));
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(benches, bench_stages, bench_serve_hit);
 criterion_main!(benches);

@@ -45,7 +45,9 @@ use std::time::Duration;
 
 use hls_cluster::{serve, Addr, ClusterConfig, ClusterNode, Listener, DEFAULT_VNODES};
 use hls_core::{PassCache, PassCacheConfig};
-use hls_serve::{parse_batch, serve_batch, ArtifactStore, ServiceConfig, StoreConfig};
+use hls_serve::{
+    parse_batch, prepare_batch, serve_encoded, ArtifactStore, ServiceConfig, StoreConfig,
+};
 use hls_verify::{ProofCache, ProofCacheConfig};
 
 const EXAMPLE: &str = r#"{"requests": [
@@ -188,7 +190,10 @@ fn parse_args() -> Result<Options, String> {
 
 fn serve_text(text: &str, store: &ArtifactStore, cfg: &ServiceConfig) -> String {
     match parse_batch(text) {
-        Ok(requests) => serve_batch(&requests, store, cfg).to_json(store).write(),
+        Ok(requests) => {
+            let prepared = prepare_batch(&requests);
+            serve_encoded(requests.iter().zip(&prepared), store, cfg).write_report(store)
+        }
         Err(e) => format!("{{\"error\":{}}}", hls_ir::Json::str(e).write()),
     }
 }

@@ -20,8 +20,14 @@
 //!
 //! A batch is prepared (parsed and digested) once, on arrival: the
 //! digests route it, claim its in-flight slots, and are handed with the
-//! parsed functions to [`serve_prepared`], so the service never parses
+//! parsed functions to [`serve_encoded`], so the service never parses
 //! or digests a request again.
+//!
+//! The report is written as text in one pass ([`ReportText`]): each
+//! local outcome splices its artifact's stored bytes after its head
+//! fields, so a hit is never decoded or re-encoded on its way to the
+//! socket. The `Json` forms ([`ClusterNode::route_batch`],
+//! [`ClusterNode::handle`]) parse that same text.
 //!
 //! Fresh results (positive artifacts *and* fresh negative-cache
 //! entries) are replicated synchronously to the next `replicas - 1`
@@ -37,15 +43,16 @@ use std::time::Duration;
 
 use hls_ir::Json;
 use hls_serve::{
-    batch_to_json, parse_batch, prepare_batch, serve_prepared, ArtifactStore, CountersSnapshot,
-    EntryKind, Prepared, RequestOutcome, ServiceConfig, SynthesisRequest,
+    batch_to_json, parse_batch, prepare_batch, serve_encoded, ArtifactStore, CountersSnapshot,
+    EncodedOutcome, EntryKind, Prepared, ReportText, RequestOutcome, ServiceConfig,
+    SynthesisRequest,
 };
 
 use crate::listen::{Connection, Listener};
 use crate::peer::{Addr, PeerClient};
 use crate::replicate::replicate_entries;
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::wire::{read_frame, Frame, Incoming};
+use crate::wire::{read_frame, report_line, Frame, Incoming};
 
 /// How long a follower waits on an in-flight executor before giving up
 /// and synthesizing on its own (covers an executor that died mid-job).
@@ -116,7 +123,7 @@ impl NodeCounters {
 
 /// One in-flight synthesis, shared between its executor and followers.
 struct InflightSlot {
-    done: Mutex<Option<RequestOutcome>>,
+    done: Mutex<Option<EncodedOutcome>>,
     cv: Condvar,
 }
 
@@ -127,6 +134,17 @@ pub struct ClusterNode {
     pub(crate) store: ArtifactStore,
     pub(crate) counters: NodeCounters,
     inflight: Mutex<HashMap<String, Arc<InflightSlot>>>,
+}
+
+/// One request's answer, as the report writes it.
+#[derive(Clone)]
+enum Answer {
+    /// Served on this shard.
+    Local(EncodedOutcome),
+    /// Served on this shard because its owner could not be reached.
+    Fallback(EncodedOutcome, String),
+    /// The owner's reply.
+    Remote(Json),
 }
 
 /// Where one request's digest routes.
@@ -172,8 +190,8 @@ impl ClusterNode {
     /// Answers one protocol frame.
     pub fn handle(&self, frame: Frame) -> Frame {
         match frame {
-            Frame::Batch { requests } => self.handle_batch_json(&requests, false),
-            Frame::Synth { requests } => self.handle_batch_json(&requests, true),
+            Frame::Batch { requests } => self.report_frame(&requests, false),
+            Frame::Synth { requests } => self.report_frame(&requests, true),
             Frame::Get { digest } => {
                 let found = self
                     .store
@@ -235,27 +253,54 @@ impl ClusterNode {
         }
     }
 
+    /// Answers one protocol frame with its reply line, newline included:
+    /// the bytes `self.handle(frame).write_line` writes, with a batch
+    /// report written straight from the service's bytes.
+    pub fn reply_line(&self, frame: Frame) -> String {
+        let report = match &frame {
+            Frame::Batch { requests } => self.handle_batch(requests, false),
+            Frame::Synth { requests } => self.handle_batch(requests, true),
+            _ => return self.handle(frame).line(),
+        };
+        match report {
+            Ok(report) => report_line(&report),
+            Err(message) => Frame::Error { message }.line(),
+        }
+    }
+
     /// Serves a legacy (pre-cluster) plain-batch line: JSON in, the
     /// report document out, exactly as `synthd --socket` always spoke.
     pub fn handle_legacy(&self, line: &str) -> String {
         match parse_batch(line) {
-            Ok(requests) => self.route_batch(&requests, false).write(),
+            Ok(requests) => self.write_report(&requests, false),
             Err(e) => format!("{{\"error\":{}}}", Json::str(e).write()),
         }
     }
 
-    fn handle_batch_json(&self, requests: &Json, forwarded: bool) -> Frame {
-        match hls_serve::batch_from_json(requests) {
-            Ok(requests) => Frame::Report(self.route_batch(&requests, forwarded)),
-            Err(e) => Frame::Error { message: e },
+    fn report_frame(&self, requests: &Json, forwarded: bool) -> Frame {
+        match self.handle_batch(requests, forwarded) {
+            Ok(report) => Frame::Report(parse_report(&report)),
+            Err(message) => Frame::Error { message },
         }
     }
 
-    /// Routes a parsed batch and builds the report document:
+    /// A batch frame's report text, or why the batch does not parse.
+    fn handle_batch(&self, requests: &Json, forwarded: bool) -> Result<String, String> {
+        hls_serve::batch_from_json(requests).map(|requests| self.write_report(&requests, forwarded))
+    }
+
+    /// Routes a parsed batch and returns the report document:
     /// `{"outcomes": [...], "counters": {...}, "routing": {...},
     /// "store": {...}}` with outcomes in request order regardless of
-    /// which shard served each one.
+    /// which shard served each one. This is the parse of the report text
+    /// [`handle_connection`] writes.
     pub fn route_batch(&self, requests: &[SynthesisRequest], forwarded: bool) -> Json {
+        parse_report(&self.write_report(requests, forwarded))
+    }
+
+    /// Routes a parsed batch and writes the report as text in one pass
+    /// (see [`ClusterNode::route_batch`] for its layout).
+    fn write_report(&self, requests: &[SynthesisRequest], forwarded: bool) -> String {
         let single = self.cfg.members.len() <= 1;
         let prepared = prepare_batch(requests);
         let routes: Vec<Route> = prepared
@@ -294,7 +339,7 @@ impl ClusterNode {
             .forwarded
             .fetch_add(forwarded_n, Ordering::Relaxed);
 
-        let mut outcomes: Vec<Option<Json>> = vec![None; requests.len()];
+        let mut answers: Vec<Option<Answer>> = vec![None; requests.len()];
         let mut counters = CountersSnapshot::default();
         let mut fallback_n = 0u64;
 
@@ -324,7 +369,7 @@ impl ClusterNode {
 
             let (local_outcomes, local_counters) = self.serve_local(requests, &prepared, &local);
             for (slot, outcome) in local.iter().zip(local_outcomes) {
-                outcomes[*slot] = Some(outcome.to_json());
+                answers[*slot] = Some(Answer::Local(outcome));
             }
             counters = local_counters;
 
@@ -349,7 +394,7 @@ impl ClusterNode {
                         .and_then(Json::as_arr)
                         .unwrap_or(&empty);
                     for (slot, outcome) in indices.iter().zip(remote_outcomes) {
-                        outcomes[*slot] = Some(outcome.clone());
+                        answers[*slot] = Some(Answer::Remote(outcome.clone()));
                     }
                     // A short reply (peer bug) leaves `None`s, filled as
                     // errors below rather than panicking here.
@@ -362,11 +407,7 @@ impl ClusterNode {
                     let (fallback_outcomes, fallback_counters) =
                         self.serve_local(requests, &prepared, &indices);
                     for (slot, outcome) in indices.iter().zip(fallback_outcomes) {
-                        let mut v = outcome.to_json();
-                        if let Json::Obj(fields) = &mut v {
-                            fields.push(("forward_error".to_string(), Json::str(e.clone())));
-                        }
-                        outcomes[*slot] = Some(v);
+                        answers[*slot] = Some(Answer::Fallback(outcome, e.clone()));
                     }
                     merge_counters(&mut counters, &fallback_counters);
                 }
@@ -376,33 +417,33 @@ impl ClusterNode {
             .fallback_local
             .fetch_add(fallback_n, Ordering::Relaxed);
 
-        let outcomes: Vec<Json> = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| {
-                o.unwrap_or_else(|| {
-                    Json::obj(vec![
-                        ("design", Json::str(requests[i].design.clone())),
-                        ("error", Json::str("peer reply omitted this request")),
-                    ])
-                })
-            })
-            .collect();
-
-        Json::obj(vec![
-            ("outcomes", Json::Arr(outcomes)),
-            ("counters", counters.to_json()),
-            (
-                "routing",
-                Json::obj(vec![
-                    ("self", Json::count(self.cfg.self_index as u64)),
-                    ("local", Json::count(local.len() as u64)),
-                    ("forwarded", Json::count(forwarded_n)),
-                    ("fallback_local", Json::count(fallback_n)),
-                ]),
-            ),
-            ("store", self.store.stats().to_json()),
-        ])
+        let mut report = ReportText::new();
+        for (i, answer) in answers.iter().enumerate() {
+            let out = report.next_outcome();
+            match answer {
+                Some(Answer::Local(o)) => o.write_into(out),
+                Some(Answer::Fallback(o, e)) => {
+                    o.write_into(out);
+                    out.pop(); // the closing brace
+                    out.push_str(",\"forward_error\":");
+                    Json::str(e.clone()).write_into(out);
+                    out.push('}');
+                }
+                Some(Answer::Remote(v)) => v.write_into(out),
+                None => Json::obj(vec![
+                    ("design", Json::str(requests[i].design.clone())),
+                    ("error", Json::str("peer reply omitted this request")),
+                ])
+                .write_into(out),
+            }
+        }
+        let routing = Json::obj(vec![
+            ("self", Json::count(self.cfg.self_index as u64)),
+            ("local", Json::count(local.len() as u64)),
+            ("forwarded", Json::count(forwarded_n)),
+            ("fallback_local", Json::count(fallback_n)),
+        ]);
+        report.finish(&counters, vec![("routing", routing)], &self.store)
     }
 
     /// Serves the requests at `indices` on this shard with
@@ -414,7 +455,7 @@ impl ClusterNode {
         requests: &[SynthesisRequest],
         prepared: &[Prepared],
         indices: &[usize],
-    ) -> (Vec<RequestOutcome>, CountersSnapshot) {
+    ) -> (Vec<EncodedOutcome>, CountersSnapshot) {
         // Claim or follow the in-flight slot for each digest. Requests
         // that fail to parse have no digest and always run.
         enum Part {
@@ -451,7 +492,7 @@ impl ClusterNode {
             .filter(|(_, p)| matches!(p, Part::Run))
             .map(|(i, _)| *i)
             .collect();
-        let report = serve_prepared(
+        let report = serve_encoded(
             to_run.iter().map(|&i| (&requests[i], &prepared[i])),
             &self.store,
             &self.cfg.service,
@@ -476,12 +517,14 @@ impl ClusterNode {
             let fresh: Vec<(String, EntryKind)> = report
                 .outcomes
                 .iter()
-                .filter(|o| !o.cache_hit && !o.rejected && !o.digest.is_empty())
+                .filter(|o| !o.outcome.cache_hit && !o.outcome.rejected)
+                .filter(|o| !o.outcome.digest.is_empty())
                 .filter_map(|o| {
+                    let digest = o.outcome.digest.clone();
                     if o.artifact.is_some() {
-                        Some((o.digest.clone(), EntryKind::Positive))
-                    } else if o.failure.is_some() && !o.negative_hit {
-                        Some((o.digest.clone(), EntryKind::Negative))
+                        Some((digest, EntryKind::Positive))
+                    } else if o.outcome.failure.is_some() && !o.outcome.negative_hit {
+                        Some((digest, EntryKind::Negative))
                     } else {
                         None
                     }
@@ -490,7 +533,7 @@ impl ClusterNode {
             replicate_entries(self, &fresh);
         }
 
-        let mut by_index: HashMap<usize, RequestOutcome> = to_run
+        let mut by_index: HashMap<usize, EncodedOutcome> = to_run
             .iter()
             .zip(report.outcomes)
             .map(|(&i, o)| (i, o))
@@ -507,14 +550,14 @@ impl ClusterNode {
                         .fetch_add(1, Ordering::Relaxed);
                     match wait_inflight(&slot) {
                         Some(mut o) => {
-                            o.deduped = true;
+                            o.outcome.deduped = true;
                             o
                         }
                         // The executor died or timed out: run it
                         // ourselves rather than hang the client.
                         None => {
                             let one = [(&requests[i], &prepared[i])];
-                            let mut r = serve_prepared(one, &self.store, &self.cfg.service);
+                            let mut r = serve_encoded(one, &self.store, &self.cfg.service);
                             r.outcomes
                                 .pop()
                                 .unwrap_or_else(|| missing_outcome(&requests[i].design))
@@ -527,8 +570,8 @@ impl ClusterNode {
     }
 }
 
-fn missing_outcome(design: &str) -> RequestOutcome {
-    RequestOutcome {
+fn missing_outcome(design: &str) -> EncodedOutcome {
+    let outcome = RequestOutcome {
         design: design.to_string(),
         digest: String::new(),
         cache_hit: false,
@@ -540,10 +583,14 @@ fn missing_outcome(design: &str) -> RequestOutcome {
         diagnostics: None,
         artifact: None,
         error: Some("internal: outcome missing from batch report".to_string()),
+    };
+    EncodedOutcome {
+        outcome,
+        artifact: None,
     }
 }
 
-fn wait_inflight(slot: &InflightSlot) -> Option<RequestOutcome> {
+fn wait_inflight(slot: &InflightSlot) -> Option<EncodedOutcome> {
     let mut done = slot.done.lock().unwrap_or_else(|e| e.into_inner());
     let deadline = std::time::Instant::now() + INFLIGHT_WAIT;
     while done.is_none() {
@@ -558,6 +605,16 @@ fn wait_inflight(slot: &InflightSlot) -> Option<RequestOutcome> {
         done = guard;
     }
     done.clone()
+}
+
+/// The document form of a report `ClusterNode::write_report` wrote.
+fn parse_report(text: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| {
+        Json::obj(vec![(
+            "error",
+            Json::str(format!("internal: report does not parse: {e}")),
+        )])
+    })
 }
 
 /// Sums `extra` into `into` (numeric counters and histograms both).
@@ -611,19 +668,16 @@ pub fn handle_connection(node: &ClusterNode, conn: Connection) {
     };
     let mut reader = BufReader::new(conn);
     while let Ok(Some(incoming)) = read_frame(&mut reader) {
-        let ok = match incoming {
-            Incoming::Frame(f) => node.handle(f).write_line(&mut write).is_ok(),
-            Incoming::Legacy(line) => {
-                let mut reply = node.handle_legacy(&line);
-                reply.push('\n');
-                write
-                    .write_all(reply.as_bytes())
-                    .and_then(|()| write.flush())
-                    .is_ok()
-            }
-            Incoming::Malformed(message) => Frame::Error { message }.write_line(&mut write).is_ok(),
+        let reply = match incoming {
+            Incoming::Frame(f) => node.reply_line(f),
+            Incoming::Legacy(line) => node.handle_legacy(&line) + "\n",
+            Incoming::Malformed(message) => Frame::Error { message }.line(),
         };
-        if !ok {
+        if write
+            .write_all(reply.as_bytes())
+            .and_then(|()| write.flush())
+            .is_err()
+        {
             break;
         }
     }

@@ -133,7 +133,7 @@ impl Frame {
     /// (a batch's `requests`, a report), which is always the last field,
     /// comes apart and borrowed so that writing a frame never copies it.
     fn fields(&self) -> (Vec<Field>, Option<(&'static str, &Json)>) {
-        let mut fields = vec![("proto", Json::str(PROTO)), ("op", Json::str(self.op()))];
+        let mut fields = head(self.op());
         match self {
             Frame::Batch { requests } | Frame::Synth { requests } => {
                 return (fields, Some(("requests", requests)));
@@ -285,18 +285,41 @@ impl Frame {
 
     /// Writes the frame as one NDJSON line.
     pub fn write_line(&self, w: &mut impl Write) -> io::Result<()> {
-        let (fields, payload) = self.fields();
-        let mut line = Json::obj(fields).write();
-        if let Some((key, v)) = payload {
-            line.pop(); // the closing brace
-            line.push_str(&format!(",\"{key}\":"));
-            v.write_into(&mut line);
-            line.push('}');
-        }
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
+        w.write_all(self.line().as_bytes())?;
         w.flush()
     }
+
+    /// The frame's NDJSON line, newline included.
+    pub fn line(&self) -> String {
+        let (fields, payload) = self.fields();
+        match payload {
+            Some((key, v)) => payload_line(fields, key, |line| v.write_into(line)),
+            None => Json::obj(fields).write() + "\n",
+        }
+    }
+}
+
+/// The line of a `report` frame whose report is already written as text:
+/// the bytes `Frame::Report(Json::parse(report)).line()` returns for a
+/// report in the compact encoding.
+pub(crate) fn report_line(report: &str) -> String {
+    payload_line(head("report"), "report", |line| line.push_str(report))
+}
+
+/// The fields every frame opens with.
+fn head(op: &str) -> Vec<Field> {
+    vec![("proto", Json::str(PROTO)), ("op", Json::str(op))]
+}
+
+/// A frame line from its head fields and its payload, which is always
+/// the last field.
+fn payload_line(head: Vec<Field>, key: &str, payload: impl FnOnce(&mut String)) -> String {
+    let mut line = Json::obj(head).write();
+    line.pop(); // the closing brace
+    line.push_str(&format!(",\"{key}\":"));
+    payload(&mut line);
+    line.push_str("}\n");
+    line
 }
 
 /// The field that carries the payload document of a frame with this op.

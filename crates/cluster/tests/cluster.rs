@@ -2,6 +2,7 @@
 //! replication, shard-loss survival, negative caching, and protocol
 //! compatibility — all in-process over real Unix sockets.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -11,11 +12,14 @@ use std::thread;
 use std::time::Duration;
 
 use hls_cluster::{
-    serve, Addr, ClusterConfig, ClusterNode, Frame, HashRing, Listener, PeerClient, DEFAULT_VNODES,
+    handle_connection, serve, Addr, ClusterConfig, ClusterNode, Connection, Frame, HashRing,
+    Listener, PeerClient, DEFAULT_VNODES,
 };
+use hls_core::ExploreBudget;
 use hls_ir::Json;
 use hls_serve::{
-    serve_batch, ArtifactStore, EntryKind, ServiceConfig, StoreConfig, SynthesisRequest,
+    prepare_batch, serve_batch, serve_encoded, ArtifactStore, EncodedOutcome, EntryKind,
+    RequestOutcome, ServiceConfig, StoreConfig, SynthesisRequest,
 };
 use qam_decoder::{table1_library, QAM_DECODER_SOURCE};
 
@@ -341,77 +345,254 @@ fn deterministic_failures_are_negative_cached_and_replicated() {
     );
 }
 
-/// An outcome's wire form, minus the pass trace of a fresh synthesis
-/// (its per-pass wall times differ from run to run).
-fn comparable(outcome: &Json) -> String {
+/// An outcome's wire form, minus what differs between twin stores: the
+/// pass trace of an artifact synthesized in the test (its per-pass wall
+/// times differ from run to run) and the numbers of an admission
+/// rejection (its modeled cost comes from observed synthesis time).
+fn comparable(outcome: &Json, copied: &[String]) -> String {
     let mut o = outcome.clone();
-    if o.get("cache_hit").and_then(Json::as_bool) != Some(true) {
+    let digest = o.get("digest").and_then(Json::as_str).unwrap_or_default();
+    if !copied.iter().any(|c| c == digest) {
         if let Json::Obj(fields) = &mut o {
             fields.retain(|(k, _)| k != "trace");
         }
     }
-    o.write()
+    let text = o.write();
+    if o.get("rejected").and_then(Json::as_bool) != Some(true) {
+        return text;
+    }
+    let mut masked = String::new();
+    for c in text.chars() {
+        if !c.is_ascii_digit() {
+            masked.push(c);
+        } else if !masked.ends_with('#') {
+            masked.push('#');
+        }
+    }
+    masked
+}
+
+/// A report minus what differs between twin stores: outcomes as in
+/// [`comparable`], the latency histograms and the positive byte total.
+fn comparable_report(report: &Json, copied: &[String]) -> String {
+    let Json::Obj(fields) = report else {
+        panic!("report is not an object: {report:?}")
+    };
+    let fields: Vec<(String, Json)> = fields
+        .iter()
+        .map(|(k, v)| {
+            let v = match (k.as_str(), v) {
+                ("outcomes", Json::Arr(items)) => Json::Arr(
+                    items
+                        .iter()
+                        .map(|o| Json::str(comparable(o, copied)))
+                        .collect(),
+                ),
+                ("counters" | "store", Json::Obj(inner)) => Json::Obj(
+                    inner
+                        .iter()
+                        .filter(|(k, _)| !k.ends_with("_us") && k != "bytes")
+                        .cloned()
+                        .collect(),
+                ),
+                _ => v.clone(),
+            };
+            (k.clone(), v)
+        })
+        .collect();
+    Json::Obj(fields).write()
+}
+
+/// An outcome's bytes with `cache_hit` and `deduped` cleared: the only
+/// fields in which a hit may differ from its first serve.
+fn unflagged(outcome: &str) -> String {
+    outcome
+        .replacen("\"cache_hit\":true", "\"cache_hit\":false", 1)
+        .replacen("\"deduped\":true", "\"deduped\":false", 1)
 }
 
 #[test]
 fn router_and_service_agree_on_a_mixed_batch() {
-    let twin = |tag: &str| ArtifactStore::open(&scratch(tag), StoreConfig::default()).unwrap();
-    let (direct, routed) = (twin("agree-direct"), twin("agree-routed"));
     let stored = req(6.0);
     // No operation fits a 0.05 ns clock: a deterministic failure.
     let infeasible = req(0.05);
-
-    // Prime one twin with an answer and a failure, and copy the entries
-    // byte for byte, so both stores hold the same replies.
-    let primed = serve_batch(
-        &[stored.clone(), infeasible.clone()],
-        &direct,
-        &ServiceConfig::default(),
-    );
-    let mut copied = 0;
-    for o in &primed.outcomes {
-        for kind in [EntryKind::Positive, EntryKind::Negative] {
-            if let Some(entry) = direct.read_raw(kind, &o.digest) {
-                let fresh = routed.insert_raw(kind, &o.digest, &entry);
-                assert!(fresh.expect("the twin accepts the entry"));
-                copied += 1;
-            }
-        }
-    }
-    assert_eq!(copied, 2, "one positive and one negative entry");
-
     let mut broken = SynthesisRequest::new("void broken(");
     broken.design = "broken".into();
     let fresh = req(9.0);
-    let batch = vec![
-        broken,
-        stored.clone(),
-        fresh.clone(),
-        infeasible,
-        stored,
-        fresh,
+    // More bounded operations than `twice`, so it queues behind it.
+    let mut big = SynthesisRequest::new(
+        "void sum(sc_fixed<10,2> x[8], sc_fixed<16,8> *out) { sc_fixed<16,8> acc = 0; \
+         sum_loop: for (int k = 0; k < 8; k++) { acc += x[k]; } *out = acc; }",
+    );
+    big.design = "sum".into();
+    // Once the model has one observation, every bounded job is over
+    // budget: the second miss of a batch is rejected.
+    let strict = ServiceConfig {
+        workers: 1,
+        budget: ExploreBudget {
+            min_prune_cost_ns: 0,
+        },
+        max_cost_ns: Some(1),
+        ..ServiceConfig::default()
+    };
+    let inputs = [
+        (
+            "mixed",
+            ServiceConfig::default(),
+            vec![
+                broken.clone(),
+                stored.clone(),
+                fresh.clone(),
+                infeasible.clone(),
+                stored.clone(),
+                fresh.clone(),
+            ],
+            1,
+        ),
+        (
+            "admission",
+            strict,
+            vec![fresh.clone(), fresh, infeasible.clone(), big, broken],
+            2,
+        ),
     ];
-    let service = serve_batch(&batch, &direct, &ServiceConfig::default());
-    let node = ClusterNode::new(ClusterConfig::single(ServiceConfig::default()), routed)
-        .expect("node builds");
-    let report = node.route_batch(&batch, false);
+    for (tag, service, batch, calls) in inputs {
+        // Three twins: the service itself, the router's `Json` API and a
+        // connection served by `handle_connection`.
+        let twin = |side: &str| {
+            ArtifactStore::open(
+                &scratch(&format!("agree-{tag}-{side}")),
+                StoreConfig::default(),
+            )
+            .unwrap()
+        };
+        let (direct, routed, wired) = (twin("direct"), twin("routed"), twin("wired"));
 
-    let want: Vec<String> = service
-        .outcomes
-        .iter()
-        .map(|o| comparable(&o.to_json()))
-        .collect();
-    let got: Vec<String> = outcomes(&report).iter().map(comparable).collect();
-    assert_eq!(got.len(), batch.len());
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(g, w, "outcome {i} differs between router and service");
+        // Prime the service's twin with an answer and a failure, and copy
+        // the entries byte for byte, so every twin holds the same replies.
+        let primed = serve_batch(
+            &[stored.clone(), infeasible.clone()],
+            &direct,
+            &ServiceConfig::default(),
+        );
+        let mut copied = Vec::new();
+        for o in &primed.outcomes {
+            for kind in [EntryKind::Positive, EntryKind::Negative] {
+                if let Some(entry) = direct.read_raw(kind, &o.digest) {
+                    for store in [&routed, &wired] {
+                        let fresh = store.insert_raw(kind, &o.digest, &entry);
+                        assert!(fresh.expect("the twin accepts the entry"));
+                    }
+                    copied.push(o.digest.clone());
+                }
+            }
+        }
+        assert_eq!(copied.len(), 2, "one positive and one negative entry");
+        // Each artifact's first serve, by digest.
+        let mut first_serves: HashMap<String, String> = primed
+            .outcomes
+            .iter()
+            .filter(|o| o.artifact.is_some())
+            .map(|o| (o.digest.clone(), o.to_json().write()))
+            .collect();
+
+        let node = ClusterNode::new(ClusterConfig::single(service.clone()), routed).unwrap();
+        let wired = ClusterNode::new(ClusterConfig::single(service.clone()), wired).unwrap();
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        thread::scope(|s| {
+            s.spawn(|| handle_connection(&wired, Connection::Unix(server)));
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            let mut writer = client;
+            for call in 0..calls {
+                let at = format!("{tag}, call {call}");
+                let prepared = prepare_batch(&batch);
+                let served = serve_encoded(batch.iter().zip(&prepared), &direct, &service);
+                let bytes: Vec<String> = served
+                    .outcomes
+                    .iter()
+                    .map(|o| {
+                        let mut text = String::new();
+                        o.write_into(&mut text);
+                        text
+                    })
+                    .collect();
+                let decoded: Vec<RequestOutcome> = served
+                    .outcomes
+                    .into_iter()
+                    .map(EncodedOutcome::decode)
+                    .collect();
+                for (i, (b, o)) in bytes.iter().zip(&decoded).enumerate() {
+                    assert_eq!(b, &o.to_json().write(), "{at}: outcome {i}'s bytes");
+                    if o.artifact.is_none() {
+                        continue;
+                    }
+                    match first_serves.get(&o.digest) {
+                        Some(first) => assert_eq!(
+                            unflagged(b),
+                            unflagged(first),
+                            "{at}: outcome {i} differs from its first serve"
+                        ),
+                        None => {
+                            assert!(!o.cache_hit, "{at}: a hit must follow a serve");
+                            first_serves.insert(o.digest.clone(), b.clone());
+                        }
+                    }
+                }
+
+                let report = node.route_batch(&batch, false);
+                let want: Vec<String> = decoded
+                    .iter()
+                    .map(|o| comparable(&o.to_json(), &copied))
+                    .collect();
+                let got: Vec<String> = outcomes(&report)
+                    .iter()
+                    .map(|o| comparable(o, &copied))
+                    .collect();
+                assert_eq!(got.len(), batch.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, w, "{at}: outcome {i} differs between router and service");
+                }
+
+                writer
+                    .write_all(batch_frame(&batch).line().as_bytes())
+                    .unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                let frame = Frame::from_json(&Json::parse(&line).expect("reply is JSON"));
+                let Ok(Frame::Report(wire)) = frame else {
+                    panic!("{at}: expected a report line, got {line}")
+                };
+                assert_eq!(
+                    Frame::Report(wire.clone()).line(),
+                    line,
+                    "{at}: not canonical"
+                );
+                assert_eq!(
+                    comparable_report(&wire, &copied),
+                    comparable_report(&report, &copied),
+                    "{at}: the reply line and the Json API disagree"
+                );
+
+                // The batch covers every path the hand-off carries.
+                let o = &decoded;
+                match (tag, call) {
+                    ("mixed", _) => {
+                        assert!(o[0].error.as_ref().unwrap().contains("does not parse"));
+                        assert!(o[1].cache_hit && o[4].cache_hit && o[4].deduped);
+                        assert!(o[2].artifact.is_some() && !o[2].cache_hit && o[5].deduped);
+                        assert!(o[3].negative_hit);
+                    }
+                    (_, 0) => {
+                        assert!(o[0].artifact.is_some() && !o[0].cache_hit && o[1].deduped);
+                        assert!(o[2].negative_hit);
+                        assert!(o[3].rejected, "{at}: {:?}", o[3].error);
+                        assert!(o[4].error.as_ref().unwrap().contains("does not parse"));
+                    }
+                    _ => assert!(o[0].cache_hit && o[1].cache_hit && o[1].deduped),
+                }
+            }
+        });
     }
-    // The batch covers every path the hand-off carries.
-    let o = &service.outcomes;
-    assert!(o[0].error.as_ref().unwrap().contains("does not parse"));
-    assert!(o[1].cache_hit && o[4].cache_hit && o[4].deduped);
-    assert!(o[2].artifact.is_some() && !o[2].cache_hit && o[5].deduped);
-    assert!(o[3].negative_hit);
 }
 
 #[test]

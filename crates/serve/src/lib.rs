@@ -66,10 +66,10 @@ pub use request::{
     batch_from_json, batch_to_json, parse_batch, prepare_batch, Prepared, SynthesisRequest,
 };
 pub use service::{
-    serve_batch, serve_prepared, BatchReport, CountersSnapshot, HistogramSnapshot, RequestOutcome,
-    ServiceConfig,
+    serve_batch, serve_encoded, serve_prepared, BatchReport, CountersSnapshot, EncodedBatch,
+    EncodedOutcome, HistogramSnapshot, ReportText, RequestOutcome, ServiceConfig,
 };
 pub use store::{
-    ArtifactStore, CachedArtifact, EntryKind, StoreConfig, StoreStats, Verdict, ENTRY_SCHEMA,
-    STALE_LOCK,
+    ArtifactStore, CachedArtifact, EncodedArtifact, EntryKind, StoreConfig, StoreStats, Verdict,
+    ENTRY_SCHEMA, STALE_LOCK,
 };

@@ -3,8 +3,15 @@
 //! [`serve_batch`] is [`prepare_batch`] followed by [`serve_prepared`];
 //! callers that already prepared their requests (the cluster router,
 //! which needs each digest to route) call [`serve_prepared`] directly,
-//! so no request is parsed or digested twice in one process. Each
-//! request's work runs once, in this order:
+//! so no request is parsed or digested twice in one process.
+//!
+//! The pass itself is [`serve_encoded`]: it answers with each artifact
+//! still in the bytes the store verified (a hit) or just wrote (a fresh
+//! miss), so a server writes its reply with
+//! [`EncodedOutcome::write_into`] and [`ReportText`], splicing those
+//! bytes in without decoding or re-encoding them. [`serve_prepared`]
+//! decodes the same bytes for in-process callers. Each request's work
+//! runs once, in this order:
 //!
 //! 1. **Prepare**: each unique source is parsed and canonically
 //!    rendered once, and every request's content address is derived
@@ -14,7 +21,7 @@
 //!    [`CountersSnapshot::deduped`].
 //! 3. **Lookup**: each unique job probes the store, then its negative
 //!    side, on the coordinating thread. A hit returns the stored
-//!    artifact byte-identically; a negative hit replays the stored
+//!    artifact's verified bytes; a negative hit replays the stored
 //!    [`NegativeEntry`] (error + structured diagnostics) — this exact
 //!    request already *failed* the pipeline. Neither is bounded, priced
 //!    or admitted, so neither carries a modeled cost.
@@ -73,7 +80,7 @@ use rtl::compile_traced;
 use crate::digest::RequestKey;
 use crate::negative::NegativeEntry;
 use crate::request::{prepare_batch, Prepared, SynthesisRequest};
-use crate::store::{ArtifactStore, CachedArtifact, Verdict};
+use crate::store::{ArtifactStore, CachedArtifact, EncodedArtifact, Verdict};
 
 /// Service tuning.
 #[derive(Debug, Clone)]
@@ -311,6 +318,16 @@ impl RequestOutcome {
 
     /// Serializes the outcome as a response envelope.
     pub fn to_json(&self) -> Json {
+        let mut fields = self.head_fields();
+        if let Some(a) = &self.artifact {
+            fields.extend(a.reply_fields());
+        }
+        fields.extend(self.tail_fields());
+        Json::obj(fields)
+    }
+
+    /// The envelope's fields before the artifact's.
+    fn head_fields(&self) -> Vec<(&'static str, Json)> {
         let mut fields = vec![
             ("design", Json::str(self.design.clone())),
             ("digest", Json::str(self.digest.clone())),
@@ -336,24 +353,64 @@ impl RequestOutcome {
                 Json::parse(&d.to_json()).unwrap_or(Json::Arr(Vec::new())),
             ));
         }
-        if let Some(a) = &self.artifact {
-            let verdict = match &a.verdict {
-                None => Json::Null,
-                Some(v) => Json::obj(vec![
-                    ("passed", Json::Bool(v.passed)),
-                    ("detail", Json::str(v.detail.clone())),
-                ]),
-            };
-            fields.push(("verilog", Json::str(a.verilog.clone())));
-            fields.push(("metrics", a.metrics.to_json()));
-            fields.push(("verdict", verdict));
-            fields.push(("diagnostics", a.diagnostics.clone()));
-            fields.push(("trace", a.trace.clone()));
+        fields
+    }
+
+    /// The envelope's fields after the artifact's.
+    fn tail_fields(&self) -> Vec<(&'static str, Json)> {
+        match &self.error {
+            Some(e) => vec![("error", Json::str(e.clone()))],
+            None => Vec::new(),
         }
-        if let Some(e) = &self.error {
-            fields.push(("error", Json::str(e.clone())));
+    }
+}
+
+/// One request's outcome as the service answers it, with the artifact
+/// still in the bytes the store verified or wrote.
+#[derive(Debug, Clone)]
+pub struct EncodedOutcome {
+    /// The outcome, without its artifact: `outcome.artifact` is `None`.
+    pub outcome: RequestOutcome,
+    /// The served artifact, for hits and fresh misses.
+    pub artifact: Option<EncodedArtifact>,
+}
+
+impl EncodedOutcome {
+    fn new(outcome: RequestOutcome) -> EncodedOutcome {
+        EncodedOutcome {
+            outcome,
+            artifact: None,
         }
-        Json::obj(fields)
+    }
+
+    /// Appends the outcome's response envelope to `out`, with the
+    /// artifact's bytes spliced in: byte-identical to
+    /// `self.decode().to_json().write()`.
+    pub fn write_into(&self, out: &mut String) {
+        let Some(artifact) = &self.artifact else {
+            return self.outcome.to_json().write_into(out);
+        };
+        // The head always has fields, so it writes as `{…}`; reopen it.
+        Json::obj(self.outcome.head_fields()).write_into(out);
+        out.pop();
+        out.push(',');
+        out.push_str(artifact.reply_fields());
+        for (key, value) in self.outcome.tail_fields() {
+            push_member(out, key, &value);
+        }
+        out.push('}');
+    }
+
+    /// The outcome with its artifact decoded, for in-process callers.
+    pub fn decode(self) -> RequestOutcome {
+        let mut outcome = self.outcome;
+        if let Some(artifact) = self.artifact {
+            match artifact.decode() {
+                Ok(a) => outcome.artifact = Some(a),
+                Err(e) => outcome.error = Some(format!("internal: served artifact: {e}")),
+            }
+        }
+        outcome
     }
 }
 
@@ -366,18 +423,88 @@ pub struct BatchReport {
     pub counters: CountersSnapshot,
 }
 
-impl BatchReport {
-    /// Serializes the whole report (plus the store's census).
-    pub fn to_json(&self, store: &ArtifactStore) -> Json {
-        Json::obj(vec![
-            (
-                "outcomes",
-                Json::Arr(self.outcomes.iter().map(RequestOutcome::to_json).collect()),
-            ),
-            ("counters", self.counters.to_json()),
-            ("store", store.stats().to_json()),
-        ])
+/// Everything [`serve_encoded`] returns.
+#[derive(Debug)]
+pub struct EncodedBatch {
+    /// Per-request outcomes, in request order.
+    pub outcomes: Vec<EncodedOutcome>,
+    /// Service counters for this batch.
+    pub counters: CountersSnapshot,
+}
+
+impl EncodedBatch {
+    /// The batch's report text: `{"outcomes":[…],"counters":{…},
+    /// "store":{…}}`.
+    pub fn write_report(&self, store: &ArtifactStore) -> String {
+        let mut report = ReportText::new();
+        for o in &self.outcomes {
+            o.write_into(report.next_outcome());
+        }
+        report.finish(&self.counters, Vec::new(), store)
     }
+}
+
+/// A batch report written as text in one pass — the one report encoder:
+/// `{"outcomes":[…],"counters":{…}`, then any extra fields, then
+/// `"store":{…}}`.
+#[derive(Debug)]
+pub struct ReportText {
+    text: String,
+    outcomes: usize,
+}
+
+impl Default for ReportText {
+    fn default() -> Self {
+        ReportText::new()
+    }
+}
+
+impl ReportText {
+    /// An empty report.
+    pub fn new() -> ReportText {
+        ReportText {
+            text: String::from("{\"outcomes\":["),
+            outcomes: 0,
+        }
+    }
+
+    /// Opens the next outcome's slot: the caller appends exactly one JSON
+    /// object to the returned text.
+    pub fn next_outcome(&mut self) -> &mut String {
+        if self.outcomes > 0 {
+            self.text.push(',');
+        }
+        self.outcomes += 1;
+        &mut self.text
+    }
+
+    /// Closes the outcomes and appends `counters`, then `fields` in order,
+    /// then the store's census.
+    pub fn finish(
+        mut self,
+        counters: &CountersSnapshot,
+        fields: Vec<(&str, Json)>,
+        store: &ArtifactStore,
+    ) -> String {
+        let tail = [("counters", counters.to_json())]
+            .into_iter()
+            .chain(fields)
+            .chain([("store", store.stats().to_json())]);
+        self.text.push(']');
+        for (key, value) in tail {
+            push_member(&mut self.text, key, &value);
+        }
+        self.text.push('}');
+        self.text
+    }
+}
+
+/// Appends `,"key":value` to an object being written.
+fn push_member(out: &mut String, key: &str, value: &Json) {
+    out.push(',');
+    Json::str(key).write_into(out);
+    out.push(':');
+    value.write_into(out);
 }
 
 /// Observed mean synthesis cost per bounded operation — the serving-side
@@ -452,6 +579,25 @@ pub fn serve_prepared<'a>(
     store: &ArtifactStore,
     cfg: &ServiceConfig,
 ) -> BatchReport {
+    let served = serve_encoded(batch, store, cfg);
+    BatchReport {
+        outcomes: served
+            .outcomes
+            .into_iter()
+            .map(EncodedOutcome::decode)
+            .collect(),
+        counters: served.counters,
+    }
+}
+
+/// [`serve_prepared`] without the decode: each served artifact stays in
+/// the bytes the store verified or wrote, ready to be spliced into a
+/// reply.
+pub fn serve_encoded<'a>(
+    batch: impl IntoIterator<Item = (&'a SynthesisRequest, &'a Prepared)>,
+    store: &ArtifactStore,
+    cfg: &ServiceConfig,
+) -> EncodedBatch {
     let batch: Vec<(&SynthesisRequest, &Prepared)> = batch.into_iter().collect();
     let counters = Counters::default();
 
@@ -459,7 +605,7 @@ pub fn serve_prepared<'a>(
     // every job the store already holds before anything is bounded.
     let mut executor: HashMap<&str, usize> = HashMap::new();
     let mut deduped = 0u64;
-    let mut results: HashMap<&str, RequestOutcome> = HashMap::new();
+    let mut results: HashMap<&str, EncodedOutcome> = HashMap::new();
     let mut misses: Vec<Job> = Vec::new();
     for (i, &(req, prepared)) in batch.iter().enumerate() {
         let Ok((func, key)) = prepared else { continue };
@@ -530,12 +676,12 @@ pub fn serve_prepared<'a>(
         .map(|(i, &(req, prepared))| match prepared {
             Err(e) => {
                 counters.errors.fetch_add(1, Ordering::Relaxed);
-                RequestOutcome::failed(&req.design, "", e.clone())
+                EncodedOutcome::new(RequestOutcome::failed(&req.design, "", e.clone()))
             }
             Ok((_, key)) => match results.get(key.digest.as_str()) {
                 Some(done) => {
                     let mut o = done.clone();
-                    o.deduped = executor.get(key.digest.as_str()) != Some(&i);
+                    o.outcome.deduped = executor.get(key.digest.as_str()) != Some(&i);
                     o
                 }
                 // Reachable only if the executing worker panicked
@@ -543,17 +689,17 @@ pub fn serve_prepared<'a>(
                 // of tearing down the whole batch.
                 None => {
                     counters.errors.fetch_add(1, Ordering::Relaxed);
-                    RequestOutcome::failed(
+                    EncodedOutcome::new(RequestOutcome::failed(
                         &req.design,
                         &key.digest,
                         "internal: worker died before recording an outcome".to_string(),
-                    )
+                    ))
                 }
             },
         })
         .collect();
 
-    BatchReport {
+    EncodedBatch {
         outcomes,
         counters: CountersSnapshot {
             hits: counters.hits.load(Ordering::Relaxed),
@@ -583,16 +729,18 @@ fn lookup(
     key: &RequestKey,
     store: &ArtifactStore,
     counters: &Counters,
-) -> Option<RequestOutcome> {
+) -> Option<EncodedOutcome> {
     let t = Instant::now();
-    let cached = store.lookup(key);
+    let cached = store.lookup_encoded(key);
     counters.lookup.record(t.elapsed());
     let mut outcome = RequestOutcome::empty(req.label(func).to_string(), &key.digest);
     if let Some(artifact) = cached {
         counters.hits.fetch_add(1, Ordering::Relaxed);
         outcome.cache_hit = true;
-        outcome.artifact = Some(artifact);
-        return Some(outcome);
+        return Some(EncodedOutcome {
+            outcome,
+            artifact: Some(artifact),
+        });
     }
 
     // A positive miss may still be a *negative* hit: this exact request
@@ -604,7 +752,7 @@ fn lookup(
     outcome.negative_hit = true;
     outcome.error = Some(format!("synthesis: {}", failure.error));
     outcome.failure = Some(failure);
-    Some(outcome)
+    Some(EncodedOutcome::new(outcome))
 }
 
 fn run_job(
@@ -613,7 +761,7 @@ fn run_job(
     cfg: &ServiceConfig,
     model: &CostModel,
     counters: &Counters,
-) -> RequestOutcome {
+) -> EncodedOutcome {
     let req = job.req;
     let design = req.label(job.func).to_string();
     let modeled_cost_ns = job.bound.as_ref().and_then(|b| model.modeled_ns(b.ops));
@@ -635,7 +783,7 @@ fn run_job(
                 bound.latency_cycles, bound.area
             ))
             .with_note(format!("bounded operations: {}", bound.ops));
-            return RequestOutcome {
+            return EncodedOutcome::new(RequestOutcome {
                 rejected: true,
                 modeled_cost_ns,
                 diagnostics: Some(Diagnostics::from(diag)),
@@ -644,7 +792,7 @@ fn run_job(
                     &job.key.digest,
                     format!("admission: modeled cost {cost} ns reaches the {max} ns ceiling"),
                 )
-            };
+            });
         }
     }
     counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -692,7 +840,7 @@ fn run_job(
                 }
             }
             outcome.failure = Some(failure);
-            return outcome;
+            return EncodedOutcome::new(outcome);
         }
     };
     let verdict = if req.verify {
@@ -718,15 +866,18 @@ fn run_job(
         diagnostics: Json::parse(&run.diagnostics.to_json()).unwrap_or(Json::Arr(Vec::new())),
     };
     let t = Instant::now();
-    let insert = store.insert(job.key, &artifact);
+    let artifact = EncodedArtifact::encode(&artifact);
+    let insert = store.insert_encoded(job.key, &artifact);
     counters.insert.record(t.elapsed());
     counters.synthesized.fetch_add(1, Ordering::Relaxed);
-    RequestOutcome {
-        modeled_cost_ns,
+    EncodedOutcome {
+        outcome: RequestOutcome {
+            modeled_cost_ns,
+            error: insert
+                .err()
+                .map(|e| format!("artifact served but not cached: {e}")),
+            ..RequestOutcome::empty(design, &job.key.digest)
+        },
         artifact: Some(artifact),
-        error: insert
-            .err()
-            .map(|e| format!("artifact served but not cached: {e}")),
-        ..RequestOutcome::empty(design, &job.key.digest)
     }
 }

@@ -12,15 +12,19 @@
 //! ```
 //!
 //! Every entry is a single JSON document carrying the canonical request
-//! preimage, a body and a digest of the body. Positive entries (under
-//! `objects/`) carry the artifact body (Verilog, metrics, pass trace,
-//! verify verdict, diagnostics); negative entries (under `negative/`)
-//! carry a [`NegativeEntry`] — the structured failure of a
-//! deterministic pipeline error, so retries of a bad request cost a
-//! store read instead of a pipeline re-run. Loads re-verify both
-//! digests — the filename against the preimage and the body digest
-//! against the body — and move anything inconsistent to `quarantine/`,
-//! reporting a miss so the caller simply re-synthesizes. Writes stage
+//! preimage, a body and a digest of the body, in that order. Positive
+//! entries (under `objects/`) carry an [`EncodedArtifact`]: the artifact's
+//! reply fragment (Verilog, metrics, verify verdict, diagnostics, pass
+//! trace — the keys a reply carries, in reply order) followed by its
+//! `design` label, so a hit is served by splicing the stored bytes into
+//! the reply. Negative entries (under `negative/`) carry a
+//! [`NegativeEntry`] — the structured failure of a deterministic
+//! pipeline error, so retries of a bad request cost a store read instead
+//! of a pipeline re-run. Loads re-verify both digests from the entry's
+//! head alone — the filename against the preimage and the body digest
+//! against the body's exact byte range — and move anything inconsistent
+//! to `quarantine/`, reporting a miss so the caller simply
+//! re-synthesizes. Writes stage
 //! into `tmp/` and `rename(2)` into place, so readers never observe a
 //! torn entry and concurrent writers of the same digest are harmless
 //! (they produce identical bytes). Advisory locks in `locks/` keep
@@ -33,8 +37,12 @@
 //! returns the exact on-disk document and
 //! [`ArtifactStore::insert_raw`] re-verifies the full integrity chain
 //! (schema, preimage→digest, body digest) before admitting foreign
-//! bytes. Replication in `hls-cluster` is built on this pair, which is
-//! what makes replicated reads byte-identical to the owner's.
+//! bytes, and requires the body to be exactly what this store's encoder
+//! writes for the value it decodes to. Hits never decode a body, so this
+//! admission check, and local inserts publishing only what the encoder
+//! produced, are what keep every served body canonical. Replication in
+//! `hls-cluster` is built on this pair, which is what makes replicated
+//! reads byte-identical to the owner's.
 //!
 //! Reads refresh the entry's modification time, so eviction — which
 //! removes entries in `(mtime, digest)` order until the store fits
@@ -62,6 +70,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -74,7 +83,7 @@ use crate::digest::RequestKey;
 use crate::negative::{NegativeEntry, NEGATIVE_SCHEMA};
 
 /// Schema tag of one positive store entry (bump on layout changes).
-pub const ENTRY_SCHEMA: &str = "hls-serve-artifact/v1";
+pub const ENTRY_SCHEMA: &str = "hls-serve-artifact/v2";
 
 /// Age past which a writer/evictor lock is presumed abandoned.
 pub const STALE_LOCK: Duration = Duration::from_secs(30);
@@ -167,7 +176,11 @@ pub struct CachedArtifact {
 }
 
 impl CachedArtifact {
-    fn to_json(&self) -> Json {
+    /// The artifact's reply fields, in reply order. This is the one
+    /// artifact encoding: [`EncodedArtifact::encode`] stores exactly these
+    /// and [`RequestOutcome::to_json`](crate::RequestOutcome::to_json)
+    /// emits exactly these.
+    pub(crate) fn reply_fields(&self) -> Vec<(&'static str, Json)> {
         let verdict = match &self.verdict {
             None => Json::Null,
             Some(v) => Json::obj(vec![
@@ -175,14 +188,13 @@ impl CachedArtifact {
                 ("detail", Json::str(v.detail.clone())),
             ]),
         };
-        Json::obj(vec![
-            ("design", Json::str(self.design.clone())),
+        vec![
             ("verilog", Json::str(self.verilog.clone())),
             ("metrics", self.metrics.to_json()),
-            ("trace", self.trace.clone()),
             ("verdict", verdict),
             ("diagnostics", self.diagnostics.clone()),
-        ])
+            ("trace", self.trace.clone()),
+        ]
     }
 
     fn from_json(v: &Json) -> Result<CachedArtifact, String> {
@@ -219,6 +231,68 @@ impl CachedArtifact {
                 .cloned()
                 .unwrap_or(Json::Arr(Vec::new())),
         })
+    }
+}
+
+/// Where the `design` field starts in an encoded artifact: it is the
+/// body's last field, after the reply fragment.
+const DESIGN_FIELD: &str = ",\"design\":";
+
+/// One artifact as the store holds and serves it: the body of a positive
+/// entry, `{"verilog":…,"metrics":…,"verdict":…,"diagnostics":…,
+/// "trace":…,"design":…}`. Everything before `design` is the reply
+/// fragment a hit splices into its reply; `design` is the artifact's own
+/// label, which a reply never carries (an outcome's `design` is the
+/// request's label).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedArtifact {
+    body: String,
+    /// Byte offset of [`DESIGN_FIELD`] in `body`.
+    design_at: usize,
+}
+
+impl EncodedArtifact {
+    /// Encodes an artifact: the one encoder of artifact bytes.
+    pub fn encode(artifact: &CachedArtifact) -> EncodedArtifact {
+        let mut body = Json::obj(artifact.reply_fields()).write();
+        body.pop(); // the closing brace
+        let design_at = body.len();
+        body.push_str(DESIGN_FIELD);
+        Json::str(artifact.design.clone()).write_into(&mut body);
+        body.push('}');
+        EncodedArtifact { body, design_at }
+    }
+
+    /// Wraps a verified entry body; a body that is not an object with a
+    /// `design` field is refused. The field is found from the end: the
+    /// body is canonical (local inserts encode it, admission checks it),
+    /// and the marker's quotes cannot occur unescaped inside the string
+    /// value that follows it.
+    fn from_body(body: String) -> Option<EncodedArtifact> {
+        if !body.starts_with('{') || !body.ends_with('}') {
+            return None;
+        }
+        let design_at = body.rfind(DESIGN_FIELD)?;
+        Some(EncodedArtifact { body, design_at })
+    }
+
+    /// The whole body, as stored and digested.
+    pub fn as_str(&self) -> &str {
+        &self.body
+    }
+
+    /// The reply fragment: the artifact's reply fields as object members,
+    /// without braces, byte-identical to what
+    /// [`RequestOutcome::to_json`](crate::RequestOutcome::to_json) writes
+    /// for them.
+    pub(crate) fn reply_fields(&self) -> &str {
+        &self.body[1..self.design_at]
+    }
+
+    /// Decodes the body, for in-process callers.
+    pub fn decode(&self) -> Result<CachedArtifact, String> {
+        let v = Json::parse(&self.body).map_err(|e| format!("entry: {e}"))?;
+        CachedArtifact::from_json(&v)
     }
 }
 
@@ -412,17 +486,33 @@ impl ArtifactStore {
         self.shard_dir(kind, digest).join(format!("{digest}.json"))
     }
 
-    /// Looks an entry up, verifying integrity. A hit refreshes the
-    /// entry's modification time (the LRU signal). Corrupt entries are
-    /// quarantined and reported as misses.
+    /// Looks an artifact up, verifying integrity, and decodes it. A hit
+    /// refreshes the entry's modification time (the LRU signal). Corrupt
+    /// entries are quarantined and reported as misses.
     pub fn lookup(&self, key: &RequestKey) -> Option<CachedArtifact> {
+        self.lookup_with(key, |a| a.decode().ok())
+    }
+
+    /// [`ArtifactStore::lookup`] without the decode: a hit returns the
+    /// entry's verified body bytes, ready to be spliced into a reply.
+    pub fn lookup_encoded(&self, key: &RequestKey) -> Option<EncodedArtifact> {
+        self.lookup_with(key, Some)
+    }
+
+    /// The one positive load path: load and verify the entry, then `read`
+    /// the artifact out of its body. A body `read` refuses is corrupt.
+    fn lookup_with<T>(
+        &self,
+        key: &RequestKey,
+        read: impl FnOnce(EncodedArtifact) -> Option<T>,
+    ) -> Option<T> {
         let body = self.load_checked(EntryKind::Positive, &key.digest)?;
-        match CachedArtifact::from_json(&body) {
-            Ok(artifact) => {
+        match EncodedArtifact::from_body(body).and_then(read) {
+            Some(found) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(artifact)
+                Some(found)
             }
-            Err(_) => {
+            None => {
                 self.quarantine(EntryKind::Positive, &key.digest);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -435,12 +525,15 @@ impl ArtifactStore {
     /// caller serves the stored diagnostics instead of re-running.
     pub fn lookup_negative(&self, key: &RequestKey) -> Option<NegativeEntry> {
         let body = self.load_checked(EntryKind::Negative, &key.digest)?;
-        match NegativeEntry::from_json(&body) {
-            Ok(entry) => {
+        let entry = Json::parse(&body)
+            .ok()
+            .and_then(|v| NegativeEntry::from_json(&v).ok());
+        match entry {
+            Some(entry) => {
                 self.neg_hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry)
             }
-            Err(_) => {
+            None => {
                 self.quarantine(EntryKind::Negative, &key.digest);
                 None
             }
@@ -448,12 +541,12 @@ impl ArtifactStore {
     }
 
     /// Loads, integrity-checks and LRU-touches one entry, returning its
-    /// body. Corrupt documents are quarantined. Positive misses count
-    /// toward `misses`; negative probes are silent (every cold request
-    /// probes the negative side).
-    fn load_checked(&self, kind: EntryKind, digest: &str) -> Option<Json> {
+    /// verified body text. Corrupt documents are quarantined. Positive
+    /// misses count toward `misses`; negative probes are silent (every
+    /// cold request probes the negative side).
+    fn load_checked(&self, kind: EntryKind, digest: &str) -> Option<String> {
         let path = self.entry_path(kind, digest);
-        let text = match fs::read_to_string(&path) {
+        let mut text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => {
                 self.present(kind, digest);
@@ -463,35 +556,29 @@ impl ArtifactStore {
                 return None;
             }
         };
-        match check_entry(&text, digest, kind.schema()) {
-            Some(doc) => {
-                // LRU touch; failure to touch only ages the entry early.
-                let now = SystemTime::now();
-                let mut index = self.index();
-                let touch = fs::File::options()
-                    .write(true)
-                    .open(&path)
-                    .and_then(|f| f.set_modified(now));
-                if touch.is_ok() {
-                    index.put(kind, digest, now, text.len() as u64);
-                } else {
-                    drop(index);
-                    self.present(kind, digest);
-                }
-                // Move the body out of the verified document — cloning
-                // a multi-thousand-node parse tree per hit would double
-                // the warm-serve floor.
-                let Json::Obj(pairs) = doc else { return None };
-                pairs.into_iter().find(|(k, _)| k == "body").map(|(_, v)| v)
+        let Some(body) = check_entry(&text, digest, kind.schema()) else {
+            self.quarantine(kind, digest);
+            if kind == EntryKind::Positive {
+                self.misses.fetch_add(1, Ordering::Relaxed);
             }
-            None => {
-                self.quarantine(kind, digest);
-                if kind == EntryKind::Positive {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
+            return None;
+        };
+        // LRU touch; failure to touch only ages the entry early.
+        let now = SystemTime::now();
+        let mut index = self.index();
+        let touch = fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(now));
+        if touch.is_ok() {
+            index.put(kind, digest, now, text.len() as u64);
+        } else {
+            drop(index);
+            self.present(kind, digest);
         }
+        text.truncate(body.end);
+        text.drain(..body.start);
+        Some(text)
     }
 
     fn quarantine(&self, kind: EntryKind, digest: &str) {
@@ -516,16 +603,26 @@ impl ArtifactStore {
     /// to its size budget. Inserting an already-present digest is a
     /// no-op (content addressing makes the bytes identical).
     pub fn insert(&self, key: &RequestKey, artifact: &CachedArtifact) -> io::Result<()> {
-        self.write_document(EntryKind::Positive, key, artifact.to_json())
+        self.insert_encoded(key, &EncodedArtifact::encode(artifact))
+    }
+
+    /// [`ArtifactStore::insert`] of an artifact already encoded, so that
+    /// the caller can serve the very bytes the store holds.
+    pub(crate) fn insert_encoded(
+        &self,
+        key: &RequestKey,
+        artifact: &EncodedArtifact,
+    ) -> io::Result<()> {
+        self.write_document(EntryKind::Positive, key, artifact.as_str())
     }
 
     /// Persists a deterministic synthesis failure under `key` so
     /// identical retries are served from disk.
     pub fn insert_negative(&self, key: &RequestKey, entry: &NegativeEntry) -> io::Result<()> {
-        self.write_document(EntryKind::Negative, key, entry.to_json())
+        self.write_document(EntryKind::Negative, key, &entry.to_json().write())
     }
 
-    fn write_document(&self, kind: EntryKind, key: &RequestKey, body: Json) -> io::Result<()> {
+    fn write_document(&self, kind: EntryKind, key: &RequestKey, body: &str) -> io::Result<()> {
         if self.present(kind, &key.digest) {
             return Ok(());
         }
@@ -533,21 +630,17 @@ impl ArtifactStore {
         if self.present(kind, &key.digest) {
             return Ok(()); // lost the race; the winner wrote our bytes
         }
-        let body_text = body.write();
         let head = Json::obj(vec![
             ("schema", Json::str(kind.schema())),
             ("preimage", Json::str(key.preimage.clone())),
-            (
-                "body_digest",
-                Json::str(stable_digest(body_text.as_bytes())),
-            ),
+            ("body_digest", Json::str(stable_digest(body.as_bytes()))),
         ])
         .write();
         // `body` is the entry's last field (see `check_entry`), so the
         // document is the head with the body text spliced in before its
         // closing brace — byte-identical to serializing the whole entry,
         // without serializing the body twice.
-        let entry = format!("{},\"body\":{body_text}}}", &head[..head.len() - 1]);
+        let entry = format!("{}{BODY_FIELD}{body}}}", &head[..head.len() - 1]);
         self.publish(kind, &key.digest, &entry)
     }
 
@@ -599,11 +692,15 @@ impl ArtifactStore {
     /// Admits a raw entry document produced by another store handle
     /// (typically a cluster peer). The full integrity chain — schema
     /// tag, preimage against `digest`, body digest against the body's
-    /// byte range — is re-verified before the bytes land; invalid
+    /// byte range — is re-verified, and the body must decode and
+    /// re-encode to the same bytes, before the bytes land; other
     /// documents are refused with `Ok(false)`. Admitted entries are
     /// written with the same atomic staging as local inserts.
     pub fn insert_raw(&self, kind: EntryKind, digest: &str, text: &str) -> io::Result<bool> {
-        if check_entry(text, digest, kind.schema()).is_none() {
+        let Some(body) = check_entry(text, digest, kind.schema()) else {
+            return Ok(false);
+        };
+        if !is_canonical(kind, &text[body]) {
             return Ok(false);
         }
         if self.present(kind, digest) {
@@ -696,29 +793,51 @@ fn mtime_of(meta: &fs::Metadata) -> SystemTime {
     meta.modified().unwrap_or(SystemTime::UNIX_EPOCH)
 }
 
-/// Parses and integrity-checks one entry document, returning the parsed
-/// document. `None` means the entry must not be served (quarantine it).
-fn check_entry(text: &str, digest: &str, schema: &str) -> Option<Json> {
+/// Separates an entry's head from its body, which is always the last
+/// field.
+const BODY_FIELD: &str = ",\"body\":";
+
+/// Integrity-checks one entry document from its head alone, returning the
+/// body's byte range. `None` means the entry must not be served
+/// (quarantine it).
+fn check_entry(text: &str, digest: &str, schema: &str) -> Option<Range<usize>> {
     // `body` is the entry's last field and the writer is deterministic,
     // so the body's digest can be checked against its exact byte range —
-    // no re-serialization on the hot path. The marker cannot occur
+    // no parse of the body on the hot path. The marker cannot occur
     // earlier: inside JSON strings its quotes would be escaped.
-    const MARKER: &str = ",\"body\":";
-    let body_start = text.find(MARKER)? + MARKER.len();
-    let body_text = text.get(body_start..text.len().checked_sub(1)?)?;
-    let v = Json::parse(text).ok()?;
-    if v.get("schema")?.as_str()? != schema {
+    let head_end = text.find(BODY_FIELD)?;
+    let body = head_end + BODY_FIELD.len()..text.len().checked_sub(1)?;
+    if !text.ends_with('}') {
         return None;
     }
-    let preimage = v.get("preimage")?.as_str()?;
+    let body_text = text.get(body.clone())?;
+    let head = Json::parse(&format!("{}}}", &text[..head_end])).ok()?;
+    if head.get("schema")?.as_str()? != schema {
+        return None;
+    }
+    let preimage = head.get("preimage")?.as_str()?;
     if stable_digest(preimage.as_bytes()) != digest {
         return None; // filename does not match the preimage: corrupt or misplaced
     }
-    if stable_digest(body_text.as_bytes()) != v.get("body_digest")?.as_str()? {
+    if stable_digest(body_text.as_bytes()) != head.get("body_digest")?.as_str()? {
         return None; // body tampered or torn
     }
-    v.get("body")?;
-    Some(v)
+    Some(body)
+}
+
+/// Whether `body` is exactly what this store's encoder writes for the
+/// value it decodes to — the admission check for foreign documents.
+fn is_canonical(kind: EntryKind, body: &str) -> bool {
+    let Ok(v) = Json::parse(body) else {
+        return false;
+    };
+    let again = match kind {
+        EntryKind::Positive => {
+            CachedArtifact::from_json(&v).map(|a| EncodedArtifact::encode(&a).body)
+        }
+        EntryKind::Negative => NegativeEntry::from_json(&v).map(|e| e.to_json().write()),
+    };
+    again.is_ok_and(|again| again == body)
 }
 
 /// An advisory lock file in `locks/`, deleted on drop. Acquisition spins

@@ -11,7 +11,8 @@ use std::time::{Duration, SystemTime};
 use hls_core::{synthesize, DesignMetrics, Directives, OptLevel, TechLibrary};
 use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{
-    ArtifactStore, CachedArtifact, NegativeEntry, RequestKey, StoreConfig, Verdict, STALE_LOCK,
+    ArtifactStore, CachedArtifact, EncodedArtifact, NegativeEntry, RequestKey, StoreConfig,
+    Verdict, ENTRY_SCHEMA, STALE_LOCK,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -55,6 +56,15 @@ fn artifact(tag: &str) -> CachedArtifact {
         diagnostics: Json::Arr(Vec::new()),
     }
 }
+
+/// A positive lookup that reports only whether it hit.
+type Probe = fn(&ArtifactStore, &RequestKey) -> bool;
+
+/// Both positive load paths: the decoding lookup and the byte lookup.
+const LOOKUPS: [(&str, Probe); 2] = [
+    ("lookup", |s, k| s.lookup(k).is_some()),
+    ("lookup_encoded", |s, k| s.lookup_encoded(k).is_some()),
+];
 
 #[test]
 fn eight_writers_eight_readers_stress() {
@@ -129,7 +139,13 @@ fn eight_writers_eight_readers_stress() {
 
 #[test]
 fn truncated_entry_is_quarantined_and_recoverable() {
-    let root = scratch("quarantine");
+    for (name, lookup) in LOOKUPS {
+        truncated_entry_is_quarantined_and_recoverable_by(name, lookup);
+    }
+}
+
+fn truncated_entry_is_quarantined_and_recoverable_by(name: &str, lookup: Probe) {
+    let root = scratch(&format!("quarantine-{name}"));
     let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
     let k = key("victim");
     store.insert(&k, &artifact("victim")).unwrap();
@@ -143,7 +159,7 @@ fn truncated_entry_is_quarantined_and_recoverable() {
     fs::write(&path, &text[..text.len() / 2]).unwrap();
 
     // The load integrity-checks, quarantines, and reports a miss.
-    assert!(store.lookup(&k).is_none());
+    assert!(!lookup(&store, &k), "{name}");
     assert!(!path.exists(), "corrupt entry left the serving path");
     assert!(root
         .join("quarantine")
@@ -162,7 +178,13 @@ fn truncated_entry_is_quarantined_and_recoverable() {
 
 #[test]
 fn tampered_body_fails_the_body_digest() {
-    let root = scratch("tamper");
+    for (name, lookup) in LOOKUPS {
+        tampered_body_fails_the_body_digest_by(name, lookup);
+    }
+}
+
+fn tampered_body_fails_the_body_digest_by(name: &str, lookup: Probe) {
+    let root = scratch(&format!("tamper-{name}"));
     let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
     let k = key("tamper");
     store.insert(&k, &artifact("tamper")).unwrap();
@@ -174,8 +196,8 @@ fn tampered_body_fails_the_body_digest() {
     let text = fs::read_to_string(&path).unwrap();
     fs::write(&path, text.replace("module tamper", "module mallory")).unwrap();
     assert!(
-        store.lookup(&k).is_none(),
-        "body digest must catch tampering"
+        !lookup(&store, &k),
+        "{name}: body digest must catch tampering"
     );
     assert_eq!(store.stats().quarantined, 1);
     let _ = fs::remove_dir_all(&root);
@@ -390,6 +412,29 @@ fn foreign_raw_documents_are_reverified_before_admission() {
     assert!(!c.insert_raw(EntryKind::Negative, &k.digest, &text).unwrap());
     assert_eq!(c.stats().neg_entries, 0);
 
+    // Bodies with a valid envelope and digests are refused unless they
+    // are artifacts in exactly the encoding this store writes.
+    let genuine = EncodedArtifact::encode(&artifact("raw"));
+    let spaced = genuine.as_str().replacen(',', ", ", 1);
+    for body in ["{\"design\":\"x\"}", spaced.as_str()] {
+        let document = Json::obj(vec![
+            ("schema", Json::str(ENTRY_SCHEMA)),
+            ("preimage", Json::str(k.preimage.clone())),
+            ("body_digest", Json::str(stable_digest(body.as_bytes()))),
+        ])
+        .write();
+        let document = format!("{},\"body\":{body}}}", &document[..document.len() - 1]);
+        assert!(
+            !c.insert_raw(EntryKind::Positive, &k.digest, &document)
+                .unwrap(),
+            "admitted {body}"
+        );
+        assert!(c.lookup_encoded(&k).is_none());
+        assert!(c.lookup(&k).is_none());
+    }
+    assert_eq!(c.stats().entries, 0);
+    assert_eq!(c.stats().quarantined, 0, "refused documents never land");
+
     for root in [&a_root, &b_root, &c_root] {
         let _ = fs::remove_dir_all(root);
     }
@@ -410,6 +455,23 @@ fn disk_census(root: &Path) -> [u64; 4] {
     let [entries, bytes] = side("objects");
     let [neg_entries, neg_bytes] = side("negative");
     [entries, bytes, neg_entries, neg_bytes]
+}
+
+/// Every entry on disk in eviction order: `(mtime, digest, side)`.
+fn disk_lru(root: &Path) -> Vec<(SystemTime, String, u8)> {
+    let mut entries = Vec::new();
+    for (side, dir) in ["objects", "negative"].into_iter().enumerate() {
+        for shard in fs::read_dir(root.join(dir)).unwrap().flatten() {
+            for file in fs::read_dir(shard.path()).unwrap().flatten() {
+                let path = file.path();
+                let digest = path.file_stem().unwrap().to_str().unwrap().to_string();
+                let mtime = file.metadata().unwrap().modified().unwrap();
+                entries.push((mtime, digest, side as u8));
+            }
+        }
+    }
+    entries.sort();
+    entries
 }
 
 fn census(store: &ArtifactStore) -> [u64; 4] {
@@ -458,10 +520,15 @@ fn census_matches_a_directory_walk_through_random_operations() {
     let root = scratch("census");
     let store = ArtifactStore::open(&root, StoreConfig { max_bytes: budget }).unwrap();
     let mut rng = StdRng::seed_from_u64(0x5eed_ce05);
-    for step in 0..300 {
+    // What the counters must read, from what the disk held before each op.
+    let (mut hits, mut misses, mut quarantined, mut evictions) = (0u64, 0u64, 0u64, 0u64);
+    let mut lru_checks = 0;
+    for step in 0..400 {
         let i = rng.gen_range(0..tags.len());
         let (tag, k) = (&tags[i], key(&tags[i]));
-        let op = rng.gen_range(0..8u32);
+        let object = entry_file(&root, "objects", &k.digest);
+        let before = disk_lru(&root);
+        let op = rng.gen_range(0..10u32);
         match op {
             0 => store.insert(&k, &artifact(tag)).unwrap(),
             1 => store.insert_negative(&k, &failure(tag)).unwrap(),
@@ -471,15 +538,27 @@ fn census_matches_a_directory_walk_through_random_operations() {
             3 => assert!(store
                 .insert_raw(EntryKind::Negative, &k.digest, &raw[i][1])
                 .unwrap()),
-            4 => {
-                store.lookup(&k);
+            4 | 8 => {
+                let present = object.exists();
+                let found = if op == 4 {
+                    store.lookup(&k).map(|a| EncodedArtifact::encode(&a))
+                } else {
+                    store.lookup_encoded(&k)
+                };
+                assert_eq!(found.is_some(), present, "step {step} (op {op})");
+                if let Some(found) = found {
+                    assert_eq!(found, EncodedArtifact::encode(&artifact(tag)));
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
             }
             5 => {
                 store.lookup_negative(&k);
             }
-            6 => {
+            6 | 9 => {
                 // An external truncation, then the load that quarantines it.
-                let negative = rng.gen_bool(0.5);
+                let negative = op == 6 && rng.gen_bool(0.5);
                 let path = entry_file(
                     &root,
                     if negative { "negative" } else { "objects" },
@@ -489,11 +568,15 @@ fn census_matches_a_directory_walk_through_random_operations() {
                     fs::write(&path, &text[..text.len() / 2]).unwrap();
                     let served = if negative {
                         store.lookup_negative(&k).is_some()
-                    } else {
+                    } else if op == 6 {
                         store.lookup(&k).is_some()
+                    } else {
+                        store.lookup_encoded(&k).is_some()
                     };
                     assert!(!served, "step {step}: a torn entry must not serve");
                     assert!(!path.exists(), "step {step}: torn entry quarantined");
+                    quarantined += 1;
+                    misses += u64::from(!negative);
                 }
             }
             _ => {
@@ -501,11 +584,46 @@ fn census_matches_a_directory_walk_through_random_operations() {
                 assert!(census(&store)[1] + census(&store)[3] <= budget);
             }
         }
+        // Whatever an op evicted was the least recently used, in the
+        // store's `(mtime, digest, kind)` order (checked when no two
+        // entries share a timestamp on disk).
+        let after: Vec<_> = disk_lru(&root)
+            .into_iter()
+            .map(|(_, d, s)| (d, s))
+            .collect();
+        let gone: Vec<_> = before
+            .iter()
+            .filter(|(_, d, s)| !after.contains(&(d.clone(), *s)))
+            .collect();
+        let removed_by_op = matches!(op, 6 | 9) as usize;
+        if gone.len() > removed_by_op && before.windows(2).all(|w| w[0].0 != w[1].0) {
+            let oldest: Vec<_> = before.iter().take(gone.len()).collect();
+            assert_eq!(
+                gone, oldest,
+                "step {step} (op {op}): eviction left LRU order"
+            );
+            lru_checks += 1;
+        }
+        if matches!(op, 0..=3) {
+            evictions += gone.len() as u64;
+        }
         assert_eq!(census(&store), disk_census(&root), "step {step} (op {op})");
+        let stats = store.stats();
+        let counts = [stats.hits, stats.misses, stats.quarantined, stats.evictions];
+        assert_eq!(
+            counts,
+            [hits, misses, quarantined, evictions],
+            "step {step} (op {op}): hits, misses, quarantines, evictions"
+        );
     }
     let stats = store.stats();
     assert!(stats.evictions > 0, "the budget must have bitten");
+    assert!(
+        lru_checks > 0,
+        "evictions must have been checked against the disk"
+    );
     assert!(stats.quarantined > 0, "truncations must have been drawn");
+    assert!(stats.hits > 0 && stats.misses > 0);
     assert!(stats.entries > 0 && stats.neg_entries > 0);
 
     // A fresh handle's walk agrees with the live index.
