@@ -28,14 +28,13 @@
 //! `--synth-delay-ms` injects per-synthesis latency modeling an
 //! external backend tool (used by the cluster benchmarks).
 //!
-//! `--incremental` attaches a prefix cache and a proof cache to every
-//! synthesis: a request that differs from an earlier one only in its
-//! clock replays that request's prefix (loop transforms, lowering and
-//! the optimized netlist) and re-runs only `schedule` onward, and a
-//! clock twin's proof replays too. `--pass-cache-dir DIR` (implies
-//! `--incremental`) persists one document per prefix under `DIR` and the
-//! proof verdicts under `DIR/proofs`, so a restarted daemon replays
-//! them. `--stats` then reports both caches beside the store.
+//! `--incremental` attaches an in-memory prefix cache and proof cache to
+//! every synthesis: a request that differs from an earlier one only in
+//! its clock replays that request's prefix (loop transforms, lowering
+//! and the optimized netlist) and re-runs only `schedule` onward, and a
+//! clock twin's proof replays too. Both caches live and die with the
+//! process; their counters appear in every batch report and in the
+//! cluster stats frame, while `--stats` reports the store alone.
 
 use std::io::{BufRead, Read};
 use std::path::PathBuf;
@@ -44,11 +43,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hls_cluster::{serve, Addr, ClusterConfig, ClusterNode, Listener, DEFAULT_VNODES};
-use hls_core::{PassCache, PassCacheConfig};
+use hls_core::PassCache;
 use hls_serve::{
     parse_batch, prepare_batch, serve_encoded, ArtifactStore, ServiceConfig, StoreConfig,
 };
-use hls_verify::{ProofCache, ProofCacheConfig};
+use hls_verify::ProofCache;
 
 const EXAMPLE: &str = r#"{"requests": [
   {"design": "sum8",
@@ -76,12 +75,11 @@ struct Options {
     example: bool,
     stats: bool,
     incremental: bool,
-    pass_cache_dir: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: synthd [--store DIR] [--max-bytes N] [--workers N] [--max-cost-ns N]\n\
-     \x20             [--synth-delay-ms N] [--incremental] [--pass-cache-dir DIR]\n\
+     \x20             [--synth-delay-ms N] [--incremental]\n\
      \x20             [--daemon | --listen ADDR | --socket PATH | --example | --stats]\n\
      \x20             [--cluster --peers A,B,C --self-index N [--replicas N] [--vnodes N]]\n\
      Addresses are `unix:PATH` or `tcp:HOST:PORT`. In cluster mode the\n\
@@ -105,7 +103,6 @@ fn parse_args() -> Result<Options, String> {
         example: false,
         stats: false,
         incremental: false,
-        pass_cache_dir: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -160,10 +157,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--vnodes: {e}"))?
             }
             "--incremental" => opts.incremental = true,
-            "--pass-cache-dir" => {
-                opts.pass_cache_dir = Some(PathBuf::from(value("--pass-cache-dir")?));
-                opts.incremental = true;
-            }
             "--example" => opts.example = true,
             "--stats" => opts.stats = true,
             "--help" | "-h" => return Err(usage().to_string()),
@@ -220,27 +213,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if opts.stats {
+        let census = hls_ir::Json::obj(vec![("store", store.stats().to_json())]);
+        println!("{}", census.write());
+        return ExitCode::SUCCESS;
+    }
     let mut opts = opts;
     if opts.incremental {
-        let pass_cfg = PassCacheConfig {
-            persist_dir: opts.pass_cache_dir.clone(),
-        };
-        opts.service.pass_cache = Some(Arc::new(PassCache::new(pass_cfg)));
-        let proof_cfg = ProofCacheConfig {
-            persist_dir: opts.pass_cache_dir.as_ref().map(|d| d.join("proofs")),
-        };
-        opts.service.proof_cache = Some(Arc::new(ProofCache::new(&proof_cfg)));
-    }
-    if opts.stats {
-        let mut fields = vec![("store", store.stats().to_json())];
-        if let Some(c) = &opts.service.pass_cache {
-            fields.push(("pass_cache", c.stats().to_json()));
-        }
-        if let Some(c) = &opts.service.proof_cache {
-            fields.push(("proof_cache", c.stats().to_json()));
-        }
-        println!("{}", hls_ir::Json::obj(fields).write());
-        return ExitCode::SUCCESS;
+        opts.service.pass_cache = Some(Arc::new(PassCache::default()));
+        opts.service.proof_cache = Some(Arc::new(ProofCache::in_memory()));
     }
 
     if let Some(addr) = &opts.listen {

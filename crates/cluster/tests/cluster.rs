@@ -15,12 +15,13 @@ use hls_cluster::{
     handle_connection, serve, Addr, ClusterConfig, ClusterNode, Connection, Frame, HashRing,
     Listener, PeerClient, DEFAULT_VNODES,
 };
-use hls_core::ExploreBudget;
+use hls_core::{ExploreBudget, PassCache};
 use hls_ir::Json;
 use hls_serve::{
     prepare_batch, serve_batch, serve_encoded, ArtifactStore, EncodedOutcome, EntryKind,
     RequestOutcome, ServiceConfig, StoreConfig, SynthesisRequest,
 };
+use hls_verify::ProofCache;
 use qam_decoder::{table1_library, QAM_DECODER_SOURCE};
 
 const SRC: &str = "void twice(sc_fixed<8,4> x, sc_fixed<10,6> *y) { *y = x + x; }";
@@ -653,4 +654,47 @@ fn stats_frame_reports_membership_and_store_census() {
         .and_then(|c| c.get("forwarded"))
         .is_some());
     assert!(stats.get("store").and_then(|s| s.get("entries")).is_some());
+
+    // A member with both caches, as `synthd --incremental` boots one.
+    // The decoder at 20 ns and at 40 ns chains identically, so the
+    // second request replays the first one's prefix and proof.
+    let service = ServiceConfig {
+        pass_cache: Some(Arc::new(PassCache::default())),
+        proof_cache: Some(Arc::new(ProofCache::in_memory())),
+        ..ServiceConfig::default()
+    };
+    let (_nodes, members) = boot("stats-incremental", 1, service);
+    for clock in [20.0, 40.0] {
+        let mut r = SynthesisRequest::new(QAM_DECODER_SOURCE);
+        r.directives.clock_period_ns = clock;
+        r.library = table1_library();
+        r.verify = true;
+        let served = report(&members[0], &[r]);
+        assert!(outcomes(&served)[0].get("error").is_none(), "{served:?}");
+    }
+    let stats = match PeerClient::new(members[0].clone()).call(&Frame::Stats) {
+        Ok(Frame::Report(r)) => r,
+        other => panic!("expected a stats report, got {other:?}"),
+    };
+    // The benchmark derives its cache hit ratios from `hits` and
+    // `misses` of both blocks, reading a missing key as 0. No disk-tier
+    // or obligation counter remains beside them.
+    for block in ["pass_cache", "proof_cache"] {
+        let counters = stats.get(block).unwrap_or_else(|| panic!("no {block}"));
+        let keys: Vec<&str> = counters
+            .as_obj()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["hits", "misses", "inserts", "evictions", "entries"],
+            "{block}"
+        );
+        assert!(
+            counters.get("hits").and_then(Json::as_u64) >= Some(1),
+            "{block}: {counters:?}"
+        );
+    }
 }

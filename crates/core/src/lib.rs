@@ -28,10 +28,10 @@ mod allocate;
 pub mod bound;
 pub mod dfg;
 mod directives;
-pub mod docstore;
 mod error;
 pub mod explore;
 mod lower;
+mod lru;
 mod metrics;
 pub mod netlist;
 pub mod passcache;
@@ -56,6 +56,7 @@ pub use explore::{
 };
 pub use hls_ir::{Anchor, Diagnostic, Diagnostics, Severity};
 pub use lower::{lower, Lowered, Port, Segment};
+pub use lru::{CacheStats, Lru};
 pub use metrics::{segment_cycles, DesignMetrics, SegmentCycles};
 pub use netlist::{
     apply_unsound_rewrite_for_selftest, netlist_obligations, optimize_lowered, NetlistObligation,

@@ -101,8 +101,7 @@ pub struct ServiceConfig {
     pub synth_delay: Duration,
     /// A shared prefix cache threaded into every pipeline invocation: a
     /// clock twin of an earlier request replays its clock-independent
-    /// prefix (loop transforms, lowering, netlist optimization). With a
-    /// persistent tier, a restarted daemon replays it too.
+    /// prefix (loop transforms, lowering, netlist optimization).
     pub pass_cache: Option<Arc<PassCache>>,
     /// A shared proof-verdict cache: verified requests replay FSMD
     /// equivalence verdicts for machines already proved (clock twins

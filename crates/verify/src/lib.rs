@@ -47,7 +47,7 @@ pub use fuzz::{
 pub use mutate::{mutate_fsmd, mutations_for, Mutation};
 pub use netlist::{
     check_netlist_obligation, check_netlist_obligation_with, check_netlist_obligations,
-    check_netlist_obligations_keyed, exec_lowered, NetlistCrossCheck,
+    exec_lowered, NetlistCrossCheck,
 };
 pub use pipeline::{
     explore_verified, explore_verified_serial, explore_verified_with, verify_equiv,
@@ -55,6 +55,5 @@ pub use pipeline::{
     ProverStats, VerifyFinding, VerifyReport,
 };
 pub use proofcache::{
-    fsmd_key, obligation_key, obligation_key_tagged, ProofCache, ProofCacheConfig, ProofCacheStats,
-    DEFAULT_OPTIONS_TAG,
+    fsmd_key, ProofCache, ProofCacheConfig, ProofCacheStats, DEFAULT_OPTIONS_TAG,
 };

@@ -25,7 +25,6 @@ use hls_core::{Lowered, NetlistObligation, Segment};
 use crate::equiv::{bit_blast, Obligation, ProofCex, ProofMethod, ProveOptions, ProveVerdict};
 use crate::fsmd_exec::{eval_node, FsmdState};
 use crate::fuzz::{random_fixed, SplitMix64};
-use crate::proofcache::ProofCache;
 use crate::state::{ExecResult, Unsupported};
 use crate::sym::{bool_format, Evaluator, SymId, SymTable};
 
@@ -36,55 +35,7 @@ pub fn check_netlist_obligations(
     obligations: &[NetlistObligation],
     opts: &ProveOptions,
 ) -> Vec<ProveVerdict> {
-    check_netlist_obligations_keyed(obligations, None, opts, None, None)
-}
-
-/// [`check_netlist_obligations`] through an optional [`ProofCache`],
-/// with the content keys supplied by the caller: each obligation's
-/// verdict is replayed when its key hits and recorded when it was
-/// freshly proved. Verdict order matches the obligation order either
-/// way, and a cached verdict is byte-identical to recomputation (the
-/// key covers the exact proof inputs, including the pass name and blast
-/// budget).
-///
-/// Deriving a key serializes both sides of the obligation — often more
-/// work than replaying the verdict it looks up. A sweep that memoizes
-/// obligation *sets* (one set per unique lowering, shared by every clock
-/// point) should memoize the keys beside them and pass both here, paying
-/// the serialization once per set instead of once per point. `keys`,
-/// when present, must be index-aligned with `obligations` and computed
-/// under the same `opts` *and* `cross` regime — [`obligation_key`] for
-/// the plain checker, [`obligation_key_tagged`] with
-/// [`NetlistCrossCheck::tag`] when cross-checking — a stale or
-/// misaligned key is a soundness bug on the caller. With `keys` `None`
-/// (or no cache), every obligation is proved directly.
-///
-/// [`obligation_key`]: crate::proofcache::obligation_key
-/// [`obligation_key_tagged`]: crate::proofcache::obligation_key_tagged
-pub fn check_netlist_obligations_keyed(
-    obligations: &[NetlistObligation],
-    keys: Option<&[String]>,
-    opts: &ProveOptions,
-    cross: Option<&NetlistCrossCheck>,
-    cache: Option<&ProofCache>,
-) -> Vec<ProveVerdict> {
-    assert!(
-        keys.is_none_or(|k| k.len() == obligations.len()),
-        "one key per obligation"
-    );
-    let one = |i: usize| -> ProveVerdict {
-        let ob = &obligations[i];
-        let (Some(cache), Some(keys)) = (cache, keys) else {
-            return check_netlist_obligation_with(ob, opts, cross);
-        };
-        let key = &keys[i];
-        if let Some(v) = cache.get_obligation(key) {
-            return v;
-        }
-        let v = check_netlist_obligation_with(ob, opts, cross);
-        cache.put_obligation(key, &v);
-        v
-    };
+    let one = |i: usize| check_netlist_obligation(&obligations[i], opts);
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -234,11 +185,10 @@ pub fn check_netlist_obligation(ob: &NetlistObligation, opts: &ProveOptions) -> 
 /// re-executed in *independent* symbolic tables — taking the
 /// shared-table normalizer out of the trusted base — and their final
 /// states compared under deterministic pseudo-random input valuations.
-/// A divergence downgrades the verdict to `Disproved` with the
+/// A divergence demotes the verdict to `Disproved` with the
 /// offending valuation; agreement leaves the proved verdict
 /// byte-identical to the plain checker's. Deep-verification sweeps run
-/// in this regime, and replaying the verdict from a [`ProofCache`]
-/// amortizes the proof and the cross-check together.
+/// in this regime.
 #[derive(Debug, Clone)]
 pub struct NetlistCrossCheck {
     /// Seed for the stimulus stream. Restarted for every obligation, so
@@ -257,23 +207,11 @@ impl Default for NetlistCrossCheck {
     }
 }
 
-impl NetlistCrossCheck {
-    /// Cache-key tag for this regime: a verdict proved under a
-    /// cross-check only replays for callers running the same one (see
-    /// [`obligation_key_tagged`](crate::proofcache::obligation_key_tagged)).
-    pub fn tag(&self) -> String {
-        format!("xvec{:x}:{}", self.seed, self.vectors)
-    }
-}
-
 /// [`check_netlist_obligation`] under an optional concrete cross-check:
 /// a symbolic `Proved` must additionally survive
 /// [`NetlistCrossCheck::vectors`] sampled differential executions.
 /// `Disproved` and `Unknown` verdicts pass through untouched — the
-/// cross-check can only *demote* a proof, never rescue one. Cached
-/// callers must key these verdicts with
-/// [`obligation_key_tagged`](crate::proofcache::obligation_key_tagged)
-/// under [`NetlistCrossCheck::tag`].
+/// cross-check can only *demote* a proof, never rescue one.
 pub fn check_netlist_obligation_with(
     ob: &NetlistObligation,
     opts: &ProveOptions,
@@ -457,7 +395,6 @@ fn unknown_all(func: &hls_ir::Function, reason: String) -> ProveVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proofcache::{obligation_key, obligation_key_tagged};
     use hls_core::{
         lower, netlist_obligations, optimize_lowered, Directives, NetlistOptConfig, OptLevel,
         TechLibrary,
@@ -557,39 +494,6 @@ mod tests {
                 "a passing cross-check must not perturb the verdict"
             );
         }
-    }
-
-    #[test]
-    fn cross_check_regime_keys_never_alias() {
-        let obs = lowered_pair();
-        let opts = ProveOptions::default();
-        let cross = NetlistCrossCheck::default();
-        let tagged: Vec<String> = obs
-            .iter()
-            .map(|ob| obligation_key_tagged(ob, &opts, &cross.tag()))
-            .collect();
-        assert_ne!(
-            obligation_key(&obs[0], &opts),
-            tagged[0],
-            "cross-checked verdicts live under their own keys"
-        );
-        let cache = ProofCache::in_memory();
-        let first =
-            check_netlist_obligations_keyed(&obs, Some(&tagged), &opts, Some(&cross), Some(&cache));
-        let second =
-            check_netlist_obligations_keyed(&obs, Some(&tagged), &opts, Some(&cross), Some(&cache));
-        assert_eq!(
-            format!("{first:?}"),
-            format!("{second:?}"),
-            "replayed verdicts are byte-identical to fresh ones"
-        );
-        assert!(cache.stats().hits >= obs.len() as u64, "second run replays");
-        // The plain regime's keys still miss: a verdict proved under a
-        // cross-check never stands in for one proved without it (or vice
-        // versa).
-        assert!(cache
-            .get_obligation(&obligation_key(&obs[0], &opts))
-            .is_none());
     }
 
     #[test]

@@ -283,8 +283,8 @@ impl ExploreProver {
     }
 
     /// Attaches a shared [`ProofCache`]: a third memo layer that, unlike
-    /// the two sweep-scoped ones, survives across sweeps (and across
-    /// restarts when the cache persists). Sound for any knob setting —
+    /// the two sweep-scoped ones, survives across sweeps. Sound for any
+    /// knob setting —
     /// the cache key carries a tag derived from the exact prove/fuzz
     /// configuration (see [`ExploreProver::options_tag`]), so differently
     /// configured provers never read each other's verdicts.

@@ -1,87 +1,36 @@
-//! Content-addressed proof-verdict cache.
+//! Content-addressed FSMD equivalence verdicts, in memory.
 //!
-//! Proofs are the most expensive stage of the flow, and a design-space
-//! sweep re-proves the same facts constantly: netlist rewrite
-//! obligations repeat whenever two points share a lowered design, and
-//! whole FSMD equivalence proofs repeat across clock twins, repeated
-//! sweeps and service restarts. This module caches both:
-//!
-//! - **Netlist obligations** are keyed by a [`hls_ir::stable_digest`]
-//!   over the *exact* proof inputs — the schema tag, the originating
-//!   pass name, the prover's [`ProveOptions::max_blast_bits`] budget and
-//!   the canonical [`hls_core::persist`] serialization of both the
-//!   before and after lowered designs. Any change to either side, the
-//!   pass attribution or the blast budget changes the key and forces a
-//!   fresh proof.
-//! - **FSMD equivalence verdicts** are keyed by the same structural
-//!   identity [`rtl::Fsmd::same_machine`] uses — name, ports, control,
-//!   schedules and the lowered design — and deliberately *exclude*
-//!   [`rtl::Fsmd::clock_ns`]: clock twins chain identically, so one
-//!   proof covers them all.
+//! Whole-machine equivalence proofs are the most expensive stage of the
+//! flow, and they repeat across clock twins and repeated sweeps. A
+//! verdict is keyed by the same structural identity
+//! [`rtl::Fsmd::same_machine`] uses — name, ports, control, schedules and
+//! the lowered design (through its [`hls_core::persist`] encoding) — and
+//! deliberately *excludes* [`rtl::Fsmd::clock_ns`]: clock twins chain
+//! identically, so one proof covers them all.
 //!
 //! # Soundness
 //!
-//! The in-memory tiers replay a verdict only under a key derived from
-//! the complete proof input, so a replayed [`ProveVerdict::Disproved`]
-//! or [`ProveVerdict::Unknown`] is byte-identical to recomputing it.
-//! The persistent tier is stricter: **only `Proved` verdicts are ever
-//! written to disk**, and the decoder only *constructs* `Proved`
-//! values, so a refuted or undecided obligation can never be served
-//! from a stale or tampered store as anything at all — it simply misses
-//! and re-proves. The [`ProofCacheStats::downgrades`] counter counts
-//! decoded persistent entries that were anything other than `Proved`;
-//! it is structurally pinned to zero and exported so benchmarks and
-//! tests can assert the invariant end to end. Torn or corrupted
-//! persistent entries fail the [`hls_core::docstore::DocStore`]
-//! integrity envelope, quarantine, and read as misses.
+//! A verdict replays only under a key derived from the complete proof
+//! input, so a replayed report — `Proved` or a counterexample — is
+//! byte-identical to recomputing it. There is no disk tier: a key only
+//! has to agree within one process. The cache holds at most
+//! [`CAPACITY`] verdicts and evicts the least recently used one; an
+//! evicted machine simply re-proves.
 
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hls_core::docstore::DocStore;
 use hls_core::persist::lowered_to_json;
-use hls_core::NetlistObligation;
-use hls_ir::{stable_digest, Json};
+use hls_core::{CacheStats, Lru};
+use hls_ir::stable_digest;
 use rtl::Fsmd;
 
-use crate::equiv::{Obligation, ProofMethod, ProveOptions, ProveVerdict};
-use crate::pipeline::{VerifyFinding, VerifyReport};
+use crate::pipeline::VerifyReport;
 
-/// Key-schema tag: bumped whenever key derivation or the persisted
-/// encoding changes shape, so stale stores miss instead of colliding.
-const KEY_SCHEMA: &str = "pf1";
-
-/// Cache key for one netlist rewrite obligation under a prover budget.
-///
-/// Covers the schema tag, the pass name (verdict messages embed it), the
-/// bit-blast budget (a bigger budget can turn `Unknown` into `Proved`)
-/// and the exact canonical serialization of both lowered designs.
-pub fn obligation_key(ob: &NetlistObligation, opts: &ProveOptions) -> String {
-    obligation_key_tagged(ob, opts, DEFAULT_OPTIONS_TAG)
-}
-
-/// [`obligation_key`] with an explicit options tag for non-default
-/// checker regimes (e.g. the concrete cross-check in
-/// [`check_netlist_obligation_with`](crate::netlist::check_netlist_obligation_with)).
-/// A verdict recorded under one regime never replays for another — the
-/// tag is part of the content key, exactly as in [`fsmd_key`].
-pub fn obligation_key_tagged(ob: &NetlistObligation, opts: &ProveOptions, tag: &str) -> String {
-    let mut text = String::new();
-    text.push_str(KEY_SCHEMA);
-    text.push_str(";obligation;");
-    text.push_str(tag);
-    text.push(';');
-    text.push_str(ob.pass);
-    text.push(';');
-    text.push_str(&opts.max_blast_bits.to_string());
-    text.push(';');
-    text.push_str(&lowered_to_json(&ob.before).write());
-    text.push(';');
-    text.push_str(&lowered_to_json(&ob.after).write());
-    stable_digest(text.as_bytes())
-}
+/// Verdict bound. A long-lived `synthd --incremental` adds one verdict
+/// per verified miss. The benchmark's verified workload serves 320–460
+/// requests/s for 15 s on a 2-core host, and about 53% of them miss, so
+/// one window stores at most ~3,700 verdicts: 4,096 never evict there.
+pub const CAPACITY: usize = 4096;
 
 /// Cache key for one FSMD equivalence proof under a prover/fuzzer
 /// configuration digest.
@@ -94,8 +43,7 @@ pub fn obligation_key_tagged(ob: &NetlistObligation, opts: &ProveOptions, tag: &
 /// passes [`DEFAULT_OPTIONS_TAG`].
 pub fn fsmd_key(fsmd: &Fsmd, options_tag: &str) -> String {
     let mut text = String::new();
-    text.push_str(KEY_SCHEMA);
-    text.push_str(";fsmd;");
+    text.push_str("fsmd;");
     text.push_str(options_tag);
     text.push(';');
     text.push_str(&fsmd.name);
@@ -111,66 +59,24 @@ pub fn fsmd_key(fsmd: &Fsmd, options_tag: &str) -> String {
 /// The options tag for the default `verify_equiv` prove/fuzz knobs.
 pub const DEFAULT_OPTIONS_TAG: &str = "default";
 
-/// Configuration for a [`ProofCache`].
+/// Configuration for a [`ProofCache`]. Its one field can only be
+/// `None`: it is kept only for the benchmark harness's
+/// `ProofCacheConfig { persist_dir: None }`, and goes with the next
+/// change to that harness.
 #[derive(Debug, Clone, Default)]
 pub struct ProofCacheConfig {
-    /// Root directory for the persistent tier; `None` keeps the cache
-    /// memory-only. Only `Proved` verdicts are ever persisted.
-    pub persist_dir: Option<PathBuf>,
+    /// Always `None`: there is no disk tier.
+    pub persist_dir: Option<std::convert::Infallible>,
 }
 
-/// Effectiveness counters for a [`ProofCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProofCacheStats {
-    /// Verdicts replayed from either tier.
-    pub hits: u64,
-    /// Lookups that found nothing and forced a fresh proof.
-    pub misses: u64,
-    /// Verdicts inserted.
-    pub inserts: u64,
-    /// Hits satisfied by the persistent tier (subset of `hits`).
-    pub persist_hits: u64,
-    /// Persistent entries quarantined after failing integrity.
-    pub persist_quarantined: u64,
-    /// Decoded persistent entries that were anything but `Proved`.
-    /// Structurally pinned to zero — the encoder refuses non-`Proved`
-    /// verdicts and the decoder only constructs `Proved` ones — and
-    /// exported so the invariant is assertable end to end.
-    pub downgrades: u64,
-    /// Resident obligation verdicts.
-    pub obligation_entries: u64,
-    /// Resident FSMD verdicts.
-    pub fsmd_entries: u64,
-}
+/// The proof cache's counters and occupancy.
+pub type ProofCacheStats = CacheStats;
 
-impl ProofCacheStats {
-    /// Serializes the counters for stats surfaces.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("hits", Json::count(self.hits)),
-            ("misses", Json::count(self.misses)),
-            ("inserts", Json::count(self.inserts)),
-            ("persist_hits", Json::count(self.persist_hits)),
-            ("persist_quarantined", Json::count(self.persist_quarantined)),
-            ("downgrades", Json::count(self.downgrades)),
-            ("obligation_entries", Json::count(self.obligation_entries)),
-            ("fsmd_entries", Json::count(self.fsmd_entries)),
-        ])
-    }
-}
-
-/// A two-tier (memory + optional disk) proof-verdict cache, shared by
-/// reference across the prover's worker pool.
+/// A bounded in-memory verdict cache, shared by reference across the
+/// prover's worker pool and the service's workers.
 #[derive(Debug)]
 pub struct ProofCache {
-    obligations: Mutex<HashMap<String, ProveVerdict>>,
-    fsmd: Mutex<HashMap<String, VerifyReport>>,
-    persist: Option<DocStore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    persist_hits: AtomicU64,
-    downgrades: AtomicU64,
+    lru: Mutex<Lru<VerifyReport>>,
 }
 
 impl Default for ProofCache {
@@ -180,307 +86,100 @@ impl Default for ProofCache {
 }
 
 impl ProofCache {
-    /// Opens a cache; I/O trouble with the persistent root degrades to a
-    /// memory-only cache (a proof cache miss is always recoverable).
-    pub fn new(config: &ProofCacheConfig) -> ProofCache {
-        let persist = config
-            .persist_dir
-            .as_ref()
-            .and_then(|root| DocStore::open(root).ok());
-        ProofCache {
-            obligations: Mutex::new(HashMap::new()),
-            fsmd: Mutex::new(HashMap::new()),
-            persist,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            persist_hits: AtomicU64::new(0),
-            downgrades: AtomicU64::new(0),
-        }
+    /// An empty cache; the same as [`ProofCache::in_memory`].
+    pub fn new(_config: &ProofCacheConfig) -> ProofCache {
+        ProofCache::in_memory()
     }
 
-    /// A memory-only cache.
+    /// An empty cache bounded at [`CAPACITY`] verdicts.
     pub fn in_memory() -> ProofCache {
-        ProofCache::new(&ProofCacheConfig::default())
+        ProofCache::with_capacity(CAPACITY)
     }
 
-    /// Replays the verdict proved under `key`, if any.
-    pub fn get_obligation(&self, key: &str) -> Option<ProveVerdict> {
-        if let Some(v) = self.obligations.lock().unwrap().get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(v.clone());
+    fn with_capacity(capacity: usize) -> ProofCache {
+        ProofCache {
+            lru: Mutex::new(Lru::new(capacity)),
         }
-        if let Some(store) = &self.persist {
-            if let Some(body) = store.get(key) {
-                if let Some(v) = decode_obligation(&body) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.persist_hits.fetch_add(1, Ordering::Relaxed);
-                    self.obligations
-                        .lock()
-                        .unwrap()
-                        .insert(key.to_string(), v.clone());
-                    return Some(v);
-                }
-                self.downgrades.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
     }
 
-    /// Records a verdict under `key`. Every verdict is kept in memory
-    /// (a replayed `Disproved`/`Unknown` is byte-identical to
-    /// recomputation under the same key); only `Proved` reaches disk.
-    pub fn put_obligation(&self, key: &str, verdict: &ProveVerdict) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.obligations
-            .lock()
-            .unwrap()
-            .insert(key.to_string(), verdict.clone());
-        if let (Some(store), Some(body)) = (&self.persist, encode_obligation(verdict)) {
-            store.put(key, &body);
-        }
+    fn lru(&self) -> std::sync::MutexGuard<'_, Lru<VerifyReport>> {
+        self.lru.lock().expect("proof cache poisoned")
     }
 
     /// Replays the FSMD verdict proved under `key`, if any.
     pub fn get_fsmd(&self, key: &str) -> Option<VerifyReport> {
-        if let Some(r) = self.fsmd.lock().unwrap().get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(r.clone());
-        }
-        if let Some(store) = &self.persist {
-            if let Some(body) = store.get(key) {
-                if let Some(r) = decode_fsmd(&body) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.persist_hits.fetch_add(1, Ordering::Relaxed);
-                    self.fsmd.lock().unwrap().insert(key.to_string(), r.clone());
-                    return Some(r);
-                }
-                self.downgrades.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        self.lru().get(key).cloned()
     }
 
-    /// Records an FSMD verdict under `key`; only passing proofs
-    /// ([`VerifyFinding::Proved`]) reach disk.
+    /// Records an FSMD verdict under `key`, evicting the least recently
+    /// used verdict when the cache is full.
     pub fn put_fsmd(&self, key: &str, report: &VerifyReport) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.fsmd
-            .lock()
-            .unwrap()
-            .insert(key.to_string(), report.clone());
-        if let (Some(store), Some(body)) = (&self.persist, encode_fsmd(report)) {
-            store.put(key, &body);
-        }
+        self.lru().insert(key, report.clone());
     }
 
     /// Effectiveness counters and census.
     pub fn stats(&self) -> ProofCacheStats {
-        ProofCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            persist_hits: self.persist_hits.load(Ordering::Relaxed),
-            persist_quarantined: self.persist.as_ref().map_or(0, |p| p.quarantined()),
-            downgrades: self.downgrades.load(Ordering::Relaxed),
-            obligation_entries: self.obligations.lock().unwrap().len() as u64,
-            fsmd_entries: self.fsmd.lock().unwrap().len() as u64,
-        }
+        self.lru().stats()
     }
-}
-
-/// Encodes a verdict for the persistent tier. Returns `None` — meaning
-/// "do not persist" — for anything but `Proved`; this is the soundness
-/// choke point, not a serialization shortcut.
-fn encode_obligation(verdict: &ProveVerdict) -> Option<Json> {
-    let ProveVerdict::Proved {
-        obligations,
-        sym_nodes,
-    } = verdict
-    else {
-        return None;
-    };
-    let items = obligations
-        .iter()
-        .map(|ob| match ob.method {
-            ProofMethod::Canonical => Json::Arr(vec![Json::str(ob.name.clone()), Json::str("c")]),
-            ProofMethod::BitBlast { points } => Json::Arr(vec![
-                Json::str(ob.name.clone()),
-                Json::str("b"),
-                Json::str(points.to_string()),
-            ]),
-        })
-        .collect();
-    Some(Json::obj(vec![
-        ("stage", Json::str("obligation")),
-        ("sym_nodes", Json::size(*sym_nodes)),
-        ("obligations", Json::Arr(items)),
-    ]))
-}
-
-/// Total-but-unforgiving decoder: only ever constructs `Proved`
-/// verdicts, and any malformation reads as a miss.
-fn decode_obligation(body: &Json) -> Option<ProveVerdict> {
-    if body.get("stage")?.as_str()? != "obligation" {
-        return None;
-    }
-    let sym_nodes = body.get("sym_nodes")?.as_u64()? as usize;
-    let mut obligations = Vec::new();
-    for item in body.get("obligations")?.as_arr()? {
-        let fields = item.as_arr()?;
-        let name = fields.first()?.as_str()?.to_string();
-        let method = match fields.get(1)?.as_str()? {
-            "c" if fields.len() == 2 => ProofMethod::Canonical,
-            "b" if fields.len() == 3 => ProofMethod::BitBlast {
-                points: fields.get(2)?.as_str()?.parse().ok()?,
-            },
-            _ => return None,
-        };
-        obligations.push(Obligation { name, method });
-    }
-    Some(ProveVerdict::Proved {
-        obligations,
-        sym_nodes,
-    })
-}
-
-/// Encodes an FSMD verdict for the persistent tier; `None` for anything
-/// but a passing proof.
-fn encode_fsmd(report: &VerifyReport) -> Option<Json> {
-    let VerifyFinding::Proved {
-        obligations,
-        bit_blasted,
-        sym_nodes,
-    } = &report.finding
-    else {
-        return None;
-    };
-    Some(Json::obj(vec![
-        ("stage", Json::str("fsmd")),
-        ("obligations", Json::size(*obligations)),
-        ("bit_blasted", Json::size(*bit_blasted)),
-        ("sym_nodes", Json::size(*sym_nodes)),
-    ]))
-}
-
-/// Decoder for persisted FSMD verdicts: only constructs `Proved`.
-fn decode_fsmd(body: &Json) -> Option<VerifyReport> {
-    if body.get("stage")?.as_str()? != "fsmd" {
-        return None;
-    }
-    Some(VerifyReport {
-        finding: VerifyFinding::Proved {
-            obligations: body.get("obligations")?.as_u64()? as usize,
-            bit_blasted: body.get("bit_blasted")?.as_u64()? as usize,
-            sym_nodes: body.get("sym_nodes")?.as_u64()? as usize,
-        },
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::FuzzCex;
-    use crate::fuzz::Stimulus;
+    use crate::pipeline::{verify_equiv, verify_equiv_cached};
+    use hls_core::{synthesize, Directives, TechLibrary, Unroll};
+    use hls_ir::parse_function;
 
-    fn proved() -> ProveVerdict {
-        ProveVerdict::Proved {
-            obligations: vec![
-                Obligation {
-                    name: "out".into(),
-                    method: ProofMethod::Canonical,
-                },
-                Obligation {
-                    name: "acc".into(),
-                    method: ProofMethod::BitBlast { points: 1024 },
-                },
-            ],
-            sym_nodes: 77,
+    const SRC: &str = r#"
+        void k(sc_fixed<6,3> x[4], sc_fixed<10,6> *out) {
+            sc_fixed<10,6> acc = 0;
+            l: for (int i = 0; i < 4; i++) {
+                acc += x[i] * 2;
+            }
+            *out = acc;
         }
-    }
+    "#;
 
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("hls-proofcache-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// Three structurally different machines: the kernel unrolled by 1,
+    /// 2 and 4.
+    fn machines() -> Vec<Fsmd> {
+        let func = parse_function(SRC).unwrap();
+        [1, 2, 4]
+            .iter()
+            .map(|&u| {
+                let d = Directives::new(10.0).unroll("l", Unroll::Factor(u));
+                let r = synthesize(&func, &d, &TechLibrary::asic_100mhz()).unwrap();
+                Fsmd::from_synthesis(&r)
+            })
+            .collect()
     }
 
     #[test]
-    fn obligation_round_trip_and_counters() {
-        let cache = ProofCache::in_memory();
-        let key = stable_digest(b"ob-1");
-        assert!(cache.get_obligation(&key).is_none());
-        cache.put_obligation(&key, &proved());
-        let hit = cache.get_obligation(&key).expect("hit");
-        assert!(hit.is_proved());
+    fn lru_evicts_the_least_recently_used_verdict() {
+        let m = machines();
+        let keys: Vec<String> = m.iter().map(|f| fsmd_key(f, DEFAULT_OPTIONS_TAG)).collect();
+        assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2]);
+        let cache = ProofCache::with_capacity(2);
+        let first = verify_equiv_cached(&m[0], &cache);
+        verify_equiv_cached(&m[1], &cache);
+        // A hit refreshes machine 0, so the third verdict displaces
+        // machine 1.
+        assert!(cache.get_fsmd(&keys[0]).is_some());
+        verify_equiv_cached(&m[2], &cache);
+        assert!(cache.get_fsmd(&keys[1]).is_none());
+        assert!(cache.get_fsmd(&keys[0]).is_some());
+        assert!(cache.get_fsmd(&keys[2]).is_some());
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
-        assert_eq!(s.downgrades, 0);
-    }
+        assert_eq!((s.inserts, s.evictions, s.entries), (3, 1, 2));
+        assert_eq!((s.hits, s.misses), (3, 4));
 
-    #[test]
-    fn only_proved_survives_reopen() {
-        let root = tmp_root("persist");
-        let config = ProofCacheConfig {
-            persist_dir: Some(root.clone()),
-        };
-        let proved_key = stable_digest(b"proved");
-        let unknown_key = stable_digest(b"unknown");
-        let fuzzed_key = stable_digest(b"fuzzed");
-        {
-            let cache = ProofCache::new(&config);
-            cache.put_obligation(&proved_key, &proved());
-            cache.put_obligation(
-                &unknown_key,
-                &ProveVerdict::Unknown {
-                    reason: "wide cone".into(),
-                    proved: 0,
-                    unproved: vec!["out".into()],
-                },
-            );
-            cache.put_fsmd(
-                &fuzzed_key,
-                &VerifyReport {
-                    finding: VerifyFinding::FuzzCounterexample(FuzzCex {
-                        stimulus: Stimulus::default(),
-                        failing_call: 0,
-                        message: "mismatch".into(),
-                    }),
-                },
-            );
-        }
-        let cache = ProofCache::new(&config);
-        assert!(
-            cache.get_obligation(&proved_key).is_some(),
-            "proved verdicts survive a restart"
-        );
-        assert!(
-            cache.get_obligation(&unknown_key).is_none(),
-            "non-proved verdicts must not be persisted"
-        );
-        assert!(
-            cache.get_fsmd(&fuzzed_key).is_none(),
-            "counterexamples must not be persisted"
-        );
-        assert_eq!(cache.stats().persist_hits, 1);
-        assert_eq!(cache.stats().downgrades, 0);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn decoder_never_constructs_non_proved() {
-        // Even a hand-forged body claiming to be a verdict decodes to
-        // Proved or nothing — there is no encoding for refutation.
-        let forged = Json::obj(vec![
-            ("stage", Json::str("obligation")),
-            ("sym_nodes", Json::size(1)),
-            ("obligations", Json::Arr(vec![Json::str("disproved")])),
-        ]);
-        assert!(decode_obligation(&forged).is_none());
-        let forged = Json::obj(vec![("stage", Json::str("fsmd"))]);
-        assert!(decode_fsmd(&forged).is_none());
+        // The evicted machine re-proves, to the report a fresh proof
+        // gives, and displaces the now least recently used machine 0.
+        let again = verify_equiv_cached(&m[1], &cache);
+        assert!(again.passed(), "{}", again.describe());
+        assert_eq!(format!("{again:?}"), format!("{:?}", verify_equiv(&m[1])));
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.get_fsmd(&keys[0]).is_none());
+        assert_eq!(format!("{first:?}"), format!("{:?}", verify_equiv(&m[0])));
     }
 }
