@@ -1,24 +1,25 @@
-//! Budgeted design-space exploration benchmark: the Table-1 directive
-//! sweep crossed with a target-clock sweep, explored three ways —
+//! Budgeted design-space exploration report: the Table-1 directive
+//! sweep crossed with a target-clock sweep, explored two ways —
 //!
-//! 1. **serial reference** — the historical flow: explore serially, then
-//!    re-synthesize and equivalence-check every point after the sweep
-//!    (`explore_verified_serial`);
-//! 2. **fused** — proofs run inside the explorer's worker pool against
+//! 1. **fused** — proofs run inside the explorer's worker pool against
 //!    each point's already-built synthesis result, sharing IR contexts
 //!    and replaying verdicts for structurally identical clock twins
 //!    (`explore_verified`);
-//! 3. **budgeted + fused** — the same, plus branch-and-bound pruning of
+//! 2. **budgeted + fused** — the same, plus branch-and-bound pruning of
 //!    candidates whose admissible bounds are already dominated.
 //!
-//! Each flow runs `REPEATS` times and scores its minimum wall time. The
-//! binary *enforces* the optimization contract and exits nonzero if it
-//! does not hold: every flow must report the identical Pareto frontier
-//! and identical per-point metrics (budgeted may drop dominated interior
-//! points, but only into its pruned list), no equivalence check may
-//! fail, and the budgeted + fused flow must be at least 2x faster than
-//! the serial reference. Results land in `BENCH_explore.json` at the
-//! repo root (schema documented in DESIGN.md under "Exploration &
+//! Then a dense 10,206-point per-loop grid, unverified, with and without
+//! the budget.
+//!
+//! Each flow runs `REPEATS` times and reports its minimum wall time. The
+//! binary *enforces* exactness and exits nonzero if it does not hold:
+//! both flows must report the identical Pareto frontier and identical
+//! per-point metrics (budgeted may drop dominated interior points, but
+//! only into its pruned list), no equivalence check may fail, pruning
+//! must fire, and the grid's budgeted sweep must prune at least half of
+//! its candidates and still reproduce the unbudgeted frontier. No wall
+//! time is a pass condition. Results land in `BENCH_explore.json` at
+//! the repo root (schema documented in DESIGN.md under "Exploration &
 //! budgeting").
 
 use std::collections::BTreeMap;
@@ -28,11 +29,10 @@ use hls_core::{
     explore, ExploreConfig, ExploreResult, LoopGrid, MergePolicy, TechLibrary, VerifyLevel,
 };
 use hls_ir::Function;
-use hls_verify::{explore_verified, explore_verified_serial};
+use hls_verify::explore_verified;
 use qam_decoder::{build_qam_decoder_ir, table1_library, DecoderParams};
 
 const REPEATS: usize = 3;
-const REQUIRED_SPEEDUP: f64 = 2.0;
 /// The dense grid sweep must discard at least this fraction of its
 /// candidates by bound alone.
 const REQUIRED_PRUNE_RATE: f64 = 0.5;
@@ -100,16 +100,11 @@ fn run_flow(
     func: &Function,
     config: &ExploreConfig,
     lib: &TechLibrary,
-    serial: bool,
 ) -> Flow {
     let mut best: Option<(f64, ExploreResult)> = None;
     for _ in 0..REPEATS {
         let t0 = Instant::now();
-        let r = if serial {
-            explore_verified_serial(func, config, lib)
-        } else {
-            explore_verified(func, config, lib)
-        };
+        let r = explore_verified(func, config, lib);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if best.as_ref().is_none_or(|(b, _)| ms < *b) {
             best = Some((ms, r));
@@ -132,9 +127,8 @@ fn main() {
     let config = sweep_config();
     let budgeted_config = config.clone().budgeted();
 
-    let serial = run_flow("serial-reference", &ir.func, &config, &lib, true);
-    let fused = run_flow("fused", &ir.func, &config, &lib, false);
-    let budgeted = run_flow("budgeted-fused", &ir.func, &budgeted_config, &lib, false);
+    let fused = run_flow("fused", &ir.func, &config, &lib);
+    let budgeted = run_flow("budgeted-fused", &ir.func, &budgeted_config, &lib);
 
     let mut failed = false;
     let mut check = |ok: bool, what: &str| {
@@ -144,39 +138,33 @@ fn main() {
         }
     };
 
-    // Exactness: identical frontier everywhere; identical per-point
-    // metrics, with the budgeted flow allowed to move dominated interior
-    // points into `pruned` but nowhere else.
-    let reference = frontier(&serial.result);
+    // Exactness: the unbudgeted fused flow is the reference (its
+    // points match the serial explorer's, checked in the hls-verify
+    // tests). The budgeted flow must report the same frontier and the
+    // same metrics for every point it evaluated, moving dominated
+    // interior points into `pruned` but nowhere else.
+    let reference = frontier(&fused.result);
+    check(
+        frontier(&budgeted.result) == reference,
+        "budgeted-fused frontier differs from the fused reference",
+    );
     for flow in [&fused, &budgeted] {
-        check(
-            frontier(&flow.result) == reference,
-            &format!("{} frontier differs from the serial reference", flow.name),
-        );
         check(
             flow.result.verify_failures.is_empty(),
             &format!("{} reported equivalence failures", flow.name),
         );
     }
-    check(
-        serial.result.verify_failures.is_empty(),
-        "serial reference reported equivalence failures",
-    );
-    let by_label: BTreeMap<&str, (u64, f64)> = serial
+    let by_label: BTreeMap<&str, (u64, f64)> = fused
         .result
         .points
         .iter()
         .map(|p| (p.label.as_str(), (p.latency_cycles, p.area)))
         .collect();
     check(
-        fused.result.points.len() == serial.result.points.len(),
-        "fused flow must evaluate every point the reference does",
-    );
-    check(
-        budgeted.result.points.len() + budgeted.result.pruned.len() == serial.result.points.len(),
+        budgeted.result.points.len() + budgeted.result.pruned.len() == fused.result.points.len(),
         "budgeted flow must account for every reference point (evaluated or pruned)",
     );
-    for p in fused.result.points.iter().chain(&budgeted.result.points) {
+    for p in &budgeted.result.points {
         check(
             by_label.get(p.label.as_str()) == Some(&(p.latency_cycles, p.area)),
             &format!("point {} metrics differ from the reference", p.label),
@@ -193,15 +181,6 @@ fn main() {
             &format!("pruned candidate {} carries no bound evidence", p.label),
         );
     }
-
-    let speedup_fused = serial.ms / fused.ms;
-    let speedup_budgeted = serial.ms / budgeted.ms;
-    check(
-        speedup_budgeted >= REQUIRED_SPEEDUP,
-        &format!(
-            "budgeted+fused speedup {speedup_budgeted:.2}x below the required {REQUIRED_SPEEDUP:.1}x"
-        ),
-    );
 
     // Dense 10k-point grid: the budgeted sweep must discard at least half
     // the space by bound alone and still reproduce the unbudgeted
@@ -235,11 +214,11 @@ fn main() {
 
     println!(
         "sweep: {} candidates, {} unique evaluations, {} transform prefixes",
-        serial.result.points.len() + serial.result.failures.len(),
-        serial.result.evaluations,
-        serial.result.transform_evaluations,
+        fused.result.points.len() + fused.result.failures.len(),
+        fused.result.evaluations,
+        fused.result.transform_evaluations,
     );
-    for flow in [&serial, &fused, &budgeted] {
+    for flow in [&fused, &budgeted] {
         println!(
             "{:>16}: {:7.1} ms  ({} points, {} pruned, {} frontier)",
             flow.name,
@@ -249,7 +228,6 @@ fn main() {
             flow.result.pareto().len(),
         );
     }
-    println!("speedup: fused {speedup_fused:.2}x, budgeted+fused {speedup_budgeted:.2}x");
     println!(
         "grid: {} candidates, {} kept, {} pruned ({:.1}%), {} failed, \
          {} waves, frontier {} in {:.0} ms (reference {:.0} ms)",
@@ -264,7 +242,7 @@ fn main() {
         grid_ref_ms,
     );
 
-    let flows_json: Vec<String> = [&serial, &fused, &budgeted]
+    let flows_json: Vec<String> = [&fused, &budgeted]
         .iter()
         .map(|f| {
             format!(
@@ -311,9 +289,8 @@ fn main() {
         grid_frontier_json.join(","),
     );
     let json = format!(
-        "{{\"repeats\":{REPEATS},\"required_speedup\":{REQUIRED_SPEEDUP:.1},\
-         \"speedup_fused\":{speedup_fused:.3},\"speedup_budgeted\":{speedup_budgeted:.3},\
-         \"frontier_identical\":{},\"flows\":[{}],\"frontier\":[{}],\"grid\":{}}}\n",
+        "{{\"repeats\":{REPEATS},\"frontier_identical\":{},\"flows\":[{}],\
+         \"frontier\":[{}],\"grid\":{}}}\n",
         !failed,
         flows_json.join(","),
         frontier_json.join(","),

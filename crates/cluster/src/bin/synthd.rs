@@ -24,9 +24,7 @@
 //! `--example` prints a ready-to-run sample batch; `--stats` prints the
 //! store's census and exits. The store root defaults to `.hls-serve`
 //! (override with `--store DIR`); `--max-bytes`, `--workers`,
-//! `--max-cost-ns` tune eviction, the worker pool and admission;
-//! `--synth-delay-ms` injects per-synthesis latency modeling an
-//! external backend tool (used by the cluster benchmarks).
+//! `--max-cost-ns` tune eviction, the worker pool and admission.
 //!
 //! `--incremental` attaches an in-memory prefix cache and proof cache to
 //! every synthesis: a request that differs from an earlier one only in
@@ -40,7 +38,6 @@ use std::io::{BufRead, Read};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use hls_cluster::{serve, Addr, ClusterConfig, ClusterNode, Listener, DEFAULT_VNODES};
 use hls_core::PassCache;
@@ -79,7 +76,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: synthd [--store DIR] [--max-bytes N] [--workers N] [--max-cost-ns N]\n\
-     \x20             [--synth-delay-ms N] [--incremental]\n\
+     \x20             [--incremental]\n\
      \x20             [--daemon | --listen ADDR | --socket PATH | --example | --stats]\n\
      \x20             [--cluster --peers A,B,C --self-index N [--replicas N] [--vnodes N]]\n\
      Addresses are `unix:PATH` or `tcp:HOST:PORT`. In cluster mode the\n\
@@ -127,13 +124,6 @@ fn parse_args() -> Result<Options, String> {
                     value("--max-cost-ns")?
                         .parse()
                         .map_err(|e| format!("--max-cost-ns: {e}"))?,
-                )
-            }
-            "--synth-delay-ms" => {
-                opts.service.synth_delay = Duration::from_millis(
-                    value("--synth-delay-ms")?
-                        .parse()
-                        .map_err(|e| format!("--synth-delay-ms: {e}"))?,
                 )
             }
             "--daemon" => opts.daemon = true,

@@ -7,7 +7,7 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -182,17 +182,21 @@ fn three_shards_route_replicate_and_serve_bit_identical_hits() {
 
 #[test]
 fn concurrent_identical_requests_synthesize_once_across_connections() {
-    let service = ServiceConfig {
-        synth_delay: Duration::from_millis(400),
-        ..ServiceConfig::default()
-    };
-    let (nodes, members) = boot("dedup", 1, service);
+    let (nodes, members) = boot("dedup", 1, ServiceConfig::default());
     let one = vec![req(6.0)];
 
+    // Both connections leave the barrier together. The router claims the
+    // in-flight slot before its store lookup and inserts before it
+    // releases the slot, so the second arrival either follows the first
+    // one's run or hits its stored artifact: never a second synthesis.
+    let start = Barrier::new(2);
+    let send = || {
+        start.wait();
+        report(&members[0], &one)
+    };
     let (first, second) = thread::scope(|s| {
-        let a = s.spawn(|| report(&members[0], &one));
-        thread::sleep(Duration::from_millis(100));
-        let b = s.spawn(|| report(&members[0], &one));
+        let a = s.spawn(send);
+        let b = s.spawn(send);
         (a.join().expect("first"), b.join().expect("second"))
     });
 

@@ -57,8 +57,7 @@
 //!   candidate's just-built [`SynthesisResult`] instead of re-synthesizing
 //!   it after the frontier is known. At [`VerifyLevel::All`] proofs
 //!   overlap synthesis; at [`VerifyLevel::Pareto`] the frontier's stored
-//!   results fan back out across the pool. The pre-fusion serial flow
-//!   survives as [`explore_with_check_serial`] for reference benchmarks.
+//!   results fan back out across the pool.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -436,10 +435,10 @@ fn build_prefix(
 /// synthesized design provably (or empirically) implements `func` under
 /// the given directives, `Err(diagnosis)` otherwise.
 ///
-/// Unlike the legacy [`EquivChecker`], the checker receives the
-/// [`SynthesisResult`] the explorer already built for the point, so it
-/// never has to re-synthesize — and it must be `Sync`, because
-/// [`explore_with_check`] runs it inside the synthesis worker pool.
+/// The checker receives the [`SynthesisResult`] the explorer already
+/// built for the point, so it never has to re-synthesize — and it must
+/// be `Sync`, because [`explore_with_check`] runs it inside the
+/// synthesis worker pool.
 ///
 /// The real implementation lives in the `hls-verify` crate (which depends
 /// on this one and on the RTL backend); keeping only the function shape
@@ -447,11 +446,6 @@ fn build_prefix(
 pub type PointChecker<'a> = dyn Fn(&Function, &Directives, &TechLibrary, &SynthesisResult) -> Result<(), String>
     + Sync
     + 'a;
-
-/// The pre-fusion equivalence-checker shape: no synthesis result, so the
-/// checker re-synthesizes internally. Kept for
-/// [`explore_with_check_serial`], the serial reference flow.
-pub type EquivChecker<'a> = dyn Fn(&Function, &Directives, &TechLibrary) -> Result<(), String> + 'a;
 
 /// What a synthesis worker does with a successful result, beyond
 /// extracting the metrics.
@@ -1146,48 +1140,6 @@ pub fn explore_with_check(
     explore_impl(func, config, lib, true, Some(check), &|_| {})
 }
 
-/// The pre-fusion reference flow: explore serially with pruning disabled,
-/// then run every selected check on the current thread, *after* the
-/// frontier is known, with a checker that re-synthesizes each point from
-/// its directives. Exists so benchmarks (and tests) can measure the fused
-/// path against the historical behavior; new callers want
-/// [`explore_with_check`].
-pub fn explore_with_check_serial(
-    func: &Function,
-    config: &ExploreConfig,
-    lib: &TechLibrary,
-    check: &EquivChecker<'_>,
-) -> ExploreResult {
-    let cfg = ExploreConfig {
-        budget: None,
-        ..config.clone()
-    };
-    let mut result = explore_impl(func, &cfg, lib, false, None, &|_| {});
-    let targets: Vec<(String, Directives)> = match config.verify {
-        VerifyLevel::Off => Vec::new(),
-        VerifyLevel::Pareto => result
-            .pareto()
-            .iter()
-            .map(|p| (p.label.clone(), p.directives.clone()))
-            .collect(),
-        VerifyLevel::All => result
-            .points
-            .iter()
-            .map(|p| (p.label.clone(), p.directives.clone()))
-            .collect(),
-    };
-    let mut checked: BTreeMap<String, Result<(), String>> = BTreeMap::new();
-    for (label, d) in targets {
-        let outcome = checked
-            .entry(canonical_key(&d))
-            .or_insert_with(|| check(func, &d, lib));
-        if let Err(msg) = outcome {
-            result.verify_failures.push((label, msg.clone()));
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1773,25 +1725,5 @@ mod tests {
         let failed: Vec<&String> = r.verify_failures.iter().map(|(l, _)| l).collect();
         let frontier_labels: Vec<&String> = frontier.iter().map(|p| &p.label).collect();
         assert_eq!(failed, frontier_labels);
-    }
-
-    #[test]
-    fn serial_reference_flow_matches_the_fused_flow() {
-        let f = two_loops();
-        let lib = TechLibrary::asic_100mhz();
-        let cfg = ExploreConfig {
-            verify: VerifyLevel::All,
-            ..ExploreConfig::default()
-        };
-        let fused = explore_with_check(&f, &cfg, &lib, &|_, _, _, _| Ok(()));
-        let serial = explore_with_check_serial(&f, &cfg, &lib, &|_, _, _| Ok(()));
-        assert_eq!(fused.points.len(), serial.points.len());
-        for (a, b) in fused.points.iter().zip(&serial.points) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.latency_cycles, b.latency_cycles);
-            assert_eq!(a.area, b.area);
-        }
-        assert!(fused.verify_failures.is_empty());
-        assert!(serial.verify_failures.is_empty());
     }
 }

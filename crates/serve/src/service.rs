@@ -24,7 +24,7 @@
 //!    artifact's verified bytes; a negative hit replays the stored
 //!    [`NegativeEntry`] (error + structured diagnostics) — this exact
 //!    request already *failed* the pipeline. Neither is bounded, priced
-//!    or admitted, so neither carries a modeled cost.
+//!    or admitted.
 //! 4. **Bound misses**: when two or more misses queue, each gets the
 //!    explorer's resource-aware admissible bound ([`lower_bound`],
 //!    computed on the loop-transformed design exactly as the sweep
@@ -36,9 +36,13 @@
 //!    miss whose modeled cost reaches the ceiling is rejected — unless
 //!    it is cheaper than the budget's `min_prune_cost_ns`, which (as in
 //!    the explorer) always runs, keeping the model fed. A rejection
-//!    carries a structured [`Diagnostic`] with the candidate's bounded
-//!    latency, area and operation count, so callers can tell a design
-//!    that was *too big* from one that merely arrived late.
+//!    carries the modeled cost that decided it
+//!    ([`RequestOutcome::modeled_cost_ns`]) and a structured
+//!    [`Diagnostic`] with the candidate's bounded latency, area and
+//!    operation count, so callers can tell a design that was *too big*
+//!    from one that merely arrived late. No other outcome carries a
+//!    modeled cost: the model depends on which batch-mates finished
+//!    first, and a served artifact must read the same on every serve.
 //! 6. **Synthesize**: admitted misses run the pipeline (+ equivalence
 //!    check when requested) on a scoped-thread worker pool and are
 //!    inserted; fresh deterministic failures are persisted to the
@@ -54,12 +58,6 @@
 //! **Observability**: hit/miss/dedup/error counters plus negative-hit
 //! and negative-insert counters, the unique-job count (`queue_peak`),
 //! and power-of-two latency histograms per stage.
-//!
-//! [`ServiceConfig::synth_delay`] injects a fixed latency into every
-//! pipeline invocation (success or failure) to model an external
-//! backend tool — commercial HLS runs take seconds to minutes, not the
-//! milliseconds of this in-process pipeline — which is what the cluster
-//! fabric benchmarks scale against.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,11 +92,6 @@ pub struct ServiceConfig {
     /// Reject jobs whose modeled back-end cost reaches this many
     /// nanoseconds (`None` admits everything).
     pub max_cost_ns: Option<u64>,
-    /// Extra latency injected into every pipeline invocation (success
-    /// or failure), modeling an external backend tool. Zero by default;
-    /// the cluster benchmarks use it to measure fabric scaling
-    /// independently of this machine's core count.
-    pub synth_delay: Duration,
     /// A shared prefix cache threaded into every pipeline invocation: a
     /// clock twin of an earlier request replays its clock-independent
     /// prefix (loop transforms, lowering, netlist optimization).
@@ -117,7 +110,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             budget: ExploreBudget::default(),
             max_cost_ns: None,
-            synth_delay: Duration::ZERO,
             pass_cache: None,
             proof_cache: None,
         }
@@ -278,7 +270,10 @@ pub struct RequestOutcome {
     /// The structured failure, for requests that failed the pipeline —
     /// fresh or replayed from the negative cache.
     pub failure: Option<NegativeEntry>,
-    /// The job's modeled back-end cost when a model existed.
+    /// The modeled back-end cost that got the job rejected; set on
+    /// admission rejections only. An admitted miss carries none, so its
+    /// first serve differs from its later hits only in `cache_hit` and
+    /// `deduped`.
     pub modeled_cost_ns: Option<u64>,
     /// Structured diagnostics for requests that never reached the
     /// pipeline (admission rejections carry the candidate's admissible
@@ -784,7 +779,7 @@ fn run_job(
             .with_note(format!("bounded operations: {}", bound.ops));
             return EncodedOutcome::new(RequestOutcome {
                 rejected: true,
-                modeled_cost_ns,
+                modeled_cost_ns: Some(cost),
                 diagnostics: Some(Diagnostics::from(diag)),
                 ..RequestOutcome::failed(
                     &design,
@@ -802,12 +797,6 @@ fn run_job(
         ..PipelineConfig::default()
     };
     let (result, run) = compile_traced(job.func, &req.directives, &req.library, &pipeline_config);
-    if !cfg.synth_delay.is_zero() {
-        // Models the external backend tool's wall time (applies to
-        // failed runs too: a real tool burns its runtime before
-        // reporting infeasibility).
-        thread::sleep(cfg.synth_delay);
-    }
     let synth_time = t.elapsed();
     counters.synth.record(synth_time);
     if let Some(bound) = &job.bound {
@@ -827,7 +816,6 @@ fn run_job(
             };
             let mut outcome =
                 RequestOutcome::failed(&design, &job.key.digest, format!("synthesis: {e}"));
-            outcome.modeled_cost_ns = modeled_cost_ns;
             // Persist the deterministic failure so retries are store
             // reads; a store error only costs the cache, not the reply.
             match store.insert_negative(job.key, &failure) {
@@ -871,7 +859,6 @@ fn run_job(
     counters.synthesized.fetch_add(1, Ordering::Relaxed);
     EncodedOutcome {
         outcome: RequestOutcome {
-            modeled_cost_ns,
             error: insert
                 .err()
                 .map(|e| format!("artifact served but not cached: {e}")),

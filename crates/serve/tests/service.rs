@@ -147,6 +147,37 @@ fn admission_never_refuses_a_stored_answer() {
 }
 
 #[test]
+fn an_admitted_miss_carries_no_modeled_cost() {
+    let root = scratch("unpriced");
+    let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+    // One worker, no ceiling: cheapest-first, `twice` finishes first and
+    // trains the cost model before `sum` runs. The model only decides
+    // rejections, so `sum`'s first serve must not report what it priced.
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let batch = vec![SynthesisRequest::new(TWICE), SynthesisRequest::new(SUM)];
+    let cold = serve_batch(&batch, &store, &cfg);
+    assert_eq!(cold.counters.synthesized, 2);
+    let sum = &cold.outcomes[1];
+    assert!(sum.artifact.is_some(), "{:?}", sum.error);
+    assert_eq!(sum.modeled_cost_ns, None, "an admitted miss is not priced");
+
+    // So the first serve reads exactly like its hit, `cache_hit` aside.
+    let warm = serve_batch(&batch, &store, &cfg);
+    assert!(warm.outcomes[1].cache_hit);
+    assert_eq!(
+        warm.outcomes[1]
+            .to_json()
+            .write()
+            .replacen("\"cache_hit\":true", "\"cache_hit\":false", 1),
+        sum.to_json().write()
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn admission_never_refuses_a_stored_failure() {
     let root = scratch("admission-neg");
     let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();

@@ -50,10 +50,8 @@ pub use netlist::{
     exec_lowered, NetlistCrossCheck,
 };
 pub use pipeline::{
-    explore_verified, explore_verified_serial, explore_verified_with, verify_equiv,
-    verify_equiv_cached, verify_equiv_persist, verify_equiv_with, EquivGate, ExploreProver,
-    ProverStats, VerifyFinding, VerifyReport,
+    explore_verified, explore_verified_with, verify_equiv, verify_equiv_cached,
+    verify_equiv_persist, verify_equiv_with, EquivGate, ExploreProver, ProverStats, VerifyFinding,
+    VerifyReport,
 };
-pub use proofcache::{
-    fsmd_key, ProofCache, ProofCacheConfig, ProofCacheStats, DEFAULT_OPTIONS_TAG,
-};
+pub use proofcache::{fsmd_key, ProofCache, ProofCacheConfig, ProofCacheStats};

@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use hls_core::{
-    explore_with_check, explore_with_check_serial, lower, netlist_obligations, synthesize,
-    Diagnostic, Diagnostics, ExploreConfig, ExploreResult, PassHook, PipelineState, TechLibrary,
+    explore_with_check, lower, netlist_obligations, Diagnostic, Diagnostics, ExploreConfig,
+    ExploreResult, PassHook, PipelineState, TechLibrary,
 };
 use hls_ir::Function;
 use rtl::Fsmd;
@@ -27,7 +27,7 @@ use crate::equiv::{
     prove_equiv_in, prove_equiv_with, IrContext, ProofCex, ProofMethod, ProveOptions, ProveVerdict,
 };
 use crate::fuzz::{fuzz_equiv_with, FuzzCex, FuzzConfig};
-use crate::proofcache::{fsmd_key, ProofCache, DEFAULT_OPTIONS_TAG};
+use crate::proofcache::{fsmd_key, ProofCache};
 
 /// How [`verify_equiv`] reached its conclusion.
 #[derive(Debug, Clone)]
@@ -117,16 +117,16 @@ pub fn verify_equiv(fsmd: &Fsmd) -> VerifyReport {
 
 /// [`verify_equiv`] with explicit prover and fuzzer configuration.
 pub fn verify_equiv_with(fsmd: &Fsmd, prove: &ProveOptions, fuzz: &FuzzConfig) -> VerifyReport {
-    settle(prove_equiv_with(fsmd, prove), fsmd, fuzz, false)
+    settle(prove_equiv_with(fsmd, prove), fsmd, fuzz)
 }
 
 /// [`verify_equiv`] through a [`ProofCache`]: the verdict is replayed
 /// when the machine's structural key (clock excluded — clock twins
-/// share one proof) hits, and recorded otherwise. Only default knobs —
-/// the cache key carries the options tag, so a non-default
-/// configuration must use its own tag via the lower-level API.
+/// share one proof) hits, and recorded otherwise. Every verdict in a
+/// cache comes from the default knobs, so the key names the machine
+/// alone.
 pub fn verify_equiv_cached(fsmd: &Fsmd, cache: &ProofCache) -> VerifyReport {
-    let key = fsmd_key(fsmd, DEFAULT_OPTIONS_TAG);
+    let key = fsmd_key(fsmd);
     if let Some(report) = cache.get_fsmd(&key) {
         return report;
     }
@@ -156,40 +156,19 @@ pub fn verify_equiv_persist(
 
 /// Turns a prover verdict into a [`VerifyReport`], falling back to the
 /// differential fuzzer when the prover gave up.
-///
-/// With `cross_check` set, even a *proved* machine runs the fuzz
-/// campaign: the symbolic prover and the concrete simulators are
-/// independent oracles, so agreement defends against a bug in either.
-/// A divergence surfaces as a fuzz counterexample (it would mean the
-/// proof was wrong); agreement leaves the `Proved` finding untouched, so
-/// cross-checking never changes the shape of a passing report.
-fn settle(
-    verdict: ProveVerdict,
-    fsmd: &Fsmd,
-    fuzz: &FuzzConfig,
-    cross_check: bool,
-) -> VerifyReport {
+fn settle(verdict: ProveVerdict, fsmd: &Fsmd, fuzz: &FuzzConfig) -> VerifyReport {
     let finding = match verdict {
         ProveVerdict::Proved {
             obligations,
             sym_nodes,
-        } => {
-            if cross_check {
-                if let Some(cex) = fuzz_equiv_with(fsmd, fuzz).counterexample {
-                    return VerifyReport {
-                        finding: VerifyFinding::FuzzCounterexample(cex),
-                    };
-                }
-            }
-            VerifyFinding::Proved {
-                obligations: obligations.len(),
-                bit_blasted: obligations
-                    .iter()
-                    .filter(|o| matches!(o.method, ProofMethod::BitBlast { .. }))
-                    .count(),
-                sym_nodes,
-            }
-        }
+        } => VerifyFinding::Proved {
+            obligations: obligations.len(),
+            bit_blasted: obligations
+                .iter()
+                .filter(|o| matches!(o.method, ProofMethod::BitBlast { .. }))
+                .count(),
+            sym_nodes,
+        },
         ProveVerdict::Disproved(cex) => VerifyFinding::ProofCounterexample(cex),
         ProveVerdict::Unknown { reason, .. } => {
             let report = fuzz_equiv_with(fsmd, fuzz);
@@ -230,14 +209,11 @@ fn settle(
 ///
 /// Both layers are behind mutexes, so one prover can be shared by the
 /// explorer's worker pool (it is `Sync`); [`explore_verified`] does
-/// exactly that.
+/// exactly that. A fresh proof uses [`verify_equiv`]'s default knobs,
+/// so every report is the one [`verify_equiv`] gives for the machine.
 pub struct ExploreProver {
-    prove: ProveOptions,
-    fuzz: FuzzConfig,
-    cross_check: bool,
     groups: Mutex<HashMap<String, Vec<Arc<ProofGroup>>>>,
     counters: Mutex<ProverStats>,
-    cache: Option<Arc<ProofCache>>,
 }
 
 /// One shared-function group: the prebuilt IR context plus the verdicts
@@ -265,71 +241,12 @@ impl Default for ExploreProver {
 }
 
 impl ExploreProver {
-    /// A fresh prover with default prove/fuzz knobs.
+    /// A fresh prover with empty memo layers.
     pub fn new() -> ExploreProver {
-        ExploreProver::with_options(ProveOptions::default(), FuzzConfig::default())
-    }
-
-    /// A fresh prover with explicit knobs.
-    pub fn with_options(prove: ProveOptions, fuzz: FuzzConfig) -> ExploreProver {
         ExploreProver {
-            prove,
-            fuzz,
-            cross_check: false,
             groups: Mutex::new(HashMap::new()),
             counters: Mutex::new(ProverStats::default()),
-            cache: None,
         }
-    }
-
-    /// Attaches a shared [`ProofCache`]: a third memo layer that, unlike
-    /// the two sweep-scoped ones, survives across sweeps. Sound for any
-    /// knob setting —
-    /// the cache key carries a tag derived from the exact prove/fuzz
-    /// configuration (see [`ExploreProver::options_tag`]), so differently
-    /// configured provers never read each other's verdicts.
-    pub fn with_cache(mut self, cache: Arc<ProofCache>) -> ExploreProver {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Cross-check every fresh *proved* verdict with the differential
-    /// fuzz campaign (the prover and the simulators are independent
-    /// oracles; agreement defends against a bug in either). Passing
-    /// reports keep their exact `Proved` shape, so cross-checking is
-    /// observable only in wall time — and in the one case that matters,
-    /// where the oracles disagree and the report becomes a fuzz
-    /// counterexample.
-    pub fn with_cross_check(mut self) -> ExploreProver {
-        self.cross_check = true;
-        self
-    }
-
-    /// The cache-key tag naming this prover's exact configuration.
-    ///
-    /// Defaults map to [`DEFAULT_OPTIONS_TAG`] (sharing verdicts with
-    /// [`verify_equiv_cached`]); any other setting gets a tag spelling
-    /// out every knob, so a verdict can only ever be replayed under the
-    /// configuration that produced it.
-    pub fn options_tag(&self) -> String {
-        let default = ProveOptions::default();
-        let dfuzz = FuzzConfig::default();
-        if !self.cross_check
-            && self.prove.max_blast_bits == default.max_blast_bits
-            && self.fuzz.seed == dfuzz.seed
-            && self.fuzz.iterations == dfuzz.iterations
-            && self.fuzz.max_calls == dfuzz.max_calls
-        {
-            return DEFAULT_OPTIONS_TAG.to_string();
-        }
-        format!(
-            "blast{};fuzz{:x}:{}:{};xcheck{}",
-            self.prove.max_blast_bits,
-            self.fuzz.seed,
-            self.fuzz.iterations,
-            self.fuzz.max_calls,
-            self.cross_check
-        )
     }
 
     /// [`verify_equiv`] through both memo layers. `directives` must be
@@ -348,32 +265,12 @@ impl ExploreProver {
             self.counters.lock().unwrap().memo_hits += 1;
             return hit.1.clone();
         }
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| fsmd_key(fsmd, &self.options_tag()));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(report) = cache.get_fsmd(key) {
-                // Seed the structural memo so this machine's clock twins
-                // hit the cheaper in-sweep layer from now on.
-                group
-                    .machines
-                    .lock()
-                    .unwrap()
-                    .push((fsmd.clone(), report.clone()));
-                return report;
-            }
-        }
         let report = settle(
-            prove_equiv_in(&group.ctx, fsmd, &self.prove),
+            prove_equiv_in(&group.ctx, fsmd, &ProveOptions::default()),
             fsmd,
-            &self.fuzz,
-            self.cross_check,
+            &FuzzConfig::default(),
         );
         self.counters.lock().unwrap().proofs += 1;
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            cache.put_fsmd(key, &report);
-        }
         group
             .machines
             .lock()
@@ -522,10 +419,10 @@ pub fn explore_verified(
     explore_verified_with(func, config, lib, &ExploreProver::new())
 }
 
-/// [`explore_verified`] with a caller-owned [`ExploreProver`], so one
-/// prover (and through [`ExploreProver::with_cache`], one proof cache)
-/// can span several sweeps — warm re-sweeps replay verdicts instead of
-/// re-proving clock twins and repeated machines from scratch.
+/// [`explore_verified`] with a caller-owned [`ExploreProver`], so the
+/// caller can read the prover's [`ExploreProver::stats`] afterwards, or
+/// let one prover span several sweeps: a re-sweep replays the verdicts
+/// of machines it already proved.
 pub fn explore_verified_with(
     func: &Function,
     config: &ExploreConfig,
@@ -535,27 +432,6 @@ pub fn explore_verified_with(
     explore_with_check(func, config, lib, &|_, d, _, result| {
         let fsmd = Fsmd::from_synthesis(result);
         let report = prover.verify(d, &fsmd);
-        if report.passed() {
-            Ok(())
-        } else {
-            Err(report.describe())
-        }
-    })
-}
-
-/// The pre-fusion reference flow of [`explore_verified`]: explore
-/// serially, then re-synthesize and verify each selected point after the
-/// frontier is known. Kept so benchmarks can measure the fused flow
-/// against the historical serial-post-pass behavior.
-pub fn explore_verified_serial(
-    func: &Function,
-    config: &ExploreConfig,
-    lib: &TechLibrary,
-) -> ExploreResult {
-    explore_with_check_serial(func, config, lib, &|f, d, l| {
-        let r = synthesize(f, d, l).map_err(|e| format!("re-synthesis failed: {e}"))?;
-        let fsmd = Fsmd::from_synthesis(&r);
-        let report = verify_equiv(&fsmd);
         if report.passed() {
             Ok(())
         } else {

@@ -1,12 +1,14 @@
 //! Content-addressed FSMD equivalence verdicts, in memory.
 //!
 //! Whole-machine equivalence proofs are the most expensive stage of the
-//! flow, and they repeat across clock twins and repeated sweeps. A
+//! flow, and they repeat across clock twins and repeated requests. A
 //! verdict is keyed by the same structural identity
 //! [`rtl::Fsmd::same_machine`] uses — name, ports, control, schedules and
 //! the lowered design (through its [`hls_core::persist`] encoding) — and
 //! deliberately *excludes* [`rtl::Fsmd::clock_ns`]: clock twins chain
-//! identically, so one proof covers them all.
+//! identically, so one proof covers them all. Every verdict comes from
+//! [`crate::verify_equiv_cached`], which proves with the default knobs,
+//! so the key names the machine and nothing else.
 //!
 //! # Soundness
 //!
@@ -32,20 +34,15 @@ use crate::pipeline::VerifyReport;
 /// one window stores at most ~3,700 verdicts: 4,096 never evict there.
 pub const CAPACITY: usize = 4096;
 
-/// Cache key for one FSMD equivalence proof under a prover/fuzzer
-/// configuration digest.
+/// Cache key for one FSMD equivalence proof.
 ///
 /// Mirrors [`Fsmd::same_machine`]: two machines with equal name, ports,
 /// control, schedules and lowered design get the same key regardless of
 /// target clock — the clock only annotates emitted Verilog, never the
-/// proved behavior. `options_tag` must distinguish prover/fuzzer knob
-/// settings when callers use non-default ones; the default pipeline
-/// passes [`DEFAULT_OPTIONS_TAG`].
-pub fn fsmd_key(fsmd: &Fsmd, options_tag: &str) -> String {
+/// proved behavior.
+pub fn fsmd_key(fsmd: &Fsmd) -> String {
     let mut text = String::new();
     text.push_str("fsmd;");
-    text.push_str(options_tag);
-    text.push(';');
     text.push_str(&fsmd.name);
     text.push(';');
     text.push_str(&format!(
@@ -55,9 +52,6 @@ pub fn fsmd_key(fsmd: &Fsmd, options_tag: &str) -> String {
     text.push_str(&lowered_to_json(&fsmd.lowered).write());
     stable_digest(text.as_bytes())
 }
-
-/// The options tag for the default `verify_equiv` prove/fuzz knobs.
-pub const DEFAULT_OPTIONS_TAG: &str = "default";
 
 /// Configuration for a [`ProofCache`]. Its one field can only be
 /// `None`: it is kept only for the benchmark harness's
@@ -73,7 +67,7 @@ pub struct ProofCacheConfig {
 pub type ProofCacheStats = CacheStats;
 
 /// A bounded in-memory verdict cache, shared by reference across the
-/// prover's worker pool and the service's workers.
+/// service's workers.
 #[derive(Debug)]
 pub struct ProofCache {
     lru: Mutex<Lru<VerifyReport>>,
@@ -157,7 +151,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used_verdict() {
         let m = machines();
-        let keys: Vec<String> = m.iter().map(|f| fsmd_key(f, DEFAULT_OPTIONS_TAG)).collect();
+        let keys: Vec<String> = m.iter().map(fsmd_key).collect();
         assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2]);
         let cache = ProofCache::with_capacity(2);
         let first = verify_equiv_cached(&m[0], &cache);

@@ -1,13 +1,18 @@
 //! Fused synth+verify exploration against the serial reference on the
 //! paper's decoder: the budgeted, fused, worker-pool flow must return the
-//! exact Pareto frontier and per-point metrics of the historical
-//! explore-then-reverify flow across a sweep covering all four Table-1
-//! directive sets — and the sweep-scoped prover's memo layers must be
-//! both effective (clock twins share proofs) and sound (replayed
-//! verdicts match fresh ones).
+//! exact Pareto frontier and per-point metrics of a serial sweep whose
+//! every point is re-synthesized and proved on its own, across a sweep
+//! covering all four Table-1 directive sets. A verified re-sweep through
+//! one prefix cache must reproduce the cold sweep bit for bit, and the
+//! sweep-scoped prover's memo layers must be both effective (clock twins
+//! share proofs) and sound (replayed verdicts match fresh ones).
 
-use hls_core::{synthesize, ExploreConfig, MergePolicy, VerifyLevel};
-use hls_verify::{explore_verified, explore_verified_serial, verify_equiv, ExploreProver};
+use std::sync::Arc;
+
+use hls_core::{
+    explore_serial, synthesize, ExploreConfig, ExploreResult, MergePolicy, PassCache, VerifyLevel,
+};
+use hls_verify::{explore_verified, verify_equiv, ExploreProver};
 use qam_decoder::{build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams};
 use rtl::Fsmd;
 
@@ -27,26 +32,54 @@ fn sweep() -> ExploreConfig {
     }
 }
 
+/// Each frontier point's latency and exact area bits, in order.
+fn frontier(r: &ExploreResult) -> Vec<(u64, u64)> {
+    r.pareto()
+        .iter()
+        .map(|p| (p.latency_cycles, p.area.to_bits()))
+        .collect()
+}
+
+/// Each point's label, latency and exact area bits, in order.
+fn points(r: &ExploreResult) -> Vec<(String, u64, u64)> {
+    r.points
+        .iter()
+        .map(|p| (p.label.clone(), p.latency_cycles, p.area.to_bits()))
+        .collect()
+}
+
 #[test]
 fn fused_budgeted_sweep_matches_the_serial_reference() {
     let ir = build_qam_decoder_ir(&DecoderParams::default());
     let lib = table1_library();
     let config = sweep();
 
-    let reference = explore_verified_serial(&ir.func, &config, &lib);
+    // The reference: an unbudgeted serial sweep, then every point
+    // re-synthesized from its directives and proved on its own.
+    let reference = explore_serial(
+        &ir.func,
+        &ExploreConfig {
+            budget: None,
+            ..config.clone()
+        },
+        &lib,
+    );
+    let reference_failures: Vec<(String, String)> = reference
+        .points
+        .iter()
+        .filter_map(|p| {
+            let r = synthesize(&ir.func, &p.directives, &lib).expect("re-synthesis");
+            let report = verify_equiv(&Fsmd::from_synthesis(&r));
+            (!report.passed()).then(|| (p.label.clone(), report.describe()))
+        })
+        .collect();
     let fused = explore_verified(&ir.func, &config, &lib);
     let budgeted = explore_verified(&ir.func, &config.clone().budgeted(), &lib);
 
-    assert!(reference.verify_failures.is_empty(), "reference must prove");
+    assert!(reference_failures.is_empty(), "reference must prove");
     for (name, r) in [("fused", &fused), ("budgeted", &budgeted)] {
         assert!(r.verify_failures.is_empty(), "{name} flow must prove");
-        let key = |r: &hls_core::ExploreResult| -> Vec<(u64, u64)> {
-            r.pareto()
-                .iter()
-                .map(|p| (p.latency_cycles, p.area.to_bits()))
-                .collect()
-        };
-        assert_eq!(key(&reference), key(r), "{name} frontier differs");
+        assert_eq!(frontier(&reference), frontier(r), "{name} frontier differs");
     }
     // Fused evaluates the identical point list with identical metrics.
     assert_eq!(reference.points.len(), fused.points.len());
@@ -70,6 +103,32 @@ fn fused_budgeted_sweep_matches_the_serial_reference() {
         assert_eq!(r.latency_cycles, p.latency_cycles);
         assert_eq!(r.area.to_bits(), p.area.to_bits());
     }
+}
+
+#[test]
+fn verified_warm_resweep_through_one_prefix_cache_is_bit_identical() {
+    let ir = build_qam_decoder_ir(&DecoderParams::default());
+    let lib = table1_library();
+    let cache = Arc::new(PassCache::default());
+    let config = ExploreConfig {
+        cache: Some(Arc::clone(&cache)),
+        ..sweep()
+    };
+
+    let cold = explore_verified(&ir.func, &config, &lib);
+    let cold_hits = cache.stats().hits;
+    let warm = explore_verified(&ir.func, &config, &lib);
+
+    for r in [&cold, &warm] {
+        assert!(r.verify_failures.is_empty(), "{:?}", r.verify_failures);
+    }
+    assert_eq!(points(&warm), points(&cold), "warm points drifted");
+    assert_eq!(frontier(&warm), frontier(&cold), "warm frontier drifted");
+    assert!(
+        cache.stats().hits > cold_hits,
+        "the warm sweep replayed no prefix: {:?}",
+        cache.stats()
+    );
 }
 
 #[test]
