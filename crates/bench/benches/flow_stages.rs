@@ -1,15 +1,18 @@
 //! Criterion bench: cost of each flow stage in isolation — parsing C
-//! source, transforms, lowering, scheduling — over the decoder IR, and
-//! one warm store hit served by a cluster node.
+//! source, transforms, lowering, scheduling — over the decoder IR, the
+//! proof cache's key on each Table-1 machine, and one warm store hit
+//! served by a cluster node.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hls_cluster::{read_frame, ClusterConfig, ClusterNode, Frame, Incoming};
-use hls_core::{apply_loop_transforms, lower, schedule_dfg, Directives, TechLibrary};
+use hls_core::{apply_loop_transforms, lower, schedule_dfg, synthesize, Directives, TechLibrary};
 use hls_ir::parse_function;
 use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
+use hls_verify::fsmd_key;
 use qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams, QAM_DECODER_SOURCE,
 };
+use rtl::Fsmd;
 
 /// A 32-tap FIR in the shape of the end-to-end benchmark's FIR family.
 const FIR_SOURCE: &str =
@@ -66,6 +69,22 @@ fn bench_stages(c: &mut Criterion) {
     g.finish();
 }
 
+/// `fsmd_key` on each Table-1 machine: what every verified request pays
+/// before its proof-cache lookup.
+fn bench_proof_key(c: &mut Criterion) {
+    let func = parse_function(QAM_DECODER_SOURCE).expect("parses");
+    let lib = table1_library();
+    let mut g = c.benchmark_group("flow_stages");
+    for arch in table1_architectures() {
+        let r = synthesize(&func, &arch.directives, &lib).expect("synthesizes");
+        let fsmd = Fsmd::from_synthesis(&r);
+        g.bench_function(format!("proof_key/{}", arch.name), |b| {
+            b.iter(|| fsmd_key(&fsmd))
+        });
+    }
+    g.finish();
+}
+
 /// One warm decoder hit through a `ClusterNode`, in process: from the
 /// request frame's bytes to the reply line's bytes, as `handle_connection`
 /// answers each frame (without the socket).
@@ -109,5 +128,5 @@ fn bench_serve_hit(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_stages, bench_serve_hit);
+criterion_group!(benches, bench_stages, bench_proof_key, bench_serve_hit);
 criterion_main!(benches);

@@ -7,6 +7,7 @@
 //! their indices are statically distinct.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use fixpt::{Format, Overflow, Quantization, Signedness};
 use hls_ir::{BinOp, CmpOp, Expr, Function, Stmt, UnOp, VarId};
@@ -61,8 +62,29 @@ pub enum NodeKind {
     StoreCond(VarId),
 }
 
+/// Structural hash; a constant hashes as its raw bits and format, as
+/// [`Expr`]'s hash does.
+impl Hash for NodeKind {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            NodeKind::Const(x) => (x.raw(), x.format()).hash(h),
+            NodeKind::VarRead(v)
+            | NodeKind::VarWrite(v)
+            | NodeKind::Load(v)
+            | NodeKind::Store(v)
+            | NodeKind::StoreCond(v) => v.hash(h),
+            NodeKind::Bin(op) => op.hash(h),
+            NodeKind::Un(op) => op.hash(h),
+            NodeKind::Cmp(op) => op.hash(h),
+            NodeKind::Cast(q, o) => (q, o).hash(h),
+            NodeKind::MulPow2 | NodeKind::Mux | NodeKind::EnableMux => {}
+        }
+    }
+}
+
 /// One DFG node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Node {
     /// The operation.
     pub kind: NodeKind,
@@ -118,7 +140,7 @@ impl Node {
 }
 
 /// A data-flow graph for one straight-line region or one loop body.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct Dfg {
     nodes: Vec<Node>,
     /// Variables read from registers (live-in), in first-read order.

@@ -81,7 +81,7 @@ pub enum ArrayMapping {
 }
 
 /// How a parameter is exposed at the design boundary (interface synthesis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InterfaceKind {
     /// Plain wires, sampled at start (inputs) or driven continuously.
     Wire,

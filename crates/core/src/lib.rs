@@ -35,7 +35,6 @@ mod lru;
 mod metrics;
 pub mod netlist;
 pub mod passcache;
-pub mod persist;
 pub mod pipeline;
 pub mod report;
 mod schedule;

@@ -19,7 +19,7 @@ use crate::dfg::{build_dfg, Dfg};
 use crate::directives::{Directives, InterfaceKind};
 
 /// One schedulable region.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Segment {
     /// Straight-line code: executes once.
     Straight {
@@ -68,7 +68,7 @@ impl Segment {
 }
 
 /// A synthesized port (interface synthesis output).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Port {
     /// Port name (from the parameter).
     pub name: String,
@@ -83,7 +83,7 @@ pub struct Port {
 }
 
 /// The lowered design.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Lowered {
     /// The function after staging rewrites (what the segments reference).
     pub func: Function,

@@ -8,6 +8,7 @@
 //! complete complex MAC execute in a single 10 ns cycle.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use hls_ir::VarId;
 
@@ -32,6 +33,24 @@ pub struct Schedule {
     /// Width used for delay/area characterization per node (operand width
     /// for multipliers, output width otherwise).
     pub node_width: Vec<u32>,
+}
+
+/// Start and end times hash as their bit patterns. `-0.0` and `0.0`
+/// compare equal but hash apart, so the hash can only tell equal
+/// schedules apart, never merge different ones.
+impl Hash for Schedule {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.node_cycle.hash(h);
+        for times in [&self.node_start_ns, &self.node_end_ns] {
+            times.len().hash(h);
+            for t in times {
+                t.to_bits().hash(h);
+            }
+        }
+        self.depth.hash(h);
+        self.node_class.hash(h);
+        self.node_width.hash(h);
+    }
 }
 
 impl Schedule {

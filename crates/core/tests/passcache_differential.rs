@@ -9,22 +9,16 @@
 //! complete result (every point's label, latency and the exact bits of
 //! its area, plus every failure) across the three regimes. The second
 //! drives the serve path (`synthesize_traced`, which `synthd` reaches
-//! through `compile_traced`) the same way. The third checks that the
-//! proof cache's key encoding (`persist::lowered_to_json`) tells every
-//! pair of distinct lowered designs apart.
+//! through `compile_traced`) the same way.
 
 use std::sync::Arc;
 
-use fixpt::{Fixed, Format};
-use hls_core::dfg::build_dfg;
-use hls_core::persist::lowered_to_json;
 use hls_core::{
-    apply_loop_transforms, explore, lower, optimize_lowered, synthesize_traced, CacheActivity,
-    Directives, ExploreConfig, ExploreResult, Lowered, MergePolicy, OptLevel, PassCache, Pipeline,
-    PipelineConfig, PipelineRun, PipelineState, Segment, SynthesisError, SynthesisResult,
-    TechLibrary, Unroll, VerifyLevel,
+    explore, synthesize_traced, CacheActivity, Directives, ExploreConfig, ExploreResult,
+    MergePolicy, OptLevel, PassCache, Pipeline, PipelineConfig, PipelineRun, PipelineState,
+    SynthesisError, SynthesisResult, TechLibrary, Unroll, VerifyLevel,
 };
-use hls_ir::{parse_function, Expr, Function, Stmt, Ty};
+use hls_ir::{parse_function, Function};
 
 const SRC: &str = r#"
     void diff(sc_fixed<6,3> x[3], sc_fixed<12,6> *out) {
@@ -290,141 +284,4 @@ fn serve_path_synthesizes_identically_with_and_without_cache() {
         before,
         "the transform-only run touched the cache"
     );
-}
-
-/// A kernel with statics, a branch, a shift and a cast, so the encoding
-/// sees every statement and most expression kinds.
-const BRANCHY: &str = r#"
-    void kernel(sc_fixed<8,4> x[4], sc_fixed<12,6> *out) {
-        static sc_fixed<8,4> taps[4];
-        sc_fixed<12,6> acc = 0;
-        shift: for (int i = 3; i > 0; i--) {
-            taps[i] = taps[i - 1];
-        }
-        taps[0] = x[0];
-        mac: for (int k = 0; k < 4; k++) {
-            if (taps[k] > 0) {
-                acc += taps[k] * 2;
-            } else {
-                acc -= (sc_fixed<8,4>)(taps[k] >> 1);
-            }
-        }
-        *out = acc - x[0] + x[0];
-    }
-"#;
-
-/// The design the flow schedules for `func` under `d`: transformed,
-/// lowered and netlist-optimized.
-fn optimized(func: &Function, d: &Directives) -> Lowered {
-    let lib = TechLibrary::asic_100mhz();
-    let mut low = lower(&apply_loop_transforms(func, d).func, d);
-    optimize_lowered(&mut low, &d.netlist_opt, &lib);
-    low
-}
-
-/// `design` with its first segment replaced by the graph of `stmts`.
-fn with_first_segment(design: &Lowered, stmts: &[Stmt]) -> Lowered {
-    let mut d = design.clone();
-    d.segments[0] = Segment::Straight {
-        dfg: build_dfg(&d.func, stmts),
-    };
-    d
-}
-
-/// Asserts that `a` and `b` differ in exactly one node of their first
-/// segment, and there only in the node's kind.
-fn assert_one_node_kind_differs(a: &Lowered, b: &Lowered) {
-    let (na, nb) = (a.segments[0].dfg().nodes(), b.segments[0].dfg().nodes());
-    assert_eq!(na.len(), nb.len());
-    let differing: Vec<usize> = (0..na.len()).filter(|&i| na[i] != nb[i]).collect();
-    assert_eq!(differing.len(), 1, "{differing:?}");
-    let i = differing[0];
-    assert_ne!(na[i].kind, nb[i].kind);
-    assert_eq!((&na[i].preds, na[i].format), (&nb[i].preds, nb[i].format));
-}
-
-#[test]
-fn lowered_encoding_is_injective() {
-    let decoder = parse_function(DECODER).unwrap();
-    let small = [
-        parse_function(SRC).unwrap(),
-        parse_function(BRANCHY).unwrap(),
-    ];
-    let mut designs = Vec::new();
-    for level in [OptLevel::Full, OptLevel::Basic, OptLevel::Off] {
-        for arch in 0..4 {
-            designs.push(optimized(
-                &decoder,
-                &table1(arch, 10.0).netlist_opt_level(level),
-            ));
-        }
-        for func in &small {
-            designs.push(optimized(
-                func,
-                &Directives::new(10.0).netlist_opt_level(level),
-            ));
-        }
-    }
-    let encoded: Vec<String> = designs.iter().map(|d| lowered_to_json(d).write()).collect();
-    for i in 0..designs.len() {
-        for j in 0..designs.len() {
-            assert_eq!(
-                encoded[i] == encoded[j],
-                designs[i] == designs[j],
-                "designs {i} and {j}"
-            );
-        }
-    }
-
-    // Single-field mutations of one design each change the encoding.
-    let base = optimized(&small[0], &Directives::new(10.0));
-    let (acc, _) = base
-        .func
-        .iter_vars()
-        .find(|(_, v)| v.name == "acc")
-        .expect("the kernel has an accumulator");
-    let fmt = base
-        .func
-        .var(acc)
-        .ty
-        .format()
-        .expect("fixed-point accumulator");
-    let konst = |raw| Expr::Const(Fixed::from_raw(raw, fmt).unwrap());
-    let assign = |value| [Stmt::Assign { var: acc, value }];
-    let add3 = with_first_segment(&base, &assign(Expr::add(Expr::var(acc), konst(3))));
-    let add5 = with_first_segment(&base, &assign(Expr::add(Expr::var(acc), konst(5))));
-    let sub3 = with_first_segment(&base, &assign(Expr::sub(Expr::var(acc), konst(3))));
-    assert_one_node_kind_differs(&add3, &add5);
-    assert_one_node_kind_differs(&add3, &sub3);
-    let mut pairs = vec![
-        ("a constant's raw bits", add3.clone(), add5),
-        ("a node's operator", add3, sub3),
-    ];
-    let mut m = base.clone();
-    m.func.vars[acc.index()].ty = Ty::Fixed(Format::signed(fmt.width() + 1, fmt.int_bits()));
-    pairs.push(("a variable's format", base.clone(), m));
-    let mut m = base.clone();
-    m.ports[0].width += 1;
-    pairs.push(("a port's width", base.clone(), m));
-    let mut m = base.clone();
-    let trip = m
-        .segments
-        .iter_mut()
-        .find_map(|s| match s {
-            Segment::Loop { trip, .. } => Some(trip),
-            Segment::Straight { .. } => None,
-        })
-        .expect("the kernel keeps a loop");
-    *trip += 1;
-    pairs.push(("a loop's trip count", base.clone(), m));
-    let mut m = base.clone();
-    m.handshake = !m.handshake;
-    pairs.push(("handshake", base, m));
-    for (what, original, mutant) in &pairs {
-        assert_ne!(
-            lowered_to_json(original).write(),
-            lowered_to_json(mutant).write(),
-            "mutating {what} must change the encoding"
-        );
-    }
 }

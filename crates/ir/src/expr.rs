@@ -1,6 +1,7 @@
 //! Expression trees.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use fixpt::{Fixed, Overflow, Quantization};
 
@@ -149,6 +150,32 @@ pub enum Expr {
         /// The operand.
         arg: Box<Expr>,
     },
+}
+
+/// Structural hash. A constant hashes as its raw bits and format, finer
+/// than [`Fixed`]'s own value hash: a shift reads its operand's format,
+/// so two constants of equal value but different formats are different
+/// expressions to anything keyed on this hash.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Expr::Const(x) => (x.raw(), x.format()).hash(h),
+            Expr::ConstBool(b) => b.hash(h),
+            Expr::Var(v) => v.hash(h),
+            Expr::Load { array, index } => (array, index).hash(h),
+            Expr::Unary { op, arg } => (op, arg).hash(h),
+            Expr::Binary { op, lhs, rhs } => (op, lhs, rhs).hash(h),
+            Expr::Compare { op, lhs, rhs } => (op, lhs, rhs).hash(h),
+            Expr::Select { cond, then_, else_ } => (cond, then_, else_).hash(h),
+            Expr::Cast {
+                ty,
+                quantization,
+                overflow,
+                arg,
+            } => (ty, quantization, overflow, arg).hash(h),
+        }
+    }
 }
 
 // The constructor names mirror the IR mnemonics; they are associated

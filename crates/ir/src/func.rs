@@ -68,7 +68,7 @@ impl fmt::Display for Direction {
 }
 
 /// A variable declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Var {
     /// Source-level name.
     pub name: String,
@@ -88,7 +88,7 @@ impl Var {
 }
 
 /// A synthesizable function: the design's top level (`#pragma design top`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Function {
     /// Function name.
     pub name: String,

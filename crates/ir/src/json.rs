@@ -12,6 +12,7 @@
 //! lossless `f64` only.
 
 use std::fmt;
+use std::hash::Hasher;
 
 use crate::diag::json_str;
 
@@ -213,22 +214,70 @@ impl Json {
     }
 }
 
-/// A stable 128-bit content digest rendered as 32 lowercase hex digits.
+/// A stable 128-bit content digest rendered as 32 lowercase hex digits:
+/// [`StableHasher`] fed `bytes`.
 ///
-/// Two independent FNV-1a-64 passes with distinct offset bases; no
-/// cryptographic strength is claimed — consumers that need integrity store
-/// the preimage next to the digest and compare on load, so a collision
-/// degrades to a cache miss, never to wrong data. Dependency-free and
-/// byte-stable across processes and platforms.
+/// No cryptographic strength is claimed — consumers that need integrity
+/// store the preimage next to the digest and compare on load, so a
+/// collision degrades to a cache miss, never to wrong data.
+/// Dependency-free and byte-stable across processes and platforms.
 pub fn stable_digest(bytes: &[u8]) -> String {
+    let mut hasher = StableHasher::new();
+    hasher.write(bytes);
+    hasher.hex()
+}
+
+/// The 128-bit hasher behind [`stable_digest`]: two independent
+/// FNV-1a-64 lanes with distinct offset bases, fed one byte at a time.
+///
+/// As a [`Hasher`] it digests any [`std::hash::Hash`] value without
+/// rendering it first. Integers reach [`Hasher::write`] in native byte
+/// order, so such a digest is stable within one build on one platform;
+/// only raw bytes, as [`stable_digest`] feeds them, digest the same
+/// everywhere.
+#[derive(Debug, Clone)]
+pub struct StableHasher {
+    a: u64,
+    b: u64,
+}
+
+impl StableHasher {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142;
-    for &byte in bytes {
-        a = (a ^ byte as u64).wrapping_mul(PRIME);
-        b = (b ^ byte as u64).wrapping_mul(PRIME).rotate_left(1);
+
+    /// A hasher that has seen no bytes.
+    pub fn new() -> StableHasher {
+        StableHasher {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x6c62_272e_07bb_0142,
+        }
     }
-    format!("{a:016x}{b:016x}")
+
+    /// Both lanes as 32 lowercase hex digits.
+    pub fn hex(&self) -> String {
+        format!("{:016x}{:016x}", self.a, self.b)
+    }
+}
+
+impl Default for StableHasher {
+    fn default() -> Self {
+        StableHasher::new()
+    }
+}
+
+impl Hasher for StableHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.a = (self.a ^ byte as u64).wrapping_mul(Self::PRIME);
+            self.b = (self.b ^ byte as u64)
+                .wrapping_mul(Self::PRIME)
+                .rotate_left(1);
+        }
+    }
+
+    /// The first lane; [`StableHasher::hex`] carries both.
+    fn finish(&self) -> u64 {
+        self.a
+    }
 }
 
 struct Parser<'a> {
@@ -488,6 +537,15 @@ mod tests {
         assert_ne!(stable_digest(b"abc"), stable_digest(b"abd"));
         assert_eq!(stable_digest(b"").len(), 32);
         assert!(stable_digest(b"x").chars().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn the_hasher_is_the_digest_fed_in_pieces() {
+        let mut hasher = StableHasher::new();
+        hasher.write(b"ab");
+        hasher.write(b"c");
+        assert_eq!(hasher.hex(), stable_digest(b"abc"));
+        assert_eq!(StableHasher::new().hex(), stable_digest(b""));
     }
 
     #[test]

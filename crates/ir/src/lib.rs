@@ -59,7 +59,7 @@ pub use diag::{Anchor, Diagnostic, Diagnostics, Severity};
 pub use expr::{BinOp, CmpOp, Expr, UnOp};
 pub use func::{Direction, Function, Var, VarId, VarKind};
 pub use interp::{EvalError, Interpreter, Slot, Value};
-pub use json::{stable_digest, Json, JsonError};
+pub use json::{stable_digest, Json, JsonError, StableHasher};
 pub use parse::{parse_function, ParseError};
 pub use stmt::{collect_loops, Loop, Stmt, MAX_TRIP_COUNT};
 pub use ty::Ty;

@@ -8,7 +8,7 @@ pub const MAX_TRIP_COUNT: usize = 1 << 20;
 
 /// A counted `for` loop with compile-time bounds, as written in the paper's
 /// C source (`nfe: for(int k=0; k < nffe; k++) …`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Loop {
     /// The C label (used to address the loop from synthesis directives).
     pub label: String,
@@ -64,7 +64,7 @@ impl Loop {
 }
 
 /// A structured statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// Assignment to a scalar variable; the value is cast to the variable's
     /// declared type with default modes (C++ assignment semantics).

@@ -10,7 +10,7 @@ use hls_core::{Lowered, Port, Schedule, Segment, SynthesisResult};
 use hls_ir::{CmpOp, Function, VarId};
 
 /// Control structure of one segment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Control {
     /// Straight-line: the segment's states execute once.
     Straight {

@@ -25,30 +25,34 @@
 //!    [`NegativeEntry`] (error + structured diagnostics) — this exact
 //!    request already *failed* the pipeline. Neither is bounded, priced
 //!    or admitted.
-//! 4. **Bound misses**: when two or more misses queue, each gets the
-//!    explorer's resource-aware admissible bound ([`lower_bound`],
-//!    computed on the loop-transformed design exactly as the sweep
-//!    computes it), and the queue runs cheapest-first by bounded
-//!    operation count — the same size signal the explorer feeds its
-//!    [`ExploreBudget`] cost model. A lone miss is not bounded: it needs
-//!    no order, and no model can price it (below).
-//! 5. **Admission**: with [`ServiceConfig::max_cost_ns`] set, a queued
-//!    miss whose modeled cost reaches the ceiling is rejected — unless
-//!    it is cheaper than the budget's `min_prune_cost_ns`, which (as in
-//!    the explorer) always runs, keeping the model fed. A rejection
-//!    carries the modeled cost that decided it
-//!    ([`RequestOutcome::modeled_cost_ns`]) and a structured
-//!    [`Diagnostic`] with the candidate's bounded latency, area and
-//!    operation count, so callers can tell a design that was *too big*
-//!    from one that merely arrived late. No other outcome carries a
-//!    modeled cost: the model depends on which batch-mates finished
-//!    first, and a served artifact must read the same on every serve.
+//! 4. **Bound misses**, only under a ceiling
+//!    ([`ServiceConfig::max_cost_ns`]) and only when two or more misses
+//!    queue: each gets the explorer's resource-aware admissible bound
+//!    ([`lower_bound`], computed on the loop-transformed design exactly
+//!    as the sweep computes it), and the queue runs cheapest-first by
+//!    bounded operation count — the same size signal the explorer feeds
+//!    its [`ExploreBudget`] cost model. Admission is the bound's only
+//!    reader, so without a ceiling no miss is bounded and the misses go
+//!    straight to the workers; a lone miss needs no order, and no model
+//!    can price it (below).
+//! 5. **Admission**, under a ceiling: a bounded miss whose modeled cost
+//!    reaches the ceiling is rejected — unless it is cheaper than the
+//!    budget's `min_prune_cost_ns`, which (as in the explorer) always
+//!    runs, keeping the model fed. A rejection carries the modeled cost
+//!    that decided it ([`RequestOutcome::modeled_cost_ns`]) and a
+//!    structured [`Diagnostic`] with the candidate's bounded latency,
+//!    area and operation count, so callers can tell a design that was
+//!    *too big* from one that merely arrived late. No other outcome
+//!    carries a modeled cost: the model depends on which batch-mates
+//!    finished first, and a served artifact must read the same on every
+//!    serve.
 //! 6. **Synthesize**: admitted misses run the pipeline (+ equivalence
 //!    check when requested) on a scoped-thread worker pool and are
 //!    inserted; fresh deterministic failures are persisted to the
 //!    negative side. Only content-addressed failures are cached: parse
 //!    errors never reach a digest and admission rejections depend on
-//!    the dynamic cost model, so neither is persisted.
+//!    the dynamic cost model, so neither is persisted. Only a bounded
+//!    miss trains the cost model.
 //!
 //! The cost model (observed ns per bounded operation, trained by
 //! completed syntheses) lives for one batch. It has no observation
@@ -85,12 +89,14 @@ use crate::store::{ArtifactStore, CachedArtifact, EncodedArtifact, Verdict};
 pub struct ServiceConfig {
     /// Worker threads for the batch pool.
     pub workers: usize,
-    /// The explorer's cost-model knobs, reused for admission: jobs
-    /// modeled cheaper than `budget.min_prune_cost_ns` are always
-    /// admitted.
+    /// The explorer's cost-model knobs, reused for admission: under a
+    /// ceiling, jobs modeled cheaper than `budget.min_prune_cost_ns` are
+    /// always admitted. Read only when `max_cost_ns` is set.
     pub budget: ExploreBudget,
     /// Reject jobs whose modeled back-end cost reaches this many
-    /// nanoseconds (`None` admits everything).
+    /// nanoseconds. `None` admits everything, and then no miss is
+    /// bounded or priced: the bound and the cost model serve admission
+    /// alone.
     pub max_cost_ns: Option<u64>,
     /// A shared prefix cache threaded into every pipeline invocation: a
     /// clock twin of an earlier request replays its clock-independent
@@ -534,9 +540,9 @@ struct Job<'a> {
     func: &'a Function,
     key: &'a RequestKey,
     /// The explorer's admissible bound for this candidate, computed on
-    /// the loop-transformed design when two or more misses queue —
-    /// sizes the queue and prices admission, and is reported verbatim
-    /// on rejection.
+    /// the loop-transformed design when two or more misses queue under
+    /// a ceiling — sizes the queue and prices admission, and is reported
+    /// verbatim on rejection.
     bound: Option<DesignBound>,
 }
 
@@ -622,9 +628,10 @@ pub fn serve_encoded<'a>(
     }
     let queue_peak = executor.len() as u64;
 
-    // A lone miss needs no order, and the batch's cost model has no
-    // observation to price it with, so its bound would never be read.
-    if misses.len() >= 2 {
+    // Only admission reads a bound. Without a ceiling nothing is
+    // rejected, and a lone miss needs no order while the batch's cost
+    // model has no observation to price it with.
+    if cfg.max_cost_ns.is_some() && misses.len() >= 2 {
         for job in &mut misses {
             // Bound the transformed design, exactly as the explorer
             // bounds sweep candidates: unrolling changes the operation

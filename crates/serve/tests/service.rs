@@ -7,7 +7,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use hls_core::ExploreBudget;
-use hls_serve::{serve_batch, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
+use hls_serve::{
+    serve_batch, ArtifactStore, RequestOutcome, ServiceConfig, StoreConfig, SynthesisRequest,
+};
 use qam_decoder::{table1_architectures, table1_library, QAM_DECODER_SOURCE};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -150,11 +152,13 @@ fn admission_never_refuses_a_stored_answer() {
 fn an_admitted_miss_carries_no_modeled_cost() {
     let root = scratch("unpriced");
     let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
-    // One worker, no ceiling: cheapest-first, `twice` finishes first and
-    // trains the cost model before `sum` runs. The model only decides
-    // rejections, so `sum`'s first serve must not report what it priced.
+    // One worker, a ceiling nothing reaches: cheapest-first, `twice`
+    // finishes first and trains the cost model before `sum` runs. The
+    // model only decides rejections, so `sum`'s first serve must not
+    // report what it priced.
     let cfg = ServiceConfig {
         workers: 1,
+        max_cost_ns: Some(u64::MAX),
         ..ServiceConfig::default()
     };
     let batch = vec![SynthesisRequest::new(TWICE), SynthesisRequest::new(SUM)];
@@ -174,6 +178,64 @@ fn an_admitted_miss_carries_no_modeled_cost() {
             .replacen("\"cache_hit\":true", "\"cache_hit\":false", 1),
         sum.to_json().write()
     );
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// What a request's answer says about the design: the Verilog, metrics,
+/// verdict and diagnostics of its artifact, or its error and failure.
+/// The trace is left out: it holds wall times.
+fn answer(o: &RequestOutcome) -> String {
+    match &o.artifact {
+        Some(a) => format!(
+            "{}\n{:?}\n{:?}\n{}",
+            a.verilog,
+            a.metrics,
+            a.verdict,
+            a.diagnostics.write()
+        ),
+        None => format!("{:?}\n{:?}", o.error, o.failure),
+    }
+}
+
+#[test]
+fn a_ceiling_free_batch_answers_each_request_as_it_would_alone() {
+    let sum = |clock: f64, verify: bool| {
+        let mut r = SynthesisRequest::new(SUM);
+        r.directives.clock_period_ns = clock;
+        r.verify = verify;
+        r
+    };
+    let mut twice = SynthesisRequest::new(TWICE);
+    twice.verify = true;
+    let mut infeasible = SynthesisRequest::new(TWICE);
+    infeasible.directives.clock_period_ns = 0.05;
+    let batch = vec![twice, sum(10.0, true), sum(5.0, false), infeasible];
+    let cfg = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+
+    let root = scratch("batch-vs-alone");
+    let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+    let together = serve_batch(&batch, &store, &cfg);
+    assert_eq!(together.counters.misses, batch.len() as u64);
+    assert_eq!(together.counters.synthesized, 3);
+    assert_eq!(together.counters.rejected, 0);
+    for (i, (request, o)) in batch.iter().zip(&together.outcomes).enumerate() {
+        assert_eq!(o.modeled_cost_ns, None, "request {i} was priced");
+        let fresh = scratch(&format!("alone-{i}"));
+        let alone = serve_batch(
+            std::slice::from_ref(request),
+            &ArtifactStore::open(&fresh, StoreConfig::default()).unwrap(),
+            &cfg,
+        );
+        assert_eq!(
+            answer(o),
+            answer(&alone.outcomes[0]),
+            "request {i} differs from its lone serve"
+        );
+        let _ = fs::remove_dir_all(&fresh);
+    }
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -2,55 +2,64 @@
 //!
 //! Whole-machine equivalence proofs are the most expensive stage of the
 //! flow, and they repeat across clock twins and repeated requests. A
-//! verdict is keyed by the same structural identity
-//! [`rtl::Fsmd::same_machine`] uses — name, ports, control, schedules and
-//! the lowered design (through its [`hls_core::persist`] encoding) — and
-//! deliberately *excludes* [`rtl::Fsmd::clock_ns`]: clock twins chain
-//! identically, so one proof covers them all. Every verdict comes from
+//! verdict is keyed by a hash of exactly the fields
+//! [`rtl::Fsmd::same_machine`] compares — name, ports, control, schedules
+//! and the lowered design — and deliberately *excludes*
+//! [`rtl::Fsmd::clock_ns`]: clock twins chain identically, so one proof
+//! covers them all. Every verdict comes from
 //! [`crate::verify_equiv_cached`], which proves with the default knobs,
 //! so the key names the machine and nothing else.
 //!
 //! # Soundness
 //!
-//! A verdict replays only under a key derived from the complete proof
-//! input, so a replayed report — `Proved` or a counterexample — is
-//! byte-identical to recomputing it. There is no disk tier: a key only
-//! has to agree within one process. The cache holds at most
-//! [`CAPACITY`] verdicts and evicts the least recently used one; an
-//! evicted machine simply re-proves.
+//! The key is the machine's own [`std::hash::Hash`], digested by one
+//! 128-bit [`StableHasher`]; nothing is rendered to text first. Each
+//! field hashes at least as finely as `same_machine` compares it: a
+//! constant hashes as its raw bits and format, and a schedule time as
+//! its bit pattern. So equal keys mean equal machines (up to a 128-bit
+//! collision), and a replayed report — `Proved` or a counterexample — is
+//! byte-identical to recomputing it. The converse fails only where
+//! `same_machine` is coarser than the representation (`-0.0` against
+//! `0.0`, or a constant of equal value in another format), which costs a
+//! miss, never a wrong verdict; `tests/proof_key.rs` checks that on the
+//! Table-1 designs the key splits exactly where `same_machine` does.
+//! There is no disk tier: a key only has to agree within one process.
+//! The cache holds at most [`CAPACITY`] verdicts and evicts the least
+//! recently used one; an evicted machine simply re-proves.
 
+use std::hash::Hash;
 use std::sync::Mutex;
 
-use hls_core::persist::lowered_to_json;
 use hls_core::{CacheStats, Lru};
-use hls_ir::stable_digest;
+use hls_ir::StableHasher;
 use rtl::Fsmd;
 
 use crate::pipeline::VerifyReport;
 
 /// Verdict bound. A long-lived `synthd --incremental` adds one verdict
-/// per verified miss. The benchmark's verified workload serves 320–460
-/// requests/s for 15 s on a 2-core host, and about 53% of them miss, so
-/// one window stores at most ~3,700 verdicts: 4,096 never evict there.
+/// per verified miss. The benchmark's verified workload served at most
+/// 4,898 requests in one 15 s window on a 2-core host (327 requests/s),
+/// and about 52% of its proof lookups miss, so one window stores at most
+/// ~2,550 verdicts: 4,096 evict there only past ~525 requests/s.
 pub const CAPACITY: usize = 4096;
 
 /// Cache key for one FSMD equivalence proof.
 ///
-/// Mirrors [`Fsmd::same_machine`]: two machines with equal name, ports,
-/// control, schedules and lowered design get the same key regardless of
-/// target clock — the clock only annotates emitted Verilog, never the
-/// proved behavior.
+/// Hashes what [`Fsmd::same_machine`] compares: two machines with equal
+/// name, ports, control, schedules and lowered design get the same key
+/// regardless of target clock — the clock only annotates emitted
+/// Verilog, never the proved behavior.
 pub fn fsmd_key(fsmd: &Fsmd) -> String {
-    let mut text = String::new();
-    text.push_str("fsmd;");
-    text.push_str(&fsmd.name);
-    text.push(';');
-    text.push_str(&format!(
-        "{:?};{:?};{:?};",
-        fsmd.ports, fsmd.control, fsmd.schedules
-    ));
-    text.push_str(&lowered_to_json(&fsmd.lowered).write());
-    stable_digest(text.as_bytes())
+    let mut hasher = StableHasher::new();
+    (
+        &fsmd.name,
+        &fsmd.ports,
+        &fsmd.control,
+        &fsmd.schedules,
+        &fsmd.lowered,
+    )
+        .hash(&mut hasher);
+    hasher.hex()
 }
 
 /// Configuration for a [`ProofCache`]. Its one field can only be

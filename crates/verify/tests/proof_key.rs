@@ -1,0 +1,236 @@
+//! The proof cache's key, `fsmd_key`, splits machines exactly where
+//! `Fsmd::same_machine` does and never on the clock.
+//!
+//! The corpus is the four Table-1 decoders and two small kernels at every
+//! netlist optimization level, each at two clocks so that clock twins
+//! occur. Single-field mutations of one machine each change the key; a
+//! changed clock alone does not.
+
+use fixpt::{Fixed, Format};
+use hls_core::dfg::build_dfg;
+use hls_core::{synthesize, Directives, Lowered, OptLevel, Segment, TechLibrary};
+use hls_ir::{parse_function, Expr, Function, Stmt, Ty};
+use hls_verify::fsmd_key;
+use qam_decoder::{table1_architectures, table1_library, QAM_DECODER_SOURCE};
+use rtl::{Control, Fsmd};
+
+/// Two loops around an accumulator.
+const SRC: &str = r#"
+    void diff(sc_fixed<6,3> x[3], sc_fixed<12,6> *out) {
+        sc_fixed<12,6> acc = 0;
+        up: for (int i = 0; i < 3; i++) { acc += x[i] * 2; }
+        dn: for (int j = 0; j < 3; j++) { acc += x[j] - x[0] + x[0]; }
+        *out = acc;
+    }
+"#;
+
+/// A kernel with statics, a branch, a shift and a cast, so the key sees
+/// every statement and most expression kinds.
+const BRANCHY: &str = r#"
+    void kernel(sc_fixed<8,4> x[4], sc_fixed<12,6> *out) {
+        static sc_fixed<8,4> taps[4];
+        sc_fixed<12,6> acc = 0;
+        shift: for (int i = 3; i > 0; i--) {
+            taps[i] = taps[i - 1];
+        }
+        taps[0] = x[0];
+        mac: for (int k = 0; k < 4; k++) {
+            if (taps[k] > 0) {
+                acc += taps[k] * 2;
+            } else {
+                acc -= (sc_fixed<8,4>)(taps[k] >> 1);
+            }
+        }
+        *out = acc - x[0] + x[0];
+    }
+"#;
+
+fn machine(func: &Function, d: &Directives, lib: &TechLibrary) -> Fsmd {
+    Fsmd::from_synthesis(&synthesize(func, d, lib).expect("synthesizes"))
+}
+
+#[test]
+fn the_key_splits_exactly_where_same_machine_does() {
+    let decoder = parse_function(QAM_DECODER_SOURCE).unwrap();
+    let kernels = [
+        parse_function(SRC).unwrap(),
+        parse_function(BRANCHY).unwrap(),
+    ];
+    let lib = table1_library();
+    let mut machines = Vec::new();
+    for level in [OptLevel::Full, OptLevel::Basic, OptLevel::Off] {
+        for clock in [10.0, 12.5] {
+            for arch in table1_architectures() {
+                let mut d = arch.directives.netlist_opt_level(level);
+                d.clock_period_ns = clock;
+                machines.push(machine(&decoder, &d, &lib));
+            }
+            for func in &kernels {
+                let d = Directives::new(clock).netlist_opt_level(level);
+                machines.push(machine(func, &d, &lib));
+            }
+        }
+    }
+    let keys: Vec<String> = machines.iter().map(fsmd_key).collect();
+    let (mut twins, mut distinct) = (0, 0);
+    for (i, a) in machines.iter().enumerate() {
+        for (j, b) in machines.iter().enumerate().skip(i + 1) {
+            let same = a.same_machine(b);
+            assert_eq!(
+                keys[i] == keys[j],
+                same,
+                "machines {i} ({} at {} ns) and {j} ({} at {} ns)",
+                a.name,
+                a.clock_ns,
+                b.name,
+                b.clock_ns
+            );
+            if same && a.clock_ns != b.clock_ns {
+                twins += 1;
+            } else if !same {
+                distinct += 1;
+            }
+        }
+    }
+    assert!(twins > 0, "the corpus must hold clock twins");
+    assert!(distinct > 0, "the corpus must hold distinct machines");
+}
+
+/// `base` with its lowered design edited by `edit`.
+fn with_lowered(base: &Fsmd, edit: impl FnOnce(&mut Lowered)) -> Fsmd {
+    let mut m = base.clone();
+    edit(&mut m.lowered);
+    m
+}
+
+/// `base` with the lowered design's first segment replaced by the graph
+/// of `stmts`.
+fn with_first_segment(base: &Fsmd, stmts: &[Stmt]) -> Fsmd {
+    with_lowered(base, |low| {
+        low.segments[0] = Segment::Straight {
+            dfg: build_dfg(&low.func, stmts),
+        }
+    })
+}
+
+/// Asserts that `a` and `b` differ in exactly one node of their first
+/// segment, and there only in the node's kind.
+fn assert_one_node_kind_differs(a: &Fsmd, b: &Fsmd) {
+    let na = a.lowered.segments[0].dfg().nodes();
+    let nb = b.lowered.segments[0].dfg().nodes();
+    assert_eq!(na.len(), nb.len());
+    let differing: Vec<usize> = (0..na.len()).filter(|&i| na[i] != nb[i]).collect();
+    assert_eq!(differing.len(), 1, "{differing:?}");
+    let i = differing[0];
+    assert_ne!(na[i].kind, nb[i].kind);
+    assert_eq!((&na[i].preds, na[i].format), (&nb[i].preds, nb[i].format));
+}
+
+#[test]
+fn every_single_field_mutation_changes_the_key_and_the_clock_does_not() {
+    let lib = TechLibrary::asic_100mhz();
+    let base = machine(&parse_function(SRC).unwrap(), &Directives::new(10.0), &lib);
+    let func = &base.lowered.func;
+    let (acc, _) = func
+        .iter_vars()
+        .find(|(_, v)| v.name == "acc")
+        .expect("the kernel has an accumulator");
+    let fmt = func.var(acc).ty.format().expect("fixed-point accumulator");
+    let konst = |raw| Expr::Const(Fixed::from_raw(raw, fmt).unwrap());
+    let assign = |value| [Stmt::Assign { var: acc, value }];
+    let add3 = with_first_segment(&base, &assign(Expr::add(Expr::var(acc), konst(3))));
+    let add5 = with_first_segment(&base, &assign(Expr::add(Expr::var(acc), konst(5))));
+    let sub3 = with_first_segment(&base, &assign(Expr::sub(Expr::var(acc), konst(3))));
+    assert_one_node_kind_differs(&add3, &add5);
+    assert_one_node_kind_differs(&add3, &sub3);
+    let mut pairs = vec![
+        ("a constant's raw bits", add3.clone(), add5),
+        ("a node's operator", add3, sub3),
+    ];
+    let wider = Ty::Fixed(Format::signed(fmt.width() + 1, fmt.int_bits()));
+    pairs.push((
+        "a variable's format",
+        base.clone(),
+        with_lowered(&base, |low| low.func.vars[acc.index()].ty = wider),
+    ));
+    pairs.push((
+        "a port's width",
+        base.clone(),
+        with_lowered(&base, |low| low.ports[0].width += 1),
+    ));
+    pairs.push((
+        "a loop's trip count",
+        base.clone(),
+        with_lowered(&base, |low| {
+            let trip = low
+                .segments
+                .iter_mut()
+                .find_map(|s| match s {
+                    Segment::Loop { trip, .. } => Some(trip),
+                    Segment::Straight { .. } => None,
+                })
+                .expect("the kernel keeps a loop");
+            *trip += 1;
+        }),
+    ));
+    pairs.push((
+        "handshake",
+        base.clone(),
+        with_lowered(&base, |low| low.handshake = !low.handshake),
+    ));
+    let mut m = base.clone();
+    m.name.push('2');
+    pairs.push(("the name", base.clone(), m));
+    let mut m = base.clone();
+    let bound = m
+        .control
+        .iter_mut()
+        .find_map(|c| match c {
+            Control::Loop { bound, .. } => Some(bound),
+            Control::Straight { .. } => None,
+        })
+        .expect("the kernel keeps a loop");
+    *bound += 1;
+    pairs.push(("a loop controller's bound", base.clone(), m));
+    let mut m = base.clone();
+    m.schedules[0].node_cycle[0] += 1;
+    pairs.push(("a node's schedule cycle", base.clone(), m));
+    for (what, original, mutant) in &pairs {
+        assert!(!original.same_machine(mutant), "{what}: not a mutation");
+        assert_ne!(
+            fsmd_key(original),
+            fsmd_key(mutant),
+            "mutating {what} must change the key"
+        );
+    }
+
+    // Constants of equal value compare `==` whatever their formats
+    // (`Fixed` compares values), yet a shift reads its operand's format.
+    // The key hashes a constant by representation, so it splits these.
+    let two = Fixed::from_raw(2, fmt).unwrap();
+    let wide = two.cast(Format::signed(fmt.width() + 2, fmt.int_bits() + 2));
+    assert_eq!(two, wide);
+    let first = |c: Fixed| {
+        with_lowered(&base, |low| {
+            low.func.body[0] = Stmt::Assign {
+                var: acc,
+                value: Expr::Const(c),
+            }
+        })
+    };
+    let (narrow, widened) = (first(two), first(wide));
+    assert!(narrow.same_machine(&widened));
+    assert_ne!(
+        fsmd_key(&narrow),
+        fsmd_key(&widened),
+        "a constant's format must change the key"
+    );
+
+    let mut twin = base.clone();
+    twin.clock_ns = 12.5;
+    assert_eq!(
+        fsmd_key(&base),
+        fsmd_key(&twin),
+        "the clock must not change the key"
+    );
+}
