@@ -1,18 +1,25 @@
 //! Criterion bench: cost of each flow stage in isolation — parsing C
-//! source, transforms, lowering, scheduling — over the decoder IR, the
-//! proof cache's key on each Table-1 machine, and one warm store hit
-//! served by a cluster node.
+//! source, transforms, lowering, scheduling — over the decoder IR; the
+//! three call chains that run the stages (a compile, an explored
+//! candidate's prefix replay, a stream module); the proof cache's key on
+//! each Table-1 machine; and one warm store hit served by a cluster node.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hls_cluster::{read_frame, ClusterConfig, ClusterNode, Frame, Incoming};
-use hls_core::{apply_loop_transforms, lower, schedule_dfg, synthesize, Directives, TechLibrary};
+use hls_core::{
+    apply_loop_transforms, lower, optimize_lowered, schedule_dfg, synthesize,
+    synthesize_traced_with_prefix, Directives, NetlistEntry, PipelineConfig, TechLibrary,
+};
 use hls_ir::parse_function;
 use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
+use hls_stream::synthesize_stream;
 use hls_verify::fsmd_key;
 use qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams, QAM_DECODER_SOURCE,
 };
-use rtl::Fsmd;
+use rtl::{compile_traced, Fsmd};
 
 /// A 32-tap FIR in the shape of the end-to-end benchmark's FIR family.
 const FIR_SOURCE: &str =
@@ -66,6 +73,50 @@ fn bench_stages(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+/// The call chains over the stages, per Table-1 architecture:
+/// `compile/<arch>` is `compile_traced` under the default configuration,
+/// as every served miss runs it; `prefix_job/<arch>` replays the
+/// architecture's prefix with `skip_trace_stats`, as every explored
+/// candidate does; `stream_module/<workload>` is `synthesize_stream`.
+fn bench_call_chains(c: &mut Criterion) {
+    let func = parse_function(QAM_DECODER_SOURCE).expect("parses");
+    let lib = table1_library();
+    let mut g = c.benchmark_group("flow_stages");
+    for arch in table1_architectures() {
+        let config = PipelineConfig::default();
+        g.bench_function(format!("compile/{}", arch.name), |b| {
+            b.iter(|| compile_traced(&func, &arch.directives, &lib, &config))
+        });
+    }
+    let skipping = PipelineConfig {
+        skip_trace_stats: true,
+        ..PipelineConfig::default()
+    };
+    for arch in table1_architectures() {
+        let d = &arch.directives;
+        let transformed = apply_loop_transforms(&func, d);
+        let mut lowered = lower(&transformed.func, d);
+        let report = optimize_lowered(&mut lowered, &d.netlist_opt, &lib);
+        let prefix = Arc::new(NetlistEntry {
+            transformed,
+            lowered,
+            report,
+        });
+        g.bench_function(format!("prefix_job/{}", arch.name), |b| {
+            b.iter(|| synthesize_traced_with_prefix(&func, d, &lib, &skipping, Arc::clone(&prefix)))
+        });
+    }
+    for (name, w) in [
+        ("cordic8", dsp::cordic_stream(8)),
+        ("fir8", dsp::fir_stream(8)),
+    ] {
+        g.bench_function(format!("stream_module/{name}"), |b| {
+            b.iter(|| synthesize_stream(&w.func, &w.directives, &lib).expect("synthesizes"))
+        });
+    }
     g.finish();
 }
 
@@ -128,5 +179,11 @@ fn bench_serve_hit(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_stages, bench_proof_key, bench_serve_hit);
+criterion_group!(
+    benches,
+    bench_stages,
+    bench_call_chains,
+    bench_proof_key,
+    bench_serve_hit
+);
 criterion_main!(benches);

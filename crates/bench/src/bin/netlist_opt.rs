@@ -21,9 +21,8 @@ use std::time::Instant;
 
 use hls_core::netlist::logic_depth;
 use hls_core::{
-    apply_loop_transforms, netlist_obligations, optimize_lowered, Directives, MergePolicy,
-    NetlistObligation, NetlistReport, OptLevel, PassDelta, Pipeline, PipelineConfig, PipelineState,
-    TechLibrary,
+    apply_loop_transforms, netlist_obligations, optimize_lowered, synthesize, Directives,
+    MergePolicy, NetlistObligation, NetlistReport, OptLevel, PassDelta, TechLibrary,
 };
 use hls_ir::{parse_function, Expr, FunctionBuilder, Ty};
 use hls_verify::{
@@ -44,21 +43,14 @@ fn run_point(
     directives: &hls_core::Directives,
     lib: &hls_core::TechLibrary,
 ) -> Point {
-    let pipeline = Pipeline::synthesis(PipelineConfig::default());
-    let mut state = PipelineState::new(func, directives, lib);
-    let run = pipeline.run(&mut state);
-    let report = state.take_artifact("netlist-report").unwrap_or_default();
-    // The optimizer is deterministic: re-running it on the transformed
-    // function's lowering yields the obligations of the run above.
-    let obligations = netlist_obligations(
-        &hls_core::lower(&state.func, directives),
-        &directives.netlist_opt,
-        lib,
-    );
-    let metrics = match run.error {
-        None => state.to_result().map(|r| r.metrics),
-        Some(_) => None,
-    };
+    // The optimizer is deterministic: optimizing the transformed
+    // function's lowering here reproduces the `netlist-opt` stage of the
+    // synthesis below, and its obligations are those of that stage.
+    let transformed = apply_loop_transforms(func, directives);
+    let mut lowered = hls_core::lower(&transformed.func, directives);
+    let obligations = netlist_obligations(&lowered, &directives.netlist_opt, lib);
+    let report = optimize_lowered(&mut lowered, &directives.netlist_opt, lib);
+    let metrics = synthesize(func, directives, lib).ok().map(|r| r.metrics);
     Point {
         metrics,
         report,

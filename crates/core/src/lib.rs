@@ -62,8 +62,8 @@ pub use netlist::{
 };
 pub use passcache::{NetlistEntry, PassCache, PassCacheConfig, PassCacheStats};
 pub use pipeline::{
-    synthesize_traced, synthesize_traced_with_prefix, CacheActivity, InvariantCheck, IrStats, Pass,
-    PassHook, PassRecord, PassTrace, Pipeline, PipelineConfig, PipelineRun, PipelineState,
+    synthesize_traced, synthesize_traced_with_prefix, CacheActivity, InvariantCheck, IrStats,
+    PassRecord, PassTrace, PipelineConfig, PipelineRun,
 };
 pub use schedule::{recurrence_min_ii, schedule_dfg, Schedule};
 pub use synthesize::{synthesize, SynthesisResult};

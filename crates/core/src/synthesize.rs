@@ -1,9 +1,9 @@
-//! The top-level synthesis flow: validate → transform → lower → schedule →
-//! allocate → report.
+//! The top-level synthesis flow: validate → transform → lower → optimize
+//! → schedule → allocate → report.
 //!
-//! [`synthesize`] is a thin wrapper over the pass-manager pipeline in
-//! [`crate::pipeline`]; use [`crate::synthesize_traced`] when you also
-//! want the per-pass trace and structured diagnostics.
+//! [`synthesize`] runs the stage chain of [`crate::pipeline`] and keeps
+//! only its result; use [`crate::synthesize_traced`] when you also want
+//! the per-pass trace and structured diagnostics.
 
 use hls_ir::Function;
 

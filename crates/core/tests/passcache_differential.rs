@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use hls_core::{
     explore, synthesize_traced, CacheActivity, Directives, ExploreConfig, ExploreResult,
-    MergePolicy, OptLevel, PassCache, Pipeline, PipelineConfig, PipelineRun, PipelineState,
-    SynthesisError, SynthesisResult, TechLibrary, Unroll, VerifyLevel,
+    MergePolicy, OptLevel, PassCache, PipelineConfig, PipelineRun, SynthesisError, SynthesisResult,
+    TechLibrary, Unroll, VerifyLevel,
 };
 use hls_ir::{parse_function, Function};
 
@@ -264,24 +264,4 @@ fn serve_path_synthesizes_identically_with_and_without_cache() {
         };
         assert_eq!(run.trace.cache, expect, "case {i}: warm run");
     }
-
-    // A pipeline that stops before `netlist-opt` neither replays nor
-    // publishes a prefix, even against a warm cache.
-    let before = cache.stats();
-    let (f, d, lib) = &cases[0];
-    let mut state = PipelineState::new(f, d, lib);
-    let config = PipelineConfig {
-        cache: Some(Arc::clone(&cache)),
-        ..PipelineConfig::transform_only()
-    };
-    let run = Pipeline::synthesis(config).run(&mut state);
-    assert!(run.error.is_none(), "{:?}", run.error);
-    assert_eq!(run.trace.cache, CacheActivity::default());
-    assert!(run.trace.passes.iter().all(|p| !p.memo_hit));
-    assert!(state.prefix.is_none());
-    assert_eq!(
-        cache.stats(),
-        before,
-        "the transform-only run touched the cache"
-    );
 }

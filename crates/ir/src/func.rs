@@ -181,6 +181,39 @@ impl Function {
         }
     }
 
+    /// Whether the bodies hold the same constants in the same order, each
+    /// equal in raw bits and format. `Fixed`'s `==` compares values, so
+    /// two functions can be `==` while a constant differs in format, yet
+    /// a shift or an operation's result format reads it. `==` and this
+    /// together compare constants as `Hash` does.
+    pub fn same_constants(&self, other: &Function) -> bool {
+        self.constant_bits() == other.constant_bits()
+    }
+
+    /// Every constant of the body, pre-order, as its raw bits and format.
+    fn constant_bits(&self) -> Vec<(i128, fixpt::Format)> {
+        let mut bits = Vec::new();
+        let mut push = |e: &Expr| {
+            e.visit(&mut |e| {
+                if let Expr::Const(c) = e {
+                    bits.push((c.raw(), c.format()));
+                }
+            })
+        };
+        for s in &self.body {
+            s.visit(&mut |s| match s {
+                Stmt::Assign { value, .. } => push(value),
+                Stmt::Store { index, value, .. } => {
+                    push(index);
+                    push(value);
+                }
+                Stmt::If { cond, .. } => push(cond),
+                Stmt::For(_) => {}
+            });
+        }
+        bits
+    }
+
     /// Total primitive operation count over the whole body (a rough
     /// complexity measure used by reports).
     pub fn op_count(&self) -> usize {

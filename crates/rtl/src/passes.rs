@@ -1,114 +1,23 @@
-//! RTL-level passes: the back end as pass-manager stages.
+//! The RTL back end's stages, appended to a synthesis run.
 //!
-//! These passes extend the synthesis pipeline of `hls-core` past
-//! allocation into the RTL domain — FSMD construction, compiled-simulation
-//! lowering and Verilog emission — so one [`Pipeline`] run carries a
-//! design from untimed IR to netlist with a single pass trace covering
-//! every stage. Products land in the pipeline's artifacts map under the
-//! keys [`FSMD`], [`SIM_PROGRAM`] and [`VERILOG`].
+//! [`compile_traced`] carries a design from untimed IR to Verilog in one
+//! call chain: `hls_core::synthesize_traced` runs the eight synthesis
+//! stages, then `build-fsmd`, `compile-sim` and `emit-verilog` run in
+//! order, each recorded into the same [`PipelineRun`] through
+//! [`PipelineRun::stage`], so one pass trace covers every stage. None of
+//! the three changes what the trace measures, so they carry the
+//! post-`metrics` stats instead of walking the design again.
 
-use hls_core::{Pass, Pipeline, PipelineConfig, PipelineRun, PipelineState, SynthesisError};
-use hls_ir::{Diagnostics, Function};
+use std::time::Instant;
+
+use hls_core::{PipelineConfig, PipelineRun, SynthesisError};
+use hls_ir::Function;
 
 use crate::compile::SimProgram;
 use crate::fsmd::Fsmd;
 use crate::verilog::emit_verilog_with_diagnostics;
 
-/// Artifact key of the FSMD built by [`FsmdPass`].
-pub const FSMD: &str = "fsmd";
-/// Artifact key of the dense simulation program built by [`CompileSimPass`].
-pub const SIM_PROGRAM: &str = "sim-program";
-/// Artifact key of the Verilog source emitted by [`VerilogPass`].
-pub const VERILOG: &str = "verilog";
-
-/// Builds the FSMD netlist from the scheduled, allocated design.
-pub struct FsmdPass;
-
-impl Pass for FsmdPass {
-    fn name(&self) -> &'static str {
-        "build-fsmd"
-    }
-
-    fn requires(&self) -> &'static [&'static str] {
-        &["lower", "schedule", "allocate", "metrics"]
-    }
-
-    fn run(
-        &self,
-        state: &mut PipelineState,
-        _diags: &mut Diagnostics,
-    ) -> Result<(), SynthesisError> {
-        let result = state
-            .to_result()
-            .ok_or_else(|| missing_artifact("build-fsmd", "the synthesis result"))?;
-        state.put_artifact(FSMD, Fsmd::from_synthesis(&result));
-        Ok(())
-    }
-}
-
-/// Lowers the FSMD into the dense compiled-simulation form.
-pub struct CompileSimPass;
-
-impl Pass for CompileSimPass {
-    fn name(&self) -> &'static str {
-        "compile-sim"
-    }
-
-    fn requires(&self) -> &'static [&'static str] {
-        &["build-fsmd"]
-    }
-
-    fn run(
-        &self,
-        state: &mut PipelineState,
-        _diags: &mut Diagnostics,
-    ) -> Result<(), SynthesisError> {
-        let fsmd: &Fsmd = state
-            .artifact(FSMD)
-            .ok_or_else(|| missing_artifact("compile-sim", "the FSMD artifact"))?;
-        let program = SimProgram::compile(fsmd);
-        state.put_artifact(SIM_PROGRAM, program);
-        Ok(())
-    }
-}
-
-/// Emits Verilog-2001 for the FSMD.
-pub struct VerilogPass;
-
-impl Pass for VerilogPass {
-    fn name(&self) -> &'static str {
-        "emit-verilog"
-    }
-
-    fn requires(&self) -> &'static [&'static str] {
-        &["build-fsmd"]
-    }
-
-    fn run(
-        &self,
-        state: &mut PipelineState,
-        diags: &mut Diagnostics,
-    ) -> Result<(), SynthesisError> {
-        let fsmd: &Fsmd = state
-            .artifact(FSMD)
-            .ok_or_else(|| missing_artifact("emit-verilog", "the FSMD artifact"))?;
-        let verilog = emit_verilog_with_diagnostics(fsmd, diags);
-        state.put_artifact(VERILOG, verilog);
-        Ok(())
-    }
-}
-
-/// The typed error for an RTL pass finding its upstream product absent —
-/// reachable only through a custom pass claiming a standard name without
-/// producing the standard artifact (sequence validation catches
-/// everything else before the run starts).
-fn missing_artifact(pass: &str, what: &str) -> SynthesisError {
-    SynthesisError::InvalidPipelineConfig {
-        problems: vec![format!("pass `{pass}` needs {what}, which is missing")],
-    }
-}
-
-/// Everything the full front-to-back pipeline produces.
+/// Everything the full front-to-back compile produces.
 pub struct RtlArtifacts {
     /// The synthesis-level result (schedules, allocation, metrics).
     pub synthesis: hls_core::SynthesisResult,
@@ -120,48 +29,33 @@ pub struct RtlArtifacts {
     pub verilog: String,
 }
 
-/// The full front-to-back pipeline: the standard synthesis passes
-/// followed by [`FsmdPass`], [`CompileSimPass`] and [`VerilogPass`].
-pub fn rtl_pipeline<'a>(config: PipelineConfig) -> Pipeline<'a> {
-    Pipeline::synthesis(config)
-        .with_pass(FsmdPass)
-        .with_pass(CompileSimPass)
-        .with_pass(VerilogPass)
-}
-
-/// Compiles `func` all the way to RTL through the pass manager, returning
-/// both the artifacts and the full observability record.
+/// Compiles `func` all the way to RTL — the synthesis stages, then the
+/// FSMD, its dense simulation program and its Verilog — returning both
+/// the artifacts and the full observability record.
 pub fn compile_traced(
     func: &Function,
     directives: &hls_core::Directives,
     lib: &hls_core::TechLibrary,
     config: &PipelineConfig,
 ) -> (Result<RtlArtifacts, SynthesisError>, PipelineRun) {
-    let pipeline = rtl_pipeline(config.clone());
-    let mut state = PipelineState::new(func, directives, lib);
-    let run = pipeline.run(&mut state);
-    // A clean run normally fills every slot, but a custom pass claiming a
-    // standard name may not — surface that as the typed config error
-    // rather than panicking on the caller's thread.
-    let result = match &run.error {
-        Some(e) => Err(e.clone()),
-        None => (|| {
-            Ok(RtlArtifacts {
-                synthesis: state
-                    .to_result()
-                    .ok_or_else(|| missing_artifact("metrics", "a completed synthesis state"))?,
-                fsmd: state
-                    .take_artifact(FSMD)
-                    .ok_or_else(|| missing_artifact("build-fsmd", "the FSMD artifact"))?,
-                program: state
-                    .take_artifact(SIM_PROGRAM)
-                    .ok_or_else(|| missing_artifact("compile-sim", "the simulation program"))?,
-                verilog: state
-                    .take_artifact(VERILOG)
-                    .ok_or_else(|| missing_artifact("emit-verilog", "the Verilog source"))?,
-            })
-        })(),
-    };
+    let start = Instant::now();
+    let (synthesis, mut run) = hls_core::synthesize_traced(func, directives, lib, config);
+    let result = synthesis.and_then(|synthesis| {
+        let fsmd = run.stage(config, "build-fsmd", |_| {
+            Ok(Fsmd::from_synthesis(&synthesis))
+        })?;
+        let program = run.stage(config, "compile-sim", |_| Ok(SimProgram::compile(&fsmd)))?;
+        let verilog = run.stage(config, "emit-verilog", |diags| {
+            Ok(emit_verilog_with_diagnostics(&fsmd, diags))
+        })?;
+        Ok(RtlArtifacts {
+            synthesis,
+            fsmd,
+            program,
+            verilog,
+        })
+    });
+    run.trace.total_ns = start.elapsed().as_nanos() as u64;
     (result, run)
 }
 

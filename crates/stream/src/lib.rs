@@ -4,11 +4,10 @@
 //! a start/done call interface. Real receivers are pipelines of such
 //! modules; this crate closes that gap:
 //!
-//! * [`synthesize_stream`] runs the normal synthesis pipeline plus
-//!   [`StreamShellPass`], wrapping the FSMD in a ready/valid
-//!   [`HandshakeShell`] — one token in per call, one token out, with a
-//!   registered output stage so `ready` never depends combinationally on
-//!   `valid`.
+//! * [`synthesize_stream`] runs the normal synthesis stages and wraps
+//!   the FSMD in a ready/valid [`HandshakeShell`] — one token in per
+//!   call, one token out, with a registered output stage so `ready` never
+//!   depends combinationally on `valid`.
 //! * [`SystemGraph`] composes shelled modules through typed FIFO
 //!   channels ([`ChannelCfg`]), validates formats and forbids
 //!   zero-latency fall-through cycles.
@@ -35,7 +34,7 @@ pub use check::{check_latency_insensitivity, LiConfig, LiFailure, LiReport};
 pub use graph::{ChannelCfg, GraphError, ModuleId, SystemGraph, Topology};
 pub use shell::{
     synthesize_stream, synthesize_stream_sweep, HandshakeShell, ShellError, StreamModule,
-    StreamPort, StreamShellPass, STREAM_SHELL,
+    StreamPort,
 };
 pub use sim::{StallPlan, StallSchedule, SystemRun, SystemSim, SystemSimError};
 pub use verilog::emit_system_verilog;

@@ -9,18 +9,16 @@
 //! `ready` is never a combinational function of `valid` — the property
 //! that keeps composed systems free of handshake combinational loops.
 //!
-//! The shell is produced by [`StreamShellPass`], a pipeline pass gated on
-//! the [`Directives::stream`] directive, running after `build-fsmd`.
+//! [`synthesize_stream`] builds the shell from a finished synthesis: the
+//! synthesis stages, then the FSMD, then [`HandshakeShell::from_synthesis`]
+//! under the [`Directives::stream`] directive.
 
 use std::fmt;
 
 use fixpt::Format;
-use hls_core::{Directives, Pass, PipelineState, SynthesisError, SynthesisResult, TechLibrary};
-use hls_ir::{Diagnostics, Direction, VarId};
+use hls_core::{Directives, SynthesisError, SynthesisResult, TechLibrary};
+use hls_ir::{Direction, VarId};
 use rtl::Fsmd;
-
-/// Artifact key of the shell built by [`StreamShellPass`].
-pub const STREAM_SHELL: &str = "stream-shell";
 
 /// One stream port of a shelled module: a parameter of the synthesized
 /// function lifted to a ready/valid token port.
@@ -198,48 +196,6 @@ impl HandshakeShell {
     }
 }
 
-/// The pipeline pass performing stream-interface synthesis: when the
-/// directive set carries [`Directives::stream`], derives the
-/// [`HandshakeShell`] and publishes it under [`STREAM_SHELL`]; without
-/// the directive it is a no-op, so one pipeline serves both interface
-/// styles.
-pub struct StreamShellPass;
-
-impl Pass for StreamShellPass {
-    fn name(&self) -> &'static str {
-        "stream-shell"
-    }
-
-    fn requires(&self) -> &'static [&'static str] {
-        &["build-fsmd"]
-    }
-
-    fn run(
-        &self,
-        state: &mut PipelineState,
-        _diags: &mut Diagnostics,
-    ) -> Result<(), SynthesisError> {
-        if state.directives.stream.is_none() {
-            return Ok(());
-        }
-        let result = state
-            .to_result()
-            .ok_or_else(|| SynthesisError::InvalidPipelineConfig {
-                problems: vec![
-                    "pass `stream-shell` needs the completed synthesis result, which is missing"
-                        .to_string(),
-                ],
-            })?;
-        let shell = HandshakeShell::from_synthesis(&result, &state.lib).map_err(|e| {
-            SynthesisError::InvalidPipelineConfig {
-                problems: vec![format!("stream-shell: {e}")],
-            }
-        })?;
-        state.put_artifact(STREAM_SHELL, shell);
-        Ok(())
-    }
-}
-
 /// One stream-shelled module ready for system composition: the synthesis
 /// result, its FSMD and its handshake shell.
 #[derive(Debug, Clone)]
@@ -255,14 +211,14 @@ pub struct StreamModule {
     pub stream: hls_core::StreamInterface,
 }
 
-/// Synthesizes a function straight to a stream-shelled module by running
-/// the full pipeline — front end through `build-fsmd` — plus
-/// [`StreamShellPass`]. The directive set must carry
+/// Synthesizes a function straight to a stream-shelled module: the
+/// synthesis stages, the FSMD built from their result, and the
+/// [`HandshakeShell`] around it. The directive set must carry
 /// [`Directives::stream`].
 ///
 /// # Errors
 ///
-/// Returns the pipeline's [`SynthesisError`] on any pass failure, and an
+/// Returns the synthesis [`SynthesisError`] on any stage failure, and an
 /// `invalid-pipeline-config` error when the stream directive is absent
 /// or the design cannot be shelled (see [`ShellError`]).
 pub fn synthesize_stream(
@@ -278,22 +234,13 @@ pub fn synthesize_stream(
             ],
         });
     };
-    let pipeline =
-        rtl::passes::rtl_pipeline(hls_core::PipelineConfig::default()).with_pass(StreamShellPass);
-    let mut state = PipelineState::new(func, directives, lib);
-    let run = pipeline.run(&mut state);
-    if let Some(err) = run.error {
-        return Err(err);
-    }
-    let fsmd: Fsmd = state
-        .take_artifact(rtl::passes::FSMD)
-        .expect("build-fsmd publishes the FSMD artifact");
-    let shell: HandshakeShell = state
-        .take_artifact(STREAM_SHELL)
-        .expect("stream-shell publishes its artifact when the directive is set");
-    let result = state
-        .to_result()
-        .expect("a completed pipeline has a synthesis result");
+    let result = hls_core::synthesize(func, directives, lib)?;
+    let fsmd = Fsmd::from_synthesis(&result);
+    let shell = HandshakeShell::from_synthesis(&result, lib).map_err(|e| {
+        SynthesisError::InvalidPipelineConfig {
+            problems: vec![format!("stream-shell: {e}")],
+        }
+    })?;
     Ok(StreamModule {
         result,
         fsmd,
@@ -382,22 +329,6 @@ mod tests {
             err.to_string().contains("stream"),
             "unexpected error: {err}"
         );
-    }
-
-    #[test]
-    fn shell_pass_is_a_no_op_without_the_directive() {
-        // The pass can ride in every pipeline: plain start/done synthesis
-        // through the same pass list must still succeed, with no artifact.
-        let w = dsp::fir_stream(4);
-        let d = Directives::new(10.0);
-        let pipeline = rtl::passes::rtl_pipeline(hls_core::PipelineConfig::default())
-            .with_pass(StreamShellPass);
-        let mut state = PipelineState::new(&w.func, &d, &lib());
-        let run = pipeline.run(&mut state);
-        assert!(run.error.is_none(), "{:?}", run.error);
-        assert!(state
-            .take_artifact::<HandshakeShell>(STREAM_SHELL)
-            .is_none());
     }
 
     #[test]

@@ -339,8 +339,8 @@ fn mutate_stimulus(
 /// diverging call, `None` when the machines agree on every observable.
 ///
 /// This is the exact oracle the fuzzer and shrinker use internally; it is
-/// public so persisted counterexamples ([`crate::fixtures`]) can be
-/// replayed as regression checks.
+/// public so a shrunk counterexample can be replayed as a regression
+/// check.
 pub fn replay_stimulus(fsmd: &Fsmd, stim: &Stimulus) -> Option<(usize, String)> {
     run_diff(fsmd, stim)
 }

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod equiv;
-pub mod fixtures;
 pub mod fsmd_exec;
 pub mod fuzz;
 pub mod ir_exec;
@@ -37,9 +36,6 @@ pub use equiv::{
     prove_equiv, prove_equiv_in, prove_equiv_with, IrContext, Obligation, ProofCex, ProofMethod,
     ProveOptions, ProveVerdict,
 };
-pub use fixtures::{
-    load_counterexamples, save_counterexample, stimulus_from_json, stimulus_to_json, CexFixture,
-};
 pub use fuzz::{
     fuzz_equiv, fuzz_equiv_with, replay_stimulus, Coverage, FuzzCex, FuzzConfig, FuzzReport,
     SplitMix64, Stimulus,
@@ -50,8 +46,7 @@ pub use netlist::{
     exec_lowered, NetlistCrossCheck,
 };
 pub use pipeline::{
-    explore_verified, explore_verified_with, verify_equiv, verify_equiv_cached,
-    verify_equiv_persist, verify_equiv_with, EquivGate, ExploreProver, ProverStats, VerifyFinding,
-    VerifyReport,
+    explore_verified, explore_verified_with, verify_equiv, verify_equiv_cached, verify_equiv_with,
+    ExploreProver, ProverStats, VerifyFinding, VerifyReport,
 };
 pub use proofcache::{fsmd_key, ProofCache, ProofCacheConfig, ProofCacheStats};

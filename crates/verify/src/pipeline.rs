@@ -8,18 +8,16 @@
 //!
 //! [`explore_verified`] plugs the same pipeline into design-space
 //! exploration via `hls_core::explore_with_check`, gating the Pareto
-//! frontier (or every point) on equivalence. [`EquivGate`] plugs it into
-//! the pass manager itself: registered as a `PassHook`, it verifies the
-//! design the moment metrics land and vetoes the rest of the pipeline on
-//! a counterexample.
+//! frontier (or every point) on equivalence. The service runs
+//! [`verify_equiv_cached`] on every verified request. The per-rewrite
+//! netlist obligations have their own checker
+//! ([`crate::check_netlist_obligations`]), which the `netlist_opt`
+//! report runs on every rewrite of its grid.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use hls_core::{
-    explore_with_check, lower, netlist_obligations, Diagnostic, Diagnostics, ExploreConfig,
-    ExploreResult, PassHook, PipelineState, TechLibrary,
-};
+use hls_core::{explore_with_check, ExploreConfig, ExploreResult, TechLibrary};
 use hls_ir::Function;
 use rtl::Fsmd;
 
@@ -135,25 +133,6 @@ pub fn verify_equiv_cached(fsmd: &Fsmd, cache: &ProofCache) -> VerifyReport {
     report
 }
 
-/// [`verify_equiv`], persisting any fuzzer-shrunk counterexample as an
-/// on-disk regression fixture under `fixture_root` (see [`crate::fixtures`]
-/// for the layout). A failed write never masks the verification verdict —
-/// the report is returned either way, with the fixture digest alongside
-/// when one was saved.
-pub fn verify_equiv_persist(
-    fsmd: &Fsmd,
-    fixture_root: &std::path::Path,
-) -> (VerifyReport, Option<String>) {
-    let report = verify_equiv(fsmd);
-    let digest = match &report.finding {
-        VerifyFinding::FuzzCounterexample(cex) => {
-            crate::fixtures::save_counterexample(fixture_root, &fsmd.name, cex).ok()
-        }
-        _ => None,
-    };
-    (report, digest)
-}
-
 /// Turns a prover verdict into a [`VerifyReport`], falling back to the
 /// differential fuzzer when the prover gave up.
 fn settle(verdict: ProveVerdict, fsmd: &Fsmd, fuzz: &FuzzConfig) -> VerifyReport {
@@ -198,14 +177,15 @@ fn settle(verdict: ProveVerdict, fsmd: &Fsmd, fuzz: &FuzzConfig) -> VerifyReport
 ///    every proof in the group clones the symbolic table and runs only
 ///    the FSMD side. Roughly half of each proof's wall time is shared
 ///    this way. The group's function is still compared against each
-///    member ([`Fsmd::function`] vs the context's), so a signature
-///    collision across different source functions degrades to a private
-///    context, never to a wrong proof.
+///    member ([`Fsmd::function`] vs the context's, constants by raw bits
+///    and format), so a signature collision across different source
+///    functions degrades to a private context, never to a wrong proof.
 /// 2. **Structural verdict memoization.** Clock twins — sweep points
 ///    whose schedules chain identically under different target clocks —
 ///    are [`Fsmd::same_machine`]: equal control, schedules, ports and
-///    lowered design. The first twin's verdict is replayed for the rest;
-///    the hit test is full structural equality, not a hash or heuristic.
+///    lowered design, constants compared by raw bits and format. The
+///    first twin's verdict is replayed for the rest; the hit test is full
+///    structural equality, not a hash or heuristic.
 ///
 /// Both layers are behind mutexes, so one prover can be shared by the
 /// explorer's worker pool (it is `Sync`); [`explore_verified`] does
@@ -281,11 +261,16 @@ impl ExploreProver {
 
     /// The group whose context executed exactly `fsmd.function()`,
     /// building it on first sight. Signature collisions (same signature,
-    /// different function) get their own group.
+    /// different function) get their own group, and so does a function
+    /// whose constants differ from the group's only in format.
     fn group_for(&self, signature: &str, fsmd: &Fsmd) -> Arc<ProofGroup> {
         let mut groups = self.groups.lock().unwrap();
         let bucket = groups.entry(signature.to_string()).or_default();
-        if let Some(g) = bucket.iter().find(|g| g.ctx.function() == fsmd.function()) {
+        let f = fsmd.function();
+        if let Some(g) = bucket
+            .iter()
+            .find(|g| g.ctx.function() == f && g.ctx.function().same_constants(f))
+        {
             return Arc::clone(g);
         }
         let g = Arc::new(ProofGroup {
@@ -300,107 +285,6 @@ impl ExploreProver {
     /// Cache effectiveness so far.
     pub fn stats(&self) -> ProverStats {
         *self.counters.lock().unwrap()
-    }
-}
-
-/// An equivalence gate for the synthesis pass manager.
-///
-/// Registered via `Pipeline::with_hook`, it fires twice:
-///
-/// - after `netlist-opt`, it re-lowers the transformed function, asks
-///   `hls_core::netlist_obligations` for the per-pass rewrite
-///   obligations of that lowering and discharges them through
-///   [`crate::check_netlist_obligations`]. The obligations must end at
-///   the design the pipeline carries: if they do not (a replayed prefix
-///   the gate never saw being optimized, say), or a rewrite is refuted,
-///   the gate emits a `netlist-equiv-failed` error, aborting synthesis.
-///   An undecidable rewrite becomes a warning, and a fully proved set a
-///   `netlist-equiv-ok` note;
-/// - after `metrics` (the last synthesis stage), it builds the FSMD and
-///   runs [`verify_equiv`] on it — end to end, against the *optimized*
-///   design, so netlist `Unknown`s cost attribution but never soundness.
-///   A counterexample becomes an `equiv-failed` error diagnostic —
-///   aborting the remaining passes (RTL emission never sees an unproven
-///   design) — and a clean result becomes an `equiv-ok` note, so the
-///   pass trace records that verification ran.
-#[derive(Debug, Clone, Default)]
-pub struct EquivGate;
-
-impl PassHook for EquivGate {
-    fn after_pass(&self, pass: &str, state: &PipelineState, diags: &mut Diagnostics) {
-        match pass {
-            "netlist-opt" => gate_netlist(state, diags),
-            "metrics" => {
-                let Some(result) = state.to_result() else {
-                    return;
-                };
-                let report = verify_equiv(&Fsmd::from_synthesis(&result));
-                if report.passed() {
-                    diags.push(Diagnostic::note("equiv-ok", report.describe()));
-                } else {
-                    diags.push(Diagnostic::error("equiv-failed", report.describe()));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The gate's `netlist-opt` check: the rewrite obligations of lowering
-/// `state.func` must end at the design the pipeline carries, and every
-/// one must prove.
-fn gate_netlist(state: &PipelineState, diags: &mut Diagnostics) {
-    let Some(carried) = &state.lowered else {
-        return;
-    };
-    let raw = lower(&state.func, &state.directives);
-    let obligations = netlist_obligations(&raw, &state.directives.netlist_opt, &state.lib);
-    let optimized = obligations.last().map_or(&raw, |ob| &ob.after);
-    if optimized != carried {
-        diags.push(Diagnostic::error(
-            "netlist-equiv-failed",
-            "the carried design is not the optimizer's output for this lowering",
-        ));
-        return;
-    }
-    if obligations.is_empty() {
-        return;
-    }
-    let mut proved = 0usize;
-    let mut unknown: Vec<String> = Vec::new();
-    for (ob, verdict) in obligations.iter().zip(crate::check_netlist_obligations(
-        &obligations,
-        &ProveOptions::default(),
-    )) {
-        match verdict {
-            ProveVerdict::Proved { .. } => proved += 1,
-            ProveVerdict::Disproved(cex) => {
-                diags.push(Diagnostic::error(
-                    "netlist-equiv-failed",
-                    format!(
-                        "pass {} broke observable {} (ir={}, rtl={})",
-                        ob.pass, cex.observable, cex.ir_value, cex.rtl_value
-                    ),
-                ));
-                return;
-            }
-            ProveVerdict::Unknown { reason, .. } => unknown.push(reason),
-        }
-    }
-    if unknown.is_empty() {
-        diags.push(Diagnostic::note(
-            "netlist-equiv-ok",
-            format!("{proved} netlist rewrite obligation(s) proved"),
-        ));
-    } else {
-        diags.push(Diagnostic::warning(
-            "netlist-equiv-unknown",
-            format!(
-                "{proved} proved, {} undecided ({}); end-to-end gate still applies",
-                unknown.len(),
-                unknown.join("; ")
-            ),
-        ));
     }
 }
 

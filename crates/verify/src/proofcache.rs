@@ -18,10 +18,11 @@
 //! constant hashes as its raw bits and format, and a schedule time as
 //! its bit pattern. So equal keys mean equal machines (up to a 128-bit
 //! collision), and a replayed report — `Proved` or a counterexample — is
-//! byte-identical to recomputing it. The converse fails only where
-//! `same_machine` is coarser than the representation (`-0.0` against
-//! `0.0`, or a constant of equal value in another format), which costs a
-//! miss, never a wrong verdict; `tests/proof_key.rs` checks that on the
+//! byte-identical to recomputing it. `same_machine` compares constants
+//! by representation too (raw bits and format, not `Fixed`'s value
+//! equality), so the converse fails only where it is coarser than the
+//! hash on a schedule time (`-0.0` against `0.0`), which costs a miss,
+//! never a wrong verdict; `tests/proof_key.rs` checks that on the
 //! Table-1 designs the key splits exactly where `same_machine` does.
 //! There is no disk tier: a key only has to agree within one process.
 //! The cache holds at most [`CAPACITY`] verdicts and evicts the least

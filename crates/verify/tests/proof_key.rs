@@ -10,7 +10,7 @@ use fixpt::{Fixed, Format};
 use hls_core::dfg::build_dfg;
 use hls_core::{synthesize, Directives, Lowered, OptLevel, Segment, TechLibrary};
 use hls_ir::{parse_function, Expr, Function, Stmt, Ty};
-use hls_verify::fsmd_key;
+use hls_verify::{fsmd_key, ExploreProver, ProverStats};
 use qam_decoder::{table1_architectures, table1_library, QAM_DECODER_SOURCE};
 use rtl::{Control, Fsmd};
 
@@ -206,20 +206,10 @@ fn every_single_field_mutation_changes_the_key_and_the_clock_does_not() {
 
     // Constants of equal value compare `==` whatever their formats
     // (`Fixed` compares values), yet a shift reads its operand's format.
-    // The key hashes a constant by representation, so it splits these.
-    let two = Fixed::from_raw(2, fmt).unwrap();
-    let wide = two.cast(Format::signed(fmt.width() + 2, fmt.int_bits() + 2));
-    assert_eq!(two, wide);
-    let first = |c: Fixed| {
-        with_lowered(&base, |low| {
-            low.func.body[0] = Stmt::Assign {
-                var: acc,
-                value: Expr::Const(c),
-            }
-        })
-    };
-    let (narrow, widened) = (first(two), first(wide));
-    assert!(narrow.same_machine(&widened));
+    // `same_machine` and the key both compare a constant by
+    // representation, so both split these.
+    let (narrow, widened) = constant_format_twins(&base);
+    assert!(!narrow.same_machine(&widened));
     assert_ne!(
         fsmd_key(&narrow),
         fsmd_key(&widened),
@@ -232,5 +222,53 @@ fn every_single_field_mutation_changes_the_key_and_the_clock_does_not() {
         fsmd_key(&base),
         fsmd_key(&twin),
         "the clock must not change the key"
+    );
+}
+
+/// Two copies of `base` whose first statement assigns the accumulator
+/// the constant 2, once in the accumulator's format and once widened:
+/// equal values, different formats.
+fn constant_format_twins(base: &Fsmd) -> (Fsmd, Fsmd) {
+    let func = &base.lowered.func;
+    let (acc, _) = func
+        .iter_vars()
+        .find(|(_, v)| v.name == "acc")
+        .expect("the kernel has an accumulator");
+    let fmt = func.var(acc).ty.format().expect("fixed-point accumulator");
+    let two = Fixed::from_raw(2, fmt).unwrap();
+    let wide = two.cast(Format::signed(fmt.width() + 2, fmt.int_bits() + 2));
+    assert_eq!(two, wide);
+    let first = |c: Fixed| {
+        with_lowered(base, |low| {
+            low.func.body[0] = Stmt::Assign {
+                var: acc,
+                value: Expr::Const(c),
+            }
+        })
+    };
+    let (narrow, widened) = (first(two), first(wide));
+    assert!(narrow.lowered == widened.lowered, "only the format differs");
+    (narrow, widened)
+}
+
+#[test]
+fn a_constant_format_splits_the_sweep_provers_memo() {
+    // The sweep prover shares an IR context per function and replays a
+    // verdict per machine. Two machines whose only difference is a
+    // constant's format must get a context and a proof each.
+    let lib = TechLibrary::asic_100mhz();
+    let d = Directives::new(10.0);
+    let base = machine(&parse_function(SRC).unwrap(), &d, &lib);
+    let (narrow, widened) = constant_format_twins(&base);
+    let prover = ExploreProver::new();
+    prover.verify(&d, &narrow);
+    prover.verify(&d, &widened);
+    assert_eq!(
+        prover.stats(),
+        ProverStats {
+            contexts: 2,
+            proofs: 2,
+            memo_hits: 0,
+        }
     );
 }

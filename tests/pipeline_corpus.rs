@@ -313,7 +313,13 @@ fn corpus() -> Vec<(String, String)> {
     .chain(
         [0.0, -5.0, f64::NAN, f64::INFINITY]
             .into_iter()
-            .map(|clock| (format!("invalid-clock/{clock}"), sum_loop(), Directives::new(clock))),
+            .map(|clock| {
+                (
+                    format!("invalid-clock/{clock}"),
+                    sum_loop(),
+                    Directives::new(clock),
+                )
+            }),
     )
     .collect();
     for (code, f, d) in &diagnostics {
