@@ -2,7 +2,7 @@
 //!
 //! Every variant maps onto a structured [`Diagnostic`] (stable code,
 //! severity, source anchors) via [`SynthesisError::to_diagnostic`]; the
-//! pass manager stamps the pass of origin when a pass returns one.
+//! stage recorder stamps the pass of origin when a stage returns one.
 
 use std::fmt;
 
@@ -56,9 +56,9 @@ pub enum SynthesisError {
         /// Human-readable context.
         context: String,
     },
-    /// The pipeline configuration is unsatisfiable: a pass was enabled
-    /// whose prerequisites are disabled or missing (e.g. schedule without
-    /// lower), or a run completed without producing the requested result.
+    /// The flow was asked for something it cannot build: a stream module
+    /// without a stream interface directive, or a design the stream shell
+    /// cannot wrap (`hls_stream::synthesize_stream`).
     InvalidPipelineConfig {
         /// The configuration problems.
         problems: Vec<String>,
@@ -128,7 +128,7 @@ impl SynthesisError {
 
     /// Converts the error into a structured [`Diagnostic`] with the
     /// appropriate code and source anchors. The pass of origin is stamped
-    /// by the pass manager.
+    /// by the stage recorder.
     pub fn to_diagnostic(&self) -> Diagnostic {
         let d = Diagnostic::error(self.code(), self.to_string());
         match self {

@@ -24,8 +24,8 @@
 //!   sharing that prefix (every point of a clock sweep, notably)
 //!   transform, lower and optimize once: each unique transform signature
 //!   gets one prefix holding the transform result and the optimized
-//!   netlist, and every candidate replays it through the pass manager
-//!   ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
+//!   netlist, and every candidate replays it through the synthesis
+//!   chain ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
 //!   re-runs nothing upstream of the scheduler.
 //! - **Parallel evaluation** — with the `parallel` feature (on by
 //!   default), the prefixes and then the unique candidates are built

@@ -4,7 +4,7 @@
 //! segment. This module treats those graphs as a rewritable netlist of
 //! hash-consed cells (every node has an explicit [`Format`], i.e. a bit
 //! width and fixed-point interpretation) and runs a small pass pipeline
-//! over them, mirroring the synthesis pass manager one level down:
+//! over them, mirroring the synthesis stage chain one level down:
 //!
 //! * **`const-fold`** — evaluates constant cones with exactly the
 //!   simulator's semantics and applies identity/mux simplifications

@@ -15,8 +15,8 @@
 //! [`TechLibrary::fingerprint`]. No key reads the clock, so clock twins
 //! share one prefix; any other input change misses by construction.
 //!
-//! The pipeline makes at most one lookup, before `loop-transforms`, and
-//! one publication, after `netlist-opt` ([`crate::pipeline`]); the
+//! The synthesis chain makes at most one lookup, in `loop-transforms`,
+//! and one publication, in `netlist-opt` ([`crate::pipeline`]); the
 //! explorer reads or publishes one prefix per transform signature.
 //! Storage is memory only: one map bounded by a fixed [`Lru`] entry
 //! count, so a key only has to agree within one process. A hit replays

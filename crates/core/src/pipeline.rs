@@ -282,7 +282,7 @@ pub struct PassRecord {
     pub before: IrStats,
     /// Design stats after the pass.
     pub after: IrStats,
-    /// Diagnostics emitted during the pass (including by hooks).
+    /// Diagnostics emitted during the pass.
     pub diagnostics: usize,
     /// Whether post-pass invariant re-validation ran (or was skipped
     /// because the pass was satisfied from a validated memo entry).

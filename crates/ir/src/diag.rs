@@ -79,7 +79,8 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Stable machine-readable code (kebab-case, e.g. `unknown-loop`).
     pub code: &'static str,
-    /// The pass that emitted it (empty until a pass manager stamps it).
+    /// The pass that emitted it (empty until the stage recorder stamps
+    /// it).
     pub pass: String,
     /// Human-readable description.
     pub message: String,

@@ -1,7 +1,7 @@
 //! Per-pass equivalence obligations for the netlist optimizer.
 //!
 //! `hls_core::netlist_obligations` describes every rewrite the netlist
-//! pass manager performs as a [`NetlistObligation`] — the lowered design
+//! optimizer performs as a [`NetlistObligation`] — the lowered design
 //! before and after one pass. This module discharges them: both designs
 //! execute symbolically over one
 //! shared [`SymTable`] from a common *fully arbitrary* start state (every
