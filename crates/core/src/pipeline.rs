@@ -600,13 +600,7 @@ fn synthesis(
         |_| validate_ir(func),
         |_| Exit::Unchanged,
     )?;
-    run.record(
-        config,
-        "check-directives",
-        None,
-        |_| check_directives(func, d),
-        |_| Exit::Unchanged,
-    )?;
+    run.stage(config, "check-directives", |_| check_directives(func, d))?;
 
     // The run's one prefix-cache lookup belongs to `loop-transforms`; a
     // miss leaves the key for `netlist-opt` to publish under.
@@ -697,13 +691,7 @@ fn synthesis(
         }
     };
 
-    let schedules = run.record(
-        config,
-        "schedule",
-        None,
-        |_| schedule(&lowered, d, lib),
-        |_| Exit::Unchanged,
-    )?;
+    let schedules = run.stage(config, "schedule", |_| schedule(&lowered, d, lib))?;
     let allocation = run.record(
         config,
         "allocate",
@@ -711,13 +699,9 @@ fn synthesis(
         |_| Ok(allocate(&lowered.func, &lowered, &schedules, d, lib)),
         |a| Exit::Allocated(a.fu_groups.iter().map(|g| g.count).sum()),
     )?;
-    let metrics = run.record(
-        config,
-        "metrics",
-        None,
-        |_| Ok(design_metrics(&lowered, &schedules, &allocation, d)),
-        |_| Exit::Unchanged,
-    )?;
+    let metrics = run.stage(config, "metrics", |_| {
+        Ok(design_metrics(&lowered, &schedules, &allocation, d))
+    })?;
     Ok(SynthesisResult {
         transformed: transformed.func,
         lowered,
