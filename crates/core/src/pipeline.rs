@@ -65,7 +65,7 @@ pub struct PipelineConfig {
     pub cache: Option<Arc<PassCache>>,
     /// Skip the per-stage [`IrStats`] snapshots in the trace (they read as
     /// all-zero). Walking the design after the stages that change it
-    /// costs more than a fully memo-served run does; bulk drivers that
+    /// costs more than a fully memo-served run does; bulk callers that
     /// only consume timings and memo flags — the design-space explorer —
     /// turn the walks off. Off by default: interactive traces keep their
     /// stats.
