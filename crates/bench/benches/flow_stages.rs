@@ -2,7 +2,8 @@
 //! source, transforms, lowering, scheduling — over the decoder IR; the
 //! three call chains that run the stages (a compile, an explored
 //! candidate's prefix replay, a stream module); the proof cache's key on
-//! each Table-1 machine; and one warm store hit served by a cluster node.
+//! each Table-1 machine; one warm store hit served by a cluster node; and
+//! the per-byte codecs of that hit on its reply.
 
 use std::sync::Arc;
 
@@ -12,7 +13,7 @@ use hls_core::{
     apply_loop_transforms, lower, optimize_lowered, schedule_dfg, synthesize,
     synthesize_traced_with_prefix, Directives, NetlistEntry, PipelineConfig, TechLibrary,
 };
-use hls_ir::parse_function;
+use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
 use hls_stream::synthesize_stream;
 use hls_verify::fsmd_key;
@@ -175,6 +176,22 @@ fn bench_serve_hit(c: &mut Criterion) {
     );
     let mut g = c.benchmark_group("flow_stages");
     g.bench_function("serve_hit", |b| b.iter(call));
+
+    // The codecs a hit runs, on its ~28 KB reply: the store digests the
+    // body, both ends parse and write JSON, and every request key renders
+    // the decoder's IR.
+    let reply = call();
+    let reply = reply.trim_end();
+    g.bench_function("codec/digest_28k", |b| {
+        b.iter(|| stable_digest(reply.as_bytes()))
+    });
+    g.bench_function("codec/json_parse_reply", |b| {
+        b.iter(|| Json::parse(reply).expect("the reply parses"))
+    });
+    let parsed = Json::parse(reply).expect("the reply parses");
+    g.bench_function("codec/json_write_reply", |b| b.iter(|| parsed.write()));
+    let func = parse_function(QAM_DECODER_SOURCE).expect("parses");
+    g.bench_function("codec/render_decoder", |b| b.iter(|| func.to_string()));
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

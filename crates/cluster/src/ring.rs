@@ -6,10 +6,10 @@
 //! shard, and every request routes by `RequestKey::shard_prefix`.
 //!
 //! The ring is the classic virtual-node construction: each member
-//! contributes `vnodes` points on a `u64` circle (hashed from
-//! `"<name>#<v>"` with the same [`stable_digest`] the store keys use),
-//! each prefix hashes to a point, and the owner is the first member
-//! point clockwise. Properties the tests pin down:
+//! contributes `vnodes` points on a `u64` circle (the first 64 bits of
+//! the [`StableHasher`] digest of `"<name>#<v>"`, the hash the store
+//! keys use), each prefix hashes to a point, and the owner is the first
+//! member point clockwise. Properties the tests pin down:
 //!
 //! - **Deterministic**: ownership is a pure function of the member
 //!   names — every shard computes the identical ring from the shared
@@ -24,7 +24,9 @@
 //! next *distinct* members, so an entry's copies land on different
 //! shards and a read of a popular entry survives a shard loss.
 
-use hls_ir::stable_digest;
+use std::hash::Hasher;
+
+use hls_ir::StableHasher;
 
 /// Default virtual nodes per member.
 pub const DEFAULT_VNODES: usize = 64;
@@ -37,23 +39,12 @@ pub struct HashRing {
     members: usize,
 }
 
-/// Hashes an arbitrary label onto the ring circle. [`stable_digest`]'s
-/// FNV passes avalanche poorly on short, similar labels (vnode labels
-/// differ in a couple of characters), which clusters ring points; the
-/// splitmix64 finalizer over both digest halves fixes the spread while
-/// keeping the hash dependency-free and byte-stable.
+/// Hashes an arbitrary label onto the ring circle: the first 64 bits of
+/// its digest.
 fn point(label: &str) -> u64 {
-    let hex = stable_digest(label.as_bytes());
-    let half = |range: std::ops::Range<usize>| {
-        u64::from_str_radix(hex.get(range).unwrap_or("0"), 16).unwrap_or(0)
-    };
-    let mut x = half(0..16) ^ half(16..32).rotate_left(32);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
+    let mut hasher = StableHasher::new();
+    hasher.write(label.as_bytes());
+    hasher.finish()
 }
 
 impl HashRing {

@@ -302,38 +302,100 @@ impl FromIterator<Diagnostic> for Diagnostics {
     }
 }
 
-/// Escapes a string as a JSON string literal. Runs of bytes that need
-/// no escape are copied whole: emitted Verilog is tens of kilobytes per
-/// artifact, and every store write and service reply escapes it.
+/// Escapes a string as a JSON string literal.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal. Runs of bytes that
+/// need no escape are copied whole: emitted Verilog is tens of kilobytes
+/// per artifact, and every store write and service reply escapes it.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    // Every escaped character is ASCII, so `run..i` always slices on a
-    // character boundary.
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
+    loop {
+        // Every escaped character is ASCII, so `run..end` always slices
+        // on a character boundary.
+        let end = run + plain_run(&bytes[run..]);
+        out.push_str(&s[run..end]);
+        let Some(&b) = bytes.get(end) else { break };
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            _ => out.push_str(&format!("\\u{b:04x}")),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+            }
         }
-        run = i + 1;
+        run = end + 1;
     }
-    out.push_str(&s[run..]);
     out.push('"');
-    out
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The length of the leading run of `bytes` that a JSON string carries
+/// unescaped: everything before the first `"`, `\\` or control byte
+/// (below 0x20). The JSON writer copies such runs whole and the reader
+/// slices them whole. Eight bytes are tested per step; the lowest
+/// flagged byte of a word is always a true match, so the first match is
+/// exact.
+pub(crate) fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let quote = x ^ (ONES * u64::from(b'"'));
+        let backslash = x ^ (ONES * u64::from(b'\\'));
+        let zero_byte = |v: u64| v.wrapping_sub(ONES) & !v;
+        let special =
+            (zero_byte(quote) | zero_byte(backslash) | x.wrapping_sub(ONES * 0x20) & !x) & HIGHS;
+        if special != 0 {
+            return at + special.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    at + words
+        .remainder()
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .unwrap_or(words.remainder().len())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::json_str;
+    use super::{json_str, plain_run};
+
+    #[test]
+    fn plain_run_stops_at_the_first_byte_to_escape() {
+        // Every special byte at every offset of the first three words,
+        // behind fillers that sit next to the specials' values and are
+        // followed by bytes that set a word-wide test's borrow.
+        for special in [b'"', b'\\', 0x00, 0x01, 0x1f] {
+            for filler in [b' ', b'!', b'#', b'[', b']', 0x7f, 0x80, 0xc3, 0xff] {
+                for at in 0..24 {
+                    let mut bytes = vec![filler; at];
+                    bytes.push(special);
+                    bytes.extend_from_slice(&[0x00, 0x01, b'"', filler]);
+                    assert_eq!(
+                        plain_run(&bytes),
+                        at,
+                        "{special:#x} after {at} x {filler:#x}"
+                    );
+                }
+                assert_eq!(plain_run(&[filler; 19]), 19, "no special in {filler:#x}");
+            }
+        }
+    }
 
     #[test]
     fn json_str_escapes_exactly_the_json_specials() {

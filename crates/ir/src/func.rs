@@ -259,100 +259,116 @@ impl fmt::Display for Function {
 }
 
 fn fmt_stmt(func: &Function, s: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
-    let pad = "    ".repeat(indent);
+    let pad = |f: &mut fmt::Formatter<'_>| (0..indent).try_for_each(|_| f.write_str("    "));
+    let name = |v: VarId| func.var(v).name.as_str();
+    pad(f)?;
     match s {
         Stmt::Assign { var, value } => {
-            writeln!(
-                f,
-                "{pad}{} = {};",
-                func.var(*var).name,
-                fmt_expr(func, value)
-            )
+            write!(f, "{} = ", name(*var))?;
+            fmt_expr(func, value, f)?;
+            f.write_str(";\n")
         }
         Stmt::Store {
             array,
             index,
             value,
-        } => writeln!(
-            f,
-            "{pad}{}[{}] = {};",
-            func.var(*array).name,
-            fmt_expr(func, index),
-            fmt_expr(func, value)
-        ),
+        } => {
+            write!(f, "{}[", name(*array))?;
+            fmt_expr(func, index, f)?;
+            f.write_str("] = ")?;
+            fmt_expr(func, value, f)?;
+            f.write_str(";\n")
+        }
         Stmt::For(l) => {
+            let counter = name(l.var);
             writeln!(
                 f,
-                "{pad}{}: for ({} = {}; {} {} {}; {} += {}) {{",
-                l.label,
-                func.var(l.var).name,
-                l.start,
-                func.var(l.var).name,
-                l.cmp,
-                l.bound,
-                func.var(l.var).name,
-                l.step
+                "{}: for ({counter} = {}; {counter} {} {}; {counter} += {}) {{",
+                l.label, l.start, l.cmp, l.bound, l.step
             )?;
             for s in &l.body {
                 fmt_stmt(func, s, f, indent + 1)?;
             }
-            writeln!(f, "{pad}}}")
+            pad(f)?;
+            f.write_str("}\n")
         }
         Stmt::If { cond, then_, else_ } => {
-            writeln!(f, "{pad}if ({}) {{", fmt_expr(func, cond))?;
+            f.write_str("if (")?;
+            fmt_expr(func, cond, f)?;
+            f.write_str(") {\n")?;
             for s in then_ {
                 fmt_stmt(func, s, f, indent + 1)?;
             }
             if !else_.is_empty() {
-                writeln!(f, "{pad}}} else {{")?;
+                pad(f)?;
+                f.write_str("} else {\n")?;
                 for s in else_ {
                     fmt_stmt(func, s, f, indent + 1)?;
                 }
             }
-            writeln!(f, "{pad}}}")
+            pad(f)?;
+            f.write_str("}\n")
         }
     }
 }
 
-fn fmt_expr(func: &Function, e: &Expr) -> String {
+fn fmt_expr(func: &Function, e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     use crate::expr::{BinOp, UnOp};
     match e {
-        Expr::Const(c) => format!("{c}"),
-        Expr::ConstBool(b) => format!("{b}"),
-        Expr::Var(v) => func.var(*v).name.clone(),
+        Expr::Const(c) => write!(f, "{c}"),
+        Expr::ConstBool(b) => write!(f, "{b}"),
+        Expr::Var(v) => f.write_str(&func.var(*v).name),
         Expr::Load { array, index } => {
-            format!("{}[{}]", func.var(*array).name, fmt_expr(func, index))
+            write!(f, "{}[", func.var(*array).name)?;
+            fmt_expr(func, index, f)?;
+            f.write_str("]")
         }
         Expr::Unary { op, arg } => {
-            let a = fmt_expr(func, arg);
-            match op {
-                UnOp::Neg => format!("-({a})"),
-                UnOp::Signum => format!("sign({a})"),
-                UnOp::Not => format!("!({a})"),
-            }
+            f.write_str(match op {
+                UnOp::Neg => "-(",
+                UnOp::Signum => "sign(",
+                UnOp::Not => "!(",
+            })?;
+            fmt_expr(func, arg, f)?;
+            f.write_str(")")
         }
         Expr::Binary { op, lhs, rhs } => {
             let sym = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Shl => "<<",
-                BinOp::Shr => ">>",
-                BinOp::And => "&&",
-                BinOp::Or => "||",
+                BinOp::Add => " + ",
+                BinOp::Sub => " - ",
+                BinOp::Mul => " * ",
+                BinOp::Shl => " << ",
+                BinOp::Shr => " >> ",
+                BinOp::And => " && ",
+                BinOp::Or => " || ",
             };
-            format!("({} {sym} {})", fmt_expr(func, lhs), fmt_expr(func, rhs))
+            f.write_str("(")?;
+            fmt_expr(func, lhs, f)?;
+            f.write_str(sym)?;
+            fmt_expr(func, rhs, f)?;
+            f.write_str(")")
         }
         Expr::Compare { op, lhs, rhs } => {
-            format!("({} {op} {})", fmt_expr(func, lhs), fmt_expr(func, rhs))
+            f.write_str("(")?;
+            fmt_expr(func, lhs, f)?;
+            write!(f, " {op} ")?;
+            fmt_expr(func, rhs, f)?;
+            f.write_str(")")
         }
-        Expr::Select { cond, then_, else_ } => format!(
-            "({} ? {} : {})",
-            fmt_expr(func, cond),
-            fmt_expr(func, then_),
-            fmt_expr(func, else_)
-        ),
-        Expr::Cast { ty, arg, .. } => format!("({ty})({})", fmt_expr(func, arg)),
+        Expr::Select { cond, then_, else_ } => {
+            f.write_str("(")?;
+            fmt_expr(func, cond, f)?;
+            f.write_str(" ? ")?;
+            fmt_expr(func, then_, f)?;
+            f.write_str(" : ")?;
+            fmt_expr(func, else_, f)?;
+            f.write_str(")")
+        }
+        Expr::Cast { ty, arg, .. } => {
+            write!(f, "({ty})(")?;
+            fmt_expr(func, arg, f)?;
+            f.write_str(")")
+        }
     }
 }
 

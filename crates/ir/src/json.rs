@@ -11,10 +11,10 @@
 //! payloads) must be carried as strings by the schema; [`Json::Num`] is a
 //! lossless `f64` only.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 
-use crate::diag::json_str;
+use crate::diag::{plain_run, write_json_str};
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,6 +149,7 @@ impl Json {
     /// Parses a complete JSON document (rejects trailing garbage).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -177,17 +178,17 @@ impl Json {
             Json::Num(n) => {
                 if n.is_finite() {
                     // Rust's shortest formatting round-trips exactly through
-                    // str::parse::<f64>.
+                    // str::parse::<f64>. Writing into a `String` cannot fail.
                     if n.fract() == 0.0 && n.abs() < 1e15 {
-                        out.push_str(&format!("{}", *n as i64));
+                        let _ = write!(out, "{}", *n as i64);
                     } else {
-                        out.push_str(&format!("{n}"));
+                        let _ = write!(out, "{n}");
                     }
                 } else {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => out.push_str(&json_str(s)),
+            Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -204,7 +205,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_str(k));
+                    write_json_str(out, k);
                     out.push(':');
                     v.write_into(out);
                 }
@@ -217,18 +218,28 @@ impl Json {
 /// A stable 128-bit content digest rendered as 32 lowercase hex digits:
 /// [`StableHasher`] fed `bytes`.
 ///
-/// No cryptographic strength is claimed — consumers that need integrity
-/// store the preimage next to the digest and compare on load, so a
-/// collision degrades to a cache miss, never to wrong data.
-/// Dependency-free and byte-stable across processes and platforms.
+/// No cryptographic strength is claimed. The artifact store keeps each
+/// entry's preimage next to its digest and serves a hit only when the
+/// stored preimage equals the request's byte for byte, so a collision
+/// costs a cache miss, never wrong data. Dependency-free and byte-stable
+/// across processes and platforms.
 pub fn stable_digest(bytes: &[u8]) -> String {
     let mut hasher = StableHasher::new();
     hasher.write(bytes);
     hasher.hex()
 }
 
-/// The 128-bit hasher behind [`stable_digest`]: two independent
-/// FNV-1a-64 lanes with distinct offset bases, fed one byte at a time.
+/// The 128-bit hasher behind [`stable_digest`]: MurmurHash3's x64
+/// 128-bit function with seed 0, so any implementation of it reproduces
+/// the digests.
+///
+/// It consumes 16 bytes per step as two little-endian `u64` words, one
+/// per 64-bit lane, and the lanes feed each other after every step.
+/// Bytes short of a whole block wait in a buffer, so split writes digest
+/// exactly as one write of their concatenation does. Reading the digest
+/// ([`StableHasher::hex`] or [`Hasher::finish`]) mixes in the buffered
+/// tail and the total length, then fully avalanches both lanes; it does
+/// not consume the hasher.
 ///
 /// As a [`Hasher`] it digests any [`std::hash::Hash`] value without
 /// rendering it first. Integers reach [`Hasher::write`] in native byte
@@ -237,25 +248,110 @@ pub fn stable_digest(bytes: &[u8]) -> String {
 /// everywhere.
 #[derive(Debug, Clone)]
 pub struct StableHasher {
-    a: u64,
-    b: u64,
+    h1: u64,
+    h2: u64,
+    /// The bytes of the current, incomplete block.
+    tail: [u8; 16],
+    /// How many bytes of `tail` are filled.
+    filled: usize,
+    /// Bytes written so far.
+    len: u64,
 }
 
 impl StableHasher {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const C1: u64 = 0x87c3_7b91_1142_53d5;
+    const C2: u64 = 0x4cf5_ad43_2745_937f;
 
     /// A hasher that has seen no bytes.
     pub fn new() -> StableHasher {
+        StableHasher::with_seed(0)
+    }
+
+    fn with_seed(seed: u64) -> StableHasher {
         StableHasher {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
+            h1: seed,
+            h2: seed,
+            tail: [0; 16],
+            filled: 0,
+            len: 0,
         }
     }
 
-    /// Both lanes as 32 lowercase hex digits.
-    pub fn hex(&self) -> String {
-        format!("{:016x}{:016x}", self.a, self.b)
+    fn mix_k1(k1: u64) -> u64 {
+        k1.wrapping_mul(Self::C1)
+            .rotate_left(31)
+            .wrapping_mul(Self::C2)
     }
+
+    fn mix_k2(k2: u64) -> u64 {
+        k2.wrapping_mul(Self::C2)
+            .rotate_left(33)
+            .wrapping_mul(Self::C1)
+    }
+
+    /// Consumes one whole block.
+    fn block(&mut self, block: &[u8; 16]) {
+        let (k1, k2) = words(block);
+        self.h1 ^= Self::mix_k1(k1);
+        self.h1 = self
+            .h1
+            .rotate_left(27)
+            .wrapping_add(self.h2)
+            .wrapping_mul(5)
+            .wrapping_add(0x52dc_e729);
+        self.h2 ^= Self::mix_k2(k2);
+        self.h2 = self
+            .h2
+            .rotate_left(31)
+            .wrapping_add(self.h1)
+            .wrapping_mul(5)
+            .wrapping_add(0x3849_5ab5);
+    }
+
+    /// Both finished lanes: the buffered tail and the length mixed in,
+    /// then each lane avalanched.
+    fn lanes(&self) -> (u64, u64) {
+        // A zero word mixes to zero, so zero-padding the tail is the
+        // same as mixing only its filled words.
+        let mut tail = [0; 16];
+        tail[..self.filled].copy_from_slice(&self.tail[..self.filled]);
+        let (k1, k2) = words(&tail);
+        let mut h1 = self.h1 ^ Self::mix_k1(k1) ^ self.len;
+        let mut h2 = self.h2 ^ Self::mix_k2(k2) ^ self.len;
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = avalanche(h1);
+        h2 = avalanche(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        (h1, h2)
+    }
+
+    /// The digest of everything written so far, as 32 lowercase hex
+    /// digits: the first lane, then the second.
+    pub fn hex(&self) -> String {
+        let (h1, h2) = self.lanes();
+        format!("{h1:016x}{h2:016x}")
+    }
+}
+
+/// A block as its two little-endian words.
+fn words(block: &[u8; 16]) -> (u64, u64) {
+    let (lo, hi) = block.split_at(8);
+    (
+        u64::from_le_bytes(lo.try_into().expect("eight bytes")),
+        u64::from_le_bytes(hi.try_into().expect("eight bytes")),
+    )
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit flips each output
+/// bit with probability close to one half.
+fn avalanche(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
 }
 
 impl Default for StableHasher {
@@ -265,22 +361,38 @@ impl Default for StableHasher {
 }
 
 impl Hasher for StableHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ byte as u64).wrapping_mul(Self::PRIME);
-            self.b = (self.b ^ byte as u64)
-                .wrapping_mul(Self::PRIME)
-                .rotate_left(1);
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.filled > 0 {
+            let take = bytes.len().min(16 - self.filled);
+            self.tail[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 16 {
+                return;
+            }
+            let tail = self.tail;
+            self.block(&tail);
+            self.filled = 0;
         }
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            self.block(block.try_into().expect("sixteen bytes"));
+        }
+        let rest = blocks.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
     }
 
-    /// The first lane; [`StableHasher::hex`] carries both.
+    /// The digest's first 64 bits: the first 16 hex digits of
+    /// [`StableHasher::hex`].
     fn finish(&self) -> u64 {
-        self.a
+        self.lanes().0
     }
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -390,6 +502,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next `"`, `\\` or control byte
+            // as one slice of the input. The run splits only at those
+            // ASCII bytes (UTF-8 continuation bytes are >= 0x80), so both
+            // ends lie on character boundaries.
+            let start = self.pos;
+            self.pos += plain_run(&self.bytes[start..]);
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| self.err("invalid utf-8"))?,
+            );
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -431,23 +554,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume the whole run of ordinary bytes at once. The
-                    // run splits only at ASCII delimiters, so it stays valid
-                    // UTF-8 given a `&str` input (continuation bytes are
-                    // ≥ 0x80 and never match a delimiter).
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -465,11 +572,25 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let digits_at = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
+        }
+        let digits = self.pos - digits_at;
+        let fraction_or_exponent = matches!(self.peek(), Some(b'.' | b'e' | b'E'));
+        if (1..=15).contains(&digits) && !fraction_or_exponent {
+            // At most 15 digits stay below 2^53, so the integer is exact
+            // in an `f64`, which is what `str::parse::<f64>` reads too
+            // (`-0` included).
+            let magnitude = self.bytes[digits_at..self.pos]
+                .iter()
+                .fold(0u64, |acc, &c| acc * 10 + u64::from(c - b'0'))
+                as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -486,8 +607,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -546,6 +667,153 @@ mod tests {
         hasher.write(b"c");
         assert_eq!(hasher.hex(), stable_digest(b"abc"));
         assert_eq!(StableHasher::new().hex(), stable_digest(b""));
+    }
+
+    /// SMHasher's verification value for MurmurHash3's x64 128-bit
+    /// function: digest the keys `[]`, `[0]`, `[0, 1]`, …, `[0, …, 254]`
+    /// under seeds 256, 255, …, 1, digest the concatenated 16-byte
+    /// outputs (each lane little-endian) under seed 0, and read the first
+    /// four bytes as a little-endian `u32`.
+    #[test]
+    fn the_hasher_is_murmur3_x64_128() {
+        let key: Vec<u8> = (0..=255).collect();
+        let mut outputs = Vec::new();
+        for n in 0..256 {
+            let mut hasher = StableHasher::with_seed(256 - n as u64);
+            hasher.write(&key[..n]);
+            let (h1, h2) = hasher.lanes();
+            outputs.extend_from_slice(&h1.to_le_bytes());
+            outputs.extend_from_slice(&h2.to_le_bytes());
+        }
+        let mut hasher = StableHasher::new();
+        hasher.write(&outputs);
+        assert_eq!(hasher.finish() as u32, 0x6384_ba69);
+    }
+
+    /// Known answers. Seed 0 maps the empty input to zero; the 43-byte
+    /// sentence is MurmurHash3's published x64 128-bit test vector.
+    #[test]
+    fn known_answers_are_pinned() {
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        let big: Vec<u8> = (0..30_000u32).map(|i| (i % 251) as u8).collect();
+        for (input, digest) in [
+            (&b""[..], "00000000000000000000000000000000"),
+            (b"abc", "b4963f3f3fad78673ba2744126ca2d52"),
+            (&fox[..15], "48137cb864e39216fd7baf64397ad64b"),
+            (&fox[..16], "9d1244f4af9b32c43d153c8b2c2a3aa6"),
+            (&fox[..17], "91f96376e757e9ae9b44e58dae83eb0c"),
+            (&fox[..31], "9b28b5ddd9c4c5090d3c1cb80fe2f964"),
+            (&fox[..32], "df6af91bb29bdacf91a341c58df1f3a6"),
+            (&fox[..33], "68d135cdab7bb3dde617f8470728bb01"),
+            (fox, "e34bbc7bbc071b6c7a433ca9c49a9347"),
+            (&big, "e2d0106dcfbe03274a6aa84c1707d736"),
+        ] {
+            assert_eq!(stable_digest(input), digest, "{} bytes", input.len());
+        }
+    }
+
+    #[test]
+    fn split_writes_digest_as_one_write() {
+        let input: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut whole = StableHasher::new();
+        whole.write(&input);
+        for split in 0..=input.len() {
+            let mut pieces = StableHasher::new();
+            pieces.write(&input[..split]);
+            pieces.write(&input[split..]);
+            assert_eq!(pieces.hex(), whole.hex(), "split at {split}");
+            assert_eq!(pieces.finish(), whole.finish(), "split at {split}");
+        }
+        let mut bytewise = StableHasher::new();
+        input.iter().for_each(|b| bytewise.write(&[*b]));
+        assert_eq!(bytewise.hex(), stable_digest(&input));
+        assert_eq!(
+            format!("{:016x}", whole.finish()),
+            whole.hex()[..16],
+            "finish() is the digest's first 64 bits"
+        );
+    }
+
+    #[test]
+    fn one_flipped_bit_changes_about_half_the_digest() {
+        let input: Vec<u8> = (0..64).collect();
+        let digest = |bytes: &[u8]| u128::from_str_radix(&stable_digest(bytes), 16).unwrap();
+        let base = digest(&input);
+        for bit in 0..input.len() * 8 {
+            let mut flipped = input.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let changed = (digest(&flipped) ^ base).count_ones();
+            assert!((40..=88).contains(&changed), "bit {bit} changed {changed}");
+        }
+    }
+
+    #[test]
+    fn strings_read_across_escapes_at_run_edges() {
+        for (text, decoded) in [
+            (r#""\n""#, "\n"),
+            (r#""\"abc\"""#, "\"abc\""),
+            (r#""abc\\""#, "abc\\"),
+            (r#""\\abc""#, "\\abc"),
+            (r#""a\tb\u0001c\/d""#, "a\tb\u{1}c/d"),
+            (r#""01234567\n89abcdef\n""#, "01234567\n89abcdef\n"),
+            (r#""0123456\"789abcde\\""#, "0123456\"789abcde\\"),
+            (r#""é😀x""#, "é😀x"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_str(), Some(decoded), "{text}");
+        }
+        assert!(Json::parse("\"a\u{1}b\"").is_err(), "raw control byte");
+        assert!(Json::parse("\"abc\\").is_err(), "escape at the end");
+        assert!(Json::parse("\"abc").is_err(), "no closing quote");
+    }
+
+    #[test]
+    fn multi_byte_utf8_runs_are_copied_whole() {
+        for s in [
+            "µs→",
+            "é\"ü",
+            "日本語\n\u{1f600}",
+            "x\\→\\y",
+            "ab\u{7f}cd€efghij→",
+        ] {
+            let text = Json::str(s).write();
+            assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s), "{text}");
+            let wrapped = format!("[{text},{{{text}:{text}}}]");
+            assert_eq!(Json::parse(&wrapped).unwrap().write(), wrapped);
+        }
+    }
+
+    #[test]
+    fn numbers_read_as_str_parse_reads_them() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "007",
+            "-007",
+            "123456789012345",
+            "-123456789012345",
+            "999999999999999",
+            "1234567890123456",
+            "-9999999999999999",
+            "12345678901234567890",
+            "1e5",
+            "1E+2",
+            "-2.5e-3",
+            "0.1",
+            "1.",
+            "00.5",
+            "3.0",
+        ] {
+            let expected: f64 = text.parse().unwrap();
+            let Json::Num(got) = Json::parse(text).unwrap() else {
+                panic!("{text} is not a number");
+            };
+            assert_eq!(got.to_bits(), expected.to_bits(), "{text}");
+        }
+        for text in ["-", "--1", "-a", "1e", "1e+"] {
+            assert!(Json::parse(text).is_err(), "{text}");
+        }
     }
 
     #[test]

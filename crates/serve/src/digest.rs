@@ -13,10 +13,12 @@
 //! - the verify flag (a verified artifact carries a verdict an unverified
 //!   one does not).
 //!
-//! The digest is [`stable_digest`] over that preimage — not
-//! cryptographic, so the store keeps the preimage alongside each entry
-//! and re-checks it on load; a collision degrades to a cache miss, never
-//! to serving the wrong artifact.
+//! The digest is [`stable_digest`] over that preimage. It is not
+//! cryptographic, and it need not be: the store keeps the preimage
+//! alongside each entry and serves a hit only when the stored preimage
+//! equals the request's byte for byte. A collision therefore degrades to
+//! a cache miss, never to serving the wrong artifact, and the digest's
+//! strength decides only how often the store misses.
 
 use hls_core::{Directives, TechLibrary};
 use hls_ir::{stable_digest, Function};
@@ -24,8 +26,10 @@ use hls_ir::{stable_digest, Function};
 /// Schema tag mixed into every preimage (bump to invalidate all entries).
 /// v3: directive JSON grew the `stream` interface-synthesis key, so
 /// shelled and unshelled artifacts (and differing FIFO depths) can never
-/// alias pre-stream cache entries.
-pub const REQUEST_SCHEMA: &str = "hls-serve-request/v3";
+/// alias pre-stream cache entries. v4: [`stable_digest`] became
+/// MurmurHash3 (x64, 128-bit), so every digest, and with it every entry's
+/// file name and shard prefix, moved.
+pub const REQUEST_SCHEMA: &str = "hls-serve-request/v4";
 
 /// A request's content address: the digest plus the preimage it was
 /// computed from (stored with the entry so integrity is checkable).

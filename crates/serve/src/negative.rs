@@ -19,8 +19,10 @@
 
 use hls_ir::Json;
 
-/// Schema tag of one negative entry (bump on layout changes).
-pub const NEGATIVE_SCHEMA: &str = "hls-serve-negative/v1";
+/// Schema tag of one negative entry (bump on layout changes). v2: the
+/// entry's digests moved to MurmurHash3 with
+/// [`REQUEST_SCHEMA`](crate::REQUEST_SCHEMA) v4.
+pub const NEGATIVE_SCHEMA: &str = "hls-serve-negative/v2";
 
 /// A cached synthesis failure: everything a caller needs to see the
 /// same rejection the pipeline produced, without re-running it.

@@ -19,6 +19,7 @@
 //! every error names the request index and the offending field.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hls_core::{Directives, TechLibrary};
 use hls_ir::{parse_function, Function, Json};
@@ -110,15 +111,16 @@ impl SynthesisRequest {
 }
 
 /// One request after [`prepare_batch`]: its parsed function and content
-/// address, or the message its source failed to parse with.
-pub type Prepared = Result<(Function, RequestKey), String>;
+/// address, or the message its source failed to parse with. Requests
+/// with the same source share one parsed function.
+pub type Prepared = Result<(Arc<Function>, RequestKey), String>;
 
 /// Parses every request's source and derives its content address, in
 /// request order. Each unique source text is parsed and canonically
 /// rendered once — sweeps reuse one design under many directive sets,
 /// and the front end is pure in the source.
 pub fn prepare_batch(requests: &[SynthesisRequest]) -> Vec<Prepared> {
-    let mut parsed: HashMap<&str, Result<(Function, String), String>> = HashMap::new();
+    let mut parsed: HashMap<&str, Result<(Arc<Function>, String), String>> = HashMap::new();
     requests
         .iter()
         .map(|r| {
@@ -128,14 +130,14 @@ pub fn prepare_batch(requests: &[SynthesisRequest]) -> Vec<Prepared> {
                     parse_function(&r.source)
                         .map(|f| {
                             let text = f.to_string();
-                            (f, text)
+                            (Arc::new(f), text)
                         })
                         .map_err(|e| format!("request source does not parse: {e}"))
                 })
                 .as_ref()
                 .map_err(Clone::clone)?;
             let key = request_key_for_text(text, &r.directives, &r.library, r.verify);
-            Ok((func.clone(), key))
+            Ok((Arc::clone(func), key))
         })
         .collect()
 }
@@ -213,13 +215,16 @@ mod tests {
         let func = parse_function(SRC).unwrap();
         for i in [0, 2] {
             let (f, key) = prepared[i].as_ref().unwrap();
-            assert_eq!(f, &func);
+            assert_eq!(**f, func);
             let r = &batch[i];
             let expected = crate::digest::request_key(&func, &r.directives, &r.library, r.verify);
             assert_eq!(key, &expected, "request {i}");
         }
         let err = prepared[1].as_ref().unwrap_err();
         assert!(err.starts_with("request source does not parse"), "{err}");
+        let (first, _) = prepared[0].as_ref().unwrap();
+        let (third, _) = prepared[2].as_ref().unwrap();
+        assert!(Arc::ptr_eq(first, third), "one parsed function per source");
     }
 
     #[test]

@@ -82,8 +82,10 @@ use hls_ir::{stable_digest, Json};
 use crate::digest::RequestKey;
 use crate::negative::{NegativeEntry, NEGATIVE_SCHEMA};
 
-/// Schema tag of one positive store entry (bump on layout changes).
-pub const ENTRY_SCHEMA: &str = "hls-serve-artifact/v2";
+/// Schema tag of one positive store entry (bump on layout changes). v3:
+/// the entry's digests moved to MurmurHash3 with
+/// [`REQUEST_SCHEMA`](crate::REQUEST_SCHEMA) v4.
+pub const ENTRY_SCHEMA: &str = "hls-serve-artifact/v3";
 
 /// Age past which a writer/evictor lock is presumed abandoned.
 pub const STALE_LOCK: Duration = Duration::from_secs(30);
@@ -506,7 +508,7 @@ impl ArtifactStore {
         key: &RequestKey,
         read: impl FnOnce(EncodedArtifact) -> Option<T>,
     ) -> Option<T> {
-        let body = self.load_checked(EntryKind::Positive, &key.digest)?;
+        let body = self.load_checked(EntryKind::Positive, key)?;
         match EncodedArtifact::from_body(body).and_then(read) {
             Some(found) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -524,7 +526,7 @@ impl ArtifactStore {
     /// request already failed the pipeline deterministically; the
     /// caller serves the stored diagnostics instead of re-running.
     pub fn lookup_negative(&self, key: &RequestKey) -> Option<NegativeEntry> {
-        let body = self.load_checked(EntryKind::Negative, &key.digest)?;
+        let body = self.load_checked(EntryKind::Negative, key)?;
         let entry = Json::parse(&body)
             .ok()
             .and_then(|v| NegativeEntry::from_json(&v).ok());
@@ -540,29 +542,35 @@ impl ArtifactStore {
         }
     }
 
-    /// Loads, integrity-checks and LRU-touches one entry, returning its
-    /// verified body text. Corrupt documents are quarantined. Positive
-    /// misses count toward `misses`; negative probes are silent (every
-    /// cold request probes the negative side).
-    fn load_checked(&self, kind: EntryKind, digest: &str) -> Option<String> {
+    /// Loads, integrity-checks and LRU-touches the entry for `key`,
+    /// returning its verified body text. Corrupt documents are
+    /// quarantined. An intact entry whose preimage is not `key`'s (a
+    /// digest collision) is a miss and stays in place: it is valid for
+    /// its own request. Positive misses count toward `misses`; negative
+    /// probes are silent (every cold request probes the negative side).
+    fn load_checked(&self, kind: EntryKind, key: &RequestKey) -> Option<String> {
+        let digest = key.digest.as_str();
         let path = self.entry_path(kind, digest);
+        let miss = || {
+            if kind == EntryKind::Positive {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            None
+        };
         let mut text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => {
                 self.present(kind, digest);
-                if kind == EntryKind::Positive {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                return None;
+                return miss();
             }
         };
-        let Some(body) = check_entry(&text, digest, kind.schema()) else {
+        let Some((preimage, body)) = check_entry(&text, digest, kind.schema()) else {
             self.quarantine(kind, digest);
-            if kind == EntryKind::Positive {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            return None;
+            return miss();
         };
+        if preimage != key.preimage {
+            return miss();
+        }
         // LRU touch; failure to touch only ages the entry early.
         let now = SystemTime::now();
         let mut index = self.index();
@@ -697,7 +705,7 @@ impl ArtifactStore {
     /// documents are refused with `Ok(false)`. Admitted entries are
     /// written with the same atomic staging as local inserts.
     pub fn insert_raw(&self, kind: EntryKind, digest: &str, text: &str) -> io::Result<bool> {
-        let Some(body) = check_entry(text, digest, kind.schema()) else {
+        let Some((_, body)) = check_entry(text, digest, kind.schema()) else {
             return Ok(false);
         };
         if !is_canonical(kind, &text[body]) {
@@ -797,10 +805,10 @@ fn mtime_of(meta: &fs::Metadata) -> SystemTime {
 /// field.
 const BODY_FIELD: &str = ",\"body\":";
 
-/// Integrity-checks one entry document from its head alone, returning the
-/// body's byte range. `None` means the entry must not be served
-/// (quarantine it).
-fn check_entry(text: &str, digest: &str, schema: &str) -> Option<Range<usize>> {
+/// Integrity-checks one entry document from its head alone, returning its
+/// preimage and the body's byte range. `None` means the entry must not be
+/// served (quarantine it).
+fn check_entry(text: &str, digest: &str, schema: &str) -> Option<(String, Range<usize>)> {
     // `body` is the entry's last field and the writer is deterministic,
     // so the body's digest can be checked against its exact byte range —
     // no parse of the body on the hot path. The marker cannot occur
@@ -822,7 +830,7 @@ fn check_entry(text: &str, digest: &str, schema: &str) -> Option<Range<usize>> {
     if stable_digest(body_text.as_bytes()) != head.get("body_digest")?.as_str()? {
         return None; // body tampered or torn
     }
-    Some(body)
+    Some((preimage.to_string(), body))
 }
 
 /// Whether `body` is exactly what this store's encoder writes for the

@@ -274,7 +274,47 @@ fn request_digest_is_stable_across_processes() {
         &TechLibrary::asic_100mhz(),
         true,
     );
-    assert_eq!(k.digest, "d6d8538784ccb0927f98255f2003719f");
+    assert_eq!(k.digest, "c0f3e968a710b9d90b19e82fa874234d");
+}
+
+#[test]
+fn a_hit_requires_the_requests_own_preimage() {
+    // The digest is not collision-resistant, so no hit may rest on it
+    // alone: a key with an entry's digest but another preimage (a
+    // collision) misses on both sides, and the entry, valid for its own
+    // request, stays on disk unquarantined.
+    let root = scratch("preimage");
+    let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+    let p1 = "store-test-preimage/p1".to_string();
+    let stored = RequestKey {
+        digest: stable_digest(p1.as_bytes()),
+        preimage: p1,
+    };
+    let colliding = RequestKey {
+        digest: stored.digest.clone(),
+        preimage: "store-test-preimage/p2".to_string(),
+    };
+    store.insert(&stored, &artifact("p1")).unwrap();
+    store.insert_negative(&stored, &failure("p1")).unwrap();
+
+    assert!(store.lookup(&colliding).is_none());
+    assert!(store.lookup_encoded(&colliding).is_none());
+    assert!(store.lookup_negative(&colliding).is_none());
+    for side in ["objects", "negative"] {
+        assert!(entry_file(&root, side, &stored.digest).exists(), "{side}");
+    }
+    let stats = store.stats();
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!((stats.hits, stats.neg_hits, stats.misses), (0, 0, 2));
+    assert_eq!((stats.entries, stats.neg_entries), (1, 1));
+
+    // The entries still answer their own request.
+    assert_eq!(
+        store.lookup(&stored).unwrap().verilog,
+        artifact("p1").verilog
+    );
+    assert_eq!(store.lookup_negative(&stored).unwrap(), failure("p1"));
+    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]

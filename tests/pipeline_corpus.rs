@@ -27,7 +27,7 @@ use wireless_hls::hls_core::{
     MergePolicy, NetlistEntry, OptLevel, PassCache, PipelineConfig, PipelineRun, SynthesisError,
     SynthesisResult, TechLibrary, Unroll, VerifyLevel,
 };
-use wireless_hls::hls_ir::{stable_digest, CmpOp, Expr, Function, FunctionBuilder, Ty};
+use wireless_hls::hls_ir::{CmpOp, Expr, Function, FunctionBuilder, Ty};
 use wireless_hls::hls_stream::synthesize_stream;
 use wireless_hls::qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams,
@@ -358,12 +358,26 @@ fn corpus() -> Vec<(String, String)> {
     cases
 }
 
+/// The golden file's fingerprint of one answer: two FNV-1a-64 lanes with
+/// distinct offset bases, one byte per step. It is frozen here, apart
+/// from the store's digest, so that the golden file outlives changes to
+/// that digest.
+fn fingerprint(bytes: &[u8]) -> String {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let (mut a, mut b) = (0xcbf2_9ce4_8422_2325_u64, 0x6c62_272e_07bb_0142_u64);
+    for &byte in bytes {
+        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(PRIME).rotate_left(1);
+    }
+    format!("{a:016x}{b:016x}")
+}
+
 #[test]
 fn the_flow_answers_as_pinned() {
     let corpus = corpus();
     let actual: Vec<String> = corpus
         .iter()
-        .map(|(name, answer)| format!("{name} {}", stable_digest(answer.as_bytes())))
+        .map(|(name, answer)| format!("{name} {}", fingerprint(answer.as_bytes())))
         .collect();
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
