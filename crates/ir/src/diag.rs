@@ -312,7 +312,7 @@ pub fn json_str(s: &str) -> String {
 /// Appends `s` to `out` as a JSON string literal. Runs of bytes that
 /// need no escape are copied whole: emitted Verilog is tens of kilobytes
 /// per artifact, and every store write and service reply escapes it.
-pub fn write_json_str(out: &mut String, s: &str) {
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     let bytes = s.as_bytes();
     let mut run = 0;

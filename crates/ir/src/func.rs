@@ -154,31 +154,43 @@ impl Function {
             self.var(p).name,
             self.name
         );
-        let mut read = false;
-        let mut written = false;
+        direction(self.accesses()[p.index()])
+    }
+
+    /// Whether the body reads and whether it writes each variable,
+    /// indexed by [`VarId`], from one walk of the body. A variable is
+    /// written by an assignment or a store and read wherever an
+    /// assigned value, a store's index or value, or a condition names it
+    /// (a load reads its array); loop headers count for neither.
+    fn accesses(&self) -> Vec<(bool, bool)> {
+        let mut accesses = vec![(false, false); self.vars.len()];
         for s in &self.body {
-            s.visit(&mut |s| match s {
-                Stmt::Assign { var, value } => {
-                    written |= *var == p;
-                    read |= value.reads().contains(&p);
+            s.visit(&mut |s| {
+                let (written, read): (Option<VarId>, [Option<&Expr>; 2]) = match s {
+                    Stmt::Assign { var, value } => (Some(*var), [Some(value), None]),
+                    Stmt::Store {
+                        array,
+                        index,
+                        value,
+                    } => (Some(*array), [Some(index), Some(value)]),
+                    Stmt::If { cond, .. } => (None, [Some(cond), None]),
+                    Stmt::For(_) => (None, [None, None]),
+                };
+                if let Some(access) = written.and_then(|v| accesses.get_mut(v.index())) {
+                    access.1 = true;
                 }
-                Stmt::Store {
-                    array,
-                    index,
-                    value,
-                } => {
-                    written |= *array == p;
-                    read |= index.reads().contains(&p) || value.reads().contains(&p);
+                for e in read.into_iter().flatten() {
+                    e.visit(&mut |e| {
+                        if let Expr::Var(v) | Expr::Load { array: v, .. } = e {
+                            if let Some(access) = accesses.get_mut(v.index()) {
+                                access.0 = true;
+                            }
+                        }
+                    });
                 }
-                Stmt::If { cond, .. } => read |= cond.reads().contains(&p),
-                Stmt::For(_) => {}
             });
         }
-        match (read, written) {
-            (_, false) => Direction::In,
-            (false, true) => Direction::Out,
-            (true, true) => Direction::InOut,
-        }
+        accesses
     }
 
     /// Whether the bodies hold the same constants in the same order, each
@@ -232,12 +244,22 @@ impl Function {
     }
 }
 
+/// A parameter's direction from whether the body reads and writes it.
+fn direction((read, written): (bool, bool)) -> Direction {
+    match (read, written) {
+        (_, false) => Direction::In,
+        (false, true) => Direction::Out,
+        (true, true) => Direction::InOut,
+    }
+}
+
 impl fmt::Display for Function {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "fn {}(", self.name)?;
+        let accesses = self.accesses();
         for &p in &self.params {
             let v = self.var(p);
-            let dir = self.param_direction(p);
+            let dir = direction(accesses[p.index()]);
             match v.len {
                 Some(n) => writeln!(f, "    {dir} {}: [{}; {n}],", v.name, v.ty)?,
                 None => writeln!(f, "    {dir} {}: {},", v.name, v.ty)?,
@@ -264,7 +286,8 @@ fn fmt_stmt(func: &Function, s: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize
     pad(f)?;
     match s {
         Stmt::Assign { var, value } => {
-            write!(f, "{} = ", name(*var))?;
+            f.write_str(name(*var))?;
+            f.write_str(" = ")?;
             fmt_expr(func, value, f)?;
             f.write_str(";\n")
         }
@@ -273,7 +296,8 @@ fn fmt_stmt(func: &Function, s: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize
             index,
             value,
         } => {
-            write!(f, "{}[", name(*array))?;
+            f.write_str(name(*array))?;
+            f.write_str("[")?;
             fmt_expr(func, index, f)?;
             f.write_str("] = ")?;
             fmt_expr(func, value, f)?;
@@ -319,7 +343,8 @@ fn fmt_expr(func: &Function, e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Resul
         Expr::ConstBool(b) => write!(f, "{b}"),
         Expr::Var(v) => f.write_str(&func.var(*v).name),
         Expr::Load { array, index } => {
-            write!(f, "{}[", func.var(*array).name)?;
+            f.write_str(&func.var(*array).name)?;
+            f.write_str("[")?;
             fmt_expr(func, index, f)?;
             f.write_str("]")
         }

@@ -7,9 +7,21 @@
 //! deterministic encoding (object keys keep insertion order, floats use
 //! Rust's shortest round-trip formatting, so `parse(write(v)) == v`).
 //!
+//! Both work on runs rather than characters, because every service
+//! request parses and writes replies of tens of kilobytes: the bytes a
+//! JSON string must escape (`"`, `\`, controls) are found eight at a time,
+//! the reader copies each run between them as one `&str` slice of its
+//! input (the run ends at ASCII bytes, so it is whole UTF-8), and the
+//! writer escapes straight into its output buffer. Integers of at most 15
+//! digits are read directly; every other number goes through
+//! `str::parse::<f64>`, and both read a number exactly as that does.
+//!
 //! Exact integers wider than an `f64` mantissa (e.g. `fixpt::Fixed::raw`
 //! payloads) must be carried as strings by the schema; [`Json::Num`] is a
 //! lossless `f64` only.
+//!
+//! The module also holds [`stable_digest`] and its [`StableHasher`], the
+//! content digest of the artifact store and the proof cache.
 
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;

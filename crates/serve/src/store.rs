@@ -24,7 +24,9 @@
 //! head alone — the filename against the preimage and the body digest
 //! against the body's exact byte range — and move anything inconsistent
 //! to `quarantine/`, reporting a miss so the caller simply
-//! re-synthesizes. Writes stage
+//! re-synthesizes. A hit also requires the stored preimage to equal the
+//! request's byte for byte, so a digest collision reads as a miss (and
+//! leaves the entry, valid for its own request, in place). Writes stage
 //! into `tmp/` and `rename(2)` into place, so readers never observe a
 //! torn entry and concurrent writers of the same digest are harmless
 //! (they produce identical bytes). Advisory locks in `locks/` keep
