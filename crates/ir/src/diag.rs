@@ -9,7 +9,7 @@
 //! them in emission order and renders as text or JSON, so the same record
 //! drives terminal output, pass traces and CI assertions.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -328,10 +328,9 @@ pub(crate) fn write_json_str(out: &mut String, s: &str) {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
+            // Writing into a `String` cannot fail.
             _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
-                out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+                let _ = write!(out, "\\u{b:04x}");
             }
         }
         run = end + 1;
@@ -339,10 +338,8 @@ pub(crate) fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
 /// The length of the leading run of `bytes` that a JSON string carries
-/// unescaped: everything before the first `"`, `\\` or control byte
+/// unescaped: everything before the first `"`, `\` or control byte
 /// (below 0x20). The JSON writer copies such runs whole and the reader
 /// slices them whole. Eight bytes are tested per step; the lowest
 /// flagged byte of a word is always a true match, so the first match is
