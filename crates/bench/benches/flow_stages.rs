@@ -2,8 +2,9 @@
 //! source, transforms, lowering, scheduling — over the decoder IR; the
 //! three call chains that run the stages (a compile, an explored
 //! candidate's prefix replay, a stream module); the proof cache's key on
-//! each Table-1 machine; one warm store hit served by a cluster node; and
-//! the per-byte codecs of that hit on its reply.
+//! each Table-1 machine; one verified sweep per kernel family; one warm
+//! store hit served by a cluster node; and the per-byte codecs of that
+//! hit on its reply.
 
 use std::sync::Arc;
 
@@ -11,12 +12,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hls_cluster::{read_frame, ClusterConfig, ClusterNode, Frame, Incoming};
 use hls_core::{
     apply_loop_transforms, lower, optimize_lowered, schedule_dfg, synthesize,
-    synthesize_traced_with_prefix, Directives, NetlistEntry, PipelineConfig, TechLibrary,
+    synthesize_traced_with_prefix, Directives, ExploreConfig, LoopGrid, MergePolicy, NetlistEntry,
+    PipelineConfig, TechLibrary, VerifyLevel,
 };
 use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
 use hls_stream::synthesize_stream;
-use hls_verify::fsmd_key;
+use hls_verify::{explore_verified, fsmd_key};
 use qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams, QAM_DECODER_SOURCE,
 };
@@ -137,6 +139,45 @@ fn bench_proof_key(c: &mut Criterion) {
     g.finish();
 }
 
+/// One verified sweep per kernel family, in the end-to-end benchmark's
+/// sweep shape: unroll {1, 2, 4} per loop, three clocks, both merge
+/// policies, branch-and-bound pruning and every point proved.
+/// `verified_sweep/fir` sweeps the 32-tap FIR's two loops (54
+/// candidates), `verified_sweep/qam` three of the decoder's loops (162).
+fn bench_verified_sweep(c: &mut Criterion) {
+    let lib = table1_library();
+    let mut g = c.benchmark_group("flow_stages");
+    for (name, source, loops) in [
+        ("fir", FIR_SOURCE, &["shift", "mac"][..]),
+        ("qam", QAM_DECODER_SOURCE, &["ffe", "dfe", "dfe_adapt"][..]),
+    ] {
+        let func = parse_function(source).expect("parses");
+        let config = ExploreConfig {
+            clock_periods_ns: vec![8.0, 12.0, 16.0],
+            merge_policies: vec![MergePolicy::Off, MergePolicy::AllowHazards],
+            loop_grids: Some(LoopGrid {
+                unroll: loops
+                    .iter()
+                    .map(|l| (l.to_string(), vec![1, 2, 4]))
+                    .collect(),
+                pipeline: Vec::new(),
+            }),
+            verify: VerifyLevel::All,
+            cache: None,
+            ..ExploreConfig::default()
+        }
+        .budgeted();
+        g.bench_function(format!("verified_sweep/{name}"), |b| {
+            b.iter(|| {
+                let r = explore_verified(&func, &config, &lib);
+                assert!(r.failures.is_empty() && r.verify_failures.is_empty());
+                r
+            })
+        });
+    }
+    g.finish();
+}
+
 /// One warm decoder hit through a `ClusterNode`, in process: from the
 /// request frame's bytes to the reply line's bytes, as `handle_connection`
 /// answers each frame (without the socket).
@@ -200,6 +241,7 @@ criterion_group!(
     bench_stages,
     bench_call_chains,
     bench_proof_key,
+    bench_verified_sweep,
     bench_serve_hit
 );
 criterion_main!(benches);

@@ -26,14 +26,32 @@ use qam_decoder::{table1_library, QAM_DECODER_SOURCE};
 
 const SRC: &str = "void twice(sc_fixed<8,4> x, sc_fixed<10,6> *y) { *y = x + x; }";
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hls-cluster-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+/// One test's directory in the system temp directory, holding its stores
+/// and sockets. Dropping it removes the directory, so a test cleans up
+/// after itself whether it passes or fails.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("hls-cluster-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("creates the scratch directory");
+        Scratch(dir)
+    }
+
+    fn store(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+
+    fn sock(&self, i: usize) -> PathBuf {
+        self.0.join(format!("{i}.sock"))
+    }
 }
 
-fn sock(tag: &str, i: usize) -> PathBuf {
-    std::env::temp_dir().join(format!("hls-cluster-{tag}-{i}-{}.sock", std::process::id()))
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// A request for the shared tiny design at one target clock — each
@@ -50,13 +68,19 @@ fn grid(n: usize) -> Vec<SynthesisRequest> {
 }
 
 /// Boots a cluster: one node + listener thread per member. Returns the
-/// node handles (for store/counter assertions) and the member list.
-fn boot(tag: &str, n: usize, service: ServiceConfig) -> (Vec<Arc<ClusterNode>>, Vec<Addr>) {
-    let members: Vec<Addr> = (0..n).map(|i| Addr::Unix(sock(tag, i))).collect();
+/// node handles (for store/counter assertions), the member list and the
+/// directory of the stores and sockets.
+fn boot(
+    tag: &str,
+    n: usize,
+    service: ServiceConfig,
+) -> (Vec<Arc<ClusterNode>>, Vec<Addr>, Scratch) {
+    let scratch = Scratch::new(tag);
+    let members: Vec<Addr> = (0..n).map(|i| Addr::Unix(scratch.sock(i))).collect();
     let nodes: Vec<Arc<ClusterNode>> = (0..n)
         .map(|i| {
             let store = hls_serve::ArtifactStore::open(
-                &scratch(&format!("{tag}-store{i}")),
+                &scratch.store(&format!("store{i}")),
                 hls_serve::StoreConfig::default(),
             )
             .expect("store opens");
@@ -89,7 +113,7 @@ fn boot(tag: &str, n: usize, service: ServiceConfig) -> (Vec<Arc<ClusterNode>>, 
             }
         }
     }
-    (nodes, members)
+    (nodes, members, scratch)
 }
 
 fn batch_frame(requests: &[SynthesisRequest]) -> Frame {
@@ -122,7 +146,7 @@ fn verilog(outcome: &Json) -> &str {
 #[test]
 fn three_shards_route_replicate_and_serve_bit_identical_hits() {
     let n = 12;
-    let (nodes, members) = boot("route", 3, ServiceConfig::default());
+    let (nodes, members, _scratch) = boot("route", 3, ServiceConfig::default());
     let requests = grid(n);
 
     // Cold: every request synthesizes somewhere in the cluster.
@@ -182,7 +206,7 @@ fn three_shards_route_replicate_and_serve_bit_identical_hits() {
 
 #[test]
 fn concurrent_identical_requests_synthesize_once_across_connections() {
-    let (nodes, members) = boot("dedup", 1, ServiceConfig::default());
+    let (nodes, members, _scratch) = boot("dedup", 1, ServiceConfig::default());
     let one = vec![req(6.0)];
 
     // Both connections leave the barrier together. The router claims the
@@ -236,7 +260,7 @@ fn concurrent_identical_requests_synthesize_once_across_connections() {
 #[test]
 fn owner_loss_is_survived_by_replica_holders() {
     let n = 12;
-    let (_nodes, members) = boot("loss", 3, ServiceConfig::default());
+    let (_nodes, members, _scratch) = boot("loss", 3, ServiceConfig::default());
     let requests = grid(n);
 
     // Cold populate + synchronous replication.
@@ -291,7 +315,7 @@ fn owner_loss_is_survived_by_replica_holders() {
 
 #[test]
 fn deterministic_failures_are_negative_cached_and_replicated() {
-    let (nodes, members) = boot("neg", 3, ServiceConfig::default());
+    let (nodes, members, _scratch) = boot("neg", 3, ServiceConfig::default());
     // An infeasible target clock: the schedule stage can never fit a
     // multiply in 0.5 ns, deterministically, on any shard.
     let mut bad = SynthesisRequest::new(QAM_DECODER_SOURCE);
@@ -464,13 +488,9 @@ fn router_and_service_agree_on_a_mixed_batch() {
     for (tag, service, batch, calls) in inputs {
         // Three twins: the service itself, the router's `Json` API and a
         // connection served by `handle_connection`.
-        let twin = |side: &str| {
-            ArtifactStore::open(
-                &scratch(&format!("agree-{tag}-{side}")),
-                StoreConfig::default(),
-            )
-            .unwrap()
-        };
+        let scratch = Scratch::new(&format!("agree-{tag}"));
+        let twin =
+            |side: &str| ArtifactStore::open(&scratch.store(side), StoreConfig::default()).unwrap();
         let (direct, routed, wired) = (twin("direct"), twin("routed"), twin("wired"));
 
         // Prime the service's twin with an answer and a failure, and copy
@@ -602,7 +622,7 @@ fn router_and_service_agree_on_a_mixed_batch() {
 
 #[test]
 fn legacy_plain_batch_lines_and_bad_frames_are_answered() {
-    let (_nodes, members) = boot("legacy", 1, ServiceConfig::default());
+    let (_nodes, members, _scratch) = boot("legacy", 1, ServiceConfig::default());
     let Addr::Unix(path) = &members[0] else {
         unreachable!()
     };
@@ -639,7 +659,7 @@ fn legacy_plain_batch_lines_and_bad_frames_are_answered() {
 
 #[test]
 fn stats_frame_reports_membership_and_store_census() {
-    let (_nodes, members) = boot("stats", 3, ServiceConfig::default());
+    let (_nodes, members, _scratch) = boot("stats", 3, ServiceConfig::default());
     let _ = report(&members[0], &grid(3));
     let stats = match PeerClient::new(members[0].clone()).call(&Frame::Stats) {
         Ok(Frame::Report(r)) => r,
@@ -667,7 +687,7 @@ fn stats_frame_reports_membership_and_store_census() {
         proof_cache: Some(Arc::new(ProofCache::in_memory())),
         ..ServiceConfig::default()
     };
-    let (_nodes, members) = boot("stats-incremental", 1, service);
+    let (_nodes, members, _scratch) = boot("stats-incremental", 1, service);
     for clock in [20.0, 40.0] {
         let mut r = SynthesisRequest::new(QAM_DECODER_SOURCE);
         r.directives.clock_period_ns = clock;

@@ -150,20 +150,6 @@ pub struct Dfg {
 }
 
 impl Dfg {
-    /// Whether the graphs hold the same constant nodes in the same order,
-    /// each equal in raw bits and format (`NodeKind`'s `==` compares a
-    /// constant's value; see [`hls_ir::Function::same_constants`]).
-    pub fn same_constants(&self, other: &Dfg) -> bool {
-        let bits = |n: &Node| match n.kind {
-            NodeKind::Const(c) => Some((c.raw(), c.format())),
-            _ => None,
-        };
-        self.nodes
-            .iter()
-            .filter_map(bits)
-            .eq(other.nodes.iter().filter_map(bits))
-    }
-
     /// All nodes, indexable by [`NodeId::index`].
     pub fn nodes(&self) -> &[Node] {
         &self.nodes

@@ -367,10 +367,8 @@ fn canonical_key(d: &Directives) -> String {
 
 /// The part of a directive set the loop-transform prefix depends on.
 /// Candidates sharing this key transform identically regardless of clock,
-/// array/interface mappings or FU limits. Public so sweep-scoped caches
-/// (notably `hls-verify`'s `ExploreProver`) can group design points by
-/// their shared transformed function without re-deriving it.
-pub fn transform_signature(d: &Directives) -> String {
+/// array/interface mappings or FU limits.
+pub(crate) fn transform_signature(d: &Directives) -> String {
     format!("merge={:?};loops={:?}", d.merge_policy, d.loops)
 }
 

@@ -49,8 +49,8 @@ pub use directives::{
 };
 pub use error::SynthesisError;
 pub use explore::{
-    explore, explore_serial, explore_with_check, transform_signature, DesignPoint, ExploreBudget,
-    ExploreConfig, ExploreResult, LoopGrid, PointChecker, PrunedCandidate, VerifyLevel, WaveStats,
+    explore, explore_serial, explore_with_check, DesignPoint, ExploreBudget, ExploreConfig,
+    ExploreResult, LoopGrid, PointChecker, PrunedCandidate, VerifyLevel, WaveStats,
 };
 pub use hls_ir::{Anchor, Diagnostic, Diagnostics, Severity};
 pub use lower::{lower, Lowered, Port, Segment};

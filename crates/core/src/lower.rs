@@ -95,22 +95,6 @@ pub struct Lowered {
     pub handshake: bool,
 }
 
-impl Lowered {
-    /// Whether the staged function and every segment's graph hold the
-    /// same constants, each equal in raw bits and format. With `==`, this
-    /// compares two designs as their `Hash` does
-    /// ([`Function::same_constants`]).
-    pub fn same_constants(&self, other: &Lowered) -> bool {
-        self.func.same_constants(&other.func)
-            && self.segments.len() == other.segments.len()
-            && self
-                .segments
-                .iter()
-                .zip(&other.segments)
-                .all(|(a, b)| a.dfg().same_constants(b.dfg()))
-    }
-}
-
 /// Lowers a (transformed) function.
 pub fn lower(func: &Function, directives: &Directives) -> Lowered {
     let mut func = func.clone();

@@ -53,7 +53,7 @@ pub fn base_key(func: &Function) -> String {
 
 /// `loop-transforms` key: input function plus the merge policy and
 /// per-loop directives the transform pipeline reads (the same subset
-/// [`crate::explore::transform_signature`] renders).
+/// the explorer's `transform_signature` renders).
 pub fn transform_key(base_key: &str, d: &Directives) -> String {
     stable_digest(
         format!(

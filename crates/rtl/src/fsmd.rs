@@ -113,30 +113,6 @@ impl Fsmd {
         &self.lowered.func
     }
 
-    /// Structural identity up to the target clock: equal control, schedules,
-    /// ports and lowered design (which includes the staged function the
-    /// datapath references), with every constant equal in raw bits and
-    /// format, not just in value — a shift reads its operand's format.
-    /// Two FSMDs that agree here differ at most in [`Fsmd::clock_ns`],
-    /// which only annotates the emitted Verilog — the controller and
-    /// datapath behavior are identical, so any cycle-accurate analysis
-    /// (simulation, equivalence proof) of one holds for the other. Clock
-    /// twins in a design-space sweep — slow enough clocks chain
-    /// identically — are exactly this case.
-    ///
-    /// Field order is cheapest-first so unequal machines exit early:
-    /// non-twins usually diverge in `control`/`schedules` long before the
-    /// expensive `lowered` (full-function) comparison runs, and the
-    /// constants are walked only once everything else is equal.
-    pub fn same_machine(&self, other: &Fsmd) -> bool {
-        self.control == other.control
-            && self.schedules == other.schedules
-            && self.ports == other.ports
-            && self.name == other.name
-            && self.lowered == other.lowered
-            && self.lowered.same_constants(&other.lowered)
-    }
-
     /// Total FSM states (idle excluded).
     pub fn state_count(&self) -> usize {
         self.schedules.iter().map(|s| s.depth.max(1) as usize).sum()

@@ -125,11 +125,12 @@ pub fn prove_equiv_with(fsmd: &Fsmd, opts: &ProveOptions) -> ProveVerdict {
 /// the IR side's complete symbolic execution, over a private [`SymTable`].
 ///
 /// Everything here depends only on the FSMD's (transformed, staged)
-/// function — not on the schedule, binding or clock — so architectures
-/// that share a loop-transform prefix (every clock twin of a design-space
-/// sweep, notably) can share one context: [`prove_equiv_in`] clones the
+/// function — not on the schedule, binding or clock — so every machine
+/// of one function (each point of a design-space sweep that transforms
+/// alike, notably) can share one context: [`prove_equiv_in`] clones the
 /// table and runs only the FSMD side on top. Roughly half of a proof's
-/// wall time lives here.
+/// wall time lives here. [`crate::ExploreProver`] keeps one context per
+/// function for the length of a sweep.
 pub struct IrContext {
     func: hls_ir::Function,
     t: SymTable,
@@ -238,9 +239,9 @@ impl IrContext {
 
 /// [`prove_equiv_with`] on a prebuilt [`IrContext`]: clones the context's
 /// symbolic table and runs only the FSMD side. `fsmd.function()` must be
-/// the function the context was built for (same transform prefix and
-/// staging) — callers sweeping a design space key their context cache
-/// accordingly.
+/// the function the context was built for, every constant equal in raw
+/// bits and format; [`crate::ExploreProver`] checks exactly that before
+/// it reuses a context.
 pub fn prove_equiv_in(ctx: &IrContext, fsmd: &Fsmd, opts: &ProveOptions) -> ProveVerdict {
     let func = &ctx.func;
     if let Some(e) = &ctx.ir_error {

@@ -9,16 +9,22 @@
 //! [`explore_verified`] plugs the same pipeline into design-space
 //! exploration via `hls_core::explore_with_check`, gating the Pareto
 //! frontier (or every point) on equivalence. The service runs
-//! [`verify_equiv_cached`] on every verified request. The per-rewrite
+//! [`verify_equiv_cached`] on every verified request, and a sweep's
+//! [`ExploreProver`] takes the same step: compute the machine's
+//! [`fsmd_key`], replay the verdict a [`ProofCache`] holds under it or
+//! prove and record one. That key is the only relation deciding that two
+//! machines share a verdict. The per-rewrite
 //! netlist obligations have their own checker
 //! ([`crate::check_netlist_obligations`]), which the `netlist_opt`
 //! report runs on every rewrite of its grid.
 
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hls_core::{explore_with_check, ExploreConfig, ExploreResult, TechLibrary};
-use hls_ir::Function;
+use hls_ir::{Function, StableHasher};
 use rtl::Fsmd;
 
 use crate::equiv::{
@@ -124,11 +130,23 @@ pub fn verify_equiv_with(fsmd: &Fsmd, prove: &ProveOptions, fuzz: &FuzzConfig) -
 /// cache comes from the default knobs, so the key names the machine
 /// alone.
 pub fn verify_equiv_cached(fsmd: &Fsmd, cache: &ProofCache) -> VerifyReport {
+    replay_or_prove(fsmd, cache, || verify_equiv(fsmd))
+}
+
+/// The one verdict step: the report `cache` holds under `fsmd`'s key, or
+/// else `prove`'s report, recorded there. `prove` must give the report
+/// [`verify_equiv`] gives; callers differ only in where the IR half of
+/// the proof comes from.
+fn replay_or_prove(
+    fsmd: &Fsmd,
+    cache: &ProofCache,
+    prove: impl FnOnce() -> VerifyReport,
+) -> VerifyReport {
     let key = fsmd_key(fsmd);
     if let Some(report) = cache.get_fsmd(&key) {
         return report;
     }
-    let report = verify_equiv(fsmd);
+    let report = prove();
     cache.put_fsmd(&key, &report);
     report
 }
@@ -165,52 +183,39 @@ fn settle(verdict: ProveVerdict, fsmd: &Fsmd, fuzz: &FuzzConfig) -> VerifyReport
     VerifyReport { finding }
 }
 
-/// A sweep-scoped verifier: [`verify_equiv`] with two memoization layers
-/// that exploit the structure of a design-space sweep.
+/// A sweep-scoped verifier: [`verify_equiv_cached`] with the IR half of
+/// each proof shared across the sweep.
 ///
-/// 1. **IR-context sharing.** The IR side of a proof — symbolic start
-///    state plus the interpreter's complete symbolic execution — depends
-///    only on the FSMD's transformed function, not on its schedule,
-///    binding or clock. Points are grouped by
-///    `hls_core::transform_signature` (candidates sharing it share one
-///    transformed function) and each group builds one [`IrContext`];
-///    every proof in the group clones the symbolic table and runs only
-///    the FSMD side. Roughly half of each proof's wall time is shared
-///    this way. The group's function is still compared against each
-///    member ([`Fsmd::function`] vs the context's, constants by raw bits
-///    and format), so a signature collision across different source
-///    functions degrades to a private context, never to a wrong proof.
-/// 2. **Structural verdict memoization.** Clock twins — sweep points
-///    whose schedules chain identically under different target clocks —
-///    are [`Fsmd::same_machine`]: equal control, schedules, ports and
-///    lowered design, constants compared by raw bits and format. The
-///    first twin's verdict is replayed for the rest; the hit test is full
-///    structural equality, not a hash or heuristic.
+/// Verdicts live in a [`ProofCache`] under [`fsmd_key`], the key the
+/// service uses: a machine whose key was proved before (a clock twin, or
+/// another directive set that synthesizes the same machine) replays that
+/// verdict. On a miss, the proof runs on an [`IrContext`] shared by every
+/// machine of the same function. The IR half of a proof (symbolic start
+/// state plus the interpreter's complete symbolic execution) depends only
+/// on the FSMD's transformed function, not on its schedule, binding or
+/// clock, and holds roughly half of each proof's wall time. Contexts are
+/// keyed by a digest of the function, and a context is reused only for a
+/// function equal to its own, constants compared by raw bits and format;
+/// any other function under that digest proves on a private context.
 ///
-/// Both layers are behind mutexes, so one prover can be shared by the
-/// explorer's worker pool (it is `Sync`); [`explore_verified`] does
-/// exactly that. A fresh proof uses [`verify_equiv`]'s default knobs,
-/// so every report is the one [`verify_equiv`] gives for the machine.
+/// The prover is `Sync`, so the explorer's worker pool shares one;
+/// [`explore_verified`] does exactly that. Every proof uses
+/// [`verify_equiv`]'s default knobs, so every report is the one
+/// [`verify_equiv`] gives for the machine.
 pub struct ExploreProver {
-    groups: Mutex<HashMap<String, Vec<Arc<ProofGroup>>>>,
-    counters: Mutex<ProverStats>,
-}
-
-/// One shared-function group: the prebuilt IR context plus the verdicts
-/// of every distinct machine proved so far.
-struct ProofGroup {
-    ctx: IrContext,
-    machines: Mutex<Vec<(Fsmd, VerifyReport)>>,
+    verdicts: ProofCache,
+    contexts: Mutex<HashMap<String, Arc<IrContext>>>,
+    built: AtomicUsize,
 }
 
 /// Cache effectiveness counters for an [`ExploreProver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProverStats {
-    /// Distinct IR contexts built (one per distinct transformed function).
+    /// IR contexts built (one per distinct transformed function).
     pub contexts: usize,
-    /// Proofs actually run (FSMD-side execution + obligations).
+    /// Proofs run: verdict lookups that missed.
     pub proofs: usize,
-    /// Verdicts replayed for structurally identical machines.
+    /// Verdicts replayed for machines with an equal key.
     pub memo_hits: usize,
 }
 
@@ -221,70 +226,56 @@ impl Default for ExploreProver {
 }
 
 impl ExploreProver {
-    /// A fresh prover with empty memo layers.
+    /// A fresh prover with no verdicts and no contexts.
     pub fn new() -> ExploreProver {
         ExploreProver {
-            groups: Mutex::new(HashMap::new()),
-            counters: Mutex::new(ProverStats::default()),
+            verdicts: ProofCache::in_memory(),
+            contexts: Mutex::new(HashMap::new()),
+            built: AtomicUsize::new(0),
         }
     }
 
-    /// [`verify_equiv`] through both memo layers. `directives` must be
-    /// the directive set `fsmd` was synthesized under — its transform
-    /// signature locates the shared group (and the group's function is
-    /// verified against the FSMD's before anything is reused).
-    pub fn verify(&self, directives: &hls_core::Directives, fsmd: &Fsmd) -> VerifyReport {
-        let group = self.group_for(&hls_core::transform_signature(directives), fsmd);
-        if let Some(hit) = group
-            .machines
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|(m, _)| m.same_machine(fsmd))
-        {
-            self.counters.lock().unwrap().memo_hits += 1;
-            return hit.1.clone();
-        }
-        let report = settle(
-            prove_equiv_in(&group.ctx, fsmd, &ProveOptions::default()),
-            fsmd,
-            &FuzzConfig::default(),
-        );
-        self.counters.lock().unwrap().proofs += 1;
-        group
-            .machines
-            .lock()
-            .unwrap()
-            .push((fsmd.clone(), report.clone()));
-        report
+    /// [`verify_equiv_cached`] through this prover's verdicts, proving a
+    /// miss on the shared context of the machine's function.
+    pub fn verify(&self, fsmd: &Fsmd) -> VerifyReport {
+        replay_or_prove(fsmd, &self.verdicts, || {
+            let ctx = self.context_for(fsmd.function());
+            settle(
+                prove_equiv_in(&ctx, fsmd, &ProveOptions::default()),
+                fsmd,
+                &FuzzConfig::default(),
+            )
+        })
     }
 
-    /// The group whose context executed exactly `fsmd.function()`,
-    /// building it on first sight. Signature collisions (same signature,
-    /// different function) get their own group, and so does a function
-    /// whose constants differ from the group's only in format.
-    fn group_for(&self, signature: &str, fsmd: &Fsmd) -> Arc<ProofGroup> {
-        let mut groups = self.groups.lock().unwrap();
-        let bucket = groups.entry(signature.to_string()).or_default();
-        let f = fsmd.function();
-        if let Some(g) = bucket
-            .iter()
-            .find(|g| g.ctx.function() == f && g.ctx.function().same_constants(f))
-        {
-            return Arc::clone(g);
+    /// The context that executed exactly `f`, built on first sight while
+    /// the map is locked. The digest hashes every constant's raw bits and
+    /// format, so only a collision names a context built for another
+    /// function; `f` then gets a private one.
+    fn context_for(&self, f: &Function) -> Arc<IrContext> {
+        let build = || {
+            self.built.fetch_add(1, Ordering::Relaxed);
+            Arc::new(IrContext::for_function(f))
+        };
+        let mut hasher = StableHasher::new();
+        f.hash(&mut hasher);
+        let mut contexts = self.contexts.lock().expect("context map poisoned");
+        let ctx = contexts.entry(hasher.hex()).or_insert_with(build);
+        if ctx.function() == f && ctx.function().same_constants(f) {
+            Arc::clone(ctx)
+        } else {
+            build()
         }
-        let g = Arc::new(ProofGroup {
-            ctx: IrContext::for_function(fsmd.function()),
-            machines: Mutex::new(Vec::new()),
-        });
-        self.counters.lock().unwrap().contexts += 1;
-        bucket.push(Arc::clone(&g));
-        g
     }
 
     /// Cache effectiveness so far.
     pub fn stats(&self) -> ProverStats {
-        *self.counters.lock().unwrap()
+        let verdicts = self.verdicts.stats();
+        ProverStats {
+            contexts: self.built.load(Ordering::Relaxed),
+            proofs: verdicts.misses as usize,
+            memo_hits: verdicts.hits as usize,
+        }
     }
 }
 
@@ -292,8 +283,8 @@ impl ExploreProver {
 /// `hls_core::explore` and verifies the points selected by
 /// [`ExploreConfig::verify`] *inside* the explorer's worker pool, reusing
 /// each point's already-built synthesis result (no re-synthesis) and a
-/// shared [`ExploreProver`] (IR-context sharing + structural verdict
-/// memoization across the sweep). Any failure lands in
+/// shared [`ExploreProver`] (IR contexts shared per function, verdicts
+/// replayed per [`fsmd_key`]). Any failure lands in
 /// `ExploreResult::verify_failures`.
 pub fn explore_verified(
     func: &Function,
@@ -306,16 +297,17 @@ pub fn explore_verified(
 /// [`explore_verified`] with a caller-owned [`ExploreProver`], so the
 /// caller can read the prover's [`ExploreProver::stats`] afterwards, or
 /// let one prover span several sweeps: a re-sweep replays the verdicts
-/// of machines it already proved.
+/// of machines it already proved (up to [`crate::proofcache::CAPACITY`]
+/// verdicts, the least recently used evicted first).
 pub fn explore_verified_with(
     func: &Function,
     config: &ExploreConfig,
     lib: &TechLibrary,
     prover: &ExploreProver,
 ) -> ExploreResult {
-    explore_with_check(func, config, lib, &|_, d, _, result| {
+    explore_with_check(func, config, lib, &|_, _, _, result| {
         let fsmd = Fsmd::from_synthesis(result);
-        let report = prover.verify(d, &fsmd);
+        let report = prover.verify(&fsmd);
         if report.passed() {
             Ok(())
         } else {

@@ -1,32 +1,35 @@
 //! Content-addressed FSMD equivalence verdicts, in memory.
 //!
 //! Whole-machine equivalence proofs are the most expensive stage of the
-//! flow, and they repeat across clock twins and repeated requests. A
-//! verdict is keyed by a hash of exactly the fields
-//! [`rtl::Fsmd::same_machine`] compares — name, ports, control, schedules
-//! and the lowered design — and deliberately *excludes*
+//! flow, and they repeat across clock twins, across directive sets that
+//! synthesize one machine and across repeated requests. A verdict is
+//! keyed by [`fsmd_key`], a hash of the machine's name, ports, control,
+//! schedules and lowered design that deliberately *excludes*
 //! [`rtl::Fsmd::clock_ns`]: clock twins chain identically, so one proof
-//! covers them all. Every verdict comes from
-//! [`crate::verify_equiv_cached`], which proves with the default knobs,
-//! so the key names the machine and nothing else.
+//! covers them all. The key is the flow's only machine identity: the
+//! service ([`crate::verify_equiv_cached`]) and the sweep prover
+//! ([`crate::ExploreProver`]) both replay and record verdicts in a
+//! [`ProofCache`] under it, and both prove with the default knobs, so
+//! the key names the machine and nothing else.
 //!
 //! # Soundness
 //!
 //! The key is the machine's own [`std::hash::Hash`], digested by one
-//! 128-bit [`StableHasher`]; nothing is rendered to text first. Each
-//! field hashes at least as finely as `same_machine` compares it: a
-//! constant hashes as its raw bits and format, and a schedule time as
-//! its bit pattern. So equal keys mean equal machines (up to a 128-bit
-//! collision), and a replayed report — `Proved` or a counterexample — is
-//! byte-identical to recomputing it. `same_machine` compares constants
-//! by representation too (raw bits and format, not `Fixed`'s value
-//! equality), so the converse fails only where it is coarser than the
-//! hash on a schedule time (`-0.0` against `0.0`), which costs a miss,
-//! never a wrong verdict; `tests/proof_key.rs` checks that on the
-//! Table-1 designs the key splits exactly where `same_machine` does.
-//! There is no disk tier: a key only has to agree within one process.
-//! The cache holds at most [`CAPACITY`] verdicts and evicts the least
-//! recently used one; an evicted machine simply re-proves.
+//! 128-bit [`StableHasher`]; nothing is rendered to text first. Every
+//! field the proof reads is hashed, each at least as finely as the proof
+//! can tell two values apart: a constant hashes as its raw bits and
+//! format (`Fixed`'s `==` compares values, yet a shift reads its
+//! operand's format), and a schedule time as its bit pattern. So equal
+//! keys mean equal machines, up to a 128-bit collision, and a replayed
+//! report — `Proved` or a counterexample — is byte-identical to
+//! recomputing it. Where the hash is finer than behaviour (`-0.0` against
+//! `0.0` in a schedule time) two machines that behave alike get two
+//! keys, which costs a miss, never a wrong verdict; `tests/proof_key.rs`
+//! checks on the Table-1 designs that the key splits exactly where a
+//! structural comparison of every field does. There is no disk tier: a
+//! key only has to agree within one process. The cache holds at most
+//! [`CAPACITY`] verdicts and evicts the least recently used one; an
+//! evicted machine simply re-proves.
 
 use std::hash::Hash;
 use std::sync::Mutex;
@@ -46,10 +49,10 @@ pub const CAPACITY: usize = 4096;
 
 /// Cache key for one FSMD equivalence proof.
 ///
-/// Hashes what [`Fsmd::same_machine`] compares: two machines with equal
-/// name, ports, control, schedules and lowered design get the same key
-/// regardless of target clock — the clock only annotates emitted
-/// Verilog, never the proved behavior.
+/// Hashes the machine's name, ports, control, schedules and lowered
+/// design: two machines equal in all of them get the same key regardless
+/// of target clock — the clock only annotates emitted Verilog, never the
+/// proved behavior.
 pub fn fsmd_key(fsmd: &Fsmd) -> String {
     let mut hasher = StableHasher::new();
     (
@@ -77,7 +80,7 @@ pub struct ProofCacheConfig {
 pub type ProofCacheStats = CacheStats;
 
 /// A bounded in-memory verdict cache, shared by reference across the
-/// service's workers.
+/// service's workers or owned by one [`crate::ExploreProver`].
 #[derive(Debug)]
 pub struct ProofCache {
     lru: Mutex<Lru<VerifyReport>>,

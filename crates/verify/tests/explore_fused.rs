@@ -12,7 +12,7 @@ use std::sync::Arc;
 use hls_core::{
     explore_serial, synthesize, ExploreConfig, ExploreResult, MergePolicy, PassCache, VerifyLevel,
 };
-use hls_verify::{explore_verified, verify_equiv, ExploreProver};
+use hls_verify::{explore_verified, fsmd_key, verify_equiv, ExploreProver};
 use qam_decoder::{build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams};
 use rtl::Fsmd;
 
@@ -142,7 +142,7 @@ fn table1_architectures_verify_through_the_prover() {
         // Every Table-1 design point proves through the sweep-scoped
         // prover with the same verdict the standalone pipeline reaches.
         let fsmd = Fsmd::from_synthesis(&r);
-        let memoized = prover.verify(&arch.directives, &fsmd);
+        let memoized = prover.verify(&fsmd);
         assert!(memoized.passed(), "{} must prove", arch.name);
         assert_eq!(memoized.describe(), verify_equiv(&fsmd).describe());
         // The uniform directive sets are sweep candidates and must land
@@ -181,17 +181,23 @@ fn prover_replays_clock_twin_verdicts_exactly() {
     let d40 = hls_core::Directives::new(40.0);
     let f20 = Fsmd::from_synthesis(&synthesize(&ir.func, &d20, &lib).expect("ok"));
     let f40 = Fsmd::from_synthesis(&synthesize(&ir.func, &d40, &lib).expect("ok"));
-    assert!(f20.same_machine(&f40), "20/40 ns must be clock twins");
-    assert!(
-        !f20.same_machine(&Fsmd::from_synthesis(
-            &synthesize(&ir.func, &hls_core::Directives::new(5.0), &lib).expect("ok")
-        )),
+    assert_eq!(
+        fsmd_key(&f20),
+        fsmd_key(&f40),
+        "20/40 ns must be clock twins"
+    );
+    let f5 = Fsmd::from_synthesis(
+        &synthesize(&ir.func, &hls_core::Directives::new(5.0), &lib).expect("ok"),
+    );
+    assert_ne!(
+        fsmd_key(&f20),
+        fsmd_key(&f5),
         "5 ns schedules differently and must not be a twin"
     );
 
     let prover = ExploreProver::new();
-    let r20 = prover.verify(&d20, &f20);
-    let r40 = prover.verify(&d40, &f40);
+    let r20 = prover.verify(&f20);
+    let r40 = prover.verify(&f40);
     let stats = prover.stats();
     assert_eq!(stats.contexts, 1, "twins share one IR context");
     assert_eq!(stats.proofs, 1, "second twin replays the verdict");

@@ -1,16 +1,20 @@
-//! The proof cache's key, `fsmd_key`, splits machines exactly where
-//! `Fsmd::same_machine` does and never on the clock.
+//! The proof cache's key, `fsmd_key`, is the only machine identity: it
+//! splits machines exactly where a structural comparison of every field
+//! does, and never on the clock.
 //!
 //! The corpus is the four Table-1 decoders and two small kernels at every
 //! netlist optimization level, each at two clocks so that clock twins
 //! occur. Single-field mutations of one machine each change the key; a
-//! changed clock alone does not.
+//! changed clock alone does not. The sweep prover replays verdicts under
+//! the key, so directive sets that synthesize one machine share a proof.
 
 use fixpt::{Fixed, Format};
-use hls_core::dfg::build_dfg;
-use hls_core::{synthesize, Directives, Lowered, OptLevel, Segment, TechLibrary};
+use hls_core::dfg::{build_dfg, NodeKind};
+use hls_core::{
+    synthesize, Directives, Lowered, MergePolicy, OptLevel, Segment, TechLibrary, Unroll,
+};
 use hls_ir::{parse_function, Expr, Function, Stmt, Ty};
-use hls_verify::{fsmd_key, ExploreProver, ProverStats};
+use hls_verify::{fsmd_key, verify_equiv, ExploreProver, ProverStats};
 use qam_decoder::{table1_architectures, table1_library, QAM_DECODER_SOURCE};
 use rtl::{Control, Fsmd};
 
@@ -45,8 +49,60 @@ const BRANCHY: &str = r#"
     }
 "#;
 
+/// An 8-tap sum: one loop with no neighbour to merge with, which a unit
+/// unroll leaves as it is.
+const SUM: &str = "void sum(sc_fixed<10,2> x[8], sc_fixed<16,8> *out) { \
+    sc_fixed<16,8> acc = 0; \
+    sum_loop: for (int k = 0; k < 8; k++) { acc += x[k]; } \
+    *out = acc; }";
+
 fn machine(func: &Function, d: &Directives, lib: &TechLibrary) -> Fsmd {
     Fsmd::from_synthesis(&synthesize(func, d, lib).expect("synthesizes"))
+}
+
+/// The reference identity the key is held to: equal name, ports,
+/// control, schedules and lowered design, and every constant equal in raw
+/// bits and format. `Fixed`'s `==` compares values, yet a shift or an
+/// operation's result format reads a constant's format, so `==` alone is
+/// too coarse. The clock is not compared.
+fn same_machine(a: &Fsmd, b: &Fsmd) -> bool {
+    a.name == b.name
+        && a.ports == b.ports
+        && a.control == b.control
+        && a.schedules == b.schedules
+        && a.lowered == b.lowered
+        && constants(a) == constants(b)
+}
+
+/// Every constant of `m`'s staged function, statements in pre-order,
+/// then of each segment graph in node order, as raw bits and format.
+fn constants(m: &Fsmd) -> Vec<(i128, Format)> {
+    let mut bits = Vec::new();
+    for s in &m.lowered.func.body {
+        s.visit(&mut |s| {
+            let exprs = match s {
+                Stmt::Assign { value, .. } => vec![value],
+                Stmt::Store { index, value, .. } => vec![index, value],
+                Stmt::If { cond, .. } => vec![cond],
+                Stmt::For(_) => Vec::new(),
+            };
+            for e in exprs {
+                e.visit(&mut |e| {
+                    if let Expr::Const(c) = e {
+                        bits.push((c.raw(), c.format()));
+                    }
+                });
+            }
+        });
+    }
+    for seg in &m.lowered.segments {
+        for n in seg.dfg().nodes() {
+            if let NodeKind::Const(c) = n.kind {
+                bits.push((c.raw(), c.format()));
+            }
+        }
+    }
+    bits
 }
 
 #[test]
@@ -75,7 +131,7 @@ fn the_key_splits_exactly_where_same_machine_does() {
     let (mut twins, mut distinct) = (0, 0);
     for (i, a) in machines.iter().enumerate() {
         for (j, b) in machines.iter().enumerate().skip(i + 1) {
-            let same = a.same_machine(b);
+            let same = same_machine(a, b);
             assert_eq!(
                 keys[i] == keys[j],
                 same,
@@ -196,7 +252,6 @@ fn every_single_field_mutation_changes_the_key_and_the_clock_does_not() {
     m.schedules[0].node_cycle[0] += 1;
     pairs.push(("a node's schedule cycle", base.clone(), m));
     for (what, original, mutant) in &pairs {
-        assert!(!original.same_machine(mutant), "{what}: not a mutation");
         assert_ne!(
             fsmd_key(original),
             fsmd_key(mutant),
@@ -206,10 +261,8 @@ fn every_single_field_mutation_changes_the_key_and_the_clock_does_not() {
 
     // Constants of equal value compare `==` whatever their formats
     // (`Fixed` compares values), yet a shift reads its operand's format.
-    // `same_machine` and the key both compare a constant by
-    // representation, so both split these.
+    // The key hashes a constant's representation, so it splits these.
     let (narrow, widened) = constant_format_twins(&base);
-    assert!(!narrow.same_machine(&widened));
     assert_ne!(
         fsmd_key(&narrow),
         fsmd_key(&widened),
@@ -261,14 +314,51 @@ fn a_constant_format_splits_the_sweep_provers_memo() {
     let base = machine(&parse_function(SRC).unwrap(), &d, &lib);
     let (narrow, widened) = constant_format_twins(&base);
     let prover = ExploreProver::new();
-    prover.verify(&d, &narrow);
-    prover.verify(&d, &widened);
+    prover.verify(&narrow);
+    prover.verify(&widened);
     assert_eq!(
         prover.stats(),
         ProverStats {
             contexts: 2,
             proofs: 2,
             memo_hits: 0,
+        }
+    );
+}
+
+#[test]
+fn one_machine_under_three_directive_sets_is_proved_once() {
+    // No merge, merging allowed and an explicit unit unroll are three
+    // transform signatures, but the single loop neither merges nor
+    // unrolls: all three synthesize one machine, and the sweep prover
+    // builds one context and runs one proof for it.
+    let func = parse_function(SUM).unwrap();
+    let lib = TechLibrary::asic_100mhz();
+    let base = Directives::new(10.0);
+    let machines: Vec<Fsmd> = [
+        base.clone().merge_policy(MergePolicy::Off),
+        base.clone().merge_policy(MergePolicy::AllowHazards),
+        base.unroll("sum_loop", Unroll::Factor(1)),
+    ]
+    .iter()
+    .map(|d| machine(&func, d, &lib))
+    .collect();
+    let key = fsmd_key(&machines[0]);
+    for m in &machines {
+        assert_eq!(fsmd_key(m), key, "one machine, one key");
+    }
+    let prover = ExploreProver::new();
+    for m in &machines {
+        let report = prover.verify(m);
+        assert!(report.passed(), "{}", report.describe());
+        assert_eq!(report.describe(), verify_equiv(m).describe());
+    }
+    assert_eq!(
+        prover.stats(),
+        ProverStats {
+            contexts: 1,
+            proofs: 1,
+            memo_hits: 2,
         }
     );
 }
