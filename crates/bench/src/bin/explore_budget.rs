@@ -11,7 +11,9 @@
 //! Then a dense 10,206-point per-loop grid, unverified, with and without
 //! the budget.
 //!
-//! Each flow runs `REPEATS` times and reports its minimum wall time. The
+//! Each flow, and the grid's budgeted sweep, runs `REPEATS` times and
+//! reports its minimum wall time and whether every repeat pruned the same
+//! labels with the same evaluation count (`pruned_identical`). The
 //! binary *enforces* exactness and exits nonzero if it does not hold:
 //! both flows must report the identical Pareto frontier and identical
 //! per-point metrics (budgeted may drop dominated interior points, but
@@ -25,10 +27,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use hls_core::{
-    explore, ExploreConfig, ExploreResult, LoopGrid, MergePolicy, TechLibrary, VerifyLevel,
-};
-use hls_ir::Function;
+use hls_core::{explore, ExploreConfig, ExploreResult, LoopGrid, MergePolicy, VerifyLevel};
 use hls_verify::explore_verified;
 use qam_decoder::{build_qam_decoder_ir, table1_library, DecoderParams};
 
@@ -93,25 +92,38 @@ struct Flow {
     name: &'static str,
     ms: f64,
     result: ExploreResult,
+    /// Every repeat pruned the same labels with the same evaluations.
+    pruned_identical: bool,
 }
 
-fn run_flow(
-    name: &'static str,
-    func: &Function,
-    config: &ExploreConfig,
-    lib: &TechLibrary,
-) -> Flow {
-    let mut best: Option<(f64, ExploreResult)> = None;
-    for _ in 0..REPEATS {
-        let t0 = Instant::now();
-        let r = explore_verified(func, config, lib);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|(b, _)| ms < *b) {
-            best = Some((ms, r));
-        }
+/// The labels a sweep pruned and how many jobs it evaluated.
+fn prune_set(r: &ExploreResult) -> (Vec<&str>, usize) {
+    let labels = r.pruned.iter().map(|p| p.label.as_str()).collect();
+    (labels, r.evaluations)
+}
+
+/// Runs `sweep` `REPEATS` times, keeping the fastest repeat's result.
+fn run_flow(name: &'static str, sweep: impl Fn() -> ExploreResult) -> Flow {
+    let mut runs: Vec<(f64, ExploreResult)> = (0..REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let r = sweep();
+            (t0.elapsed().as_secs_f64() * 1e3, r)
+        })
+        .collect();
+    let pruned_identical = runs
+        .iter()
+        .all(|(_, r)| prune_set(r) == prune_set(&runs[0].1));
+    let best = (0..runs.len())
+        .min_by(|&i, &j| runs[i].0.total_cmp(&runs[j].0))
+        .expect("at least one repeat");
+    let (ms, result) = runs.swap_remove(best);
+    Flow {
+        name,
+        ms,
+        result,
+        pruned_identical,
     }
-    let (ms, result) = best.expect("at least one repeat");
-    Flow { name, ms, result }
 }
 
 fn frontier(r: &ExploreResult) -> Vec<(String, u64, f64)> {
@@ -127,8 +139,10 @@ fn main() {
     let config = sweep_config();
     let budgeted_config = config.clone().budgeted();
 
-    let fused = run_flow("fused", &ir.func, &config, &lib);
-    let budgeted = run_flow("budgeted-fused", &ir.func, &budgeted_config, &lib);
+    let fused = run_flow("fused", || explore_verified(&ir.func, &config, &lib));
+    let budgeted = run_flow("budgeted-fused", || {
+        explore_verified(&ir.func, &budgeted_config, &lib)
+    });
 
     let mut failed = false;
     let mut check = |ok: bool, what: &str| {
@@ -175,6 +189,10 @@ fn main() {
         !budgeted.result.pruned.is_empty(),
         "budgeted flow pruned nothing on the Table-1 sweep",
     );
+    check(
+        budgeted.pruned_identical,
+        "budgeted flow pruned different candidates across repeats",
+    );
     for p in &budgeted.result.pruned {
         check(
             !p.corners.is_empty() && !p.dominated_by.is_empty(),
@@ -189,16 +207,20 @@ fn main() {
     let t0 = Instant::now();
     let grid_ref = explore(&ir.func, &grid_cfg, &lib);
     let grid_ref_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let grid_budgeted = explore(&ir.func, &grid_cfg.clone().budgeted(), &lib);
-    let grid_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let grid_budgeted_cfg = grid_cfg.clone().budgeted();
+    let grid = run_flow("grid", || explore(&ir.func, &grid_budgeted_cfg, &lib));
+    let (grid_budgeted, grid_ms) = (&grid.result, grid.ms);
     let grid_candidates = grid_ref.points.len() + grid_ref.failures.len();
     check(
         grid_candidates >= 10_000,
         &format!("grid sweep visited only {grid_candidates} candidates"),
     );
-    let grid_frontier_ok = frontier(&grid_budgeted) == frontier(&grid_ref);
+    let grid_frontier_ok = frontier(grid_budgeted) == frontier(&grid_ref);
     check(grid_frontier_ok, "grid frontier differs from the reference");
+    check(
+        grid.pruned_identical,
+        "grid sweep pruned different candidates across repeats",
+    );
     check(
         grid_ref.points.len() + grid_ref.failures.len()
             == grid_budgeted.points.len()
@@ -246,7 +268,7 @@ fn main() {
         .iter()
         .map(|f| {
             format!(
-                "{{\"name\":\"{}\",\"ms\":{:.3},\"points\":{},\"pruned\":{},\"evaluations\":{},\"verify_failures\":{},\"prune_rate\":{:.4},\"waves\":{}}}",
+                "{{\"name\":\"{}\",\"ms\":{:.3},\"points\":{},\"pruned\":{},\"evaluations\":{},\"verify_failures\":{},\"prune_rate\":{:.4},\"waves\":{},\"pruned_identical\":{}}}",
                 f.name,
                 f.ms,
                 f.result.points.len(),
@@ -255,6 +277,7 @@ fn main() {
                 f.result.verify_failures.len(),
                 f.result.prune_rate(),
                 f.result.wave_stats.len(),
+                f.pruned_identical,
             )
         })
         .collect();
@@ -264,7 +287,7 @@ fn main() {
             format!("{{\"label\":\"{label}\",\"latency_cycles\":{lat},\"area\":{area:.1}}}")
         })
         .collect();
-    let grid_frontier_json: Vec<String> = frontier(&grid_budgeted)
+    let grid_frontier_json: Vec<String> = frontier(grid_budgeted)
         .iter()
         .map(|(label, lat, area)| {
             format!("{{\"label\":\"{label}\",\"latency_cycles\":{lat},\"area\":{area:.1}}}")
@@ -273,7 +296,7 @@ fn main() {
     let grid_json = format!(
         "{{\"candidates\":{},\"points\":{},\"pruned\":{},\"failures\":{},\
          \"prune_rate\":{:.4},\"required_prune_rate\":{:.2},\"waves\":{},\
-         \"frontier_size\":{},\"frontier_identical\":{},\
+         \"frontier_size\":{},\"frontier_identical\":{},\"pruned_identical\":{},\
          \"ms_budgeted\":{:.1},\"ms_reference\":{:.1},\"frontier\":[{}]}}",
         grid_candidates,
         grid_budgeted.points.len(),
@@ -284,6 +307,7 @@ fn main() {
         grid_budgeted.wave_stats.len(),
         grid_budgeted.pareto().len(),
         grid_frontier_ok,
+        grid.pruned_identical,
         grid_ms,
         grid_ref_ms,
         grid_frontier_json.join(","),

@@ -15,7 +15,7 @@ use hls_cluster::{
     handle_connection, serve, Addr, ClusterConfig, ClusterNode, Connection, Frame, HashRing,
     Listener, PeerClient, DEFAULT_VNODES,
 };
-use hls_core::{ExploreBudget, PassCache};
+use hls_core::PassCache;
 use hls_ir::Json;
 use hls_serve::{
     prepare_batch, serve_batch, serve_encoded, ArtifactStore, EncodedOutcome, EntryKind,
@@ -458,9 +458,6 @@ fn router_and_service_agree_on_a_mixed_batch() {
     // budget: the second miss of a batch is rejected.
     let strict = ServiceConfig {
         workers: 1,
-        budget: ExploreBudget {
-            min_prune_cost_ns: 0,
-        },
         max_cost_ns: Some(1),
         ..ServiceConfig::default()
     };

@@ -61,7 +61,7 @@ use std::collections::BTreeMap;
 use hls_ir::Function;
 
 use crate::allocate::counts_as_datapath;
-use crate::directives::{ArrayMapping, Directives, InterfaceKind};
+use crate::directives::{ArrayMapping, Directives};
 use crate::lower::{lower, Lowered, Segment};
 use crate::schedule::node_resources;
 use crate::tech::{OpClass, TechLibrary};
@@ -305,28 +305,16 @@ fn fold(total: Vec<(u64, f64)>, seg: &[(u64, f64)]) -> Vec<(u64, f64)> {
 /// Builds the clock-independent bound profile of a lowered design.
 ///
 /// `directives` must carry the same array mappings, interfaces and FU
-/// limits the design will be scheduled under (the explorer holds those
-/// fixed across a sweep); the clock period is deliberately unused here.
+/// limits the design will be scheduled under (the explorer shares a
+/// profile only among jobs whose prefix key and FU limits agree); the
+/// clock period is deliberately unused here.
 pub fn bound_profile(
     lowered: &Lowered,
     directives: &Directives,
     lib: &TechLibrary,
 ) -> BoundProfile {
     let func = &lowered.func;
-    let mem_ports = |v: hls_ir::VarId| -> Option<(u32, u32)> {
-        let name = &func.var(v).name;
-        if let ArrayMapping::Memory {
-            read_ports,
-            write_ports,
-        } = directives.array_mapping(name)
-        {
-            return Some((read_ports, write_ports));
-        }
-        if directives.interface_kind(name) == InterfaceKind::Stream {
-            return Some((1, 1)); // one element per cycle, over time
-        }
-        None
-    };
+    let mem_ports = |v| directives.mem_ports(func, v);
     let is_memory = |v: hls_ir::VarId| mem_ports(v).is_some();
 
     // Per-segment raw facts; widths are global (the allocator's rule).

@@ -8,12 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use hls_ir::Json;
+use hls_ir::{Function, Json, VarId};
 
 use crate::netlist::{NetlistOptConfig, OptLevel};
 
 /// How a loop is unrolled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Unroll {
     /// Keep the loop rolled (the default).
     #[default]
@@ -36,7 +36,7 @@ impl Unroll {
 }
 
 /// Per-loop directives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LoopDirective {
     /// Unrolling for this loop.
     pub unroll: Unroll,
@@ -49,7 +49,7 @@ pub struct LoopDirective {
 
 /// Legality policy for loop merging (see `transform::merge` for the
 /// dependence analysis behind it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MergePolicy {
     /// Merge adjacent loops even when cross-iteration hazards on shared
     /// arrays are detected. This mirrors the paper's tool behaviour, whose
@@ -64,7 +64,7 @@ pub enum MergePolicy {
 }
 
 /// How an array is realized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArrayMapping {
     /// Split into individual registers: unlimited parallel access (the
     /// right choice for the decoder's small tap/coefficient arrays).
@@ -283,6 +283,23 @@ impl Directives {
     /// The FU limit for a class, if any.
     pub fn fu_limit(&self, class: crate::tech::OpClass) -> Option<u32> {
         self.fu_limits.get(&class.to_string()).copied()
+    }
+
+    /// The `(read, write)` ports variable `v` of `func` competes for when
+    /// scheduled, or `None` for one split into registers, which any number
+    /// of operations may access at once. Memory-mapped arrays have their
+    /// mapping's ports; streamed parameters one of each (Section 2.1:
+    /// index accesses become accesses over time, one element per cycle).
+    pub(crate) fn mem_ports(&self, func: &Function, v: VarId) -> Option<(u32, u32)> {
+        let name = &func.var(v).name;
+        if let ArrayMapping::Memory {
+            read_ports,
+            write_ports,
+        } = self.array_mapping(name)
+        {
+            return Some((read_ports, write_ports));
+        }
+        (self.interface_kind(name) == InterfaceKind::Stream).then_some((1, 1))
     }
 
     /// Serializes the directive set to the JSON request schema used by

@@ -18,40 +18,40 @@
 //!   [`Directives`], so duplicate knob settings (common once per-loop
 //!   refinement overlaps the uniform sweep) synthesize once.
 //! - **Prefix memoization** — the loop-transform prefix of the pipeline
-//!   depends only on the merge policy and loop directives, not on the
-//!   clock, mappings or FU limits — and the lowering and netlist
-//!   optimization after it are equally clock-independent. Candidates
-//!   sharing that prefix (every point of a clock sweep, notably)
-//!   transform, lower and optimize once: each unique transform signature
-//!   gets one prefix holding the transform result and the optimized
-//!   netlist, and every candidate replays it through the synthesis
-//!   chain ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
+//!   depends on the function, the merge policy, the loop, array and
+//!   interface directives, the optimizer config and the library, never
+//!   on the clock, the FU limits or the stream shell — and the lowering
+//!   and netlist optimization after it are equally clock-independent.
+//!   Candidates sharing that prefix (every point of a clock sweep,
+//!   notably) transform, lower and optimize once: jobs are grouped by
+//!   [`crate::passcache::prefix_key`] plus their FU limits (the one
+//!   further input of the bound profile), each group gets one prefix
+//!   holding the transform result and the optimized netlist, and every
+//!   candidate replays it through the synthesis chain
+//!   ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
 //!   re-runs nothing upstream of the scheduler.
-//! - **Parallel evaluation** — with the `parallel` feature (on by
-//!   default), the prefixes and then the unique candidates are built
-//!   across all available cores via scoped threads, the calling thread
-//!   working alongside the spawned ones. Results are keyed by index, so
-//!   point order, failure order and the Pareto frontier are identical to
-//!   the serial path ([`explore_serial`]) regardless of thread timing.
+//! - **Parallel evaluation** — the prefixes and then the unique
+//!   candidates are built across all available cores via scoped
+//!   threads, the calling thread working alongside the spawned ones.
+//!   Results are keyed by index, so point order, failure order and the
+//!   Pareto frontier are identical to the serial path
+//!   ([`explore_serial`]) regardless of thread timing.
 //! - **Branch-and-bound pruning** — with an [`ExploreBudget`], each
-//!   transform prefix yields one resource-aware [`BoundProfile`]
+//!   prefix yields one resource-aware [`BoundProfile`]
 //!   ([`crate::bound::bound_profile`]), specialized per clock into an
 //!   admissible envelope of latency/area corners tracing the candidate's
-//!   feasible schedule-depth trade-off. A candidate is pruned when
-//!   *every* corner is strictly dominated by a completed design point:
-//!   admissibility puts some corner componentwise below the candidate's
-//!   actual point, so that corner's dominator strictly dominates the
-//!   actual too and the Pareto frontier never loses a member. Candidates
-//!   run in deterministic waves (geometrically growing, so early points
-//!   start pruning while late waves amortize), pruning only consults
-//!   points completed in *earlier* waves, and a per-pass cost model
-//!   fitted from already-run candidates refuses to prune candidates
-//!   whose modeled back-end cost is below
-//!   [`ExploreBudget::min_prune_cost_ns`] (pruning something cheaper than
-//!   the bound computation is a loss). Every pruned candidate records its
-//!   corners and the completed points that dominated them
-//!   ([`PrunedCandidate`]), and per-wave efficacy lands in
-//!   [`ExploreResult::wave_stats`].
+//!   feasible schedule-depth trade-off. A candidate is pruned exactly
+//!   when *every* corner is strictly dominated by a completed design
+//!   point: admissibility puts some corner componentwise below the
+//!   candidate's actual point, so that corner's dominator strictly
+//!   dominates the actual too and the Pareto frontier never loses a
+//!   member. Candidates run in deterministic waves (geometrically
+//!   growing, so early points start pruning while late waves amortize),
+//!   and pruning only consults points completed in *earlier* waves, so
+//!   the pruned set depends on candidate order alone, never on thread
+//!   timing. Every pruned candidate records its corners and the
+//!   completed points that dominated them ([`PrunedCandidate`]), and
+//!   per-wave efficacy lands in [`ExploreResult::wave_stats`].
 //! - **Fused synthesize + verify** — [`explore_with_check`] runs the
 //!   equivalence checker *inside* the synthesis worker pool, reusing each
 //!   candidate's just-built [`SynthesisResult`] instead of re-synthesizing
@@ -60,7 +60,8 @@
 //!   results fan back out across the pool.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::bound::{bound_from_profile, bound_profile, BoundProfile, DesignBound};
 use crate::directives::{Directives, MergePolicy, Unroll};
@@ -116,27 +117,11 @@ pub enum VerifyLevel {
     All,
 }
 
-/// Branch-and-bound pruning policy for [`ExploreConfig::budget`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExploreBudget {
-    /// A candidate is only pruned when its *modeled* back-end cost — the
-    /// mean scheduled-pass wall time per bounded operation observed so
-    /// far, times the candidate's own operation count — reaches this many
-    /// nanoseconds. Cheap candidates run even when dominated: skipping
-    /// them saves less than the bookkeeping costs, and running them keeps
-    /// the cost model fed. `0` prunes every dominated candidate (useful
-    /// for deterministic tests); the default skips only candidates worth
-    /// at least ~50 µs of back-end work.
-    pub min_prune_cost_ns: u64,
-}
-
-impl Default for ExploreBudget {
-    fn default() -> Self {
-        ExploreBudget {
-            min_prune_cost_ns: 50_000,
-        }
-    }
-}
+/// Branch-and-bound pruning for [`ExploreConfig::budget`]. It has no
+/// settings: a candidate is pruned exactly when its bound envelope is
+/// strictly dominated by a point completed in an earlier wave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExploreBudget;
 
 /// A per-loop grid sweep: each listed loop sweeps its *own* unroll
 /// factors and pipeline-II choices, and the candidate set is the full
@@ -186,7 +171,7 @@ pub struct ExploreConfig {
     /// [`ExploreConfig::clock_period_ns`] is explored; non-empty replaces
     /// it with this list. Points of a clock sweep share their prefix
     /// (loop transforms, lowering and netlist-opt), which runs once per
-    /// unique transform signature.
+    /// unique [`crate::passcache::prefix_key`].
     pub clock_periods_ns: Vec<f64>,
     /// Unroll factors to try per loop (1 = rolled). The sweep applies one
     /// factor to *all* loops of trip count ≥ factor per point, plus the
@@ -210,16 +195,17 @@ pub struct ExploreConfig {
     pub verify: VerifyLevel,
     /// Branch-and-bound pruning. `None` (the default) evaluates every
     /// unique candidate; `Some` skips the back end of candidates whose
-    /// admissible lower bounds are already strictly dominated by a
-    /// completed point. Pruning never changes the Pareto frontier, the
-    /// fastest point's latency or the smallest point's area — only
-    /// dominated interior points can disappear (into
+    /// admissible lower bounds are already strictly dominated by a point
+    /// completed in an earlier wave. Pruning never changes the Pareto
+    /// frontier, the fastest point's latency or the smallest point's area
+    /// — only dominated interior points can disappear (into
     /// [`ExploreResult::pruned`]).
     pub budget: Option<ExploreBudget>,
     /// A shared prefix cache ([`crate::passcache::PassCache`]). When set,
-    /// each transform signature's prefix is read from it, or built and
-    /// published, so repeated sweeps (and the serve path, which shares
-    /// the cache's keys) reuse prefixes instead of rebuilding them.
+    /// each prefix is read from it, or built and published, under its
+    /// [`crate::passcache::prefix_key`], so repeated sweeps (and the serve
+    /// path, which looks up the same key) reuse prefixes instead of
+    /// rebuilding them.
     /// `None` (the default) keeps the in-sweep prefix sharing only.
     pub cache: Option<Arc<crate::passcache::PassCache>>,
 }
@@ -244,7 +230,7 @@ impl ExploreConfig {
     /// This configuration with default branch-and-bound pruning enabled.
     pub fn budgeted(self) -> Self {
         ExploreConfig {
-            budget: Some(ExploreBudget::default()),
+            budget: Some(ExploreBudget),
             ..self
         }
     }
@@ -294,9 +280,10 @@ pub struct ExploreResult {
     /// canonicalized directives matched an earlier candidate reused its
     /// memoized result, and candidates pruned by the budget never ran.
     pub evaluations: usize,
-    /// Unique loop-transform prefixes actually computed. Candidates that
-    /// differ only in clock, mappings or FU limits share one transform
-    /// (see the module docs), so this is ≤ [`ExploreResult::evaluations`].
+    /// Unique prefixes (loop transforms, lowering, netlist-opt) actually
+    /// computed. Candidates that differ only in the clock or the stream
+    /// shell share one (see the module docs), so this is ≤
+    /// [`ExploreResult::evaluations`].
     pub transform_evaluations: usize,
     /// Points that synthesized but *failed the equivalence check*, as
     /// `(label, diagnosis)`. Always empty unless the result came from
@@ -349,54 +336,40 @@ impl ExploreResult {
     }
 }
 
-/// A canonical, order-independent rendering of a directive set, used as
-/// the memo-cache key. The maps inside [`Directives`] are `BTreeMap`s, so
-/// their debug rendering is already sorted; the clock is keyed by its
-/// exact bit pattern rather than a rounded decimal.
+/// A canonical, order-independent rendering of every field of a directive
+/// set, used as the memo-cache key. The maps inside [`Directives`] are
+/// `BTreeMap`s, so its derived `Debug` is already sorted; the clock is
+/// also keyed by its exact bit pattern, which tells apart the NaNs that
+/// `Debug` prints alike.
 fn canonical_key(d: &Directives) -> String {
-    format!(
-        "clk={:016x};merge={:?};loops={:?};arrays={:?};ifs={:?};fu={:?}",
-        d.clock_period_ns.to_bits(),
-        d.merge_policy,
-        d.loops,
-        d.arrays,
-        d.interfaces,
-        d.fu_limits,
-    )
-}
-
-/// The part of a directive set the loop-transform prefix depends on.
-/// Candidates sharing this key transform identically regardless of clock,
-/// array/interface mappings or FU limits.
-pub(crate) fn transform_signature(d: &Directives) -> String {
-    format!("merge={:?};loops={:?}", d.merge_policy, d.loops)
+    format!("clk={:016x};{d:?}", d.clock_period_ns.to_bits())
 }
 
 /// The latency/area outcome of synthesizing one unique directive set.
 type JobOutcome = Result<(u64, f64), SynthesisError>;
 
-/// The clock-independent prefix every candidate of one transform
-/// signature shares: the transform result and the optimized netlist of
-/// its lowering and, under a budget, the bound profile of that netlist.
+/// The clock-independent prefix every job of one group shares: the
+/// transform result and the optimized netlist of its lowering and, under
+/// a budget, the bound profile of that netlist.
 struct Prefix {
     netlist: Arc<NetlistEntry>,
     profile: Option<BoundProfile>,
 }
 
-/// One unique directive set to synthesize, with the prefix of its
-/// transform signature (`None` for invalid IR, which the pipeline's
-/// validate pass must report).
+/// One unique directive set to synthesize, with the prefix of its group
+/// (`None` for invalid IR, which the pipeline's validate pass must
+/// report).
 struct Job<'a> {
     directives: &'a Directives,
     prefix: Option<&'a Prefix>,
 }
 
-/// Builds the prefix of `d`'s transform signature: loop transforms, then
-/// lowering, then netlist-opt, then (when `budgeted`) the bound profile of
-/// the optimized netlist — the design synthesis actually schedules, so
-/// the lower bound stays admissible. With a prefix cache, the netlist is
-/// read from it, or built and published under the key the pipeline
-/// uses.
+/// Builds the prefix of `d`: loop transforms, then lowering, then
+/// netlist-opt, then (when `budgeted`) the bound profile of the optimized
+/// netlist — the design synthesis actually schedules, so the lower bound
+/// stays admissible. With a prefix cache, the netlist is read from it, or
+/// built and published, under `d`'s [`passcache::prefix_key`], the key
+/// the pipeline looks up.
 fn build_prefix(
     func: &Function,
     d: &Directives,
@@ -415,14 +388,11 @@ fn build_prefix(
         })
     };
     let netlist = match cache {
-        Some((cache, base)) => {
-            let key = passcache::prefix_key(base, d, lib);
-            cache.get(&key).unwrap_or_else(|| {
-                let netlist = build();
-                cache.put(&key, &netlist);
-                netlist
-            })
-        }
+        Some((cache, key)) => cache.get(key).unwrap_or_else(|| {
+            let netlist = build();
+            cache.put(key, &netlist);
+            netlist
+        }),
         None => build(),
     };
     let profile = budgeted.then(|| bound_profile(&netlist.lowered, d, lib));
@@ -466,15 +436,7 @@ struct JobResult {
     check: Option<Result<(), String>>,
     /// The full result ([`CheckOp::Store`] only).
     stored: Option<SynthesisResult>,
-    /// Wall time of the back-end passes (lower through metrics)
-    /// — the part of the pipeline pruning would have skipped; feeds the
-    /// explorer's cost model.
-    tail_ns: u64,
 }
-
-/// The pipeline passes branch-and-bound pruning skips; their wall time is
-/// what the cost model predicts.
-const TAIL_PASSES: [&str; 5] = ["lower", "netlist-opt", "schedule", "allocate", "metrics"];
 
 /// An observer of every evaluated job's pass trace, called on the worker
 /// that ran the job. The public entry points pass a no-op; the unit tests
@@ -506,13 +468,6 @@ fn run_job(
         None => synthesize_traced(func, job.directives, lib, &pipeline_config),
     };
     observe(&run.trace);
-    let tail_ns = run
-        .trace
-        .passes
-        .iter()
-        .filter(|p| TAIL_PASSES.contains(&p.pass.as_str()))
-        .map(|p| p.wall_ns)
-        .sum();
     match result {
         Ok(r) => {
             let metrics = (r.metrics.latency_cycles, r.metrics.area);
@@ -525,69 +480,59 @@ fn run_job(
                 outcome: Ok(metrics),
                 check,
                 stored,
-                tail_ns,
             }
         }
         Err(e) => JobResult {
             outcome: Err(e),
             check: None,
             stored: None,
-            tail_ns,
         },
     }
 }
 
-/// Maps `f` over `0..n`, across the worker pool when `parallel` (and the
-/// `parallel` feature) allow it. The pool is `available_parallelism()`
-/// workers, the calling thread among them: it works alongside the spawned
-/// threads instead of parking in the scope join, so a 2-core host runs
-/// two threads (and two malloc arenas), not three. A shared atomic cursor
-/// hands out indices; each value lands at its own slot, so the returned
-/// order is independent of thread scheduling.
+/// Maps `f` over `0..n`, across the worker pool when `parallel`. The pool
+/// is `available_parallelism()` workers, the calling thread among them: it
+/// works alongside the spawned threads instead of parking in the scope
+/// join, so a 2-core host runs two threads (and two malloc arenas), not
+/// three. A shared atomic cursor hands out indices; each value lands at
+/// its own slot, so the returned order is independent of thread
+/// scheduling.
 fn par_map<T, F>(parallel: bool, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(n);
-        if parallel && workers > 1 {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let work = || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *slots[i].lock().expect("no panics hold this lock") = Some(v);
-            };
-            std::thread::scope(|s| {
-                for _ in 1..workers {
-                    s.spawn(work);
-                }
-                work();
-            });
-            return slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("worker finished")
-                        .expect("every index ran")
-                })
-                .collect();
-        }
+    let workers = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+        .min(n);
+    if !parallel || workers <= 1 {
+        return (0..n).map(f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel;
-    (0..n).map(f).collect()
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let v = f(i);
+        *slots[i].lock().expect("no panics hold this lock") = Some(v);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("worker finished")
+                .expect("every index ran")
+        })
+        .collect()
 }
 
 /// Every assignment of one choice index per axis, in odometer order (last
@@ -839,43 +784,42 @@ fn explore_impl(
         })
         .collect();
 
-    // Prefix memoization: one prefix per unique (merge policy, loop
-    // directives) combination, built from the first job of that
-    // signature and shared by all of them (clock sweeps hit this hard:
-    // every clock reuses the same prefix). Lowering and netlist-opt read
-    // the per-loop pipeline IIs, which are part of the signature, but not
-    // the clock; the explorer never varies interface or array mappings,
-    // FU limits or the optimizer config, so one prefix serves the whole
-    // signature. Skipped when the IR is invalid: the pipeline's validate
-    // pass must report that, and transforms assume validated IR.
-    let valid = hls_ir::validate(func).is_empty();
-    let mut representatives: Vec<&Directives> = Vec::new();
-    let mut prefix_of_sig: BTreeMap<String, usize> = BTreeMap::new();
+    // Prefix memoization: jobs are grouped by their prefix key plus their
+    // FU limits, the one input `bound_profile` reads beyond the prefix.
+    // The first job of a group builds its prefix and every job of the
+    // group replays it (clock sweeps hit this hard: every clock shares
+    // one). The function and library are hashed once per sweep, and each
+    // job finishes a clone of that hasher. Skipped when the IR is
+    // invalid: the pipeline's validate pass must report that, and
+    // transforms assume validated IR.
+    let hasher = hls_ir::validate(func)
+        .is_empty()
+        .then(|| passcache::prefix_hasher(func, lib));
+    let mut groups: Vec<(&Directives, String)> = Vec::new();
+    let mut group_of_key: BTreeMap<(String, &BTreeMap<String, u32>), usize> = BTreeMap::new();
     let prefix_of_job: Vec<Option<usize>> = uniques
         .iter()
-        .map(|d| {
-            valid.then(|| {
-                *prefix_of_sig
-                    .entry(transform_signature(d))
+        .map(|&d| {
+            let key = passcache::finish_prefix_key(hasher.clone()?, d);
+            Some(
+                *group_of_key
+                    .entry((key.clone(), &d.fu_limits))
                     .or_insert_with(|| {
-                        representatives.push(d);
-                        representatives.len() - 1
-                    })
-            })
+                        groups.push((d, key));
+                        groups.len() - 1
+                    }),
+            )
         })
         .collect();
-    let base_key = match &config.cache {
-        Some(_) if valid => Some(passcache::base_key(func)),
-        _ => None,
-    };
     // The prefixes are built across the worker pool, each exactly once,
     // before any job runs: pruning orders the jobs by their bounds.
-    let prefixes: Vec<Prefix> = par_map(parallel, representatives.len(), |k| {
+    let prefixes: Vec<Prefix> = par_map(parallel, groups.len(), |k| {
+        let (d, key) = &groups[k];
         build_prefix(
             func,
-            representatives[k],
+            d,
             lib,
-            config.cache.as_deref().zip(base_key.as_deref()),
+            config.cache.as_deref().map(|c| (c, key.as_str())),
             config.budget.is_some(),
         )
     });
@@ -897,7 +841,7 @@ fn explore_impl(
     };
 
     // Bounds exist only under a budget and only for candidates whose
-    // transform prefix ran (an invalid-IR run has nothing to bound — and
+    // prefix was built (an invalid-IR run has nothing to bound — and
     // nothing to prune, since every job just reports the validation
     // error). Each is a cheap per-clock specialization of its prefix's
     // shared profile.
@@ -922,13 +866,11 @@ fn explore_impl(
     // job — exactly the old fan-out. With one, candidates run in
     // deterministic waves of geometrically growing size; before each wave,
     // candidates whose bound envelope is corner-for-corner strictly
-    // dominated by points completed in *earlier* waves (and whose modeled
-    // back-end cost clears the budget's floor) are pruned. Consulting only
-    // earlier waves keeps the prune set — and with
-    // `min_prune_cost_ns == 0` even its exact membership — independent of
-    // thread timing; a nonzero floor lets wall-clock noise shift which
-    // *dominated* candidates are skipped, but dominated candidates are
-    // interior by construction, so the frontier never moves.
+    // dominated by points completed in *earlier* waves are pruned.
+    // Consulting only earlier waves makes the prune set a function of the
+    // candidate order alone, independent of thread timing, and dominated
+    // candidates are interior by construction, so the frontier never
+    // moves.
     let order: Vec<usize> = if config.budget.is_some() {
         eval_order(&bounds)
     } else {
@@ -938,8 +880,6 @@ fn explore_impl(
     let mut slots: Vec<Option<Slot>> = (0..jobs.len()).map(|_| None).collect();
     let mut frontier: Vec<(u64, f64, usize)> = Vec::new();
     let mut wave_stats: Vec<WaveStats> = Vec::new();
-    let mut tail_ns_sum: u64 = 0;
-    let mut ops_sum: u64 = 0;
     let mut start = 0usize;
     let mut wave_len = if config.budget.is_some() {
         PRUNE_WAVE
@@ -952,24 +892,11 @@ fn explore_impl(
         wave_len = (wave_len * 2).clamp(1, MAX_PRUNE_WAVE);
         let mut to_run: Vec<usize> = Vec::new();
         for &i in wave {
-            let witnesses = match (&config.budget, &bounds[i]) {
-                (Some(budget), Some(b)) => {
-                    let modeled_ns = if ops_sum > 0 {
-                        tail_ns_sum as f64 / ops_sum as f64 * b.ops as f64
-                    } else {
-                        0.0
-                    };
-                    if modeled_ns >= budget.min_prune_cost_ns as f64 {
-                        dominating_witnesses(&frontier, b)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-            match witnesses {
+            // Only a budget builds bounds, so only a budget prunes.
+            let bound = bounds[i].as_ref();
+            match bound.and_then(|b| dominating_witnesses(&frontier, b)) {
                 Some(w) => {
-                    let b = bounds[i].clone().expect("pruned jobs have bounds");
+                    let b = bound.expect("pruned jobs have bounds").clone();
                     slots[i] = Some(Slot::Pruned(b, w));
                 }
                 None => to_run.push(i),
@@ -987,10 +914,6 @@ fn explore_impl(
         for (&i, r) in to_run.iter().zip(results) {
             if let Ok((lat, area)) = &r.outcome {
                 push_frontier(&mut frontier, *lat, *area, i);
-                if let Some(b) = &bounds[i] {
-                    tail_ns_sum += r.tail_ns;
-                    ops_sum += b.ops as u64;
-                }
             }
             slots[i] = Some(Slot::Done(Box::new(r)));
         }
@@ -1104,15 +1027,14 @@ fn frontier_indices(points: &[DesignPoint]) -> Vec<usize> {
 
 /// Explores the design space of `func` under `config`.
 ///
-/// With the `parallel` feature (enabled by default) candidates are
-/// synthesized across all available cores; the result is deterministic
-/// and identical to [`explore_serial`] either way.
+/// Candidates are synthesized across all available cores; the result is
+/// deterministic and identical to [`explore_serial`].
 pub fn explore(func: &Function, config: &ExploreConfig, lib: &TechLibrary) -> ExploreResult {
     explore_impl(func, config, lib, true, None, &|_| {})
 }
 
 /// Explores on the current thread only — the single-threaded reference
-/// path for [`explore`], independent of the `parallel` feature.
+/// path for [`explore`].
 pub fn explore_serial(func: &Function, config: &ExploreConfig, lib: &TechLibrary) -> ExploreResult {
     explore_impl(func, config, lib, false, None, &|_| {})
 }
@@ -1287,6 +1209,31 @@ mod tests {
     }
 
     #[test]
+    fn canonical_key_covers_every_directive_field() {
+        use crate::directives::{ArrayMapping, InterfaceKind};
+        use crate::netlist::OptLevel;
+        use crate::tech::OpClass;
+        let d = || Directives::new(10.0);
+        let memory = ArrayMapping::Memory {
+            read_ports: 1,
+            write_ports: 1,
+        };
+        let variants = [
+            Directives::new(10.5),
+            d().merge_policy(MergePolicy::Off),
+            d().unroll("l1", Unroll::Factor(2)),
+            d().map_array("x", memory),
+            d().interface("x", InterfaceKind::Stream),
+            d().limit_fu(OpClass::Mul, 1),
+            d().netlist_opt_level(OptLevel::Basic),
+            d().stream_interface(2, false),
+        ];
+        for v in &variants {
+            assert_ne!(canonical_key(v), canonical_key(&d()), "{v:?}");
+        }
+    }
+
+    #[test]
     fn clock_sweep_shares_transform_prefixes() {
         let f = two_loops();
         let lib = TechLibrary::asic_100mhz();
@@ -1342,8 +1289,8 @@ mod tests {
     }
 
     #[test]
-    fn netlist_opt_runs_once_per_transform_signature() {
-        // The optimizer runs when a signature's prefix is built; every
+    fn netlist_opt_runs_once_per_prefix_key() {
+        // The optimizer runs when a group's prefix is built; every
         // evaluated job, each clock twin included, replays that result.
         use std::sync::Mutex;
         let f = two_loops();
@@ -1410,9 +1357,7 @@ mod tests {
         let lib = TechLibrary::asic_100mhz();
         let reference = explore_serial(&f, &swept_config(), &lib);
         let budgeted_cfg = ExploreConfig {
-            budget: Some(ExploreBudget {
-                min_prune_cost_ns: 0,
-            }),
+            budget: Some(ExploreBudget),
             ..swept_config()
         };
         let budgeted = explore(&f, &budgeted_cfg, &lib);
@@ -1461,9 +1406,7 @@ mod tests {
         let f = two_loops();
         let lib = TechLibrary::asic_100mhz();
         let cfg = ExploreConfig {
-            budget: Some(ExploreBudget {
-                min_prune_cost_ns: 0,
-            }),
+            budget: Some(ExploreBudget),
             ..swept_config()
         };
         let r = explore(&f, &cfg, &lib);
@@ -1584,9 +1527,7 @@ mod tests {
         let budgeted = explore(
             &f,
             &ExploreConfig {
-                budget: Some(ExploreBudget {
-                    min_prune_cost_ns: 0,
-                }),
+                budget: Some(ExploreBudget),
                 ..cfg.clone()
             },
             &lib,
@@ -1612,19 +1553,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_floor_pruning_is_deterministic_across_serial_and_parallel() {
-        // With `min_prune_cost_ns == 0` the cost model never vetoes a
-        // prune, so the wave protocol alone decides — and it only consults
-        // completed earlier waves, making the full result (points, pruned
-        // set, evaluations) identical regardless of threading.
+    fn budgeted_pruning_is_deterministic_across_serial_and_parallel() {
+        // Pruning consults only points completed in earlier waves, so the
+        // full result (points, pruned set, evaluations, wave stats) is
+        // identical regardless of threading.
         let f = two_loops();
         let lib = TechLibrary::asic_100mhz();
-        let cfg = ExploreConfig {
-            budget: Some(ExploreBudget {
-                min_prune_cost_ns: 0,
-            }),
-            ..swept_config()
-        };
+        let cfg = swept_config().budgeted();
         let par = explore(&f, &cfg, &lib);
         let ser = explore_serial(&f, &cfg, &lib);
         let key = |r: &ExploreResult| {
@@ -1635,26 +1570,11 @@ mod tests {
                     .collect::<Vec<_>>(),
                 r.pruned.iter().map(|p| p.label.clone()).collect::<Vec<_>>(),
                 r.evaluations,
+                r.wave_stats.clone(),
             )
         };
+        assert!(!par.pruned.is_empty(), "the swept config prunes");
         assert_eq!(key(&par), key(&ser));
-    }
-
-    #[test]
-    fn prohibitive_cost_floor_disables_pruning() {
-        let f = two_loops();
-        let lib = TechLibrary::asic_100mhz();
-        let cfg = ExploreConfig {
-            budget: Some(ExploreBudget {
-                min_prune_cost_ns: u64::MAX,
-            }),
-            ..swept_config()
-        };
-        let r = explore(&f, &cfg, &lib);
-        let unbudgeted = explore(&f, &swept_config(), &lib);
-        assert!(r.pruned.is_empty());
-        assert_eq!(r.evaluations, unbudgeted.evaluations);
-        assert_eq!(r.points.len(), unbudgeted.points.len());
     }
 
     #[test]
@@ -1670,7 +1590,7 @@ mod tests {
         let r = explore_with_check(&f, &cfg, &lib, &|func, d, l, result| {
             // The stored result must be the very design a fresh synthesis
             // builds: the same optimized netlist, schedules and allocation
-            // (a prefix seeded from the wrong signature cannot pass), and
+            // (a prefix replayed for the wrong directives cannot pass), and
             // so the same metrics.
             let fresh = crate::synthesize::synthesize(func, d, l).expect("feasible");
             assert_eq!(result.lowered, fresh.lowered);

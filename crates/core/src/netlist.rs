@@ -55,7 +55,7 @@ use crate::tech::TechLibrary;
 // ---------------------------------------------------------------------------
 
 /// How aggressively the netlist optimizer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
     /// No rewriting at all: the lowered graphs reach the scheduler
     /// exactly as the builder produced them (the escape hatch, and the
@@ -93,7 +93,7 @@ impl OptLevel {
 /// Netlist-optimization knobs; part of [`Directives`](crate::Directives)
 /// and therefore of the hls-serve canonical request digest (opt-on and
 /// opt-off artifacts can never alias).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NetlistOptConfig {
     /// The optimization level (default: [`OptLevel::Full`]).
     pub level: OptLevel,

@@ -1,4 +1,4 @@
-//! The prefix cache: one content-addressed entry per transform signature.
+//! The prefix cache: one content-addressed entry per [`prefix_key`].
 //!
 //! A *prefix* ([`NetlistEntry`]) is the clock-independent head of a
 //! synthesis run: the loop-transform result, the optimized [`Lowered`]
@@ -8,24 +8,29 @@
 //! `allocate` read the clock and together cost about a tenth of a
 //! millisecond, so they always run.
 //!
-//! Prefixes are keyed by [`netlist_key`], the end of a key chain:
-//! [`base_key`] digests the exact input function, and [`transform_key`],
-//! [`lower_key`] and [`netlist_key`] each add the inputs of one stage —
-//! the directive subset the stage reads and, from `netlist-opt` on, the
-//! [`TechLibrary::fingerprint`]. No key reads the clock, so clock twins
-//! share one prefix; any other input change misses by construction.
+//! A prefix has one key, [`prefix_key`]: a [`StableHasher`] digest of the
+//! input function through its `Hash` (every constant as its raw bits and
+//! format, so a cached prefix is replayed only for the function it was
+//! built from), the [`TechLibrary::fingerprint`], and exactly the
+//! directive inputs of `loop-transforms`, `lower` and `netlist-opt`:
+//! merge policy, loop, array and interface directives and the optimizer
+//! config. No key reads the clock, the FU limits or the stream shell, so
+//! clock twins share one prefix; any other input change misses by
+//! construction.
 //!
 //! The synthesis chain makes at most one lookup, in `loop-transforms`,
 //! and one publication, in `netlist-opt` ([`crate::pipeline`]); the
-//! explorer reads or publishes one prefix per transform signature.
+//! explorer reads or publishes one prefix per key it groups jobs by.
 //! Storage is memory only: one map bounded by a fixed [`Lru`] entry
-//! count, so a key only has to agree within one process. A hit replays
-//! the exact cold-run objects, so cached and uncached runs produce
-//! byte-identical artifacts.
+//! count, so a key only has to agree within one process (`Hash` feeds
+//! integers in native byte order). A hit replays the exact cold-run
+//! objects, so cached and uncached runs produce byte-identical
+//! artifacts.
 
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use hls_ir::{stable_digest, Function};
+use hls_ir::{Function, StableHasher};
 
 use crate::directives::Directives;
 use crate::lower::Lowered;
@@ -36,66 +41,46 @@ use crate::transform::TransformResult;
 
 /// In-memory entry bound. A prefix of one of the paper's Table-1
 /// designs retains 60–141 KB of heap, so 64 entries cap the tier near
-/// 9 MB for designs of that size, while holding every transform
-/// signature of the Table-1 sweep (30) twice over (DESIGN.md §12).
+/// 9 MB for designs of that size, while holding every prefix of the
+/// Table-1 sweep (30) twice over (DESIGN.md §12).
 const CAPACITY: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Key derivation
 // ---------------------------------------------------------------------------
 
-/// Key of the pipeline's input slot: the source function's canonical IR
-/// rendering (parameter formats, statements, loop structure — everything
-/// synthesis reads).
-pub fn base_key(func: &Function) -> String {
-    stable_digest(format!("base;{func}").as_bytes())
+/// The function and library half of a [`prefix_key`], as a hasher to
+/// finish with [`finish_prefix_key`]. The explorer primes one per sweep
+/// and clones it per job, so the function is hashed once.
+pub(crate) fn prefix_hasher(func: &Function, lib: &TechLibrary) -> StableHasher {
+    let mut hasher = StableHasher::new();
+    func.hash(&mut hasher);
+    lib.fingerprint().hash(&mut hasher);
+    hasher
 }
 
-/// `loop-transforms` key: input function plus the merge policy and
-/// per-loop directives the transform pipeline reads (the same subset
-/// the explorer's `transform_signature` renders).
-pub fn transform_key(base_key: &str, d: &Directives) -> String {
-    stable_digest(
-        format!(
-            "loop-transforms;{base_key};{}",
-            crate::explore::transform_signature(d)
-        )
-        .as_bytes(),
+/// Finishes a [`prefix_hasher`] with the directive inputs of the three
+/// prefix stages: the merge policy and loop directives (`loop-transforms`
+/// and `lower`, which reads the pipeline IIs), the array and interface
+/// mappings (`lower`'s port synthesis) and the optimizer config
+/// (`netlist-opt`).
+pub(crate) fn finish_prefix_key(mut hasher: StableHasher, d: &Directives) -> String {
+    (
+        d.merge_policy,
+        &d.loops,
+        &d.arrays,
+        &d.interfaces,
+        d.netlist_opt,
     )
+        .hash(&mut hasher);
+    hasher.hex()
 }
 
-/// `lower` key: transformed-function key plus the loop, array and
-/// interface directives lowering reads (pipelining, port synthesis).
-/// Clock-independent.
-pub fn lower_key(transform_key: &str, d: &Directives) -> String {
-    stable_digest(
-        format!(
-            "lower;{transform_key};loops={:?};arrays={:?};ifaces={:?}",
-            d.loops, d.arrays, d.interfaces
-        )
-        .as_bytes(),
-    )
-}
-
-/// `netlist-opt` key: lowered-design key plus the optimizer config and
-/// the library fingerprint (rebalancing uses the delay model).
-/// Clock-independent — clock twins share this entry. It is the key a
-/// prefix is cached under.
-pub fn netlist_key(lower_key: &str, d: &Directives, lib: &TechLibrary) -> String {
-    stable_digest(
-        format!(
-            "netlist-opt;{lower_key};opt={};lib={}",
-            d.netlist_opt.to_json().write(),
-            lib.fingerprint()
-        )
-        .as_bytes(),
-    )
-}
-
-/// The whole chain from a [`base_key`]: the [`netlist_key`] of the prefix
-/// that `d` and `lib` build from the keyed function.
-pub fn prefix_key(base_key: &str, d: &Directives, lib: &TechLibrary) -> String {
-    netlist_key(&lower_key(&transform_key(base_key, d), d), d, lib)
+/// The key a prefix is cached under: the digest of `func`, `lib` and the
+/// directive inputs of `loop-transforms`, `lower` and `netlist-opt`. It
+/// never reads the clock, the FU limits or `stream`.
+pub fn prefix_key(func: &Function, d: &Directives, lib: &TechLibrary) -> String {
+    finish_prefix_key(prefix_hasher(func, lib), d)
 }
 
 // ---------------------------------------------------------------------------
@@ -104,7 +89,7 @@ pub fn prefix_key(base_key: &str, d: &Directives, lib: &TechLibrary) -> String {
 
 /// A prefix: everything a synthesis run computes before it reads the
 /// clock. The pipeline replays it for `loop-transforms`, `lower` and
-/// `netlist-opt`, and the explorer builds one per transform signature.
+/// `netlist-opt`, and the explorer builds one per [`prefix_key`].
 #[derive(Debug, Clone)]
 pub struct NetlistEntry {
     /// The loop-transform result the design was lowered from.
@@ -170,7 +155,7 @@ impl PassCache {
         self.lru().stats()
     }
 
-    /// Looks up the prefix cached under `key` (a [`netlist_key`]).
+    /// Looks up the prefix cached under `key` (a [`prefix_key`]).
     pub fn get(&self, key: &str) -> Option<Arc<NetlistEntry>> {
         self.lru().get(key).map(Arc::clone)
     }
@@ -184,10 +169,12 @@ impl PassCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directives::MergePolicy;
-    use crate::netlist::optimize_lowered;
+    use crate::directives::{ArrayMapping, InterfaceKind, MergePolicy, Unroll};
+    use crate::netlist::{optimize_lowered, OptLevel};
+    use crate::tech::OpClass;
     use crate::transform::apply_loop_transforms;
-    use hls_ir::parse_function;
+    use fixpt::{Fixed, Format};
+    use hls_ir::{parse_function, CmpOp, Expr, FunctionBuilder, Ty};
 
     const SRC: &str = r#"
         void k(sc_fixed<8,4> x[2], sc_fixed<12,6> *out) {
@@ -213,39 +200,85 @@ mod tests {
     }
 
     #[test]
-    fn keys_chain_and_separate_stages() {
+    fn every_prefix_input_changes_the_key() {
         let func = parse_function(SRC).unwrap();
-        let d = Directives::new(10.0);
         let lib = TechLibrary::asic_100mhz();
-        let b = base_key(&func);
-        let t = transform_key(&b, &d);
-        let l = lower_key(&t, &d);
-        let n = netlist_key(&l, &d, &lib);
-        let all = [&b, &t, &l, &n];
-        for (i, x) in all.iter().enumerate() {
-            assert_eq!(x.len(), 32);
-            for y in &all[i + 1..] {
-                assert_ne!(x, y, "stage keys must not collide");
-            }
+        let d = || Directives::new(10.0);
+        let key = prefix_key(&func, &d(), &lib);
+        assert_eq!(key.len(), 32);
+        assert_eq!(key, prefix_key(&func, &d(), &lib), "recomputation agrees");
+        let variants = [
+            ("merge policy", d().merge_policy(MergePolicy::Off)),
+            ("unroll", d().unroll("l", Unroll::Factor(2))),
+            ("pipeline II", d().pipeline("l", 1)),
+            ("no_merge", d().no_merge("l")),
+            (
+                "array mapping",
+                d().map_array(
+                    "x",
+                    ArrayMapping::Memory {
+                        read_ports: 1,
+                        write_ports: 1,
+                    },
+                ),
+            ),
+            ("interface kind", d().interface("x", InterfaceKind::Stream)),
+            ("opt level", d().netlist_opt_level(OptLevel::Basic)),
+        ];
+        for (what, v) in &variants {
+            assert_ne!(prefix_key(&func, v, &lib), key, "{what}");
         }
-        // Determinism: recomputation yields the same key.
-        assert_eq!(t, transform_key(&base_key(&func), &d));
-        assert_eq!(n, prefix_key(&b, &d, &lib));
+        let lib2 = lib.with_delay_base_offset(1e-3);
+        assert_ne!(prefix_key(&func, &d(), &lib2), key, "one library delay");
+    }
+
+    /// `acc += x[i] * 3` over four taps, the constant `three` as given.
+    fn scaled_sum(three: Fixed) -> Function {
+        let mut b = FunctionBuilder::new("k");
+        let x = b.param_array("x", Ty::fixed(8, 4), 4);
+        let out = b.param_scalar("out", Ty::fixed(16, 8));
+        let acc = b.local("acc", Ty::fixed(16, 8));
+        b.assign(acc, Expr::int_const(0));
+        b.for_loop("l", 0, CmpOp::Lt, 4, 1, |b, i| {
+            let term = Expr::mul(Expr::load(x, Expr::var(i)), Expr::Const(three));
+            b.assign(acc, Expr::add(Expr::var(acc), term));
+        });
+        b.assign(out, Expr::var(acc));
+        b.build()
     }
 
     #[test]
-    fn clock_only_affects_clock_dependent_stages() {
+    fn a_constant_format_changes_the_key() {
+        // Equal values compare `==` and print alike whatever their
+        // formats, yet the format decides the multiplier's width, so the
+        // two functions synthesize different designs and must not share
+        // a prefix.
+        let narrow = Fixed::from_int(3, Format::signed(3, 3));
+        let f1 = scaled_sum(narrow);
+        let f2 = scaled_sum(narrow.cast(Format::signed(12, 12)));
+        assert!(f1 == f2 && f1.to_string() == f2.to_string());
+        let (d, lib) = (Directives::new(10.0), TechLibrary::asic_100mhz());
+        let area = |f: &Function| crate::synthesize(f, &d, &lib).unwrap().metrics.area;
+        assert_ne!(area(&f1), area(&f2));
+        assert_ne!(prefix_key(&f1, &d, &lib), prefix_key(&f2, &d, &lib));
+    }
+
+    #[test]
+    fn the_clock_fu_limits_and_stream_leave_the_key() {
         let func = parse_function(SRC).unwrap();
         let lib = TechLibrary::asic_100mhz();
-        let d1 = Directives::new(10.0);
-        let mut d2 = Directives::new(10.0);
-        d2.clock_period_ns = f64::from_bits(d2.clock_period_ns.to_bits() + 1);
-        let b = base_key(&func);
-        assert_eq!(transform_key(&b, &d1), transform_key(&b, &d2));
-        let t = transform_key(&b, &d1);
-        assert_eq!(lower_key(&t, &d1), lower_key(&t, &d2));
-        let l = lower_key(&t, &d1);
-        assert_eq!(netlist_key(&l, &d1, &lib), netlist_key(&l, &d2, &lib));
+        let d = Directives::new(10.0);
+        let key = prefix_key(&func, &d, &lib);
+        let mut clock = d.clone();
+        clock.clock_period_ns = f64::from_bits(d.clock_period_ns.to_bits() + 1);
+        let variants = [
+            ("clock", clock),
+            ("FU limit", d.clone().limit_fu(OpClass::Mul, 1)),
+            ("stream", d.clone().stream_interface(4, true)),
+        ];
+        for (what, v) in &variants {
+            assert_eq!(prefix_key(&func, v, &lib), key, "{what}");
+        }
     }
 
     #[test]
@@ -267,39 +300,5 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 1);
-    }
-
-    #[test]
-    fn one_directive_bit_forces_a_miss() {
-        let func = parse_function(SRC).unwrap();
-        let b = base_key(&func);
-        let d1 = Directives::new(10.0);
-        // One directive bit (an unroll factor) re-keys the transform
-        // stage and, through key chaining, every stage downstream.
-        let d2 = Directives::new(10.0).unroll("l", crate::directives::Unroll::Factor(2));
-        assert_ne!(transform_key(&b, &d1), transform_key(&b, &d2));
-        // A merge-policy flip re-keys too.
-        let mut d3 = Directives::new(10.0);
-        d3.merge_policy = if d3.merge_policy == MergePolicy::Off {
-            MergePolicy::AllowHazards
-        } else {
-            MergePolicy::Off
-        };
-        assert_ne!(transform_key(&b, &d1), transform_key(&b, &d3));
-    }
-
-    #[test]
-    fn one_library_delay_forces_a_miss_downstream_only() {
-        let func = parse_function(SRC).unwrap();
-        let d = Directives::new(10.0);
-        let lib1 = TechLibrary::asic_100mhz();
-        let lib2 = lib1.with_delay_base_offset(1e-3);
-        let b = base_key(&func);
-        let t = transform_key(&b, &d);
-        let l = lower_key(&t, &d);
-        // Transforms and lowering never read the library, so their keys
-        // are library-blind by construction; the first library consumer
-        // (netlist-opt) and everything after it must miss.
-        assert_ne!(netlist_key(&l, &d, &lib1), netlist_key(&l, &d, &lib2));
     }
 }

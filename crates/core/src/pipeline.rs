@@ -538,14 +538,15 @@ pub fn synthesize_traced(
 /// `netlist-opt` install as memo hits. Only validation, directive
 /// checking, schedule, allocate and metrics do real work, which is what
 /// makes the clock-only twins of a dense sweep nearly free. The explorer
-/// builds one prefix per transform signature and replays it for every
-/// candidate of that signature.
+/// builds one prefix per [`passcache::prefix_key`] and replays it for
+/// every candidate with that key.
 ///
-/// The prefix must have been built from `func` under inputs with the
-/// same [`passcache::prefix_key`]: the clock may differ, but the loop,
-/// array and interface directives, the optimizer config and the library
-/// may not. Replaying any other prefix yields a design that does not
-/// implement `directives`.
+/// The prefix must have been built under the same
+/// [`passcache::prefix_key`]: from this very `func` (every constant's
+/// format included), with the same merge policy, loop, array and
+/// interface directives, optimizer config and library. Only the clock,
+/// the FU limits and the stream shell may differ. Replaying any other
+/// prefix yields a design that does not implement `directives`.
 pub fn synthesize_traced_with_prefix(
     func: &Function,
     directives: &Directives,
@@ -613,7 +614,7 @@ fn synthesis(
             if let (None, Some(cache)) = (&prefix, &config.cache) {
                 // The key covers the input function and every directive
                 // and library input of the three prefix stages.
-                let key = passcache::prefix_key(&passcache::base_key(func), d, lib);
+                let key = passcache::prefix_key(func, d, lib);
                 match cache.get(&key) {
                     Some(hit) => {
                         activity.hits += 1;
@@ -819,26 +820,7 @@ fn schedule(
     d: &Directives,
     lib: &TechLibrary,
 ) -> Result<Vec<Schedule>, SynthesisError> {
-    // Memory-mapped arrays and streamed array parameters (Section 2.1:
-    // index accesses become accesses over time) compete for ports
-    // instead of being freely parallel registers.
-    let lowered_func = lowered.func.clone();
-    let d2 = d.clone();
-    let mem_ports = move |v: hls_ir::VarId| -> Option<(u32, u32)> {
-        let name = &lowered_func.var(v).name;
-        if let crate::directives::ArrayMapping::Memory {
-            read_ports,
-            write_ports,
-        } = d2.array_mapping(name)
-        {
-            return Some((read_ports, write_ports));
-        }
-        if d2.interface_kind(name) == crate::directives::InterfaceKind::Stream {
-            return Some((1, 1)); // one element per cycle, over time
-        }
-        None
-    };
-
+    let mem_ports = |v| d.mem_ports(&lowered.func, v);
     let mut schedules = Vec::new();
     for seg in &lowered.segments {
         let sched = schedule_dfg(seg.dfg(), d, lib, &mem_ports)?;

@@ -133,14 +133,13 @@ proptest! {
             vec![1, 4, 8],
         ]),
         both_merges in prop::bool::ANY,
-        floor in prop::sample::select(vec![0u64, 50_000]),
     ) {
         let f = two_loops(trip1, trip2, w1, w2);
         let lib = TechLibrary::asic_100mhz();
         let cfg = config(clock_picks, unrolls, both_merges);
         let reference = explore_serial(&f, &cfg, &lib);
         let budgeted_cfg = ExploreConfig {
-            budget: Some(ExploreBudget { min_prune_cost_ns: floor }),
+            budget: Some(ExploreBudget),
             ..cfg
         };
         let budgeted = explore(&f, &budgeted_cfg, &lib);
@@ -160,7 +159,6 @@ proptest! {
             vec![None, Some(1u32)],
             vec![None, Some(2)],
         ]),
-        floor in prop::sample::select(vec![0u64, 50_000]),
     ) {
         let f = two_loops(trip1, trip2, w, w);
         let lib = TechLibrary::asic_100mhz();
@@ -178,7 +176,7 @@ proptest! {
         let budgeted = explore(
             &f,
             &ExploreConfig {
-                budget: Some(ExploreBudget { min_prune_cost_ns: floor }),
+                budget: Some(ExploreBudget),
                 ..cfg
             },
             &lib,
@@ -266,15 +264,13 @@ proptest! {
 
 /// Non-proptest determinism check: the same budgeted sweep run twice
 /// (parallel worker pool and all) yields identical points, pruned lists
-/// and frontier — wave order and the cost model are deterministic.
+/// and frontier — wave order and the domination test are deterministic.
 #[test]
 fn budgeted_sweep_is_deterministic() {
     let f = two_loops(8, 16, 10, 10);
     let lib = TechLibrary::asic_100mhz();
     let cfg = ExploreConfig {
-        budget: Some(ExploreBudget {
-            min_prune_cost_ns: 0,
-        }),
+        budget: Some(ExploreBudget),
         ..config(vec![5.0, 10.0, 20.0], vec![1, 2, 4, 8], true)
     };
     let a = explore(&f, &cfg, &lib);
@@ -292,31 +288,62 @@ fn budgeted_sweep_is_deterministic() {
     assert_eq!(key(&a), key(&b));
 }
 
-/// The cost-model floor in its default configuration must never prune a
-/// candidate that the zero-floor configuration wouldn't: the floor only
-/// shrinks the pruned set (cheap candidates keep running).
+/// A 16-tap FIR in the shape of the benchmark's FIR sweeps: a delay-line
+/// shift loop and a multiply-accumulate loop.
+const FIR16: &str = "
+void fir16(sc_fixed<10,0> x_in, sc_fixed<12,0> c[16], sc_fixed<24,7> *y) {
+    static sc_fixed<10,0> d[16];
+    shift: for (int k = 15; k > 0; k--) {
+        d[k] = d[k - 1];
+    }
+    d[0] = x_in;
+    sc_fixed<24,7> acc = 0;
+    mac: for (int k = 0; k < 16; k++) {
+        acc += d[k] * c[k];
+    }
+    *y = acc;
+}
+";
+
+/// Pruning depends only on the candidate order and the completed waves:
+/// a budgeted FIR sweep (unroll {1,2,4} per loop, six clocks, both merge
+/// policies; 108 candidates) returns the same points, pruned labels,
+/// evaluations and wave stats on every run, parallel or serial.
 #[test]
-fn cost_floor_only_shrinks_the_pruned_set() {
-    let f = two_loops(8, 16, 10, 10);
+fn budgeted_fir_sweep_prunes_identically_on_every_run() {
+    let f = hls_ir::parse_function(FIR16).expect("parses");
     let lib = TechLibrary::asic_100mhz();
-    let base = config(vec![5.0, 10.0, 20.0], vec![1, 2, 4, 8], true);
-    let zero = explore(
-        &f,
-        &ExploreConfig {
-            budget: Some(ExploreBudget {
-                min_prune_cost_ns: 0,
-            }),
-            ..base.clone()
-        },
-        &lib,
-    );
-    let defaulted = explore(&f, &base.budgeted(), &lib);
-    let zero_pruned: Vec<&str> = zero.pruned.iter().map(|p| p.label.as_str()).collect();
-    for p in &defaulted.pruned {
-        assert!(
-            zero_pruned.contains(&p.label.as_str()),
-            "floor pruned {} which zero-floor did not",
-            p.label
-        );
+    let cfg = ExploreConfig {
+        loop_grids: Some(LoopGrid {
+            unroll: vec![
+                ("shift".to_string(), vec![1, 2, 4]),
+                ("mac".to_string(), vec![1, 2, 4]),
+            ],
+            pipeline: Vec::new(),
+        }),
+        ..config(vec![8.0, 9.5, 11.0, 13.0, 16.0, 20.0], vec![1], true)
+    }
+    .budgeted();
+    let key = |r: &hls_core::ExploreResult| {
+        (
+            r.points
+                .iter()
+                .map(|p| (p.label.clone(), p.latency_cycles, p.area.to_bits()))
+                .collect::<Vec<_>>(),
+            r.pruned.iter().map(|p| p.label.clone()).collect::<Vec<_>>(),
+            r.evaluations,
+            r.wave_stats.clone(),
+        )
+    };
+    let first = key(&explore(&f, &cfg, &lib));
+    assert_eq!(first.0.len() + first.1.len(), 108, "no candidate fails");
+    assert!(!first.1.is_empty(), "the sweep prunes");
+    for run in 1..10 {
+        let r = if run % 2 == 0 {
+            explore(&f, &cfg, &lib)
+        } else {
+            explore_serial(&f, &cfg, &lib)
+        };
+        assert_eq!(key(&r), first, "run {run}");
     }
 }

@@ -19,8 +19,8 @@
 //! - [`service`] is the batch engine: in-flight dedup, store lookups
 //!   before any admission work, then a scoped-thread worker pool with
 //!   cost-ordered scheduling and admission control for misses, driven
-//!   by the explorer's [`hls_core::ExploreBudget`] cost model, and
-//!   per-stage observability.
+//!   by a per-batch cost model over the explorer's admissible bounds,
+//!   and per-stage observability.
 //!
 //! The `synthd` binary wraps it all as a one-shot filter, an NDJSON
 //! daemon, or (on Unix) a socket server.

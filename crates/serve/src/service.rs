@@ -30,16 +30,13 @@
 //!    queue: each gets the explorer's resource-aware admissible bound
 //!    ([`lower_bound`], computed on the loop-transformed design exactly
 //!    as the sweep computes it), and the queue runs cheapest-first by
-//!    bounded operation count — the same size signal the explorer feeds
-//!    its [`ExploreBudget`] cost model. Admission is the bound's only
-//!    reader, so without a ceiling no miss is bounded and the misses go
-//!    straight to the workers; a lone miss needs no order, and no model
-//!    can price it (below).
+//!    bounded operation count. Admission is the bound's only reader, so
+//!    without a ceiling no miss is bounded and the misses go straight to
+//!    the workers; a lone miss needs no order, and no model can price it
+//!    (below).
 //! 5. **Admission**, under a ceiling: a bounded miss whose modeled cost
-//!    reaches the ceiling is rejected — unless it is cheaper than the
-//!    budget's `min_prune_cost_ns`, which (as in the explorer) always
-//!    runs, keeping the model fed. A rejection carries the modeled cost
-//!    that decided it ([`RequestOutcome::modeled_cost_ns`]) and a
+//!    reaches the ceiling is rejected. A rejection carries the modeled
+//!    cost that decided it ([`RequestOutcome::modeled_cost_ns`]) and a
 //!    structured [`Diagnostic`] with the candidate's bounded latency,
 //!    area and operation count, so callers can tell a design that was
 //!    *too big* from one that merely arrived late. No other outcome
@@ -72,8 +69,8 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use hls_core::{
-    apply_loop_transforms, lower_bound, DesignBound, Diagnostic, Diagnostics, ExploreBudget,
-    PassCache, PassCacheStats, PipelineConfig,
+    apply_loop_transforms, lower_bound, DesignBound, Diagnostic, Diagnostics, PassCache,
+    PassCacheStats, PipelineConfig,
 };
 use hls_ir::{Function, Json};
 use hls_verify::{verify_equiv, verify_equiv_cached, ProofCache, ProofCacheStats};
@@ -89,10 +86,6 @@ use crate::store::{ArtifactStore, CachedArtifact, EncodedArtifact, Verdict};
 pub struct ServiceConfig {
     /// Worker threads for the batch pool.
     pub workers: usize,
-    /// The explorer's cost-model knobs, reused for admission: under a
-    /// ceiling, jobs modeled cheaper than `budget.min_prune_cost_ns` are
-    /// always admitted. Read only when `max_cost_ns` is set.
-    pub budget: ExploreBudget,
     /// Reject jobs whose modeled back-end cost reaches this many
     /// nanoseconds. `None` admits everything, and then no miss is
     /// bounded or priced: the bound and the cost model serve admission
@@ -114,7 +107,6 @@ impl Default for ServiceConfig {
             workers: thread::available_parallelism()
                 .map(|n| n.get().min(4))
                 .unwrap_or(1),
-            budget: ExploreBudget::default(),
             max_cost_ns: None,
             pass_cache: None,
             proof_cache: None,
@@ -507,8 +499,7 @@ fn push_member(out: &mut String, key: &str, value: &Json) {
     value.write_into(out);
 }
 
-/// Observed mean synthesis cost per bounded operation — the serving-side
-/// twin of the explorer's per-pass cost model.
+/// Observed mean synthesis cost per bounded operation, for admission.
 #[derive(Debug, Default)]
 struct CostModel {
     total_ns: AtomicU64,
@@ -767,12 +758,11 @@ fn run_job(
     let design = req.label(job.func).to_string();
     let modeled_cost_ns = job.bound.as_ref().and_then(|b| model.modeled_ns(b.ops));
 
-    // Admission: reject jobs modeled at/over the ceiling — unless they
-    // are cheaper than the budget's always-run threshold. The rejection
+    // Admission: reject jobs modeled at/over the ceiling. The rejection
     // reports the bound that sized the job, so the caller sees exactly
     // what the admission decision was based on.
     if let (Some(max), Some(cost), Some(bound)) = (cfg.max_cost_ns, modeled_cost_ns, &job.bound) {
-        if cost >= max && cost >= cfg.budget.min_prune_cost_ns {
+        if cost >= max {
             counters.rejected.fetch_add(1, Ordering::Relaxed);
             let diag = Diagnostic::error(
                 "admission-rejected",

@@ -6,7 +6,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use hls_core::ExploreBudget;
 use hls_serve::{
     serve_batch, ArtifactStore, RequestOutcome, ServiceConfig, StoreConfig, SynthesisRequest,
 };
@@ -55,9 +54,6 @@ fn admission_rejects_modeled_over_budget_jobs() {
     let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
     let cfg = ServiceConfig {
         workers: 1,
-        budget: ExploreBudget {
-            min_prune_cost_ns: 0,
-        },
         max_cost_ns: Some(1),
         ..ServiceConfig::default()
     };
@@ -112,9 +108,6 @@ fn admission_rejects_modeled_over_budget_jobs() {
 fn strict_admission() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
-        budget: ExploreBudget {
-            min_prune_cost_ns: 0,
-        },
         max_cost_ns: Some(1),
         ..ServiceConfig::default()
     }

@@ -202,9 +202,7 @@ fn explore_answer() -> String {
         per_loop_refinement: true,
         loop_grids: None,
         verify: VerifyLevel::Off,
-        budget: Some(ExploreBudget {
-            min_prune_cost_ns: 0,
-        }),
+        budget: Some(ExploreBudget),
         cache: None,
     };
     let r = explore(&decoder(), &config, &table1_library());
