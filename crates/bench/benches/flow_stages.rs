@@ -1,10 +1,12 @@
 //! Criterion bench: cost of each flow stage in isolation — parsing C
 //! source, transforms, lowering, scheduling — over the decoder IR; the
 //! three call chains that run the stages (a compile, an explored
-//! candidate's prefix replay, a stream module); the proof cache's key on
-//! each Table-1 machine; one verified sweep per kernel family; one warm
-//! store hit served by a cluster node; and the per-byte codecs of that
-//! hit on its reply.
+//! candidate's prefix replay, a stream module); the proof cache's key and
+//! the default differential fuzzing campaign on each Table-1 machine; one
+//! verified sweep per kernel family; one warm store hit served by a
+//! cluster node; and the per-byte codecs of that hit on its reply.
+//!
+//! A name filter runs a subset: `cargo bench --bench flow_stages -- fuzz`.
 
 use std::sync::Arc;
 
@@ -18,7 +20,7 @@ use hls_core::{
 use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
 use hls_stream::synthesize_stream;
-use hls_verify::{explore_verified, fsmd_key};
+use hls_verify::{explore_verified, fsmd_key, fuzz_equiv};
 use qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams, QAM_DECODER_SOURCE,
 };
@@ -139,6 +141,29 @@ fn bench_proof_key(c: &mut Criterion) {
     g.finish();
 }
 
+/// `fuzz_equiv` under the default configuration on each Table-1 machine:
+/// one whole coverage-guided differential campaign, the fallback of every
+/// design the prover cannot decide. A campaign runs 327 calls on `merged`
+/// and `none` and 490 on the unrolled designs (its report's `calls`), so
+/// calls per second is that count over the time per iteration.
+fn bench_fuzz(c: &mut Criterion) {
+    let func = parse_function(QAM_DECODER_SOURCE).expect("parses");
+    let lib = table1_library();
+    let mut g = c.benchmark_group("flow_stages");
+    for arch in table1_architectures() {
+        let r = synthesize(&func, &arch.directives, &lib).expect("synthesizes");
+        let fsmd = Fsmd::from_synthesis(&r);
+        g.bench_function(format!("fuzz/{}", arch.name), |b| {
+            b.iter(|| {
+                let report = fuzz_equiv(&fsmd);
+                assert!(report.counterexample.is_none(), "{}", arch.name);
+                report
+            })
+        });
+    }
+    g.finish();
+}
+
 /// One verified sweep per kernel family, in the end-to-end benchmark's
 /// sweep shape: unroll {1, 2, 4} per loop, three clocks, both merge
 /// policies, branch-and-bound pruning and every point proved.
@@ -241,6 +266,7 @@ criterion_group!(
     bench_stages,
     bench_call_chains,
     bench_proof_key,
+    bench_fuzz,
     bench_verified_sweep,
     bench_serve_hit
 );

@@ -107,8 +107,9 @@ fn render_json(results: &[BenchResult]) -> String {
 }
 
 fn main() {
+    // BENCH_sim.json records whole runs, so this bench takes no name
+    // filter from the command line.
     let mut c = Criterion::default()
-        .configure_from_args()
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
     bench_simulators(&mut c);

@@ -255,8 +255,32 @@ pub fn allocate(
         });
     }
 
-    // Architectural state: statics, parameters (registered interfaces),
-    // counters and staged locals that live across segments.
+    let state_bits = state_bits(func, lowered, directives);
+
+    let reg_area = lib.register_area(state_bits + temp_bits_peak);
+    let ctrl_area = lib.controller_area(fsm_states);
+    let total_area = fu_area + mux_area + reg_area + ctrl_area;
+
+    Allocation {
+        fu_groups,
+        state_bits,
+        temp_bits: temp_bits_peak,
+        fsm_states,
+        fu_area,
+        mux_area,
+        reg_area,
+        ctrl_area,
+        total_area,
+    }
+}
+
+/// Architectural state bits: statics and parameters (registered
+/// interfaces) at full width unless memory-mapped, one narrowed 8-bit
+/// register per counter, and staged locals that live across segments.
+/// Shared with the explorer's lower bound (`crate::bound`), which counts
+/// exactly these registers and leaves out only the live-range
+/// temporaries.
+pub(crate) fn state_bits(func: &Function, lowered: &Lowered, directives: &Directives) -> u64 {
     let mut state_bits = 0u64;
     for (_, v) in func.iter_vars() {
         let bits = v.ty.width() as u64 * v.len.unwrap_or(1) as u64;
@@ -286,22 +310,7 @@ pub fn allocate(
             }
         }
     }
-
-    let reg_area = lib.register_area(state_bits + temp_bits_peak);
-    let ctrl_area = lib.controller_area(fsm_states);
-    let total_area = fu_area + mux_area + reg_area + ctrl_area;
-
-    Allocation {
-        fu_groups,
-        state_bits,
-        temp_bits: temp_bits_peak,
-        fsm_states,
-        fu_area,
-        mux_area,
-        reg_area,
-        ctrl_area,
-        total_area,
-    }
+    state_bits
 }
 
 /// Classes that consume datapath logic worth allocating. Shared with the

@@ -61,7 +61,7 @@ use std::collections::BTreeMap;
 use hls_ir::Function;
 
 use crate::allocate::counts_as_datapath;
-use crate::directives::{ArrayMapping, Directives};
+use crate::directives::Directives;
 use crate::lower::{lower, Lowered, Segment};
 use crate::schedule::node_resources;
 use crate::tech::{OpClass, TechLibrary};
@@ -489,7 +489,7 @@ pub fn bound_profile(
 
     // Registers every schedule pays: the allocator's architectural
     // state, with only the live-range temporaries resolved to zero.
-    let reg_area = lib.register_area(state_bits_bound(func, lowered, directives));
+    let reg_area = lib.register_area(crate::allocate::state_bits(func, lowered, directives));
     // Area the envelope folds into every corner regardless of depth:
     // those registers plus the allocator's loop-control units.
     let mut const_area = reg_area;
@@ -618,46 +618,10 @@ pub fn lower_bound(func: &Function, directives: &Directives, lib: &TechLibrary) 
     bound_from_profile(&profile, directives)
 }
 
-/// Architectural register bits the allocator is guaranteed to count:
-/// statics and non-memory-mapped parameters at full width, one narrowed
-/// 8-bit register per counter, and locals whose values cross segment
-/// boundaries (live-in of any segment DFG) — the allocator's own
-/// `state_bits`, exactly; only the live-range temporaries are left out.
-fn state_bits_bound(func: &Function, lowered: &Lowered, directives: &Directives) -> u64 {
-    let mut bits = 0u64;
-    for (_, v) in func.iter_vars() {
-        let width = v.ty.width() as u64 * v.len.unwrap_or(1) as u64;
-        let is_mem = matches!(
-            directives.array_mapping(&v.name),
-            ArrayMapping::Memory { .. }
-        );
-        match v.kind {
-            hls_ir::VarKind::Static | hls_ir::VarKind::Param => {
-                if !is_mem {
-                    bits += width;
-                }
-            }
-            hls_ir::VarKind::Counter => bits += 8,
-            hls_ir::VarKind::Local => {
-                let crosses = lowered.segments.iter().any(|s| {
-                    s.dfg()
-                        .live_in
-                        .iter()
-                        .any(|id| func.var(*id).name == v.name)
-                });
-                if crosses {
-                    bits += width;
-                }
-            }
-        }
-    }
-    bits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directives::Unroll;
+    use crate::directives::{ArrayMapping, Unroll};
     use crate::synthesize::synthesize;
     use crate::transform::apply_loop_transforms;
     use hls_ir::{CmpOp, Expr, FunctionBuilder, Ty};

@@ -55,11 +55,10 @@
 //! - **Fused synthesize + verify** — [`explore_with_check`] runs the
 //!   equivalence checker *inside* the synthesis worker pool, reusing each
 //!   candidate's just-built [`SynthesisResult`] instead of re-synthesizing
-//!   it after the frontier is known. At [`VerifyLevel::All`] proofs
-//!   overlap synthesis; at [`VerifyLevel::Pareto`] the frontier's stored
-//!   results fan back out across the pool.
+//!   it: at [`VerifyLevel::All`] every proof overlaps other candidates'
+//!   synthesis.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -110,9 +109,6 @@ pub enum VerifyLevel {
     /// No equivalence checking (the historical behavior).
     #[default]
     Off,
-    /// Check only the latency/area Pareto frontier — the points a designer
-    /// would actually pick.
-    Pareto,
     /// Check every unique feasible point.
     All,
 }
@@ -415,27 +411,11 @@ pub type PointChecker<'a> = dyn Fn(&Function, &Directives, &TechLibrary, &Synthe
     + Sync
     + 'a;
 
-/// What a synthesis worker does with a successful result, beyond
-/// extracting the metrics.
-#[derive(Clone, Copy)]
-enum CheckOp<'c, 'f> {
-    /// Nothing — plain exploration.
-    None,
-    /// Run the equivalence checker inline ([`VerifyLevel::All`]): the
-    /// proof overlaps other workers' synthesis.
-    Inline(&'c PointChecker<'f>),
-    /// Keep the full [`SynthesisResult`] ([`VerifyLevel::Pareto`]): the
-    /// frontier's checks fan out over the stored results afterwards.
-    Store,
-}
-
 /// Everything one synthesis worker produced for one unique job.
 struct JobResult {
     outcome: JobOutcome,
-    /// The inline equivalence verdict ([`CheckOp::Inline`] only).
+    /// The equivalence verdict, when the sweep checks its points.
     check: Option<Result<(), String>>,
-    /// The full result ([`CheckOp::Store`] only).
-    stored: Option<SynthesisResult>,
 }
 
 /// An observer of every evaluated job's pass trace, called on the worker
@@ -447,7 +427,7 @@ fn run_job(
     func: &Function,
     job: &Job<'_>,
     lib: &TechLibrary,
-    check: CheckOp<'_, '_>,
+    check: Option<&PointChecker<'_>>,
     observe: &TraceObserver<'_>,
 ) -> JobResult {
     let pipeline_config = PipelineConfig {
@@ -469,23 +449,13 @@ fn run_job(
     };
     observe(&run.trace);
     match result {
-        Ok(r) => {
-            let metrics = (r.metrics.latency_cycles, r.metrics.area);
-            let (check, stored) = match check {
-                CheckOp::None => (None, None),
-                CheckOp::Inline(c) => (Some(c(func, job.directives, lib, &r)), None),
-                CheckOp::Store => (None, Some(r)),
-            };
-            JobResult {
-                outcome: Ok(metrics),
-                check,
-                stored,
-            }
-        }
+        Ok(r) => JobResult {
+            outcome: Ok((r.metrics.latency_cycles, r.metrics.area)),
+            check: check.map(|c| c(func, job.directives, lib, &r)),
+        },
         Err(e) => JobResult {
             outcome: Err(e),
             check: None,
-            stored: None,
         },
     }
 }
@@ -497,7 +467,10 @@ fn run_job(
 /// three. A shared atomic cursor hands out indices; each value lands at
 /// its own slot, so the returned order is independent of thread
 /// scheduling.
-fn par_map<T, F>(parallel: bool, n: usize, f: F) -> Vec<T>
+///
+/// The sweep builds its prefixes and candidates through it, and
+/// `hls-verify` discharges netlist obligations through it.
+pub fn par_map<T, F>(parallel: bool, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -834,11 +807,7 @@ fn explore_impl(
         })
         .collect();
 
-    let check_op = match (config.verify, check) {
-        (VerifyLevel::All, Some(c)) => CheckOp::Inline(c),
-        (VerifyLevel::Pareto, Some(_)) => CheckOp::Store,
-        _ => CheckOp::None,
-    };
+    let check = check.filter(|_| config.verify == VerifyLevel::All);
 
     // Bounds exist only under a budget and only for candidates whose
     // prefix was built (an invalid-IR run has nothing to bound — and
@@ -909,7 +878,7 @@ fn explore_impl(
             });
         }
         let results = par_map(parallel, to_run.len(), |k| {
-            run_job(func, &jobs[to_run[k]], lib, check_op, observe)
+            run_job(func, &jobs[to_run[k]], lib, check, observe)
         });
         for (&i, r) in to_run.iter().zip(results) {
             if let Ok((lat, area)) = &r.outcome {
@@ -923,10 +892,11 @@ fn explore_impl(
         .filter(|s| matches!(s, Some(Slot::Done(_))))
         .count();
 
-    // Assemble in candidate order, exactly as the serial reference does.
+    // Assemble in candidate order, exactly as the serial reference does,
+    // harvesting the fused equivalence verdicts per point.
     let mut points = Vec::new();
-    let mut point_jobs: Vec<usize> = Vec::new();
     let mut failures = Vec::new();
+    let mut verify_failures: Vec<(String, String)> = Vec::new();
     let mut pruned = Vec::new();
     for ((label, d), &job) in candidates.iter().zip(&job_of_candidate) {
         match slots[job].as_ref().expect("every job resolved") {
@@ -942,7 +912,9 @@ fn explore_impl(
             }),
             Slot::Done(r) => match &r.outcome {
                 Ok((latency_cycles, area)) => {
-                    point_jobs.push(job);
+                    if let Some(Err(msg)) = &r.check {
+                        verify_failures.push((label.clone(), msg.clone()));
+                    }
                     points.push(DesignPoint {
                         directives: d.clone(),
                         label: label.clone(),
@@ -955,51 +927,6 @@ fn explore_impl(
         }
     }
 
-    // Harvest the fused equivalence verdicts.
-    let mut verify_failures: Vec<(String, String)> = Vec::new();
-    match check_op {
-        CheckOp::None => {}
-        CheckOp::Inline(_) => {
-            // Every point's job carries its inline verdict; report
-            // failures per candidate label, in point order.
-            for (p, &job) in points.iter().zip(&point_jobs) {
-                let Some(Slot::Done(r)) = slots[job].as_ref() else {
-                    unreachable!("points come from completed jobs")
-                };
-                if let Some(Err(msg)) = &r.check {
-                    verify_failures.push((p.label.clone(), msg.clone()));
-                }
-            }
-        }
-        CheckOp::Store => {
-            // Fan the frontier's checks back out over the stored results,
-            // deduplicated per unique job.
-            let frontier = frontier_indices(&points);
-            let unique_jobs: Vec<usize> = frontier
-                .iter()
-                .map(|&pi| point_jobs[pi])
-                .collect::<BTreeSet<usize>>()
-                .into_iter()
-                .collect();
-            let checker = check.expect("Store implies a checker");
-            let verdicts: Vec<Result<(), String>> = par_map(parallel, unique_jobs.len(), |k| {
-                let job = unique_jobs[k];
-                let Some(Slot::Done(r)) = slots[job].as_ref() else {
-                    unreachable!("frontier points come from completed jobs")
-                };
-                let stored = r.stored.as_ref().expect("Store keeps every result");
-                checker(func, jobs[job].directives, lib, stored)
-            });
-            let verdict_of_job: BTreeMap<usize, &Result<(), String>> =
-                unique_jobs.iter().copied().zip(verdicts.iter()).collect();
-            for &pi in &frontier {
-                if let Err(msg) = verdict_of_job[&point_jobs[pi]] {
-                    verify_failures.push((points[pi].label.clone(), msg.clone()));
-                }
-            }
-        }
-    }
-
     ExploreResult {
         points,
         failures,
@@ -1009,20 +936,6 @@ fn explore_impl(
         pruned,
         wave_stats,
     }
-}
-
-/// The indices into `points` of the Pareto frontier, in the order
-/// [`ExploreResult::pareto`] reports it (sorted by latency, duplicate
-/// latency/area pairs collapsed).
-fn frontier_indices(points: &[DesignPoint]) -> Vec<usize> {
-    let mut frontier: Vec<usize> = (0..points.len())
-        .filter(|&i| !points.iter().any(|q| q.dominates(&points[i])))
-        .collect();
-    frontier.sort_by_key(|&i| (points[i].latency_cycles, points[i].area as u64));
-    frontier.dedup_by(|a, b| {
-        points[*a].latency_cycles == points[*b].latency_cycles && points[*a].area == points[*b].area
-    });
-    frontier
 }
 
 /// Explores the design space of `func` under `config`.
@@ -1039,18 +952,16 @@ pub fn explore_serial(func: &Function, config: &ExploreConfig, lib: &TechLibrary
     explore_impl(func, config, lib, false, None, &|_| {})
 }
 
-/// [`explore`] with fused equivalence checking: the points selected by
-/// [`ExploreConfig::verify`] are checked *inside* the synthesis worker
-/// pool, against the [`SynthesisResult`] the explorer already built —
-/// proofs overlap synthesis at [`VerifyLevel::All`], and fan out across
-/// the pool over the frontier's stored results at [`VerifyLevel::Pareto`].
-/// Failures land in [`ExploreResult::verify_failures`]; the points
-/// themselves are kept so callers can still see *what* was wrong with the
-/// frontier.
+/// [`explore`] with fused equivalence checking: at [`VerifyLevel::All`]
+/// every unique feasible point is checked *inside* the synthesis worker
+/// pool, against the [`SynthesisResult`] the explorer already built, so
+/// proofs overlap synthesis. Failures land in
+/// [`ExploreResult::verify_failures`]; the points themselves are kept so
+/// callers can still see *what* was wrong with the frontier.
 ///
 /// Checked directive sets are deduplicated by the same canonical key as
-/// the synthesis memo cache, so a frontier full of memo-aliases costs one
-/// check.
+/// the synthesis memo cache, so candidates that alias one memo entry cost
+/// one check.
 pub fn explore_with_check(
     func: &Function,
     config: &ExploreConfig,
@@ -1619,29 +1530,5 @@ mod tests {
                 p.label
             );
         }
-    }
-
-    #[test]
-    fn fused_pareto_checks_only_the_frontier() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let f = two_loops();
-        let lib = TechLibrary::asic_100mhz();
-        let cfg = ExploreConfig {
-            verify: VerifyLevel::Pareto,
-            ..ExploreConfig::default()
-        };
-        let checks = AtomicUsize::new(0);
-        let r = explore_with_check(&f, &cfg, &lib, &|_, _, _, _| {
-            checks.fetch_add(1, Ordering::Relaxed);
-            Err("always fails".into())
-        });
-        let frontier = r.pareto();
-        // One check per unique frontier job, never more than frontier
-        // points, and failures name exactly the frontier labels in order.
-        assert!(checks.load(Ordering::Relaxed) <= frontier.len());
-        assert!(checks.load(Ordering::Relaxed) >= 1);
-        let failed: Vec<&String> = r.verify_failures.iter().map(|(l, _)| l).collect();
-        let frontier_labels: Vec<&String> = frontier.iter().map(|p| &p.label).collect();
-        assert_eq!(failed, frontier_labels);
     }
 }

@@ -40,5 +40,5 @@ pub use fixed::{data_code, DecodeOutput, QamDecoderFixed};
 pub use harness::{IrDecoder, TapPairs};
 pub use ir::{build_qam_decoder_ir, QamDecoderIr};
 pub use params::DecoderParams;
-pub use rtl_harness::{RtlBuildError, RtlDecoder, SimBackend};
+pub use rtl_harness::{RtlBuildError, RtlDecoder};
 pub use source::{parse_qam_decoder, QAM_DECODER_SOURCE};

@@ -1,11 +1,7 @@
-//! RTL-level decoder harness: synthesizes one architecture and drives the
-//! cycle-accurate simulation symbol by symbol, mirroring [`IrDecoder`]'s
-//! interface so the two levels can be compared bit for bit.
-//!
-//! The harness is backend-selectable: the same synthesized design can run
-//! on the map-based reference simulator or on the compiled fast path
-//! ([`rtl::SimProgram`]), which is what the throughput benchmarks and
-//! long convergence runs use.
+//! RTL-level decoder harness: synthesizes one architecture and drives its
+//! cycle-accurate simulation ([`CompiledSim`]) symbol by symbol, mirroring
+//! [`IrDecoder`]'s interface so the two levels can be compared bit for
+//! bit.
 //!
 //! [`IrDecoder`]: crate::IrDecoder
 
@@ -15,7 +11,7 @@ use dsp::CFixed;
 use fixpt::Fixed;
 use hls_core::{Diagnostics, PipelineConfig, SynthesisError};
 use hls_ir::{Function, Slot, VarId};
-use rtl::{CompiledSim, Fsmd, RtlSimulator, SimError};
+use rtl::{CompiledSim, Fsmd, SimError};
 
 use crate::arch::table1_library;
 use crate::ir::{build_qam_decoder_ir, QamDecoderIr};
@@ -49,46 +45,17 @@ impl std::error::Error for RtlBuildError {
     }
 }
 
-/// Which simulator executes the synthesized decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimBackend {
-    /// The map-based reference simulator ([`RtlSimulator`]).
-    Reference,
-    /// The compiled fast path ([`CompiledSim`]); the default — it is
-    /// bit-identical to the reference and an order of magnitude faster.
-    #[default]
-    Compiled,
-}
-
-#[derive(Debug, Clone)]
-enum Sim {
-    Reference(RtlSimulator),
-    Compiled(CompiledSim),
-}
-
-impl Sim {
-    fn run_call(
-        &mut self,
-        inputs: &[(VarId, Slot)],
-    ) -> Result<std::collections::BTreeMap<VarId, Slot>, SimError> {
-        match self {
-            Sim::Reference(s) => s.run_call(inputs),
-            Sim::Compiled(s) => s.run_call(inputs),
-        }
-    }
-}
-
 /// A synthesized decoder driven through cycle-accurate simulation.
 #[derive(Debug, Clone)]
 pub struct RtlDecoder {
-    sim: Sim,
+    sim: CompiledSim,
     ids: QamDecoderIr,
     params: DecoderParams,
 }
 
 impl RtlDecoder {
     /// Synthesizes the decoder under `directives` (with the Table-1
-    /// technology library) on the default backend.
+    /// technology library) and compiles its simulation.
     ///
     /// # Errors
     ///
@@ -98,20 +65,6 @@ impl RtlDecoder {
     pub fn try_new(
         params: DecoderParams,
         directives: &hls_core::Directives,
-    ) -> Result<Self, Box<RtlBuildError>> {
-        Self::try_with_backend(params, directives, SimBackend::default())
-    }
-
-    /// Synthesizes the decoder and simulates it on `backend`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`RtlBuildError`] carrying the synthesis failure and the
-    /// pipeline's diagnostics.
-    pub fn try_with_backend(
-        params: DecoderParams,
-        directives: &hls_core::Directives,
-        backend: SimBackend,
     ) -> Result<Self, Box<RtlBuildError>> {
         let ids = build_qam_decoder_ir(&params);
         let (result, run) = hls_core::synthesize_traced(
@@ -126,11 +79,7 @@ impl RtlDecoder {
                 diagnostics: run.diagnostics,
             })
         })?;
-        let fsmd = Fsmd::from_synthesis(&result);
-        let sim = match backend {
-            SimBackend::Reference => Sim::Reference(RtlSimulator::new(fsmd)),
-            SimBackend::Compiled => Sim::Compiled(CompiledSim::from_fsmd(&fsmd)),
-        };
+        let sim = CompiledSim::from_fsmd(&Fsmd::from_synthesis(&result));
         Ok(RtlDecoder { sim, ids, params })
     }
 
@@ -147,34 +96,22 @@ impl RtlDecoder {
     /// The staged function the simulated datapath references (its variable
     /// set enumerates all registers and arrays).
     pub fn function(&self) -> &Function {
-        match &self.sim {
-            Sim::Reference(s) => s.design().function(),
-            Sim::Compiled(s) => s.program().function(),
-        }
+        self.sim.program().function()
     }
 
     /// Total cycles simulated.
     pub fn cycles(&self) -> u64 {
-        match &self.sim {
-            Sim::Reference(s) => s.cycles(),
-            Sim::Compiled(s) => s.cycles(),
-        }
+        self.sim.cycles()
     }
 
     /// Reads a persistent register.
     pub fn reg(&self, id: VarId) -> Option<Fixed> {
-        match &self.sim {
-            Sim::Reference(s) => s.reg(id),
-            Sim::Compiled(s) => s.reg(id),
-        }
+        self.sim.reg(id)
     }
 
     /// Reads a persistent array.
     pub fn array(&self, id: VarId) -> Option<&[Fixed]> {
-        match &self.sim {
-            Sim::Reference(s) => s.array(id),
-            Sim::Compiled(s) => s.array(id),
-        }
+        self.sim.array(id)
     }
 
     /// Sets one forward coefficient in the persistent state (cold-start),
@@ -186,15 +123,10 @@ impl RtlDecoder {
     pub fn set_ffe_tap(&mut self, index: usize, value: dsp::Complex) {
         let fmt = self.params.ffe_c_format();
         let (re, im) = self.ids.ffe_c;
-        self.poke(re, index, Fixed::from_f64(value.re, fmt));
-        self.poke(im, index, Fixed::from_f64(value.im, fmt));
-    }
-
-    fn poke(&mut self, id: VarId, index: usize, value: Fixed) {
-        match &mut self.sim {
-            Sim::Reference(s) => s.poke_array(id, index, value),
-            Sim::Compiled(s) => s.poke_array(id, index, value),
-        }
+        self.sim
+            .poke_array(re, index, Fixed::from_f64(value.re, fmt));
+        self.sim
+            .poke_array(im, index, Fixed::from_f64(value.im, fmt));
     }
 
     /// Decodes one symbol period (`x0` newest), returning the 6-bit word.
@@ -229,34 +161,6 @@ impl RtlDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::table1_architectures;
-
-    #[test]
-    fn backends_agree_on_words_and_cycles() {
-        let p = DecoderParams::default();
-        let arch = &table1_architectures()[0];
-        let mut reference =
-            RtlDecoder::try_with_backend(p, &arch.directives, SimBackend::Reference)
-                .expect("reference decoder synthesizes");
-        let mut compiled = RtlDecoder::try_with_backend(p, &arch.directives, SimBackend::Compiled)
-            .expect("compiled decoder synthesizes");
-        let init = dsp::Complex::new(0.45, -0.05);
-        for dec in [&mut reference, &mut compiled] {
-            dec.set_ffe_tap(0, init);
-            dec.set_ffe_tap(1, init);
-        }
-        for step in 0..20i64 {
-            let v = (step % 17 - 8) as f64 / 32.0;
-            let w = (step % 13 - 6) as f64 / 64.0;
-            let x0 = CFixed::from_f64(v, w, p.x_format());
-            let x1 = CFixed::from_f64(w, -v, p.x_format());
-            let a = reference.decode(x0, x1).expect("reference runs");
-            let b = compiled.decode(x0, x1).expect("compiled runs");
-            assert_eq!(a, b, "step {step}");
-        }
-        assert_eq!(reference.cycles(), compiled.cycles());
-        assert_eq!(reference.ffe_taps(), compiled.ffe_taps());
-    }
 
     #[test]
     fn bad_directives_are_reported_not_panicked() {

@@ -1,10 +1,5 @@
-//! Compiled simulation: the fast path of the cycle-accurate simulator.
-//!
-//! [`RtlSimulator`](crate::RtlSimulator) is the *reference* model: it walks
-//! the scheduled DFGs through `BTreeMap`-backed register files and
-//! recomputes each cycle's node order on every call. That is ideal for
-//! debuggability and miserable for throughput — design-space exploration
-//! and long convergence runs execute the same design millions of times.
+//! Compiled simulation: the cycle-accurate simulator every library path
+//! runs.
 //!
 //! [`SimProgram::compile`] lowers an [`Fsmd`] *once* into a dense program:
 //!
@@ -19,8 +14,10 @@
 //!   per-cycle allocation.
 //!
 //! [`CompiledSim`] then executes `run_call` as straight-line interpretation
-//! of those ops — bit-identical to the reference simulator, an order of
-//! magnitude faster (see the `sim_fast_path` bench).
+//! of those ops. Design-space exploration, the differential fuzzer, the
+//! testbench generator, waveforms and long convergence runs all execute
+//! designs through it; the map-based reference model in `sim.rs` exists
+//! only for the tests that cross-check this one.
 
 use std::collections::BTreeMap;
 
@@ -82,8 +79,8 @@ enum OpKind {
         o: fixpt::Overflow,
         a: u32,
     },
-    /// Array element read (out-of-range addresses clamp, matching the
-    /// reference model's treatment of reads under a false predicate).
+    /// Array element read (out-of-range addresses, reachable only under a
+    /// false predicate, clamp).
     Load { arr: u32, idx: u32 },
     /// Array element write; out-of-range is a simulation error.
     Store { arr: u32, idx: u32, val: u32 },
@@ -121,7 +118,7 @@ enum SegControl {
 struct SegProgram {
     control: SegControl,
     /// Ops in execution order (cycle-major, start-time order within a
-    /// cycle — exactly the reference simulator's evaluation order).
+    /// cycle — the combinational evaluation order of each state).
     ops: Vec<Op>,
     /// Cycles one body execution takes.
     depth: u32,
@@ -158,8 +155,7 @@ impl SimProgram {
     /// # Panics
     ///
     /// Panics if a schedule uses a value before the cycle that produces it
-    /// — that would be a scheduler bug, and the reference simulator panics
-    /// on the same condition at run time. Compiling surfaces it eagerly.
+    /// — that would be a scheduler bug, which compiling surfaces eagerly.
     pub fn compile(design: &Fsmd) -> SimProgram {
         let func = design.function().clone();
 
@@ -369,9 +365,9 @@ fn compile_segment(
     }
 }
 
-/// The compiled-program simulator: same observable behaviour as
-/// [`RtlSimulator`](crate::RtlSimulator), dense state, no per-cycle
-/// allocation.
+/// The compiled-program simulator with persistent state registers: dense
+/// state, no per-cycle allocation. One [`CompiledSim::run_call`] is one
+/// start/done handshake.
 ///
 /// # Examples
 ///
@@ -466,8 +462,8 @@ impl CompiledSim {
         self.cycles = 0;
     }
 
-    /// Reads a persistent register (state comparison against the
-    /// reference).
+    /// Reads a persistent register (for state comparison against the
+    /// interpreter).
     pub fn reg(&self, id: VarId) -> Option<Fixed> {
         match self.program.var_slots.get(id.index())? {
             VarSlot::Reg(r) => Some(self.regs[*r as usize]),
@@ -504,9 +500,9 @@ impl CompiledSim {
         }
     }
 
-    /// Runs one start/done transaction; see
-    /// [`RtlSimulator::run_call`](crate::RtlSimulator::run_call) for the
-    /// contract — the two simulators are interchangeable.
+    /// Runs one start/done transaction: samples `inputs` into the input
+    /// registers, steps through every state, and returns the parameter
+    /// values at done.
     ///
     /// # Errors
     ///
@@ -515,6 +511,24 @@ impl CompiledSim {
     pub fn run_call(
         &mut self,
         inputs: &[(VarId, Slot)],
+    ) -> Result<BTreeMap<VarId, Slot>, SimError> {
+        self.run_call_observed(inputs, |_, _| {})
+    }
+
+    /// [`CompiledSim::run_call`] that calls `observe(segment, values)`
+    /// after each body run of a segment, with the value every DFG node of
+    /// that segment took in the run (indexed by node index; nodes the
+    /// schedule never places keep stale values). The differential fuzzer
+    /// reads controller and branch coverage off these values.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledSim::run_call`]; `observe` sees only the body runs that
+    /// completed.
+    pub fn run_call_observed<F: FnMut(usize, &[Fixed])>(
+        &mut self,
+        inputs: &[(VarId, Slot)],
+        mut observe: F,
     ) -> Result<BTreeMap<VarId, Slot>, SimError> {
         // Sample inputs. (`program` and the state vectors are disjoint
         // fields, so iterating the former while writing the latter is fine.)
@@ -552,7 +566,7 @@ impl CompiledSim {
         for si in 0..self.program.segments.len() {
             match self.program.segments[si].control.clone() {
                 SegControl::Straight => {
-                    self.run_body(si)?;
+                    self.run_body(si, &mut observe)?;
                 }
                 SegControl::Loop {
                     trip,
@@ -563,7 +577,7 @@ impl CompiledSim {
                 } => {
                     self.regs[counter_reg as usize] = Fixed::from_int(start, counter_fmt);
                     for _ in 0..trip {
-                        self.run_body(si)?;
+                        self.run_body(si, &mut observe)?;
                         let k = self.regs[counter_reg as usize];
                         self.regs[counter_reg as usize] =
                             Fixed::from_int(k.to_i64() + step, counter_fmt);
@@ -594,8 +608,13 @@ impl CompiledSim {
             .collect())
     }
 
-    /// Executes one segment body once: a single pass over pre-resolved ops.
-    fn run_body(&mut self, si: usize) -> Result<(), SimError> {
+    /// Executes one segment body once: a single pass over pre-resolved ops,
+    /// then hands the run's node values to `observe`.
+    fn run_body<F: FnMut(usize, &[Fixed])>(
+        &mut self,
+        si: usize,
+        observe: &mut F,
+    ) -> Result<(), SimError> {
         let seg = &self.program.segments[si];
         let scratch = &mut self.scratch[si];
         for op in &seg.ops {
@@ -643,7 +662,7 @@ impl CompiledSim {
                 OpKind::Load { arr, idx } => {
                     let m = &self.program.arrays[*arr as usize];
                     // Out-of-range reads (only reachable under a false
-                    // predicate) clamp, matching the reference model.
+                    // predicate, whose consumers discard the value) clamp.
                     let i = scratch[*idx as usize].to_i64().clamp(0, m.len as i64 - 1) as usize;
                     self.array_store[m.offset as usize + i]
                 }
@@ -686,6 +705,7 @@ impl CompiledSim {
             scratch[op.dst as usize] = v;
         }
         self.cycles += seg.depth.max(1) as u64;
+        observe(si, scratch);
         Ok(())
     }
 }
@@ -693,7 +713,6 @@ impl CompiledSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RtlSimulator;
     use hls_core::{synthesize, Directives, TechLibrary, Unroll};
     use hls_ir::{CmpOp, Expr, FunctionBuilder, Ty};
 
@@ -718,36 +737,6 @@ mod tests {
     fn input_slot(vals: &[f64]) -> Slot {
         let fmt = Format::signed(10, 2);
         Slot::Array(vals.iter().map(|v| Fixed::from_f64(*v, fmt)).collect())
-    }
-
-    fn agree_on(r: &hls_core::SynthesisResult, vals: &[f64]) {
-        let fsmd = Fsmd::from_synthesis(r);
-        let x = r.lowered.func.params[0];
-        let mut reference = RtlSimulator::new(fsmd.clone());
-        let mut compiled = CompiledSim::from_fsmd(&fsmd);
-        let want = reference
-            .run_call(&[(x, input_slot(vals))])
-            .expect("reference runs");
-        let got = compiled
-            .run_call(&[(x, input_slot(vals))])
-            .expect("compiled runs");
-        assert_eq!(want, got);
-        assert_eq!(reference.cycles(), compiled.cycles());
-        // Full register/array state agrees too.
-        for (id, v) in fsmd.function().iter_vars() {
-            match v.len {
-                Some(_) => assert_eq!(reference.array(id), compiled.array(id)),
-                None => assert_eq!(reference.reg(id), compiled.reg(id)),
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_rolled_and_unrolled() {
-        let vals = [1.5, -0.25, 0.75, 1.75, -1.0, 0.5, 0.25, -0.5];
-        agree_on(&sum_design(None), &vals);
-        agree_on(&sum_design(Some(2)), &vals);
-        agree_on(&sum_design(Some(8)), &vals);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Register-transfer-level back end: FSMD netlists generated from
-//! schedules, a cycle-accurate simulator, and a Verilog-2001 emitter.
+//! schedules, a compiled cycle-accurate simulator ([`CompiledSim`]), and a
+//! Verilog-2001 emitter.
 //!
 //! This closes the verification loop of the paper's Figure 1: the
 //! generated RTL is simulated against the untimed algorithm (the
@@ -12,7 +13,7 @@
 //! ```
 //! use hls_core::{synthesize, Directives, TechLibrary};
 //! use hls_ir::{FunctionBuilder, Ty, Expr, CmpOp};
-//! use rtl::{Fsmd, RtlSimulator, emit_verilog};
+//! use rtl::{CompiledSim, Fsmd, emit_verilog};
 //!
 //! let mut b = FunctionBuilder::new("twice");
 //! let x = b.param_scalar("x", Ty::fixed(8, 4));
@@ -24,7 +25,7 @@
 //! let verilog = emit_verilog(&fsmd);
 //! assert!(verilog.contains("module twice"));
 //!
-//! let mut sim = RtlSimulator::new(fsmd);
+//! let mut sim = CompiledSim::from_fsmd(&fsmd);
 //! # use fixpt::{Fixed, Format};
 //! let out = sim.run_call(&[(x, hls_ir::Slot::Scalar(Fixed::from_f64(1.25, Format::signed(8, 4))))])
 //!     .expect("simulates");
@@ -48,5 +49,5 @@ pub use fsmd::{Control, Fsmd};
 pub use passes::{compile, compile_traced, RtlArtifacts};
 pub use sim::{RtlSimulator, SimError};
 pub use testbench::{capture_vectors, emit_testbench, TestVector};
-pub use vcd::{VcdRecorder, WaveSource};
+pub use vcd::VcdRecorder;
 pub use verilog::{emit_verilog, emit_verilog_with_diagnostics};

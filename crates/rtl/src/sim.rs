@@ -1,11 +1,17 @@
-//! Cycle-accurate simulation of an [`Fsmd`].
+//! The reference model of FSMD execution, and the simulation error type.
 //!
-//! The simulator executes the scheduled datapath state by state: each
+//! [`RtlSimulator`] executes the scheduled datapath state by state: each
 //! cycle's operations run in schedule order (all intra-cycle dependences
 //! are explicit DFG edges, so this *is* the combinational evaluation
 //! order), register and array commits become visible as they execute —
 //! matching the forwarding semantics the scheduler assumed. One `run_call`
 //! corresponds to one start/done handshake.
+//!
+//! It walks the `Fsmd` itself through map-backed register files, which
+//! keeps it short and readable and makes it slow. Library code runs
+//! [`CompiledSim`](crate::CompiledSim); this model exists so tests can
+//! compare the compiled engine against an independent walk, after every
+//! call, on returned slots, cycles and every register and array.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,8 +45,11 @@ pub enum SimError {
         /// Parameter name.
         param: String,
     },
-    /// A node was evaluated before its predecessor — a malformed schedule
-    /// (reachable only through a custom pass replacing the scheduler).
+    /// A node was evaluated before its predecessor — a malformed schedule,
+    /// reachable only through an [`Fsmd`] whose schedules were edited by
+    /// hand. Only [`RtlSimulator`] reports it;
+    /// [`SimProgram::compile`](crate::SimProgram::compile) panics on the
+    /// same schedule.
     UnscheduledPredecessor {
         /// DFG index of the unevaluated predecessor.
         node: usize,
@@ -66,7 +75,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The cycle-accurate simulator with persistent state registers.
+/// The reference cycle-accurate simulator with persistent state registers:
+/// what tests compare [`CompiledSim`](crate::CompiledSim) against.
 #[derive(Debug, Clone)]
 pub struct RtlSimulator {
     design: Fsmd,
@@ -258,7 +268,8 @@ impl RtlSimulator {
     ) -> Result<Fixed, SimError> {
         let node = dfg.node(id);
         // A missing predecessor value means the schedule is malformed
-        // (only reachable through a custom pass); report it, don't panic.
+        // (only reachable through a hand-edited Fsmd); report it, don't
+        // panic.
         let val = |p: NodeId| {
             values[p.index()].ok_or(SimError::UnscheduledPredecessor { node: p.index() })
         };
@@ -362,6 +373,7 @@ fn bool_fixed(b: bool) -> Fixed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompiledSim;
     use hls_core::{synthesize, Directives, TechLibrary, Unroll};
     use hls_ir::{CmpOp, Expr, FunctionBuilder, Interpreter, Ty};
 
@@ -463,5 +475,64 @@ mod tests {
         let r2 = sim.run_call(&[]).expect("runs");
         assert_eq!(r1[&out_id].scalar().expect("s").to_i64(), 1);
         assert_eq!(r2[&out_id].scalar().expect("s").to_i64(), 2);
+    }
+
+    /// Drives the reference and the compiled simulator with the same calls
+    /// and compares, after every call, the returned slots, the cycle
+    /// counters and every register and array of the staged function.
+    fn assert_engines_agree(fsmd: &Fsmd, calls: &[Vec<(VarId, Slot)>]) {
+        let mut reference = RtlSimulator::new(fsmd.clone());
+        let mut compiled = CompiledSim::from_fsmd(fsmd);
+        for (ci, call) in calls.iter().enumerate() {
+            assert_eq!(
+                reference.run_call(call),
+                compiled.run_call(call),
+                "call {ci}"
+            );
+            assert_eq!(reference.cycles(), compiled.cycles(), "cycles, call {ci}");
+            for (id, v) in fsmd.function().iter_vars() {
+                match v.len {
+                    Some(_) => assert_eq!(reference.array(id), compiled.array(id), "{}", v.name),
+                    None => assert_eq!(reference.reg(id), compiled.reg(id), "{}", v.name),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_matches_reference_rolled_and_unrolled() {
+        let vals = [1.5, -0.25, 0.75, 1.75, -1.0, 0.5, 0.25, -0.5];
+        for unroll in [None, Some(2), Some(8)] {
+            let r = sum_design(unroll);
+            let x = r.lowered.func.params[0];
+            assert_engines_agree(&Fsmd::from_synthesis(&r), &[vec![(x, input_slot(&vals))]]);
+        }
+    }
+
+    #[test]
+    fn compiled_matches_reference_on_static_state() {
+        // The waveform tests' accumulator: a static register that every
+        // call updates, so the engines must agree on state carried over
+        // between calls, not just on one call's outputs.
+        let mut b = FunctionBuilder::new("acc");
+        let x = b.param_scalar("x", Ty::fixed(8, 4));
+        let out = b.param_scalar("out", Ty::fixed(12, 8));
+        let state = b.static_scalar("state", Ty::fixed(12, 8));
+        b.assign(state, Expr::add(Expr::var(state), Expr::var(x)));
+        b.assign(out, Expr::var(state));
+        let r = synthesize(
+            &b.build(),
+            &Directives::new(10.0),
+            &TechLibrary::asic_100mhz(),
+        )
+        .expect("synthesizes");
+        let x = r.lowered.func.params[0];
+        let calls: Vec<_> = (0..5)
+            .map(|k| {
+                let v = Fixed::from_f64(0.5 * k as f64, Format::signed(8, 4));
+                vec![(x, Slot::Scalar(v))]
+            })
+            .collect();
+        assert_engines_agree(&Fsmd::from_synthesis(&r), &calls);
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's flow hands generated RTL to an HDL simulator and compares it
 //! against the C model. This module closes that loop offline: it captures
 //! stimulus/response vectors by running the design through the
-//! cycle-accurate simulator, then emits a Verilog testbench that drives the
+//! cycle-accurate [`CompiledSim`], then emits a Verilog testbench that drives the
 //! emitted module with the same vectors and `$display`s PASS/FAIL — ready
 //! for any external simulator (Icarus, Verilator, ...).
 
@@ -12,8 +12,9 @@ use std::fmt::Write as _;
 use fixpt::Fixed;
 use hls_ir::{Direction, Slot, VarId};
 
+use crate::compile::CompiledSim;
 use crate::fsmd::Fsmd;
-use crate::sim::{RtlSimulator, SimError};
+use crate::sim::SimError;
 
 /// One recorded transaction: inputs applied, outputs expected.
 #[derive(Debug, Clone)]
@@ -32,18 +33,22 @@ pub struct TestVector {
 ///
 /// Propagates the first simulation error.
 pub fn capture_vectors(
-    sim: &mut RtlSimulator,
+    sim: &mut CompiledSim,
     stimulus: &[Vec<(VarId, Slot)>],
 ) -> Result<Vec<TestVector>, SimError> {
-    let func = sim.design().function().clone();
+    let func = sim.program().function();
+    let observed: Vec<VarId> = func
+        .params
+        .iter()
+        .copied()
+        .filter(|&p| func.param_direction(p) != Direction::In)
+        .collect();
     let mut vectors = Vec::with_capacity(stimulus.len());
     for call in stimulus {
         let result = sim.run_call(call)?;
         let inputs = call.iter().map(|(id, s)| (*id, slot_elems(s))).collect();
-        let outputs = func
-            .params
+        let outputs = observed
             .iter()
-            .filter(|p| func.param_direction(**p) != Direction::In)
             .map(|p| (*p, slot_elems(&result[p])))
             .collect();
         vectors.push(TestVector { inputs, outputs });
@@ -192,7 +197,7 @@ mod tests {
     #[test]
     fn vectors_capture_stateful_session() {
         let (fsmd, x, out) = design();
-        let mut sim = RtlSimulator::new(fsmd);
+        let mut sim = CompiledSim::from_fsmd(&fsmd);
         let vectors = capture_vectors(
             &mut sim,
             &[
@@ -221,7 +226,7 @@ mod tests {
     #[test]
     fn testbench_structure() {
         let (fsmd, x, _) = design();
-        let mut sim = RtlSimulator::new(fsmd.clone());
+        let mut sim = CompiledSim::from_fsmd(&fsmd);
         let vectors =
             capture_vectors(&mut sim, &[stim(x, [1.0, 0.0, 0.0, 0.0])]).expect("captures");
         let tb = emit_testbench(&fsmd, &vectors);
@@ -238,7 +243,7 @@ mod tests {
     #[test]
     fn testbench_replays_every_vector() {
         let (fsmd, x, _) = design();
-        let mut sim = RtlSimulator::new(fsmd.clone());
+        let mut sim = CompiledSim::from_fsmd(&fsmd);
         let stimulus: Vec<_> = (0..5)
             .map(|i| stim(x, [i as f64 * 0.5, 0.25, 0.0, -0.5]))
             .collect();

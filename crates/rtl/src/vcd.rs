@@ -1,8 +1,8 @@
 //! Value-change-dump (VCD) waveform recording.
 //!
-//! The simulator can record every architectural register (and scalar port)
-//! into an IEEE-1364 VCD file viewable in GTKWave — the working-engineer
-//! counterpart of the paper's RTL-verification loop.
+//! A [`CompiledSim`]'s every architectural register (and scalar port) can
+//! be recorded into an IEEE-1364 VCD file viewable in GTKWave — the
+//! working-engineer counterpart of the paper's RTL-verification loop.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -11,59 +11,6 @@ use fixpt::Fixed;
 use hls_ir::VarId;
 
 use crate::compile::CompiledSim;
-use crate::sim::RtlSimulator;
-
-/// Anything whose architectural state can be sampled into a waveform:
-/// the reference simulator and the compiled fast path both qualify, so
-/// one recorder (and one golden VCD) serves either engine.
-pub trait WaveSource {
-    /// The function whose variables name the signals.
-    fn function(&self) -> &hls_ir::Function;
-    /// Clock period in nanoseconds (timestamp scale).
-    fn clock_ns(&self) -> f64;
-    /// Cycles simulated so far (timestamp of a snapshot).
-    fn cycles(&self) -> u64;
-    /// Current value of a scalar register.
-    fn reg(&self, id: VarId) -> Option<Fixed>;
-    /// Current contents of a register array.
-    fn array(&self, id: VarId) -> Option<&[Fixed]>;
-}
-
-impl WaveSource for RtlSimulator {
-    fn function(&self) -> &hls_ir::Function {
-        self.design().function()
-    }
-    fn clock_ns(&self) -> f64 {
-        self.design().clock_ns
-    }
-    fn cycles(&self) -> u64 {
-        self.cycles()
-    }
-    fn reg(&self, id: VarId) -> Option<Fixed> {
-        self.reg(id)
-    }
-    fn array(&self, id: VarId) -> Option<&[Fixed]> {
-        self.array(id)
-    }
-}
-
-impl WaveSource for CompiledSim {
-    fn function(&self) -> &hls_ir::Function {
-        self.program().function()
-    }
-    fn clock_ns(&self) -> f64 {
-        self.program().clock_ns()
-    }
-    fn cycles(&self) -> u64 {
-        self.cycles()
-    }
-    fn reg(&self, id: VarId) -> Option<Fixed> {
-        self.reg(id)
-    }
-    fn array(&self, id: VarId) -> Option<&[Fixed]> {
-        self.array(id)
-    }
-}
 
 /// A waveform recorder: snapshot the simulator after every call (or at any
 /// cadence you like) and serialize to VCD text.
@@ -117,13 +64,13 @@ fn design_signals(scope: usize, func: &hls_ir::Function) -> Vec<(usize, String, 
 
 impl VcdRecorder {
     /// Creates a recorder for every scalar register and array element of
-    /// the design under `sim` (either simulation engine).
-    pub fn new(sim: &impl WaveSource) -> Self {
+    /// the design under `sim`.
+    pub fn new(sim: &CompiledSim) -> Self {
         VcdRecorder {
             scopes: Vec::new(),
-            signals: design_signals(0, sim.function()),
+            signals: design_signals(0, sim.program().function()),
             samples: Vec::new(),
-            clock_ns: sim.clock_ns(),
+            clock_ns: sim.program().clock_ns(),
         }
     }
 
@@ -136,17 +83,17 @@ impl VcdRecorder {
     /// # Panics
     ///
     /// Panics when `modules` is empty.
-    pub fn new_system(modules: &[(&str, &dyn WaveSource)]) -> Self {
+    pub fn new_system(modules: &[(&str, &CompiledSim)]) -> Self {
         assert!(!modules.is_empty(), "system recorder needs >= 1 module");
         let mut signals = Vec::new();
         for (scope, (_, sim)) in modules.iter().enumerate() {
-            signals.extend(design_signals(scope, sim.function()));
+            signals.extend(design_signals(scope, sim.program().function()));
         }
         VcdRecorder {
             scopes: modules.iter().map(|(n, _)| n.to_string()).collect(),
             signals,
             samples: Vec::new(),
-            clock_ns: modules[0].1.clock_ns(),
+            clock_ns: modules[0].1.program().clock_ns(),
         }
     }
 
@@ -164,13 +111,12 @@ impl VcdRecorder {
     /// counter. Only meaningful on a flat recorder — a system recorder's
     /// signals span several designs; use
     /// [`VcdRecorder::snapshot_system`] there.
-    pub fn snapshot(&mut self, sim: &impl WaveSource) {
+    pub fn snapshot(&mut self, sim: &CompiledSim) {
         debug_assert!(
             self.scopes.is_empty(),
             "snapshot() on a system recorder; use snapshot_system()"
         );
-        let cycle = sim.cycles();
-        self.sample(cycle, &[sim as &dyn WaveSource]);
+        self.sample(sim.cycles(), std::slice::from_ref(sim));
     }
 
     /// Snapshots every module of a system recorder at one shared system
@@ -181,7 +127,7 @@ impl VcdRecorder {
     /// # Panics
     ///
     /// Panics when `sims` does not match the number of scopes.
-    pub fn snapshot_system(&mut self, cycle: u64, sims: &[&dyn WaveSource]) {
+    pub fn snapshot_system(&mut self, cycle: u64, sims: &[CompiledSim]) {
         assert_eq!(
             sims.len(),
             self.scopes.len().max(1),
@@ -190,12 +136,12 @@ impl VcdRecorder {
         self.sample(cycle, sims);
     }
 
-    fn sample(&mut self, cycle: u64, sims: &[&dyn WaveSource]) {
+    fn sample(&mut self, cycle: u64, sims: &[CompiledSim]) {
         let values = self
             .signals
             .iter()
             .map(|(scope, _, _, src)| {
-                let sim = sims[*scope];
+                let sim = &sims[*scope];
                 match src {
                     Source::Reg(id) => sim.reg(*id).as_ref().map(Fixed::raw).unwrap_or(0),
                     Source::ArrayElem(id, i) => sim
@@ -293,7 +239,7 @@ mod tests {
     use hls_core::{synthesize, Directives, TechLibrary};
     use hls_ir::{Expr, FunctionBuilder, Slot, Ty};
 
-    fn sim() -> (RtlSimulator, VarId) {
+    fn sim() -> (CompiledSim, VarId) {
         let mut b = FunctionBuilder::new("acc");
         let x = b.param_scalar("x", Ty::fixed(8, 4));
         let out = b.param_scalar("out", Ty::fixed(12, 8));
@@ -304,7 +250,7 @@ mod tests {
         let r = synthesize(&f, &Directives::new(10.0), &TechLibrary::asic_100mhz())
             .expect("synthesizes");
         let x = r.lowered.func.params[0];
-        (RtlSimulator::new(Fsmd::from_synthesis(&r)), x)
+        (CompiledSim::from_fsmd(&Fsmd::from_synthesis(&r)), x)
     }
 
     #[test]
@@ -352,38 +298,17 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_compiled_sims_record_identical_vcd() {
-        // The same stimulus through both engines must produce the same
-        // waveform, byte for byte — the recorder is engine-agnostic and
-        // the fast path is cycle-accurate.
-        let (mut s, x) = sim();
-        let mut c = crate::compile::CompiledSim::from_fsmd(s.design());
-        let mut rec_s = VcdRecorder::new(&s);
-        let mut rec_c = VcdRecorder::new(&c);
-        rec_s.snapshot(&s);
-        rec_c.snapshot(&c);
-        for k in 0..5 {
-            let input = Slot::Scalar(Fixed::from_f64(0.5 * k as f64, Format::signed(8, 4)));
-            s.run_call(&[(x, input.clone())]).expect("reference runs");
-            c.run_call(&[(x, input)]).expect("compiled runs");
-            rec_s.snapshot(&s);
-            rec_c.snapshot(&c);
-        }
-        assert_eq!(rec_s.len(), rec_c.len());
-        assert_eq!(rec_s.to_vcd("acc"), rec_c.to_vcd("acc"));
-    }
-
-    #[test]
     fn system_recorder_nests_one_scope_per_module() {
-        let (mut s1, x1) = sim();
-        let (mut s2, x2) = sim();
+        let (s1, x) = sim();
+        let (s2, _) = sim();
         let mut rec = VcdRecorder::new_system(&[("u_front", &s1), ("u_back", &s2)]);
-        rec.snapshot_system(0, &[&s1, &s2]);
+        let mut sims = [s1, s2];
+        rec.snapshot_system(0, &sims);
         let half = Slot::Scalar(Fixed::from_f64(0.5, Format::signed(8, 4)));
-        s1.run_call(&[(x1, half.clone())]).expect("front runs");
-        rec.snapshot_system(3, &[&s1, &s2]);
-        s2.run_call(&[(x2, half)]).expect("back runs");
-        rec.snapshot_system(6, &[&s1, &s2]);
+        sims[0].run_call(&[(x, half.clone())]).expect("front runs");
+        rec.snapshot_system(3, &sims);
+        sims[1].run_call(&[(x, half)]).expect("back runs");
+        rec.snapshot_system(6, &sims);
 
         let vcd = rec.to_vcd("system");
         assert!(vcd.contains("$scope module system $end"), "{vcd}");

@@ -11,6 +11,10 @@
 //! the mean, minimum and iteration count are reported on stdout. Results
 //! are also collected on the [`Criterion`] instance so harness binaries
 //! can serialize them (see [`Criterion::results`]).
+//!
+//! As with criterion, a name filter on the command line runs only the
+//! benchmarks whose `group/name` id contains it:
+//! `cargo bench --bench flow_stages -- fuzz`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +46,8 @@ pub struct Criterion {
     warmup: Duration,
     measurement: Duration,
     results: Vec<BenchResult>,
+    /// Substring a benchmark id must contain to run; `None` runs all.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -50,14 +56,21 @@ impl Default for Criterion {
             warmup: Duration::from_millis(300),
             measurement: Duration::from_millis(1200),
             results: Vec::new(),
+            filter: None,
         }
     }
 }
 
 impl Criterion {
-    /// Accepts CLI arguments for interface parity (filters and criterion
-    /// flags are ignored).
+    /// Reads the benchmark name filter from the command line: the first
+    /// argument that is not a `--` flag (`cargo bench` passes `--bench`,
+    /// and criterion's own flags are ignored).
     pub fn configure_from_args(self) -> Self {
+        self.with_args(std::env::args().skip(1))
+    }
+
+    fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
+        self.filter = args.into_iter().find(|a| !a.starts_with("--"));
         self
     }
 
@@ -93,6 +106,13 @@ impl Criterion {
     }
 
     fn run(&mut self, id: String, mut f: impl FnMut(&mut Bencher)) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|want| !id.contains(want.as_str()))
+        {
+            return;
+        }
         let mut b = Bencher {
             mode: Mode::Warmup(self.warmup),
             total: Duration::ZERO,
@@ -212,13 +232,17 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
-    #[test]
-    fn measures_something_positive() {
-        let mut c = Criterion {
+    fn quick() -> Criterion {
+        Criterion {
             warmup: Duration::from_millis(5),
             measurement: Duration::from_millis(20),
-            results: Vec::new(),
-        };
+            ..Criterion::default()
+        }
+    }
+
+    #[test]
+    fn measures_something_positive() {
+        let mut c = quick();
         let mut g = c.benchmark_group("g");
         g.bench_function("spin", |b| b.iter(|| (0..100u64).sum::<u64>()));
         g.finish();
@@ -227,5 +251,31 @@ mod tests {
         assert!(r.iters > 0);
         assert!(r.mean_ns.is_finite() && r.mean_ns > 0.0);
         assert!(r.min_ns <= r.mean_ns * 1.001);
+    }
+
+    #[test]
+    fn name_filter_runs_only_matching_benches() {
+        let args = ["--bench", "fuzz"].map(String::from);
+        let mut c = quick().with_args(args);
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("flow_stages");
+        for name in ["fuzz/merged", "compile/merged", "fuzz/none"] {
+            g.bench_function(name, |b| {
+                ran.push(name);
+                b.iter(|| 1u64)
+            });
+        }
+        g.finish();
+        let ids: Vec<&str> = c.results().iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["flow_stages/fuzz/merged", "flow_stages/fuzz/none"]);
+        // Skipped benches never run their closure, not even to warm up.
+        assert!(!ran.contains(&"compile/merged"), "{ran:?}");
+    }
+
+    #[test]
+    fn flags_alone_set_no_filter() {
+        let mut c = quick().with_args(["--bench", "--noplot"].map(String::from));
+        c.bench_function("any", |b| b.iter(|| 1u64));
+        assert_eq!(c.results().len(), 1);
     }
 }

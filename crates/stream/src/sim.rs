@@ -25,7 +25,7 @@ use std::fmt;
 
 use hls_ir::Slot;
 use hls_verify::SplitMix64;
-use rtl::{CompiledSim, SimError, VcdRecorder, WaveSource};
+use rtl::{CompiledSim, SimError, VcdRecorder};
 
 use crate::graph::{Consumer, Producer, SystemGraph};
 
@@ -323,12 +323,12 @@ impl<'g> SystemSim<'g> {
     /// A VCD recorder with one scope per instance, ready for
     /// [`SystemSim::run_with_vcd`].
     pub fn vcd_recorder(&self) -> VcdRecorder {
-        let modules: Vec<(&str, &dyn WaveSource)> = self
+        let modules: Vec<(&str, &CompiledSim)> = self
             .graph
             .modules
             .iter()
             .zip(&self.sims)
-            .map(|(inst, sim)| (inst.name.as_str(), sim as &dyn WaveSource))
+            .map(|(inst, sim)| (inst.name.as_str(), sim))
             .collect();
         VcdRecorder::new_system(&modules)
     }
@@ -493,9 +493,7 @@ impl<'g> SystemSim<'g> {
             }
 
             if let Some(r) = recorder.as_deref_mut() {
-                let sims: Vec<&dyn WaveSource> =
-                    self.sims.iter().map(|s| s as &dyn WaveSource).collect();
-                r.snapshot_system(cycle, &sims);
+                r.snapshot_system(cycle, &self.sims);
             }
 
             cycle += 1;

@@ -1,7 +1,7 @@
 //! Symbolic execution of a synthesized FSMD — the RTL simulator's
 //! semantics lifted from registers of [`Fixed`] to registers of [`SymId`].
 //!
-//! The walk mirrors `rtl::RtlSimulator::run_call` exactly: segments in
+//! The walk mirrors `rtl::CompiledSim::run_call` exactly: segments in
 //! control order, loop counters initialized and stepped concretely between
 //! body runs, and within one body run every scheduled node evaluated in
 //! `nodes_in_cycle` order with the op semantics of `eval_node`

@@ -1,14 +1,17 @@
 //! Coverage-guided differential fuzzing with counterexample shrinking.
 //!
 //! For designs whose input cones are too wide to prove, the fuzzer drives
-//! the untimed interpreter and the cycle-accurate FSMD simulator with the
-//! same stimulus and compares every observable after every call —
+//! the untimed interpreter and the cycle-accurate FSMD simulator
+//! ([`CompiledSim`], compiled once per campaign and reset per stimulus)
+//! with the same stimulus and compares every observable after every call —
 //! out/inout parameters *and* the persistent `static` state.
 //!
-//! Stimulus evolves under **controller coverage**: an instrumented mirror
-//! of the FSMD walk records which `(segment, state)` pairs execute and
-//! which direction every datapath branch point (comparison, mux,
-//! write-enable) takes; mutants that light up new coverage join the
+//! Stimulus evolves under **controller coverage**, read off the same
+//! simulator run that gives the verdict: after each body run of a segment
+//! the simulator hands over the node values of that run, from which the
+//! fuzzer records which `(segment, state)` pairs executed and which
+//! direction every datapath branch point (comparison, logical operator,
+//! mux, write-enable) took; mutants that light up new coverage join the
 //! corpus. Seeding is fully deterministic ([`FuzzConfig::seed`]), so a
 //! failure reproduces bit-for-bit.
 //!
@@ -16,12 +19,12 @@
 //! dropped, elements zeroed, and magnitudes halved until the failure is
 //! 1-minimal under those operators.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use fixpt::Fixed;
-use hls_core::dfg::{Dfg, NodeId, NodeKind};
-use hls_ir::{BinOp, Direction, Function, Interpreter, Slot, UnOp, VarId, VarKind};
-use rtl::{Control, Fsmd, RtlSimulator};
+use hls_core::dfg::NodeKind;
+use hls_ir::{BinOp, Direction, Function, Interpreter, Slot, VarId, VarKind};
+use rtl::{CompiledSim, Control, Fsmd};
 
 /// Deterministic SplitMix64 — tiny, seedable, and dependency-free.
 ///
@@ -95,17 +98,6 @@ impl Coverage {
     pub fn branch_directions(&self) -> usize {
         self.branches.len()
     }
-
-    fn merge_new(&mut self, other: &Coverage) -> bool {
-        let mut grew = false;
-        for &s in &other.states {
-            grew |= self.states.insert(s);
-        }
-        for &b in &other.branches {
-            grew |= self.branches.insert(b);
-        }
-        grew
-    }
 }
 
 /// A mismatch found by the fuzzer, already shrunk.
@@ -140,19 +132,24 @@ pub fn fuzz_equiv(fsmd: &Fsmd) -> FuzzReport {
 
 /// [`fuzz_equiv`] with explicit configuration.
 pub fn fuzz_equiv_with(fsmd: &Fsmd, cfg: &FuzzConfig) -> FuzzReport {
-    let func = fsmd.function().clone();
+    let func = fsmd.function();
+    let mut oracle = Oracle::new(fsmd);
     let mut rng = SplitMix64(cfg.seed);
-    let mut cov = Coverage::default();
+    let mut report = FuzzReport {
+        calls: 0,
+        coverage: Coverage::default(),
+        corpus: 0,
+        counterexample: None,
+    };
     let mut corpus: Vec<Stimulus> = Vec::new();
-    let mut calls = 0u64;
 
     // Deterministic seed corpus: zeros, extremes, and small randoms, at
     // one and at max_calls depth.
     let mut seeds: Vec<Stimulus> = vec![
-        vec![zero_call(&func)],
-        vec![zero_call(&func); cfg.max_calls.max(1)],
-        vec![extreme_call(&func, false)],
-        vec![extreme_call(&func, true), extreme_call(&func, false)],
+        vec![zero_call(func)],
+        vec![zero_call(func); cfg.max_calls.max(1)],
+        vec![extreme_call(func, false)],
+        vec![extreme_call(func, true), extreme_call(func, false)],
         // Full-depth bursts: designs with static state (delay lines,
         // adaptive taps) only expose deep bugs after the state has
         // filled, which no short stimulus can reach. One alternating
@@ -160,72 +157,58 @@ pub fn fuzz_equiv_with(fsmd: &Fsmd, cfg: &FuzzConfig) -> FuzzReport {
         // intermediate arithmetic away from the clamp rails where
         // differences get masked).
         (0..cfg.max_calls.max(1))
-            .map(|i| extreme_call(&func, i % 2 == 0))
+            .map(|i| extreme_call(func, i % 2 == 0))
             .collect(),
         (0..cfg.max_calls.max(1))
-            .map(|_| random_call(&func, &mut rng))
+            .map(|_| random_call(func, &mut rng))
             .collect(),
     ];
     for _ in 0..4 {
         let n = 1 + rng.below(cfg.max_calls.max(1) as u64) as usize;
-        seeds.push((0..n).map(|_| random_call(&func, &mut rng)).collect());
+        seeds.push((0..n).map(|_| random_call(func, &mut rng)).collect());
     }
 
-    let campaign = |stim: &Stimulus,
-                    cov: &mut Coverage,
-                    corpus: &mut Vec<Stimulus>,
-                    calls: &mut u64|
-     -> Option<FuzzCex> {
-        *calls += stim.len() as u64;
-        if let Some((at, msg)) = run_diff(fsmd, stim) {
-            let min = shrink(fsmd, stim.clone());
-            let (at, msg) = run_diff(fsmd, &min).unwrap_or((at, msg));
-            return Some(FuzzCex {
-                stimulus: min,
-                failing_call: at,
-                message: msg,
-            });
+    let failed = seeds
+        .iter()
+        .any(|stim| campaign_step(&mut oracle, stim, &mut report, &mut corpus));
+    if !failed {
+        if corpus.is_empty() {
+            corpus.push(vec![zero_call(func)]);
         }
-        let c = run_coverage(fsmd, stim);
-        if cov.merge_new(&c) {
-            corpus.push(stim.clone());
+        for _ in 0..cfg.iterations {
+            let base = corpus[rng.below(corpus.len() as u64) as usize].clone();
+            let stim = mutate_stimulus(func, base, cfg.max_calls, &mut rng);
+            if campaign_step(&mut oracle, &stim, &mut report, &mut corpus) {
+                break;
+            }
         }
-        None
-    };
+    }
+    report.corpus = corpus.len();
+    report
+}
 
-    for stim in &seeds {
-        if let Some(cex) = campaign(stim, &mut cov, &mut corpus, &mut calls) {
-            return FuzzReport {
-                calls,
-                coverage: cov,
-                corpus: corpus.len(),
-                counterexample: Some(cex),
-            };
-        }
+/// Runs one stimulus of the campaign. On a mismatch the shrunk
+/// counterexample lands in `report` and the result is `true`; otherwise
+/// the stimulus joins the corpus if it grew the coverage.
+fn campaign_step(
+    oracle: &mut Oracle,
+    stim: &Stimulus,
+    report: &mut FuzzReport,
+    corpus: &mut Vec<Stimulus>,
+) -> bool {
+    report.calls += stim.len() as u64;
+    if let Some((at, msg)) = oracle.run(stim) {
+        let min = shrink(oracle, stim.clone());
+        let (at, msg) = oracle.run(&min).unwrap_or((at, msg));
+        report.counterexample = Some(FuzzCex {
+            stimulus: min,
+            failing_call: at,
+            message: msg,
+        });
+    } else if oracle.record_coverage(&mut report.coverage) {
+        corpus.push(stim.clone());
     }
-    if corpus.is_empty() {
-        corpus.push(vec![zero_call(&func)]);
-    }
-
-    for _ in 0..cfg.iterations {
-        let base = corpus[rng.below(corpus.len() as u64) as usize].clone();
-        let stim = mutate_stimulus(&func, base, cfg.max_calls, &mut rng);
-        if let Some(cex) = campaign(&stim, &mut cov, &mut corpus, &mut calls) {
-            return FuzzReport {
-                calls,
-                coverage: cov,
-                corpus: corpus.len(),
-                counterexample: Some(cex),
-            };
-        }
-    }
-
-    FuzzReport {
-        calls,
-        coverage: cov,
-        corpus: corpus.len(),
-        counterexample: None,
-    }
+    report.counterexample.is_some()
 }
 
 fn input_params(func: &Function) -> Vec<VarId> {
@@ -342,69 +325,165 @@ fn mutate_stimulus(
 /// public so a shrunk counterexample can be replayed as a regression
 /// check.
 pub fn replay_stimulus(fsmd: &Fsmd, stim: &Stimulus) -> Option<(usize, String)> {
-    run_diff(fsmd, stim)
+    Oracle::new(fsmd).run(stim)
 }
 
-/// Runs the stimulus on both machines from reset; `Some((call, message))`
-/// at the first diverging call.
-fn run_diff(fsmd: &Fsmd, stim: &Stimulus) -> Option<(usize, String)> {
-    let func = fsmd.function().clone();
-    let mut interp = Interpreter::new(func.clone());
-    let mut sim = RtlSimulator::new(fsmd.clone());
-    for (ci, call) in stim.iter().enumerate() {
-        let want: Result<BTreeMap<VarId, Slot>, _> = interp.call(call);
-        let got = sim.run_call(call);
-        let (want, got) = match (want, got) {
-            (Ok(w), Ok(g)) => (w, g),
-            (Err(e), Ok(_)) => return Some((ci, format!("interpreter error: {e:?}"))),
-            (Ok(_), Err(e)) => return Some((ci, format!("simulator error: {e:?}"))),
-            (Err(_), Err(_)) => continue,
-        };
-        // Compare observable parameters…
-        for &p in &func.params {
-            if func.param_direction(p) == Direction::In {
-                continue;
-            }
-            if want[&p] != got[&p] {
-                return Some((
-                    ci,
-                    format!(
-                        "call {ci}: {} differs: interpreter {:?} vs FSMD {:?}",
-                        func.var(p).name,
-                        want[&p],
-                        got[&p]
-                    ),
-                ));
-            }
-        }
-        // …and the persistent static state.
-        for (id, v) in func.iter_vars() {
-            if v.kind != VarKind::Static {
-                continue;
-            }
-            let w = interp.static_slot(id).cloned();
-            let g = match v.len {
-                Some(_) => sim.array(id).map(|a| Slot::Array(a.to_vec())),
-                None => sim.reg(id).map(Slot::Scalar),
-            };
-            if w != g {
-                return Some((
-                    ci,
-                    format!(
-                        "call {ci}: static {} differs: interpreter {w:?} vs FSMD {g:?}",
-                        v.name
-                    ),
-                ));
-            }
+/// The differential oracle of one campaign: the untimed interpreter and
+/// the FSMD compiled once, both reset before every stimulus. One run of a
+/// stimulus gives the verdict and the controller coverage it reached.
+struct Oracle {
+    interp: Interpreter,
+    sim: CompiledSim,
+    segments: Vec<SegmentProbe>,
+    /// Per segment: whether a body ran in the last run.
+    ran: Vec<bool>,
+    /// Per segment and branch point: the directions taken in the last
+    /// run (bit 0 false, bit 1 true).
+    taken: Vec<Vec<u8>>,
+}
+
+/// What one body run of a segment covers.
+struct SegmentProbe {
+    /// The controller states it executes.
+    states: u32,
+    /// Its branch points as `(node, decider)`: the branch goes the way
+    /// the `decider` node's value is nonzero.
+    branches: Vec<(u32, u32)>,
+}
+
+impl Oracle {
+    fn new(fsmd: &Fsmd) -> Oracle {
+        let segments: Vec<SegmentProbe> = fsmd
+            .control
+            .iter()
+            .enumerate()
+            .map(|(si, ctl)| {
+                let (Control::Straight { depth } | Control::Loop { depth, .. }) = ctl;
+                let dfg = fsmd.lowered.segments[si].dfg();
+                let states = (*depth).max(1);
+                let mut branches = Vec::new();
+                for cycle in 0..states {
+                    for id in fsmd.schedules[si].nodes_in_cycle(cycle) {
+                        let node = dfg.node(id);
+                        let decider = match node.kind {
+                            NodeKind::Bin(BinOp::And | BinOp::Or) | NodeKind::Cmp(_) => id,
+                            NodeKind::Mux | NodeKind::EnableMux => node.preds[0],
+                            NodeKind::StoreCond(_) => node.preds[2],
+                            _ => continue,
+                        };
+                        branches.push((id.index() as u32, decider.index() as u32));
+                    }
+                }
+                SegmentProbe { states, branches }
+            })
+            .collect();
+        Oracle {
+            interp: Interpreter::new(fsmd.function().clone()),
+            sim: CompiledSim::from_fsmd(fsmd),
+            ran: vec![false; segments.len()],
+            taken: segments.iter().map(|s| vec![0; s.branches.len()]).collect(),
+            segments,
         }
     }
-    None
+
+    /// Runs the stimulus on both machines from reset; `Some((call,
+    /// message))` at the first diverging call.
+    fn run(&mut self, stim: &Stimulus) -> Option<(usize, String)> {
+        let Oracle {
+            interp,
+            sim,
+            segments,
+            ran,
+            taken,
+        } = self;
+        interp.reset();
+        sim.reset();
+        ran.fill(false);
+        for t in taken.iter_mut() {
+            t.fill(0);
+        }
+        for (ci, call) in stim.iter().enumerate() {
+            let want = interp.call(call);
+            let got = sim.run_call_observed(call, |si, values| {
+                ran[si] = true;
+                for (t, &(_, decider)) in taken[si].iter_mut().zip(&segments[si].branches) {
+                    *t |= 1 << u8::from(!values[decider as usize].is_zero());
+                }
+            });
+            let (want, got) = match (want, got) {
+                (Ok(w), Ok(g)) => (w, g),
+                (Err(e), Ok(_)) => return Some((ci, format!("interpreter error: {e:?}"))),
+                (Ok(_), Err(e)) => return Some((ci, format!("simulator error: {e:?}"))),
+                (Err(_), Err(_)) => continue,
+            };
+            let func = interp.function();
+            // Compare observable parameters…
+            for &p in &func.params {
+                if func.param_direction(p) == Direction::In {
+                    continue;
+                }
+                if want[&p] != got[&p] {
+                    return Some((
+                        ci,
+                        format!(
+                            "call {ci}: {} differs: interpreter {:?} vs FSMD {:?}",
+                            func.var(p).name,
+                            want[&p],
+                            got[&p]
+                        ),
+                    ));
+                }
+            }
+            // …and the persistent static state.
+            for (id, v) in func.iter_vars() {
+                if v.kind != VarKind::Static {
+                    continue;
+                }
+                let w = interp.static_slot(id).cloned();
+                let g = match v.len {
+                    Some(_) => sim.array(id).map(|a| Slot::Array(a.to_vec())),
+                    None => sim.reg(id).map(Slot::Scalar),
+                };
+                if w != g {
+                    return Some((
+                        ci,
+                        format!(
+                            "call {ci}: static {} differs: interpreter {w:?} vs FSMD {g:?}",
+                            v.name
+                        ),
+                    ));
+                }
+            }
+        }
+        None
+    }
+
+    /// Merges the last run's coverage into `cov`; `true` if it grew.
+    fn record_coverage(&self, cov: &mut Coverage) -> bool {
+        let mut grew = false;
+        for (si, seg) in self.segments.iter().enumerate() {
+            if !self.ran[si] {
+                continue;
+            }
+            for state in 0..seg.states {
+                grew |= cov.states.insert((si, state));
+            }
+            for (&(node, _), &t) in seg.branches.iter().zip(&self.taken[si]) {
+                for dir in [false, true] {
+                    if t & (1 << u8::from(dir)) != 0 {
+                        grew |= cov.branches.insert((si, node, dir));
+                    }
+                }
+            }
+        }
+        grew
+    }
 }
 
 /// Delta-debugs a failing stimulus to a minimal one: drop calls, zero
 /// elements, then halve magnitudes, to a fixpoint.
-fn shrink(fsmd: &Fsmd, mut stim: Stimulus) -> Stimulus {
-    let fails = |s: &Stimulus| run_diff(fsmd, s).is_some();
+fn shrink(oracle: &mut Oracle, mut stim: Stimulus) -> Stimulus {
+    let mut fails = |s: &Stimulus| oracle.run(s).is_some();
     debug_assert!(fails(&stim));
     loop {
         let mut progressed = false;
@@ -468,170 +547,5 @@ fn set_element(s: &mut Slot, i: usize, v: Fixed) {
     match s {
         Slot::Scalar(f) => *f = v,
         Slot::Array(a) => a[i] = v,
-    }
-}
-
-/// A concrete mirror of the FSMD walk instrumented for controller-state
-/// and branch-direction coverage. Used only to *guide* the fuzzer; the
-/// pass/fail oracle is always the real simulator vs the interpreter.
-fn run_coverage(fsmd: &Fsmd, stim: &Stimulus) -> Coverage {
-    let mut cov = Coverage::default();
-    let func = fsmd.function().clone();
-    let bool_fmt = fixpt::Format::integer(1, fixpt::Signedness::Unsigned);
-    let mut regs: Vec<Fixed> = Vec::new();
-    let mut arrays: Vec<Vec<Fixed>> = Vec::new();
-    for (_, v) in func.iter_vars() {
-        let fmt = v.ty.format().unwrap_or(bool_fmt);
-        regs.push(Fixed::from_int(0, fmt));
-        arrays.push(vec![Fixed::from_int(0, fmt); v.len.unwrap_or(0)]);
-    }
-    for call in stim {
-        // Sample inputs.
-        for &p in &func.params {
-            let v = func.var(p);
-            let fmt = v.ty.format().unwrap_or(bool_fmt);
-            if let Some((_, s)) = call.iter().find(|(id, _)| *id == p) {
-                match s {
-                    Slot::Scalar(f) => regs[p.index()] = f.cast(fmt),
-                    Slot::Array(a) => arrays[p.index()] = a.iter().map(|f| f.cast(fmt)).collect(),
-                }
-            }
-        }
-        for (si, ctl) in fsmd.control.iter().enumerate() {
-            let dfg = fsmd.lowered.segments[si].dfg();
-            let sched = &fsmd.schedules[si];
-            match ctl {
-                Control::Straight { depth } => {
-                    cov_body(si, dfg, sched, *depth, &mut regs, &mut arrays, &mut cov);
-                }
-                Control::Loop {
-                    depth,
-                    trip,
-                    counter,
-                    start,
-                    step,
-                    ..
-                } => {
-                    let cfmt = func.var(*counter).ty.format().unwrap_or(bool_fmt);
-                    regs[counter.index()] = Fixed::from_int(*start, cfmt);
-                    for _ in 0..*trip {
-                        cov_body(si, dfg, sched, *depth, &mut regs, &mut arrays, &mut cov);
-                        let k = regs[counter.index()].to_i64();
-                        regs[counter.index()] = Fixed::from_int(k + *step, cfmt);
-                    }
-                }
-            }
-        }
-    }
-    cov
-}
-
-fn cov_body(
-    si: usize,
-    dfg: &Dfg,
-    sched: &hls_core::Schedule,
-    depth: u32,
-    regs: &mut [Fixed],
-    arrays: &mut [Vec<Fixed>],
-    cov: &mut Coverage,
-) {
-    let bool_fixed = |b: bool| {
-        Fixed::from_int(
-            b as i64,
-            fixpt::Format::integer(1, fixpt::Signedness::Unsigned),
-        )
-    };
-    let mut values: Vec<Option<Fixed>> = vec![None; dfg.len()];
-    for cycle in 0..depth.max(1) {
-        cov.states.insert((si, cycle));
-        for id in sched.nodes_in_cycle(cycle) {
-            let node = dfg.node(id);
-            let val = |p: NodeId| values[p.index()].expect("predecessor evaluated");
-            let mut branch = |dir: bool| {
-                cov.branches.insert((si, id.index() as u32, dir));
-            };
-            let v = match &node.kind {
-                NodeKind::Const(c) => *c,
-                NodeKind::VarRead(v) => regs[v.index()],
-                NodeKind::VarWrite(v) => {
-                    let x = val(node.preds[0]).cast(node.format);
-                    regs[v.index()] = x;
-                    x
-                }
-                NodeKind::Bin(op) => {
-                    let a = val(node.preds[0]);
-                    let b = val(node.preds[1]);
-                    match op {
-                        BinOp::Add => a.exact_add(&b),
-                        BinOp::Sub => a.exact_sub(&b),
-                        BinOp::Mul => a.exact_mul(&b),
-                        BinOp::Shl => a.shl(b.to_i64().max(0) as u32),
-                        BinOp::Shr => a.shr(b.to_i64().max(0) as u32),
-                        BinOp::And => {
-                            let r = !a.is_zero() && !b.is_zero();
-                            branch(r);
-                            bool_fixed(r)
-                        }
-                        BinOp::Or => {
-                            let r = !a.is_zero() || !b.is_zero();
-                            branch(r);
-                            bool_fixed(r)
-                        }
-                    }
-                }
-                NodeKind::MulPow2 => val(node.preds[0]).exact_mul(&val(node.preds[1])),
-                NodeKind::Un(op) => {
-                    let a = val(node.preds[0]);
-                    match op {
-                        UnOp::Neg => a.negate(),
-                        UnOp::Signum => {
-                            Fixed::from_int(a.signum() as i64, fixpt::Format::signed(2, 2))
-                        }
-                        UnOp::Not => bool_fixed(a.is_zero()),
-                    }
-                }
-                NodeKind::Cmp(op) => {
-                    let r = op.eval(val(node.preds[0]).cmp(&val(node.preds[1])));
-                    branch(r);
-                    bool_fixed(r)
-                }
-                NodeKind::Mux | NodeKind::EnableMux => {
-                    let c = !val(node.preds[0]).is_zero();
-                    branch(c);
-                    let arm = if c {
-                        val(node.preds[1])
-                    } else {
-                        val(node.preds[2])
-                    };
-                    arm.cast(node.format)
-                }
-                NodeKind::Cast(q, o) => val(node.preds[0]).cast_with(node.format, *q, *o),
-                NodeKind::Load(arr) => {
-                    let a = &arrays[arr.index()];
-                    let idx = val(node.preds[0]).to_i64().clamp(0, a.len() as i64 - 1);
-                    a[idx as usize]
-                }
-                NodeKind::Store(arr) | NodeKind::StoreCond(arr) => {
-                    let enabled = match node.kind {
-                        NodeKind::StoreCond(_) => {
-                            let e = !val(node.preds[2]).is_zero();
-                            branch(e);
-                            e
-                        }
-                        _ => true,
-                    };
-                    let v = val(node.preds[1]);
-                    if enabled {
-                        let a = &mut arrays[arr.index()];
-                        let idx = val(node.preds[0]).to_i64();
-                        if idx >= 0 && (idx as usize) < a.len() {
-                            a[idx as usize] = v;
-                        }
-                    }
-                    v
-                }
-            };
-            values[id.index()] = Some(v);
-        }
     }
 }

@@ -30,44 +30,14 @@ use crate::sym::{bool_format, Evaluator, SymId, SymTable};
 
 /// Checks every obligation of one synthesis run; returns one verdict per
 /// obligation, in order. Obligations are independent proofs, so they are
-/// discharged in parallel across a scoped worker pool.
+/// discharged in parallel through [`hls_core::par_map`].
 pub fn check_netlist_obligations(
     obligations: &[NetlistObligation],
     opts: &ProveOptions,
 ) -> Vec<ProveVerdict> {
-    let one = |i: usize| check_netlist_obligation(&obligations[i], opts);
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(obligations.len());
-    if workers <= 1 {
-        return (0..obligations.len()).map(one).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ProveVerdict>>> =
-        obligations.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= obligations.len() {
-                    break;
-                }
-                let v = one(i);
-                *slots[i].lock().expect("no panics hold this lock") = Some(v);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("poisoned slot")
-                .expect("all indices visited")
-        })
-        .collect()
+    hls_core::par_map(true, obligations.len(), |i| {
+        check_netlist_obligation(&obligations[i], opts)
+    })
 }
 
 /// Proves (or refutes, or gives up on) one pass's rewrite: the lowered

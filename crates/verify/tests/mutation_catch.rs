@@ -141,7 +141,7 @@ fn explore_verified_passes_a_correct_design_space() {
     let cfg = hls_core::ExploreConfig {
         unroll_factors: vec![1, 2],
         per_loop_refinement: false,
-        verify: hls_core::VerifyLevel::Pareto,
+        verify: hls_core::VerifyLevel::All,
         ..hls_core::ExploreConfig::default()
     };
     let r = hls_verify::explore_verified(&wide_sum(), &cfg, &TechLibrary::asic_100mhz());

@@ -12,7 +12,7 @@ use wireless_hls::dsp::{Complex, Cordic};
 use wireless_hls::fixpt::{Fixed, Format};
 use wireless_hls::hls_core::{synthesize, Directives, TechLibrary};
 use wireless_hls::hls_ir::{parse_function, Interpreter, Slot};
-use wireless_hls::rtl::{Fsmd, RtlSimulator};
+use wireless_hls::rtl::{CompiledSim, Fsmd};
 
 const STAGES: u32 = 8;
 
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (z_in, Slot::Scalar(Fixed::from_f64(angle, fmt))),
     ];
     let mut interp = Interpreter::new(r.transformed.clone());
-    let mut sim = RtlSimulator::new(Fsmd::from_synthesis(&r));
+    let mut sim = CompiledSim::from_fsmd(&Fsmd::from_synthesis(&r));
     let want = interp.call(&inputs).map_err(|e| format!("interp: {e}"))?;
     let got = sim.run_call(&inputs).map_err(|e| format!("rtl: {e}"))?;
     for (name, id) in [("x_out", x_out), ("y_out", y_out)] {

@@ -12,7 +12,7 @@ use wireless_hls::qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams, IrDecoder,
 };
 use wireless_hls::rtl::{
-    capture_vectors, emit_testbench, emit_verilog, Fsmd, RtlSimulator, VcdRecorder,
+    capture_vectors, emit_testbench, emit_verilog, CompiledSim, Fsmd, SimProgram, VcdRecorder,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // waveforms as we go.
     let t = apply_loop_transforms(&ids.func, &arch.directives);
     let mut reference = IrDecoder::from_ir(p, t.func, &ids);
-    let mut sim = RtlSimulator::new(fsmd.clone());
+    let program = SimProgram::compile(&fsmd);
+    let mut sim = CompiledSim::new(program.clone());
     let mut waves = VcdRecorder::new(&sim);
     waves.snapshot(&sim);
     let fmt = p.x_format();
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {} ({} snapshots)", vcd_path.display(), waves.len());
 
     // And a self-checking testbench replaying captured vectors.
-    let mut tb_sim = RtlSimulator::new(fsmd);
+    let mut tb_sim = CompiledSim::new(program);
     let fmt2 = p.x_format();
     let mk = |v: f64| {
         use wireless_hls::fixpt::Fixed as F;
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let vectors = capture_vectors(&mut tb_sim, &stimulus).map_err(|e| format!("capture: {e}"))?;
-    let tb = emit_testbench(tb_sim.design(), &vectors);
+    let tb = emit_testbench(&fsmd, &vectors);
     let tb_path = std::env::temp_dir().join("tb_qam_decoder.v");
     std::fs::write(&tb_path, tb)?;
     println!(

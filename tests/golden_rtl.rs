@@ -18,7 +18,7 @@ use wireless_hls::hls_ir::{Direction, Slot, VarId};
 use wireless_hls::qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams,
 };
-use wireless_hls::rtl::{capture_vectors, emit_testbench, emit_verilog, Fsmd, RtlSimulator};
+use wireless_hls::rtl::{capture_vectors, emit_testbench, emit_verilog, CompiledSim, Fsmd};
 
 fn figure4_fsmd() -> Fsmd {
     let ir = build_qam_decoder_ir(&DecoderParams::default());
@@ -125,7 +125,7 @@ fn figure4_testbench_matches_golden() {
                 .collect()
         })
         .collect();
-    let mut sim = RtlSimulator::new(fsmd.clone());
+    let mut sim = CompiledSim::from_fsmd(&fsmd);
     let vectors = capture_vectors(&mut sim, &stimulus).expect("stimulus runs");
     let tb = emit_testbench(&fsmd, &vectors);
     assert_golden("figure4_merged_tb.v", &tb);
