@@ -5,7 +5,9 @@
 //! `synthesize_traced_with_prefix` (every explored candidate), the shared
 //! prefix cache cold and warm, each diagnostic code the flow can raise,
 //! an infeasible clock with and without a replayed prefix,
-//! `synthesize_stream` and one budgeted `explore`. A case's answer is its
+//! `synthesize_stream`, two budgeted `explore` sweeps (the decoder's
+//! uniform sweep and a 16-tap FIR grid) and `optimize_lowered` over
+//! seeded points of the decoder's six-loop grid. A case's answer is its
 //! pass trace with the clock readings (`wall_ns`, `total_ns`) zeroed, its
 //! diagnostics, its error code, the `Debug` of its synthesis result and,
 //! for compiles, the Verilog. The golden file holds one digest of each
@@ -20,14 +22,16 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use wireless_hls::dsp;
 use wireless_hls::hls_core::{
     apply_loop_transforms, explore, lower, optimize_lowered, synthesize_traced,
     synthesize_traced_with_prefix, ArrayMapping, Directives, ExploreBudget, ExploreConfig,
-    MergePolicy, NetlistEntry, OptLevel, PassCache, PipelineConfig, PipelineRun, SynthesisError,
-    SynthesisResult, TechLibrary, Unroll, VerifyLevel,
+    ExploreResult, LoopGrid, MergePolicy, NetlistEntry, OptLevel, PassCache, PipelineConfig,
+    PipelineRun, SynthesisError, SynthesisResult, TechLibrary, Unroll, VerifyLevel,
 };
-use wireless_hls::hls_ir::{CmpOp, Expr, Function, FunctionBuilder, Ty};
+use wireless_hls::hls_ir::{parse_function, CmpOp, Expr, Function, FunctionBuilder, Ty};
 use wireless_hls::hls_stream::synthesize_stream;
 use wireless_hls::qam_decoder::{
     build_qam_decoder_ir, table1_architectures, table1_library, DecoderParams,
@@ -205,7 +209,48 @@ fn explore_answer() -> String {
         budget: Some(ExploreBudget),
         cache: None,
     };
-    let r = explore(&decoder(), &config, &table1_library());
+    sweep_answer(&explore(&decoder(), &config, &table1_library()))
+}
+
+/// A 16-tap FIR in the shape of the end-to-end benchmark's FIR sweeps: a
+/// delay-line shift loop and a multiply-accumulate loop.
+const FIR16: &str = "
+void fir16(sc_fixed<10,0> x_in, sc_fixed<12,0> c[16], sc_fixed<24,7> *y) {
+    static sc_fixed<10,0> d[16];
+    shift: for (int k = 15; k > 0; k--) {
+        d[k] = d[k - 1];
+    }
+    d[0] = x_in;
+    sc_fixed<24,7> acc = 0;
+    mac: for (int k = 0; k < 16; k++) {
+        acc += d[k] * c[k];
+    }
+    *y = acc;
+}
+";
+
+/// The budgeted FIR sweep: unroll {1, 2, 4} on `shift` and `mac`, three
+/// clocks and both merge policies (54 candidates).
+fn fir_sweep_answer() -> String {
+    let func = parse_function(FIR16).expect("the FIR parses");
+    let config = ExploreConfig {
+        clock_periods_ns: vec![8.0, 12.0, 16.0],
+        merge_policies: vec![MergePolicy::Off, MergePolicy::AllowHazards],
+        loop_grids: Some(LoopGrid {
+            unroll: vec![
+                ("shift".to_string(), vec![1, 2, 4]),
+                ("mac".to_string(), vec![1, 2, 4]),
+            ],
+            pipeline: Vec::new(),
+        }),
+        verify: VerifyLevel::Off,
+        ..ExploreConfig::default()
+    }
+    .budgeted();
+    sweep_answer(&explore(&func, &config, &table1_library()))
+}
+
+fn sweep_answer(r: &ExploreResult) -> String {
     assert!(!r.pruned.is_empty(), "the budgeted sweep prunes nothing");
     let points: Vec<_> = r
         .points
@@ -218,6 +263,39 @@ fn explore_answer() -> String {
         "points {points:?}\nfailures {failures:?}\nevaluations {} {}\npruned {pruned:?}\nwaves {:?}",
         r.evaluations, r.transform_evaluations, r.wave_stats
     )
+}
+
+/// `optimize_lowered` at `level` over 64 seeded points of the decoder's
+/// six-loop grid (unroll {1, 2, 4} per loop, one of the three merge
+/// policies): per point, the fingerprint of the optimized `Lowered` and
+/// its `NetlistReport`. Every level sees the same points.
+fn netlist_grid_answer(level: OptLevel) -> String {
+    let func = decoder();
+    let lib = table1_library();
+    let labels = func.loop_labels();
+    assert_eq!(labels.len(), 6, "the decoder has six loops");
+    let policies = [
+        MergePolicy::Off,
+        MergePolicy::AllowHazards,
+        MergePolicy::ExactOnly,
+    ];
+    let mut rng = StdRng::seed_from_u64(0x6e65_746c_6973_74);
+    let mut answer = String::new();
+    for _ in 0..64 {
+        let mut d = Directives::new(10.0)
+            .merge_policy(policies[rng.gen_range(0..3usize)])
+            .netlist_opt_level(level);
+        for label in &labels {
+            d = d.unroll(label, Unroll::Factor([1, 2, 4][rng.gen_range(0..3usize)]));
+        }
+        let transformed = apply_loop_transforms(&func, &d);
+        let mut lowered = lower(&transformed.func, &d);
+        let report = optimize_lowered(&mut lowered, &d.netlist_opt, &lib);
+        let point = format!("{lowered:?}\n{report:?}");
+        answer.push_str(&fingerprint(point.as_bytes()));
+        answer.push('\n');
+    }
+    answer
 }
 
 /// Every case of the corpus as `(name, answer)`, in a fixed order.
@@ -353,6 +431,13 @@ fn corpus() -> Vec<(String, String)> {
     ));
 
     cases.push(("explore/budgeted".into(), explore_answer()));
+    cases.push(("explore/fir16-grid".into(), fir_sweep_answer()));
+    for level in LEVELS {
+        cases.push((
+            format!("netlist/decoder-grid/{level:?}"),
+            netlist_grid_answer(level),
+        ));
+    }
     cases
 }
 
