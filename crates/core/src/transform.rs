@@ -13,7 +13,7 @@
 //! hazards only perturb the sign-LMS gradient (quantified in the test
 //! suite).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 use hls_ir::Loop;
@@ -330,12 +330,22 @@ fn merge_top_level(func: &mut Function, directives: &Directives) -> Vec<MergeRep
         if run.is_empty() {
             return;
         }
-        let loops = std::mem::take(run);
-        for group in partition_run(&loops, directives, vars) {
-            if group.len() == 1 {
-                out.push(Stmt::For(group.into_iter().next().expect("single loop")));
+        // Each loop's accesses are summarized once; every pair check of
+        // the run reads the summaries.
+        let summaries: Vec<AccessSummary> = run
+            .iter()
+            .map(|l| AccessSummary::of(l, vars.len()))
+            .collect();
+        let mut loops = std::mem::take(run).into_iter();
+        let mut start = 0;
+        for len in partition_run(&summaries, directives.merge_policy) {
+            let group: Vec<Loop> = loops.by_ref().take(len).collect();
+            let summaries = &summaries[start..start + len];
+            start += len;
+            if len == 1 {
+                out.extend(group.into_iter().map(Stmt::For));
             } else {
-                let (init, merged, report) = merge_group(group, vars);
+                let (init, merged, report) = merge_group(group, summaries, vars);
                 out.extend(init);
                 out.push(Stmt::For(merged));
                 reports.push(report);
@@ -359,21 +369,28 @@ fn merge_top_level(func: &mut Function, directives: &Directives) -> Vec<MergeRep
     reports
 }
 
-/// Splits a run of adjacent loops into mergeable groups according to policy.
-fn partition_run(loops: &[Loop], directives: &Directives, vars: &[Var]) -> Vec<Vec<Loop>> {
-    match directives.merge_policy {
-        MergePolicy::Off => loops.iter().map(|l| vec![l.clone()]).collect(),
-        MergePolicy::AllowHazards => vec![loops.to_vec()],
+/// Splits a run of adjacent loops into mergeable groups according to
+/// policy: the lengths of consecutive groups, from the loops' access
+/// summaries.
+fn partition_run(summaries: &[AccessSummary], policy: MergePolicy) -> Vec<usize> {
+    match policy {
+        MergePolicy::Off => vec![1; summaries.len()],
+        MergePolicy::AllowHazards => vec![summaries.len()],
         MergePolicy::ExactOnly => {
-            let mut groups: Vec<Vec<Loop>> = Vec::new();
-            for l in loops {
-                let fits = groups
-                    .last()
-                    .is_some_and(|g| g.iter().all(|prev| merge_hazards(prev, l, vars).is_empty()));
+            // A loop joins the last group when it is hazard-free with
+            // every member.
+            let mut groups: Vec<usize> = Vec::new();
+            let mut group_start = 0;
+            for (j, later) in summaries.iter().enumerate() {
+                let fits = j > 0
+                    && summaries[group_start..j]
+                        .iter()
+                        .all(|prev| witnesses(prev, later, true).is_empty());
                 if fits {
-                    groups.last_mut().expect("nonempty").push(l.clone());
+                    *groups.last_mut().expect("nonempty") += 1;
                 } else {
-                    groups.push(vec![l.clone()]);
+                    groups.push(1);
+                    group_start = j;
                 }
             }
             groups
@@ -381,19 +398,30 @@ fn partition_run(loops: &[Loop], directives: &Directives, vars: &[Var]) -> Vec<V
     }
 }
 
-fn merge_group(group: Vec<Loop>, vars: &mut Vec<Var>) -> (Vec<Stmt>, Loop, MergeReport) {
+fn merge_group(
+    group: Vec<Loop>,
+    summaries: &[AccessSummary],
+    vars: &mut Vec<Var>,
+) -> (Vec<Stmt>, Loop, MergeReport) {
     let label = group[0].label.clone();
     let trip = group.iter().map(Loop::trip_count).max().unwrap_or(0);
     let mut hazards = Vec::new();
     for i in 0..group.len() {
         for j in (i + 1)..group.len() {
-            hazards.extend(merge_hazards(&group[i], &group[j], vars));
+            hazards.extend(hazards_between(
+                &group[i],
+                &summaries[i],
+                &group[j],
+                &summaries[j],
+                vars,
+            ));
         }
     }
     let m = fresh_counter(vars, &format!("{label}_m"), trip as i64);
+    let merged_labels = group.iter().map(|l| l.label.clone()).collect();
     let mut init = Vec::new();
     let mut body = Vec::new();
-    for l in &group {
+    for l in group {
         // The constituent counter becomes an induction register: set to its
         // start value before the loop and stepped (under the guard) at the
         // end of its section, so no multiplier sits on the index path.
@@ -402,17 +430,14 @@ fn merge_group(group: Vec<Loop>, vars: &mut Vec<Var>) -> (Vec<Stmt>, Loop, Merge
             var: l.var,
             value: Expr::int_const(l.start),
         });
-        let mut section: Vec<Stmt> = l.body.clone();
+        let trip_count = l.trip_count();
+        let mut section: Vec<Stmt> = l.body;
         section.push(Stmt::Assign {
             var: l.var,
             value: Expr::add(Expr::var(l.var), Expr::int_const(l.step)),
         });
-        if l.trip_count() < trip {
-            let cond = Expr::cmp(
-                CmpOp::Lt,
-                Expr::var(m),
-                Expr::int_const(l.trip_count() as i64),
-            );
+        if trip_count < trip {
+            let cond = Expr::cmp(CmpOp::Lt, Expr::var(m), Expr::int_const(trip_count as i64));
             body.push(Stmt::If {
                 cond,
                 then_: section,
@@ -432,7 +457,7 @@ fn merge_group(group: Vec<Loop>, vars: &mut Vec<Var>) -> (Vec<Stmt>, Loop, Merge
         body,
     };
     let report = MergeReport {
-        merged: group.iter().map(|l| l.label.clone()).collect(),
+        merged: merged_labels,
         label,
         trip_count: trip,
         hazards,
@@ -476,16 +501,144 @@ pub(crate) fn hoist_between_loops(func: &mut Function) {
 // ---------------------------------------------------------------------------
 // Dependence analysis
 // ---------------------------------------------------------------------------
+//
+// Each loop is executed abstractly, iteration by iteration, with every
+// statically evaluable scalar tracked (`collect`). That yields the loop's
+// access sequence: one access per variable read or write, with its
+// element (the statically evaluated index, `Some(0)` for a scalar, `None`
+// for "any element") and its *slot*, the merged iteration it runs in. An
+// access's *position* is its index in the sequence, so positions grow
+// with slots.
+//
+// Merging `first` with `second` breaks a dependence when an access of
+// `first` and an aliasing access of `second` (same variable, elements
+// that may coincide, at least one a write) land in slots
+// `first_slot > second_slot`: within one merged iteration `first`'s body
+// runs before `second`'s, so equal slots keep the original order. The
+// hazards are reported in the order of each one's first witness pair,
+// `(position in first, position in second)` ordered lexicographically.
+//
+// One summary per loop ([`AccessSummary`]) answers that for every pair
+// in time linear in the summaries: for a key of `first`, the earliest
+// aliasing access of `second` has the lowest slot of all of them, so the
+// key is a witness exactly from its first slot above that one on, and
+// that earliest access is its partner.
 
-/// One observed variable access during abstract per-iteration execution.
-#[derive(Debug, Clone, PartialEq)]
-struct Access {
-    var: VarId,
-    /// Element index when statically known; `None` means "any element".
-    index: Option<i64>,
-    write: bool,
-    /// Merged-iteration slot in which the access happens.
-    iter: usize,
+/// `(variable, element, write)`: one kind of access. The element is
+/// `None` when the index is not statically known.
+type AccessKey = (VarId, Option<i64>, bool);
+
+/// `(slot, position)` of one access.
+type Seen = (usize, usize);
+
+/// A loop's accesses, summarized for merge legality. Built once per loop
+/// and read by every pair check the loop takes part in.
+#[derive(Debug, Default)]
+struct AccessSummary {
+    /// Per access key, the first access of every slot the key occurs in,
+    /// in ascending slot order.
+    by_key: HashMap<AccessKey, Vec<Seen>>,
+    /// Per `(variable, write)`, the first access over every element.
+    by_var: HashMap<(VarId, bool), Seen>,
+}
+
+impl AccessSummary {
+    /// Abstractly executes every iteration of `l` (its counter and the
+    /// scalars of a function with `vars` variables tracked).
+    fn of(l: &Loop, vars: usize) -> AccessSummary {
+        let mut walk = AccessWalk {
+            summary: AccessSummary::default(),
+            slot: 0,
+            pos: 0,
+        };
+        let mut env = Env(vec![None; vars]);
+        for (slot, k) in l.iteration_values().into_iter().enumerate() {
+            env.0.fill(None);
+            env.set(l.var, Some(k));
+            walk.slot = slot;
+            walk.stmts(&l.body, &mut env);
+        }
+        walk.summary
+    }
+
+    /// The first access of `var` with write flag `write` whose element may
+    /// be `element`. It is the earliest of them and so in the lowest slot.
+    fn first_aliasing(&self, var: VarId, element: Option<i64>, write: bool) -> Option<Seen> {
+        if element.is_none() {
+            return self.by_var.get(&(var, write)).copied();
+        }
+        let first = |e: Option<i64>| self.by_key.get(&(var, e, write)).map(|seen| seen[0]);
+        [first(element), first(None)]
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(_, pos)| pos)
+    }
+}
+
+/// The first witness pair of every hazard between a `first` and a
+/// `second` loop, as `(position in first, position in second, variable,
+/// kind)`, in witness order. A `(variable, kind)` may appear more than
+/// once (once per element of `first`); its first entry is its first
+/// witness. With `stop_at_one`, returns as soon as one is found.
+fn witnesses(
+    first: &AccessSummary,
+    second: &AccessSummary,
+    stop_at_one: bool,
+) -> Vec<(usize, usize, VarId, HazardKind)> {
+    let mut found = Vec::new();
+    for (&(var, element, w1), seen) in &first.by_key {
+        for w2 in [false, true] {
+            let kind = match (w1, w2) {
+                // first writes, second reads: the read must not come
+                // earlier than the write.
+                (true, false) => HazardKind::ReadBeforeWrite,
+                // first reads, second writes: the write must not come
+                // earlier than the read.
+                (false, true) => HazardKind::WriteBeforeRead,
+                (true, true) => HazardKind::WriteOrder,
+                (false, false) => continue,
+            };
+            let Some((slot2, pos2)) = second.first_aliasing(var, element, w2) else {
+                continue;
+            };
+            let later = seen.partition_point(|&(slot, _)| slot <= slot2);
+            if let Some(&(_, pos1)) = seen.get(later) {
+                found.push((pos1, pos2, var, kind));
+                if stop_at_one {
+                    return found;
+                }
+            }
+        }
+    }
+    // Every entry has its own position pair: the first position names
+    // the key, and the two write flags give the second one.
+    found.sort_unstable_by_key(|&(pos1, pos2, _, _)| (pos1, pos2));
+    found
+}
+
+/// The hazards of merging loop `first` (summary `a`) with the later loop
+/// `second` (summary `b`), deduplicated by variable name and kind in
+/// witness order.
+fn hazards_between(
+    first: &Loop,
+    a: &AccessSummary,
+    second: &Loop,
+    b: &AccessSummary,
+    vars: &[Var],
+) -> Vec<MergeHazard> {
+    let mut hazards: Vec<MergeHazard> = Vec::new();
+    for (_, _, var, kind) in witnesses(a, b, false) {
+        let var = &vars[var.index()].name;
+        if !hazards.iter().any(|h| h.kind == kind && &h.var == var) {
+            hazards.push(MergeHazard {
+                first: first.label.clone(),
+                second: second.label.clone(),
+                var: var.clone(),
+                kind,
+            });
+        }
+    }
+    hazards
 }
 
 /// Computes the hazards created by interleaving `first` (originally earlier)
@@ -494,128 +647,99 @@ struct Access {
 /// Within one merged iteration `first`'s body executes before `second`'s, so
 /// an access pair is ordered correctly iff `first`'s slot ≤ `second`'s slot
 /// for first→second dependences, and strictly `<` the other way around.
+/// Hazards come in the order of their first witness pair (see the
+/// dependence analysis notes in this module's source).
 pub fn merge_hazards(first: &Loop, second: &Loop, vars: &[Var]) -> Vec<MergeHazard> {
-    let acc1 = loop_accesses(first);
-    let acc2 = loop_accesses(second);
-    let mut hazards = Vec::new();
-    let mut push = |var: VarId, kind: HazardKind| {
-        let h = MergeHazard {
-            first: first.label.clone(),
-            second: second.label.clone(),
-            var: vars[var.index()].name.clone(),
-            kind,
-        };
-        if !hazards.contains(&h) {
-            hazards.push(h);
-        }
-    };
-    for a1 in &acc1 {
-        for a2 in &acc2 {
-            if a1.var != a2.var || !may_alias(a1.index, a2.index) {
-                continue;
-            }
-            match (a1.write, a2.write) {
-                // first writes, second reads: original order write→read;
-                // merged keeps it iff write slot <= read slot.
-                (true, false) => {
-                    if a1.iter > a2.iter {
-                        push(a1.var, HazardKind::ReadBeforeWrite);
-                    }
-                }
-                // first reads, second writes: original order read→write;
-                // merged keeps it iff read slot <= write slot (same slot is
-                // fine: first's body runs before second's).
-                (false, true) => {
-                    if a1.iter > a2.iter {
-                        push(a1.var, HazardKind::WriteBeforeRead);
-                    }
-                }
-                (true, true) => {
-                    if a1.iter > a2.iter {
-                        push(a1.var, HazardKind::WriteOrder);
-                    }
-                }
-                (false, false) => {}
-            }
-        }
-    }
-    hazards
+    let a = AccessSummary::of(first, vars.len());
+    let b = AccessSummary::of(second, vars.len());
+    hazards_between(first, &a, second, &b, vars)
 }
 
-/// Abstractly executes every iteration of a loop, recording accesses with
-/// statically-evaluated indices where possible.
-fn loop_accesses(l: &Loop) -> Vec<Access> {
-    let mut out = Vec::new();
-    for (slot, k) in l.iteration_values().into_iter().enumerate() {
-        let mut env: BTreeMap<VarId, i64> = BTreeMap::new();
-        env.insert(l.var, k);
-        collect_accesses(&l.body, &mut env, slot, &mut out);
+/// Statically known scalar values during abstract execution, by variable
+/// index (`None` is unknown).
+#[derive(Debug, Clone)]
+struct Env(Vec<Option<i64>>);
+
+impl Env {
+    fn get(&self, v: VarId) -> Option<i64> {
+        self.0.get(v.index()).copied().flatten()
     }
-    out
+
+    fn set(&mut self, v: VarId, value: Option<i64>) {
+        let i = v.index();
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = value;
+    }
 }
 
-fn collect_accesses(
-    stmts: &[Stmt],
-    env: &mut BTreeMap<VarId, i64>,
+/// Abstract execution of one loop, feeding its accesses, in order, into
+/// a summary.
+struct AccessWalk {
+    summary: AccessSummary,
+    /// The slot of the iteration being executed.
     slot: usize,
-    out: &mut Vec<Access>,
-) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { var, value } => {
-                expr_accesses(value, env, slot, out);
-                out.push(Access {
-                    var: *var,
-                    index: Some(0),
-                    write: true,
-                    iter: slot,
-                });
-                match eval_int(value, env) {
-                    Some(v) => {
-                        env.insert(*var, v);
-                    }
-                    None => {
-                        env.remove(var);
+    /// The position the next access takes.
+    pos: usize,
+}
+
+impl AccessWalk {
+    fn access(&mut self, var: VarId, element: Option<i64>, write: bool) {
+        let at = (self.slot, self.pos);
+        self.pos += 1;
+        let seen = self
+            .summary
+            .by_key
+            .entry((var, element, write))
+            .or_default();
+        if seen.last().is_none_or(|&(slot, _)| slot != at.0) {
+            seen.push(at);
+        }
+        self.summary.by_var.entry((var, write)).or_insert(at);
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt], env: &mut Env) {
+        for s in stmts {
+            match s {
+                Stmt::Assign { var, value } => {
+                    self.expr(value, env);
+                    self.access(*var, Some(0), true);
+                    env.set(*var, eval_int(value, env));
+                }
+                Stmt::Store {
+                    array,
+                    index,
+                    value,
+                } => {
+                    self.expr(index, env);
+                    self.expr(value, env);
+                    self.access(*array, eval_int(index, env), true);
+                }
+                Stmt::For(inner) => {
+                    // Nested loop: execute abstractly with its own counter.
+                    for k in inner.iteration_values() {
+                        env.set(inner.var, Some(k));
+                        self.stmts(&inner.body, env);
                     }
                 }
-            }
-            Stmt::Store {
-                array,
-                index,
-                value,
-            } => {
-                expr_accesses(index, env, slot, out);
-                expr_accesses(value, env, slot, out);
-                out.push(Access {
-                    var: *array,
-                    index: eval_int(index, env),
-                    write: true,
-                    iter: slot,
-                });
-            }
-            Stmt::For(inner) => {
-                // Nested loop: execute abstractly with its own counter.
-                for k in inner.iteration_values() {
-                    env.insert(inner.var, k);
-                    collect_accesses(&inner.body, env, slot, out);
-                }
-            }
-            Stmt::If { cond, then_, else_ } => {
-                expr_accesses(cond, env, slot, out);
-                match eval_bool(cond, env) {
-                    Some(true) => collect_accesses(then_, env, slot, out),
-                    Some(false) => collect_accesses(else_, env, slot, out),
-                    None => {
-                        // Both branches may run; scalars they write become
-                        // unknown.
-                        let mut e1 = env.clone();
-                        collect_accesses(then_, &mut e1, slot, out);
-                        let mut e2 = env.clone();
-                        collect_accesses(else_, &mut e2, slot, out);
-                        let keys: Vec<VarId> = env.keys().copied().collect();
-                        for k in keys {
-                            if e1.get(&k) != Some(&env[&k]) || e2.get(&k) != Some(&env[&k]) {
-                                env.remove(&k);
+                Stmt::If { cond, then_, else_ } => {
+                    self.expr(cond, env);
+                    match eval_bool(cond, env) {
+                        Some(true) => self.stmts(then_, env),
+                        Some(false) => self.stmts(else_, env),
+                        None => {
+                            // Both branches may run; scalars they write
+                            // become unknown.
+                            let mut e1 = env.clone();
+                            self.stmts(then_, &mut e1);
+                            let mut e2 = env.clone();
+                            self.stmts(else_, &mut e2);
+                            for (i, v) in env.0.iter_mut().enumerate() {
+                                let id = VarId::from_raw(i as u32);
+                                if v.is_some() && (e1.get(id) != *v || e2.get(id) != *v) {
+                                    *v = None;
+                                }
                             }
                         }
                     }
@@ -623,51 +747,34 @@ fn collect_accesses(
             }
         }
     }
-}
 
-fn expr_accesses(e: &Expr, env: &BTreeMap<VarId, i64>, slot: usize, out: &mut Vec<Access>) {
-    match e {
-        Expr::Var(v) => out.push(Access {
-            var: *v,
-            index: Some(0),
-            write: false,
-            iter: slot,
-        }),
-        Expr::Load { array, index } => {
-            expr_accesses(index, env, slot, out);
-            out.push(Access {
-                var: *array,
-                index: eval_int(index, env),
-                write: false,
-                iter: slot,
-            });
+    fn expr(&mut self, e: &Expr, env: &Env) {
+        match e {
+            Expr::Var(v) => self.access(*v, Some(0), false),
+            Expr::Load { array, index } => {
+                self.expr(index, env);
+                self.access(*array, eval_int(index, env), false);
+            }
+            Expr::Const(_) | Expr::ConstBool(_) => {}
+            Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => self.expr(arg, env),
+            Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
+                self.expr(lhs, env);
+                self.expr(rhs, env);
+            }
+            Expr::Select { cond, then_, else_ } => {
+                self.expr(cond, env);
+                self.expr(then_, env);
+                self.expr(else_, env);
+            }
         }
-        Expr::Const(_) | Expr::ConstBool(_) => {}
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => expr_accesses(arg, env, slot, out),
-        Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
-            expr_accesses(lhs, env, slot, out);
-            expr_accesses(rhs, env, slot, out);
-        }
-        Expr::Select { cond, then_, else_ } => {
-            expr_accesses(cond, env, slot, out);
-            expr_accesses(then_, env, slot, out);
-            expr_accesses(else_, env, slot, out);
-        }
-    }
-}
-
-fn may_alias(a: Option<i64>, b: Option<i64>) -> bool {
-    match (a, b) {
-        (Some(x), Some(y)) => x == y,
-        _ => true,
     }
 }
 
 /// Best-effort static integer evaluation (affine counter expressions).
-fn eval_int(e: &Expr, env: &BTreeMap<VarId, i64>) -> Option<i64> {
+fn eval_int(e: &Expr, env: &Env) -> Option<i64> {
     match e {
         Expr::Const(c) => Some(c.to_i64()),
-        Expr::Var(v) => env.get(v).copied(),
+        Expr::Var(v) => env.get(*v),
         Expr::Binary { op, lhs, rhs } => {
             let a = eval_int(lhs, env)?;
             let b = eval_int(rhs, env)?;
@@ -683,7 +790,7 @@ fn eval_int(e: &Expr, env: &BTreeMap<VarId, i64>) -> Option<i64> {
     }
 }
 
-fn eval_bool(e: &Expr, env: &BTreeMap<VarId, i64>) -> Option<bool> {
+fn eval_bool(e: &Expr, env: &Env) -> Option<bool> {
     match e {
         Expr::ConstBool(b) => Some(*b),
         Expr::Compare { op, lhs, rhs } => {
@@ -700,6 +807,7 @@ mod tests {
     use super::*;
     use fixpt::{Fixed, Format, Signedness};
     use hls_ir::{FunctionBuilder, Interpreter, Slot};
+    use std::collections::BTreeMap;
 
     /// Builds `out[k] = a[k] * 2` over n elements, plus a second loop
     /// `acc += out[k]` — merge-exact because out[k] is written at slot k and
