@@ -1,6 +1,7 @@
 //! Criterion bench: cost of each flow stage in isolation — parsing C
 //! source, transforms, lowering, scheduling — over the decoder IR; the
-//! three call chains that run the stages (a compile, an explored
+//! two prefix layers (loop transforms, netlist optimization) on each
+//! Table-1 architecture; the three call chains that run the stages (a compile, an explored
 //! candidate's prefix replay, a stream module); the proof cache's key and
 //! the default differential fuzzing campaign on each Table-1 machine; one
 //! verified sweep per kernel family; one warm store hit served by a
@@ -15,7 +16,7 @@ use hls_cluster::{read_frame, ClusterConfig, ClusterNode, Frame, Incoming};
 use hls_core::{
     apply_loop_transforms, lower, optimize_lowered, schedule_dfg, synthesize,
     synthesize_traced_with_prefix, Directives, ExploreConfig, LoopGrid, MergePolicy, NetlistEntry,
-    PipelineConfig, TechLibrary, VerifyLevel,
+    OptLevel, PipelineConfig, TechLibrary, VerifyLevel,
 };
 use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{batch_to_json, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
@@ -78,6 +79,36 @@ fn bench_stages(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+/// The two prefix layers every served miss and every explored prefix
+/// build run, per Table-1 architecture: `transforms/<arch>` is
+/// `apply_loop_transforms` (counter narrowing, unrolling, merging) under
+/// the architecture's directives, and `netlist_opt/<arch>` is
+/// `optimize_lowered` at the default level (`Full`; the Table-1 rows pin
+/// `Off`) on the architecture's lowering. Each `netlist_opt` iteration
+/// optimizes a fresh copy of the lowering, so the copy is timed too.
+fn bench_prefix_layers(c: &mut Criterion) {
+    let func = parse_function(QAM_DECODER_SOURCE).expect("parses");
+    let lib = table1_library();
+    let mut g = c.benchmark_group("flow_stages");
+    for arch in table1_architectures() {
+        let d = &arch.directives;
+        g.bench_function(format!("transforms/{}", arch.name), |b| {
+            b.iter(|| apply_loop_transforms(&func, d))
+        });
+    }
+    for arch in table1_architectures() {
+        let d = arch.directives.netlist_opt_level(OptLevel::Full);
+        let lowered = lower(&apply_loop_transforms(&func, &d).func, &d);
+        g.bench_function(format!("netlist_opt/{}", arch.name), |b| {
+            b.iter(|| {
+                let mut l = lowered.clone();
+                optimize_lowered(&mut l, &d.netlist_opt, &lib)
+            })
+        });
+    }
     g.finish();
 }
 
@@ -264,6 +295,7 @@ fn bench_serve_hit(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_stages,
+    bench_prefix_layers,
     bench_call_chains,
     bench_proof_key,
     bench_fuzz,

@@ -7,10 +7,14 @@
 //! the [`criterion_group!`]/[`criterion_main!`] macros.
 //!
 //! Measurement model: each benchmark is warmed up for a fixed wall-clock
-//! budget, then sampled in batches until the measurement budget elapses;
-//! the mean, minimum and iteration count are reported on stdout. Results
-//! are also collected on the [`Criterion`] instance so harness binaries
-//! can serialize them (see [`Criterion::results`]).
+//! budget, then sampled in batches until the measurement budget elapses.
+//! Every measured batch keeps its time per iteration. The mean, the
+//! fastest batch, the median and quartiles of the batches (each batch
+//! weighted by its iteration count) and the iteration count are reported
+//! on stdout; the median and the interquartile range are what one slow
+//! stretch of the host moves least. Results are also collected on the
+//! [`Criterion`] instance so harness binaries can serialize them (see
+//! [`Criterion::results`]).
 //!
 //! As with criterion, a name filter on the command line runs only the
 //! benchmarks whose `group/name` id contains it:
@@ -36,8 +40,33 @@ pub struct BenchResult {
     pub mean_ns: f64,
     /// Fastest observed batch, per iteration, in nanoseconds.
     pub min_ns: f64,
+    /// Median time per iteration over the measured batches, each batch
+    /// weighted by its iterations, in nanoseconds.
+    pub median_ns: f64,
+    /// First quartile of the same weighted sample, in nanoseconds.
+    pub q1_ns: f64,
+    /// Third quartile of the same weighted sample, in nanoseconds.
+    pub q3_ns: f64,
     /// Total iterations measured.
     pub iters: u64,
+}
+
+/// The weighted `q`-quantile of `(value, weight)` samples: the smallest
+/// value whose cumulative weight, in ascending value order, reaches `q`
+/// of the total. NaN for an empty or weightless sample.
+fn weighted_quantile(samples: &[(f64, u64)], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let total: u64 = sorted.iter().map(|&(_, w)| w).sum();
+    let target = q * total as f64;
+    let mut seen = 0u64;
+    for &(value, weight) in &sorted {
+        seen += weight;
+        if weight > 0 && seen as f64 >= target {
+            return value;
+        }
+    }
+    f64::NAN
 }
 
 /// The benchmark driver.
@@ -118,28 +147,21 @@ impl Criterion {
             total: Duration::ZERO,
             iters: 0,
             min_ns: f64::INFINITY,
+            batches: Vec::new(),
         };
         f(&mut b);
         b.mode = Mode::Measure(self.measurement);
         b.total = Duration::ZERO;
         b.iters = 0;
         b.min_ns = f64::INFINITY;
+        b.batches.clear();
         f(&mut b);
-        let mean_ns = if b.iters > 0 {
-            b.total.as_nanos() as f64 / b.iters as f64
-        } else {
-            f64::NAN
-        };
+        let r = b.result(id);
         println!(
-            "bench {id:<48} {:>14.1} ns/iter (min {:>12.1}, {} iters)",
-            mean_ns, b.min_ns, b.iters
+            "bench {:<48} {:>14.1} ns/iter (min {:.1}, median {:.1}, iqr {:.1}..{:.1}, {} iters)",
+            r.id, r.mean_ns, r.min_ns, r.median_ns, r.q1_ns, r.q3_ns, r.iters
         );
-        self.results.push(BenchResult {
-            id,
-            mean_ns,
-            min_ns: b.min_ns,
-            iters: b.iters,
-        });
+        self.results.push(r);
     }
 }
 
@@ -176,9 +198,29 @@ pub struct Bencher {
     total: Duration,
     iters: u64,
     min_ns: f64,
+    /// Every batch of the current phase: `(ns per iteration, iterations)`.
+    batches: Vec<(f64, u64)>,
 }
 
 impl Bencher {
+    /// The measurement of the batches taken so far.
+    fn result(&self, id: String) -> BenchResult {
+        let mean_ns = if self.iters > 0 {
+            self.total.as_nanos() as f64 / self.iters as f64
+        } else {
+            f64::NAN
+        };
+        BenchResult {
+            id,
+            mean_ns,
+            min_ns: self.min_ns,
+            median_ns: weighted_quantile(&self.batches, 0.5),
+            q1_ns: weighted_quantile(&self.batches, 0.25),
+            q3_ns: weighted_quantile(&self.batches, 0.75),
+            iters: self.iters,
+        }
+    }
+
     /// Times `routine` in growing batches until the phase budget elapses.
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
         let budget = match self.mode {
@@ -198,6 +240,7 @@ impl Bencher {
             if per_iter < self.min_ns {
                 self.min_ns = per_iter;
             }
+            self.batches.push((per_iter, batch));
             // Grow batches until one batch takes ~1/20 of the budget, so
             // timer overhead amortizes away for nanosecond routines.
             if dt < budget / 20 {
@@ -251,6 +294,32 @@ mod tests {
         assert!(r.iters > 0);
         assert!(r.mean_ns.is_finite() && r.mean_ns > 0.0);
         assert!(r.min_ns <= r.mean_ns * 1.001);
+        assert!(r.min_ns <= r.q1_ns && r.q1_ns <= r.median_ns && r.median_ns <= r.q3_ns);
+    }
+
+    #[test]
+    fn quartiles_weight_each_batch_by_its_iterations() {
+        // One slow single-iteration batch and three fast large ones: by
+        // iterations, nearly every measured iteration took 10 ns.
+        let b = Bencher {
+            mode: Mode::Measure(Duration::ZERO),
+            total: Duration::from_nanos(1_000 + 3 * 640),
+            iters: 1 + 64 + 64 + 64,
+            min_ns: 9.0,
+            batches: vec![(1_000.0, 1), (11.0, 64), (9.0, 64), (10.0, 64)],
+        };
+        let r = b.result("g/planted".into());
+        assert_eq!((r.q1_ns, r.median_ns, r.q3_ns), (9.0, 10.0, 11.0));
+        assert_eq!(r.min_ns, 9.0);
+        assert!((r.mean_ns - 2_920.0 / 193.0).abs() < 1e-9, "{}", r.mean_ns);
+        // Unweighted, the slow batch would be one of four samples and the
+        // third quartile would read it.
+        assert_eq!(
+            weighted_quantile(&[(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)], 0.75),
+            3.0
+        );
+        assert_eq!(weighted_quantile(&[(5.0, 3), (1.0, 1)], 0.5), 5.0);
+        assert!(weighted_quantile(&[], 0.5).is_nan());
     }
 
     #[test]
