@@ -30,6 +30,7 @@ pub mod dfg;
 mod directives;
 mod error;
 pub mod explore;
+mod fxhash;
 mod lower;
 mod lru;
 mod metrics;

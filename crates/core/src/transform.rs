@@ -13,13 +13,13 @@
 //! hazards only perturb the sign-LMS gradient (quantified in the test
 //! suite).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use hls_ir::Loop;
 use hls_ir::{CmpOp, Expr, Function, Stmt, Ty, Var, VarId, VarKind};
 
 use crate::directives::{Directives, MergePolicy, Unroll};
+use crate::fxhash::FxHashMap;
 
 /// Kind of cross-boundary dependence violated by a merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -537,9 +537,9 @@ type Seen = (usize, usize);
 struct AccessSummary {
     /// Per access key, the first access of every slot the key occurs in,
     /// in ascending slot order.
-    by_key: HashMap<AccessKey, Vec<Seen>>,
+    by_key: FxHashMap<AccessKey, Vec<Seen>>,
     /// Per `(variable, write)`, the first access over every element.
-    by_var: HashMap<(VarId, bool), Seen>,
+    by_var: FxHashMap<(VarId, bool), Seen>,
 }
 
 impl AccessSummary {
@@ -558,7 +558,14 @@ impl AccessSummary {
             walk.slot = slot;
             walk.stmts(&l.body, &mut env);
         }
-        walk.summary
+        let mut summary = walk.summary;
+        for (&(var, _, write), seen) in &summary.by_key {
+            let first = summary.by_var.entry((var, write)).or_insert(seen[0]);
+            if seen[0].1 < first.1 {
+                *first = seen[0];
+            }
+        }
+        summary
     }
 
     /// The first access of `var` with write flag `write` whose element may
@@ -696,7 +703,6 @@ impl AccessWalk {
         if seen.last().is_none_or(|&(slot, _)| slot != at.0) {
             seen.push(at);
         }
-        self.summary.by_var.entry((var, write)).or_insert(at);
     }
 
     fn stmts(&mut self, stmts: &[Stmt], env: &mut Env) {
