@@ -41,12 +41,14 @@
 //! to end, IR against the FSMD built from the optimized design, so an
 //! unsound rewrite cannot reach a verified artifact either way.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fixpt::{Fixed, Format, Overflow, Quantization, Signedness};
 use hls_ir::{BinOp, Json, UnOp, VarId};
 
 use crate::dfg::{Dfg, NodeId, NodeKind};
+use crate::fxhash::FxHashMap;
 use crate::lower::{Lowered, Segment};
 use crate::tech::TechLibrary;
 
@@ -394,10 +396,34 @@ struct CellKey {
     tag: u8,
     sub: u8,
     aux: i128,
-    preds: Vec<u32>,
+    preds: Operands,
     width: u32,
     int_bits: i32,
     signed: bool,
+}
+
+/// A cell's operand ids: up to three inline, which covers every pure
+/// cell but a load ordered after aliasing stores, and more on the heap.
+/// A given operand count always takes the same form, so equality is
+/// that of the id lists.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Operands {
+    Inline(u8, [u32; 3]),
+    Spilled(Vec<u32>),
+}
+
+impl Operands {
+    fn of(preds: &[NodeId]) -> Operands {
+        if preds.len() <= 3 {
+            let mut ids = [0u32; 3];
+            for (id, p) in ids.iter_mut().zip(preds) {
+                *id = p.0;
+            }
+            Operands::Inline(preds.len() as u8, ids)
+        } else {
+            Operands::Spilled(preds.iter().map(|p| p.0).collect())
+        }
+    }
 }
 
 impl CellKey {
@@ -420,7 +446,7 @@ impl CellKey {
             tag,
             sub,
             aux,
-            preds: preds.iter().map(|p| p.index() as u32).collect(),
+            preds: Operands::of(preds),
             width: fmt.width(),
             int_bits: fmt.int_bits(),
             signed: fmt.is_signed(),
@@ -442,7 +468,7 @@ struct Rewriter<'a> {
     /// src NodeId -> out NodeId (None until visited / for absorbed cells).
     map: Vec<Option<NodeId>>,
     /// Structural memo over `out` cells.
-    memo: HashMap<CellKey, NodeId>,
+    memo: FxHashMap<CellKey, NodeId>,
     /// Known constant value per out cell.
     consts: Vec<Option<Fixed>>,
     /// Arrival-time estimate per out cell (library delay model).
@@ -468,7 +494,7 @@ impl<'a> Rewriter<'a> {
             lib,
             out: Dfg::default(),
             map: vec![None; src.len()],
-            memo: HashMap::new(),
+            memo: FxHashMap::with_capacity_and_hasher(src.len(), Default::default()),
             consts: Vec::new(),
             arr: Vec::new(),
             share,
@@ -508,12 +534,14 @@ impl<'a> Rewriter<'a> {
         };
         if consable {
             if let Some(key) = CellKey::of(&kind, &preds, fmt) {
-                if let Some(&id) = self.memo.get(&key) {
-                    return id;
+                // One hash per lookup: a miss reserves the id the cell is
+                // about to get.
+                match self.memo.entry(key) {
+                    Entry::Occupied(hit) => return *hit.get(),
+                    Entry::Vacant(miss) => {
+                        miss.insert(NodeId(self.out.len() as u32));
+                    }
                 }
-                let id = self.push_new(kind, preds, fmt);
-                self.memo.insert(key, id);
-                return id;
             }
         }
         self.push_new(kind, preds, fmt)
@@ -711,7 +739,7 @@ impl<'a> Rewriter<'a> {
                     }
                 }
                 // !!x == x; -(-x) == x up to (lossless) widening.
-                let inner = self.out.node(preds[0]).clone();
+                let inner = self.out.node(preds[0]);
                 match (op, &inner.kind) {
                     (UnOp::Not, NodeKind::Un(UnOp::Not)) => {
                         let x = inner.preds[0];
@@ -764,7 +792,7 @@ impl<'a> Rewriter<'a> {
                 let mut x = preds[0];
                 // Collapse cast-of-cast when the inner is lossless.
                 loop {
-                    let node = self.out.node(x).clone();
+                    let node = self.out.node(x);
                     match node.kind {
                         NodeKind::Cast(_, _)
                             if lossless_into(self.out.node(node.preds[0]).format, node.format) =>
@@ -819,13 +847,13 @@ impl<'a> Rewriter<'a> {
         if let Some(out) = self.map[id.index()] {
             return out;
         }
-        let node = self.src.node(id).clone();
+        let node = self.src.node(id);
         let preds = node
             .preds
             .iter()
             .map(|p| self.emit_structural(*p))
             .collect();
-        let out = self.simplify(node.kind, node.format, preds);
+        let out = self.simplify(node.kind.clone(), node.format, preds);
         self.map[id.index()] = Some(out);
         out
     }
@@ -955,9 +983,9 @@ impl<'a> Rewriter<'a> {
                     None => self.emit_structural(id),
                 }
             } else {
-                let node = self.src.node(id).clone();
+                let node = self.src.node(id);
                 let preds = self.mapped_preds(id);
-                self.simplify(node.kind, node.format, preds)
+                self.simplify(node.kind.clone(), node.format, preds)
             };
             debug_assert_eq!(
                 self.out.node(out).format,
@@ -967,13 +995,14 @@ impl<'a> Rewriter<'a> {
             self.map[i] = Some(out);
         }
         self.out.live_out = self.src.live_out.clone();
-        compact(&self.out)
+        compact(self.out)
     }
 }
 
 /// Drops cells no effect (register/array write) depends on and
-/// recomputes `live_in` from the surviving reads.
-fn compact(dfg: &Dfg) -> Dfg {
+/// recomputes `live_in` from the surviving reads. A graph whose every
+/// cell is live is kept as it is.
+fn compact(mut dfg: Dfg) -> Dfg {
     let n = dfg.len();
     let mut live = vec![false; n];
     for (i, node) in dfg.nodes().iter().enumerate() {
@@ -990,6 +1019,18 @@ fn compact(dfg: &Dfg) -> Dfg {
                 live[p.index()] = true;
             }
         }
+    }
+    if live.iter().all(|&l| l) {
+        let mut live_in: Vec<VarId> = Vec::new();
+        for (_, node) in dfg.iter() {
+            if let NodeKind::VarRead(v) = node.kind {
+                if !live_in.contains(&v) {
+                    live_in.push(v);
+                }
+            }
+        }
+        dfg.live_in = live_in;
+        return dfg;
     }
     let mut out = Dfg::default();
     let mut map: Vec<Option<NodeId>> = vec![None; n];
@@ -1208,11 +1249,20 @@ fn run_passes(
     mut obligations: Option<&mut Vec<NetlistObligation>>,
 ) -> NetlistReport {
     let mut report = NetlistReport::default();
+    if cfg.passes().is_empty() {
+        return report;
+    }
+    // Each design state is measured once: a pass's "after" is the next
+    // pass's "before", and a pass that changed nothing left it as it was.
+    let mut stats = lowered_netlist_stats(lowered, lib);
     for &mode in cfg.passes() {
         let before = obligations.is_some().then(|| lowered.clone());
-        let (cells_before, depth_before, crit_before) = lowered_netlist_stats(lowered, lib);
+        let (cells_before, depth_before, crit_before) = stats;
         let changed_segments = run_mode(lowered, mode, lib);
-        let (cells_after, depth_after, crit_after) = lowered_netlist_stats(lowered, lib);
+        if changed_segments > 0 {
+            stats = lowered_netlist_stats(lowered, lib);
+        }
+        let (cells_after, depth_after, crit_after) = stats;
         report.deltas.push(PassDelta {
             pass: mode.name(),
             changed_segments,
