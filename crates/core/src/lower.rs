@@ -101,37 +101,34 @@ pub fn lower(func: &Function, directives: &Directives) -> Lowered {
     crate::transform::hoist_between_loops(&mut func);
     stage_outputs(&mut func, directives);
 
+    // Straight-line segments are the runs of statements between loops,
+    // built from slices of the body.
     let mut segments = Vec::new();
-    let mut run: Vec<Stmt> = Vec::new();
-    let body = func.body.clone();
-    for s in body {
-        match s {
-            Stmt::For(l) => {
-                if !run.is_empty() {
-                    segments.push(Segment::Straight {
-                        dfg: build_dfg(&func, &run),
-                    });
-                    run.clear();
-                }
-                let d = directives.loop_directive(&l.label);
-                segments.push(Segment::Loop {
-                    label: l.label.clone(),
-                    trip: l.trip_count(),
-                    counter: l.var,
-                    start: l.start,
-                    cmp: l.cmp,
-                    bound: l.bound,
-                    step: l.step,
-                    pipeline_ii: d.pipeline_ii,
-                    dfg: build_dfg(&func, &flatten_inner_loops(&l.body)),
-                });
-            }
-            other => run.push(other),
+    let mut run_start = 0;
+    for (i, s) in func.body.iter().enumerate() {
+        let Stmt::For(l) = s else { continue };
+        if run_start < i {
+            segments.push(Segment::Straight {
+                dfg: build_dfg(&func, &func.body[run_start..i]),
+            });
         }
+        run_start = i + 1;
+        let d = directives.loop_directive(&l.label);
+        segments.push(Segment::Loop {
+            label: l.label.clone(),
+            trip: l.trip_count(),
+            counter: l.var,
+            start: l.start,
+            cmp: l.cmp,
+            bound: l.bound,
+            step: l.step,
+            pipeline_ii: d.pipeline_ii,
+            dfg: build_dfg(&func, &flatten_inner_loops(&l.body)),
+        });
     }
-    if !run.is_empty() {
+    if run_start < func.body.len() {
         segments.push(Segment::Straight {
-            dfg: build_dfg(&func, &run),
+            dfg: build_dfg(&func, &func.body[run_start..]),
         });
     }
 
