@@ -23,15 +23,21 @@
 //!   on the clock, the FU limits or the stream shell — and the lowering
 //!   and netlist optimization after it are equally clock-independent.
 //!   Candidates sharing that prefix (every point of a clock sweep,
-//!   notably) transform, lower and optimize once: jobs are grouped by
+//!   notably) transform, lower and optimize once. Jobs are grouped by
 //!   [`crate::passcache::prefix_key`] plus their FU limits (the one
-//!   further input of the bound profile), each group gets one prefix
-//!   holding the transform result and the optimized netlist, and every
-//!   candidate replays it through the synthesis chain
-//!   ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
+//!   further input of the bound profile), and each group runs the loop
+//!   transforms once. Groups whose transform results are equal and whose
+//!   lowering inputs (per-loop pipeline IIs, array and interface
+//!   mappings, optimizer config, FU limits) agree are one *design*: an
+//!   unroll factor at or above a loop's trip unrolls it fully whatever
+//!   its value, and a merge policy that merges nothing transforms like
+//!   `Off`. Each design is lowered, optimized and bounded once, and
+//!   every candidate replays its design's prefix through the synthesis
+//!   chain ([`crate::synthesize_traced_with_prefix`]). A clock-only twin
 //!   re-runs nothing upstream of the scheduler.
-//! - **Parallel evaluation** — the prefixes and then the unique
-//!   candidates are built across all available cores via scoped
+//! - **Parallel evaluation** — the groups' transforms, the designs'
+//!   prefixes and then the unique candidates run across all available
+//!   cores via scoped
 //!   threads, the calling thread working alongside the spawned ones.
 //!   Results are keyed by index, so point order, failure order and the
 //!   Pareto frontier are identical to the serial path
@@ -58,23 +64,25 @@
 //!   it: at [`VerifyLevel::All`] every proof overlaps other candidates'
 //!   synthesis.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use fixpt::Format;
+use hls_ir::{Expr, Function, Stmt};
+
 use crate::bound::{bound_from_profile, bound_profile, BoundProfile, DesignBound};
-use crate::directives::{Directives, MergePolicy, Unroll};
+use crate::directives::{ArrayMapping, Directives, InterfaceKind, MergePolicy, Unroll};
 use crate::error::SynthesisError;
-use crate::lower::lower;
-use crate::netlist::optimize_lowered;
-use crate::passcache::{self, NetlistEntry, PassCache};
+use crate::lower::{lower, Lowered};
+use crate::netlist::{optimize_lowered, NetlistOptConfig, NetlistReport};
+use crate::passcache::{self, NetlistEntry};
 use crate::pipeline::{
     synthesize_traced, synthesize_traced_with_prefix, PassTrace, PipelineConfig,
 };
 use crate::synthesize::SynthesisResult;
 use crate::tech::TechLibrary;
-use crate::transform::apply_loop_transforms;
-use hls_ir::Function;
+use crate::transform::{apply_loop_transforms, TransformResult};
 
 /// One explored design point.
 #[derive(Debug, Clone)]
@@ -166,8 +174,9 @@ pub struct ExploreConfig {
     /// Additional clock periods to sweep. Empty (the default) means only
     /// [`ExploreConfig::clock_period_ns`] is explored; non-empty replaces
     /// it with this list. Points of a clock sweep share their prefix
-    /// (loop transforms, lowering and netlist-opt), which runs once per
-    /// unique [`crate::passcache::prefix_key`].
+    /// (loop transforms, lowering and netlist-opt): the transforms run
+    /// once per unique [`crate::passcache::prefix_key`], the rest once
+    /// per distinct transformed design.
     pub clock_periods_ns: Vec<f64>,
     /// Unroll factors to try per loop (1 = rolled). The sweep applies one
     /// factor to *all* loops of trip count ≥ factor per point, plus the
@@ -198,8 +207,9 @@ pub struct ExploreConfig {
     /// [`ExploreResult::pruned`]).
     pub budget: Option<ExploreBudget>,
     /// A shared prefix cache ([`crate::passcache::PassCache`]). When set,
-    /// each prefix is read from it, or built and published, under its
-    /// [`crate::passcache::prefix_key`], so repeated sweeps (and the serve
+    /// each group first looks up its [`crate::passcache::prefix_key`];
+    /// every group that misses publishes its design's prefix under its
+    /// key once the design is built, so repeated sweeps (and the serve
     /// path, which looks up the same key) reuse prefixes instead of
     /// rebuilding them.
     /// `None` (the default) keeps the in-sweep prefix sharing only.
@@ -276,11 +286,19 @@ pub struct ExploreResult {
     /// canonicalized directives matched an earlier candidate reused its
     /// memoized result, and candidates pruned by the budget never ran.
     pub evaluations: usize,
-    /// Unique prefixes (loop transforms, lowering, netlist-opt) actually
-    /// computed. Candidates that differ only in the clock or the stream
-    /// shell share one (see the module docs), so this is ≤
-    /// [`ExploreResult::evaluations`].
+    /// Prefix groups: unique directive sets that differ in their
+    /// [`crate::passcache::prefix_key`] or their FU limits. Each group
+    /// runs the loop transforms once (or reads its prefix from
+    /// [`ExploreConfig::cache`]). Candidates that differ only in the clock
+    /// or the stream shell share a group (see the module docs), so this
+    /// is ≤ [`ExploreResult::evaluations`] of an unbudgeted sweep.
     pub transform_evaluations: usize,
+    /// Prefixes actually built: lowering and netlist-opt ran once per
+    /// distinct transform result and lowering inputs, less the designs
+    /// whose prefix came from [`ExploreConfig::cache`]. Groups whose
+    /// transforms agree share one build, so this is ≤
+    /// [`ExploreResult::transform_evaluations`].
+    pub prefix_builds: usize,
     /// Points that synthesized but *failed the equivalence check*, as
     /// `(label, diagnosis)`. Always empty unless the result came from
     /// [`explore_with_check`] with [`ExploreConfig::verify`] enabled.
@@ -344,7 +362,7 @@ fn canonical_key(d: &Directives) -> String {
 /// The latency/area outcome of synthesizing one unique directive set.
 type JobOutcome = Result<(u64, f64), SynthesisError>;
 
-/// The clock-independent prefix every job of one group shares: the
+/// The clock-independent prefix every job of one design shares: the
 /// transform result and the optimized netlist of its lowering and, under
 /// a budget, the bound profile of that netlist.
 struct Prefix {
@@ -352,7 +370,7 @@ struct Prefix {
     profile: Option<BoundProfile>,
 }
 
-/// One unique directive set to synthesize, with the prefix of its group
+/// One unique directive set to synthesize, with the prefix of its design
 /// (`None` for invalid IR, which the pipeline's validate pass must
 /// report).
 struct Job<'a> {
@@ -360,39 +378,82 @@ struct Job<'a> {
     prefix: Option<&'a Prefix>,
 }
 
-/// Builds the prefix of `d`: loop transforms, then lowering, then
-/// netlist-opt, then (when `budgeted`) the bound profile of the optimized
-/// netlist — the design synthesis actually schedules, so the lower bound
-/// stays admissible. With a prefix cache, the netlist is read from it, or
-/// built and published, under `d`'s [`passcache::prefix_key`], the key
-/// the pipeline looks up.
-fn build_prefix(
-    func: &Function,
-    d: &Directives,
-    lib: &TechLibrary,
-    cache: Option<(&PassCache, &str)>,
-    budgeted: bool,
-) -> Prefix {
-    let build = || {
-        let transformed = apply_loop_transforms(func, d);
-        let mut lowered = lower(&transformed.func, d);
-        let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
-        Arc::new(NetlistEntry {
-            transformed,
-            lowered,
-            report,
+/// A prefix group's loop-transform result: computed, or read with the
+/// rest of its prefix from the shared cache.
+enum Head {
+    Transformed(TransformResult),
+    Cached(Arc<NetlistEntry>),
+}
+
+impl Head {
+    fn transformed(&self) -> &TransformResult {
+        match self {
+            Head::Transformed(t) => t,
+            Head::Cached(entry) => &entry.transformed,
+        }
+    }
+}
+
+/// Exactly the directive inputs `lower`, `optimize_lowered` and
+/// `bound_profile` read: per-loop pipeline IIs, array and interface
+/// mappings, the optimizer config and the FU limits. Unroll factors and
+/// the merge policy are not among them: they reach the prefix only
+/// through the transform result.
+#[derive(PartialEq)]
+struct LoweringInputs<'a> {
+    pipeline: Vec<(&'a str, u32)>,
+    arrays: &'a BTreeMap<String, ArrayMapping>,
+    interfaces: &'a BTreeMap<String, InterfaceKind>,
+    netlist_opt: NetlistOptConfig,
+    fu_limits: &'a BTreeMap<String, u32>,
+}
+
+impl<'a> LoweringInputs<'a> {
+    fn of(d: &'a Directives) -> LoweringInputs<'a> {
+        LoweringInputs {
+            pipeline: d
+                .loops
+                .iter()
+                .filter_map(|(label, l)| Some((label.as_str(), l.pipeline_ii?)))
+                .collect(),
+            arrays: &d.arrays,
+            interfaces: &d.interfaces,
+            netlist_opt: d.netlist_opt,
+            fu_limits: &d.fu_limits,
+        }
+    }
+}
+
+/// Every constant of `f` as its raw bits and format, in pre-order.
+/// `Function`'s `==` compares constants by value alone, but a constant's
+/// format sets the width of the logic it feeds.
+fn constants(f: &Function) -> Vec<(i128, Format)> {
+    let mut out = Vec::new();
+    let mut push = |e: &Expr| {
+        e.visit(&mut |e| {
+            if let Expr::Const(c) = e {
+                out.push((c.raw(), c.format()));
+            }
         })
     };
-    let netlist = match cache {
-        Some((cache, key)) => cache.get(key).unwrap_or_else(|| {
-            let netlist = build();
-            cache.put(key, &netlist);
-            netlist
-        }),
-        None => build(),
-    };
-    let profile = budgeted.then(|| bound_profile(&netlist.lowered, d, lib));
-    Prefix { netlist, profile }
+    for s in &f.body {
+        s.visit(&mut |s| match s {
+            Stmt::Assign { value, .. } => push(value),
+            Stmt::Store { index, value, .. } => {
+                push(index);
+                push(value);
+            }
+            Stmt::If { cond, .. } => push(cond),
+            Stmt::For(_) => {}
+        });
+    }
+    out
+}
+
+/// Whether two transform results are the same design: `==`, with every
+/// constant's format equal too.
+fn same_transform(a: &TransformResult, b: &TransformResult) -> bool {
+    a.merges == b.merges && a.func == b.func && constants(&a.func) == constants(&b.func)
 }
 
 /// An equivalence checker for one design point: `Ok(())` if the
@@ -757,20 +818,19 @@ fn explore_impl(
         })
         .collect();
 
-    // Prefix memoization: jobs are grouped by their prefix key plus their
-    // FU limits, the one input `bound_profile` reads beyond the prefix.
-    // The first job of a group builds its prefix and every job of the
-    // group replays it (clock sweeps hit this hard: every clock shares
-    // one). The function and library are hashed once per sweep, and each
-    // job finishes a clone of that hasher. Skipped when the IR is
-    // invalid: the pipeline's validate pass must report that, and
-    // transforms assume validated IR.
+    // Prefix memoization, in two steps. Jobs are grouped by their prefix
+    // key plus their FU limits, the one input `bound_profile` reads beyond
+    // the key (clock sweeps hit this hard: every clock shares one group).
+    // The function and library are hashed once per sweep, and each job
+    // finishes a clone of that hasher. Skipped when the IR is invalid: the
+    // pipeline's validate pass must report that, and transforms assume
+    // validated IR.
     let hasher = hls_ir::validate(func)
         .is_empty()
         .then(|| passcache::prefix_hasher(func, lib));
     let mut groups: Vec<(&Directives, String)> = Vec::new();
     let mut group_of_key: BTreeMap<(String, &BTreeMap<String, u32>), usize> = BTreeMap::new();
-    let prefix_of_job: Vec<Option<usize>> = uniques
+    let group_of_job: Vec<Option<usize>> = uniques
         .iter()
         .map(|&d| {
             let key = passcache::finish_prefix_key(hasher.clone()?, d);
@@ -784,19 +844,120 @@ fn explore_impl(
             )
         })
         .collect();
-    // The prefixes are built across the worker pool, each exactly once,
-    // before any job runs: pruning orders the jobs by their bounds.
-    let prefixes: Vec<Prefix> = par_map(parallel, groups.len(), |k| {
-        let (d, key) = &groups[k];
-        build_prefix(
-            func,
-            d,
-            lib,
-            config.cache.as_deref().map(|c| (c, key.as_str())),
-            config.budget.is_some(),
-        )
+    let transform_evaluations = groups.len();
+    let cache = config.cache.as_deref();
+
+    // Each group transforms once, across the worker pool, unless the
+    // shared cache holds its prefix.
+    let heads: Vec<Head> = par_map(parallel, groups.len(), |g| {
+        let (d, key) = &groups[g];
+        match cache.and_then(|c| c.get(key)) {
+            Some(entry) => Head::Cached(entry),
+            None => Head::Transformed(apply_loop_transforms(func, d)),
+        }
     });
-    let transform_evaluations = prefixes.len();
+
+    // Then groups whose transform results and lowering inputs are equal
+    // share one prefix: unroll factors at or above a loop's trip, or
+    // merge policies that merge nothing, transform alike. Membership is
+    // decided by `==` within buckets of cheap shape facts, which costs a
+    // few microseconds where hashing a transformed design costs as much
+    // as transforming it. A design's source is its first group with a
+    // cached prefix, else its first group.
+    let mut sources: Vec<usize> = Vec::new();
+    let mut design_of_group: Vec<usize> = Vec::with_capacity(groups.len());
+    let mut buckets: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
+    for (g, head) in heads.iter().enumerate() {
+        let t = head.transformed();
+        let inputs = LoweringInputs::of(groups[g].0);
+        let bucket = buckets
+            .entry((t.func.vars.len(), t.func.body.len(), t.merges.len()))
+            .or_default();
+        let same = bucket.iter().copied().find(|&k| {
+            let source = sources[k];
+            LoweringInputs::of(groups[source].0) == inputs
+                && same_transform(heads[source].transformed(), t)
+        });
+        let k = match same {
+            Some(k) => {
+                if matches!(head, Head::Cached(_))
+                    && matches!(heads[sources[k]], Head::Transformed(_))
+                {
+                    sources[k] = g;
+                }
+                k
+            }
+            None => {
+                sources.push(g);
+                bucket.push(sources.len() - 1);
+                sources.len() - 1
+            }
+        };
+        design_of_group.push(k);
+    }
+
+    // Each design is lowered and optimized once (unless its prefix came
+    // from the cache) and bounded once, across the worker pool, before any
+    // job runs: pruning orders the jobs by their bounds.
+    let budgeted = config.budget.is_some();
+    let built: Vec<(Option<(Lowered, NetlistReport)>, Option<BoundProfile>)> =
+        par_map(parallel, sources.len(), |k| {
+            let g = sources[k];
+            let d = groups[g].0;
+            let fresh = match &heads[g] {
+                Head::Transformed(t) => {
+                    let mut lowered = lower(&t.func, d);
+                    let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
+                    Some((lowered, report))
+                }
+                Head::Cached(_) => None,
+            };
+            let profile = budgeted.then(|| {
+                let lowered = match (&fresh, &heads[g]) {
+                    (Some((lowered, _)), _) => lowered,
+                    (None, Head::Cached(entry)) => &entry.lowered,
+                    (None, Head::Transformed(_)) => unreachable!("transformed designs are built"),
+                };
+                bound_profile(lowered, d, lib)
+            });
+            (fresh, profile)
+        });
+    let prefix_builds = built.iter().filter(|(fresh, _)| fresh.is_some()).count();
+    let missed: Vec<bool> = heads
+        .iter()
+        .map(|h| matches!(h, Head::Transformed(_)))
+        .collect();
+    let mut heads: Vec<Option<Head>> = heads.into_iter().map(Some).collect();
+    let prefixes: Vec<Prefix> = sources
+        .iter()
+        .zip(built)
+        .map(|(&g, (fresh, profile))| {
+            let netlist = match (heads[g].take().expect("one source per design"), fresh) {
+                (Head::Cached(entry), _) => entry,
+                (Head::Transformed(transformed), Some((lowered, report))) => {
+                    Arc::new(NetlistEntry {
+                        transformed,
+                        lowered,
+                        report,
+                    })
+                }
+                (Head::Transformed(_), None) => unreachable!("transformed designs are built"),
+            };
+            Prefix { netlist, profile }
+        })
+        .collect();
+    // Every group that missed the cache publishes its design's prefix
+    // under its own key, so a later lookup of any key that maps to the
+    // design hits.
+    if let Some(cache) = cache {
+        for (g, _) in missed.iter().enumerate().filter(|(_, &m)| m) {
+            cache.put(&groups[g].1, &prefixes[design_of_group[g]].netlist);
+        }
+    }
+    let prefix_of_job: Vec<Option<usize>> = group_of_job
+        .iter()
+        .map(|g| g.map(|g| design_of_group[g]))
+        .collect();
 
     let jobs: Vec<Job<'_>> = uniques
         .iter()
@@ -932,6 +1093,7 @@ fn explore_impl(
         failures,
         evaluations,
         transform_evaluations,
+        prefix_builds,
         verify_failures,
         pruned,
         wave_stats,
@@ -1486,6 +1648,223 @@ mod tests {
         };
         assert!(!par.pruned.is_empty(), "the swept config prunes");
         assert_eq!(key(&par), key(&ser));
+    }
+
+    /// A 16-tap FIR: a delay-line shift loop (15 trips) and a
+    /// multiply-accumulate loop (16 trips) that never merge.
+    const FIR16: &str = "
+void fir16(sc_fixed<10,0> x_in, sc_fixed<12,0> c[16], sc_fixed<24,7> *y) {
+    static sc_fixed<10,0> d[16];
+    shift: for (int k = 15; k > 0; k--) {
+        d[k] = d[k - 1];
+    }
+    d[0] = x_in;
+    sc_fixed<24,7> acc = 0;
+    mac: for (int k = 0; k < 16; k++) {
+        acc += d[k] * c[k];
+    }
+    *y = acc;
+}
+";
+
+    const QAM_DECODER: &str = include_str!("../../qam/src/qam_decoder.cpp");
+
+    /// The pipeline corpus's FIR sweep: unroll {1, 2, 4} on both loops,
+    /// three clocks, both merge policies, budgeted.
+    fn fir_sweep() -> ExploreConfig {
+        ExploreConfig {
+            clock_periods_ns: vec![8.0, 12.0, 16.0],
+            loop_grids: Some(LoopGrid {
+                unroll: vec![
+                    ("shift".into(), vec![1, 2, 4]),
+                    ("mac".into(), vec![1, 2, 4]),
+                ],
+                pipeline: Vec::new(),
+            }),
+            ..ExploreConfig::default()
+        }
+        .budgeted()
+    }
+
+    /// Everything a sweep returns that does not depend on timing.
+    fn answer(r: &ExploreResult) -> String {
+        let points: Vec<_> = r
+            .points
+            .iter()
+            .map(|p| (&p.label, p.latency_cycles, p.area.to_bits()))
+            .collect();
+        let failures: Vec<_> = r.failures.iter().map(|(l, e)| (l, e.code())).collect();
+        let pruned: Vec<_> = r
+            .pruned
+            .iter()
+            .map(|p| (&p.label, &p.corners, &p.dominated_by))
+            .collect();
+        format!(
+            "{points:?} {failures:?} {pruned:?} {:?} {} {} {}",
+            r.wave_stats, r.evaluations, r.transform_evaluations, r.prefix_builds
+        )
+    }
+
+    #[test]
+    fn fir_sweep_builds_one_prefix_per_distinct_design() {
+        // The FIR's loops never merge, so both merge policies transform
+        // every unroll pair alike: 18 groups, 9 designs.
+        let f = hls_ir::parse_function(FIR16).expect("parses");
+        let r = explore(&f, &fir_sweep(), &TechLibrary::asic_100mhz());
+        assert_eq!(r.transform_evaluations, 18);
+        assert_eq!(r.prefix_builds, 9);
+    }
+
+    #[test]
+    fn decoder_sweep_builds_every_distinct_design() {
+        // The pipeline corpus's decoder sweep: its 30 groups transform to
+        // 30 distinct designs, so nothing is shared and nothing is lost.
+        let f = hls_ir::parse_function(QAM_DECODER).expect("parses");
+        let cfg = ExploreConfig {
+            clock_period_ns: 5.0,
+            clock_periods_ns: vec![5.0, 10.0, 20.0],
+            ..ExploreConfig::default()
+        }
+        .budgeted();
+        let r = explore(&f, &cfg, &TechLibrary::asic_100mhz());
+        assert_eq!(r.transform_evaluations, 30);
+        assert_eq!(r.prefix_builds, 30);
+    }
+
+    #[test]
+    fn unroll_factors_at_or_above_the_trip_share_one_build() {
+        // `l1` runs 8 trips: factors 8 and 16 both unroll it fully.
+        let f = two_loops();
+        let grid = |factors: Vec<u32>| ExploreConfig {
+            merge_policies: vec![MergePolicy::Off],
+            loop_grids: Some(LoopGrid {
+                unroll: vec![("l1".into(), factors)],
+                pipeline: Vec::new(),
+            }),
+            ..ExploreConfig::default()
+        };
+        let lib = TechLibrary::asic_100mhz();
+        let shared = explore(&f, &grid(vec![8, 16]), &lib);
+        assert_eq!((shared.transform_evaluations, shared.prefix_builds), (2, 1));
+        let distinct = explore(&f, &grid(vec![2, 4]), &lib);
+        assert_eq!(
+            (distinct.transform_evaluations, distinct.prefix_builds),
+            (2, 2)
+        );
+        let (p8, p16) = (&shared.points[0], &shared.points[1]);
+        assert_eq!((p8.latency_cycles, p8.area), (p16.latency_cycles, p16.area));
+    }
+
+    #[test]
+    fn pipeline_iis_never_share_a_build() {
+        // The unroll axis alone would share one build; every II of `l2`
+        // needs its own lowering.
+        let f = two_loops();
+        let cfg = ExploreConfig {
+            merge_policies: vec![MergePolicy::Off],
+            loop_grids: Some(LoopGrid {
+                unroll: vec![("l1".into(), vec![8, 16])],
+                pipeline: vec![("l2".into(), vec![None, Some(1), Some(2)])],
+            }),
+            ..ExploreConfig::default()
+        };
+        let lib = TechLibrary::asic_100mhz();
+        let r = explore(&f, &cfg, &lib);
+        assert_eq!((r.transform_evaluations, r.prefix_builds), (6, 3));
+        for p in &r.points {
+            let fresh = crate::synthesize::synthesize(&f, &p.directives, &lib).expect("feasible");
+            assert_eq!(
+                p.latency_cycles, fresh.metrics.latency_cycles,
+                "{}",
+                p.label
+            );
+        }
+    }
+
+    #[test]
+    fn shared_builds_replay_exactly_what_a_fresh_synthesis_builds() {
+        // Every evaluated point of sweeps that share builds is the very
+        // design a fresh synthesis of its directives builds.
+        use std::sync::atomic::AtomicUsize;
+        let lib = TechLibrary::asic_100mhz();
+        let two = two_loops();
+        let fir = hls_ir::parse_function(FIR16).expect("parses");
+        let grid = ExploreConfig {
+            loop_grids: Some(LoopGrid {
+                unroll: vec![("l1".into(), vec![1, 8, 16])],
+                pipeline: vec![("l2".into(), vec![None, Some(2)])],
+            }),
+            ..ExploreConfig::default()
+        };
+        for (f, cfg) in [(&fir, fir_sweep()), (&two, grid)] {
+            let cfg = ExploreConfig {
+                verify: VerifyLevel::All,
+                ..cfg
+            };
+            let checked = AtomicUsize::new(0);
+            let r = explore_with_check(f, &cfg, &lib, &|func, d, l, result| {
+                let fresh = crate::synthesize::synthesize(func, d, l).expect("feasible");
+                assert_eq!(result.transformed, fresh.transformed);
+                assert_eq!(result.merges, fresh.merges);
+                assert_eq!(result.lowered, fresh.lowered);
+                assert_eq!(result.schedules, fresh.schedules);
+                assert_eq!(result.allocation, fresh.allocation);
+                assert_eq!(result.metrics.latency_cycles, fresh.metrics.latency_cycles);
+                assert_eq!(result.metrics.area.to_bits(), fresh.metrics.area.to_bits());
+                checked.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            });
+            assert!(r.prefix_builds < r.transform_evaluations);
+            assert_eq!(checked.into_inner(), r.evaluations);
+            assert!(r.verify_failures.is_empty());
+        }
+    }
+
+    #[test]
+    fn shared_builds_keep_serial_and_parallel_sweeps_identical() {
+        let lib = TechLibrary::asic_100mhz();
+        let fir = hls_ir::parse_function(FIR16).expect("parses");
+        let par = explore(&fir, &fir_sweep(), &lib);
+        let ser = explore_serial(&fir, &fir_sweep(), &lib);
+        assert!(!par.pruned.is_empty());
+        assert_eq!(answer(&par), answer(&ser));
+    }
+
+    #[test]
+    fn a_cached_sweep_publishes_every_key_and_replays_them_all() {
+        // The cold sweep looks up all 18 keys, builds the 9 designs and
+        // publishes each under every key that maps to it; the warm sweep
+        // hits every key and builds nothing.
+        let lib = TechLibrary::asic_100mhz();
+        let fir = hls_ir::parse_function(FIR16).expect("parses");
+        let cache = Arc::new(crate::passcache::PassCache::default());
+        let cfg = ExploreConfig {
+            cache: Some(Arc::clone(&cache)),
+            ..fir_sweep()
+        };
+        let uncached = explore(&fir, &fir_sweep(), &lib);
+        let cold = explore(&fir, &cfg, &lib);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.inserts, s.hits), (18, 18, 0));
+        assert_eq!(cold.prefix_builds, 9);
+        let warm = explore(&fir, &cfg, &lib);
+        assert_eq!(cache.stats().hits, 18);
+        assert_eq!(warm.prefix_builds, 0);
+        let timing_free = |r: &ExploreResult| answer(r).rsplit_once(' ').unwrap().0.to_string();
+        assert_eq!(timing_free(&cold), timing_free(&uncached));
+        assert_eq!(timing_free(&warm), timing_free(&uncached));
+        // Whatever key a prefix was published under, it is the prefix a
+        // synthesis under that key builds.
+        for p in &cold.points {
+            let key = crate::passcache::prefix_key(&fir, &p.directives, &lib);
+            let entry = cache.get(&key).expect("published");
+            let t = apply_loop_transforms(&fir, &p.directives);
+            let mut lowered = lower(&t.func, &p.directives);
+            let report = optimize_lowered(&mut lowered, &p.directives.netlist_opt, &lib);
+            assert_eq!(entry.transformed.func, t.func, "{}", p.label);
+            assert_eq!(entry.lowered, lowered, "{}", p.label);
+            assert_eq!(entry.report, report, "{}", p.label);
+        }
     }
 
     #[test]

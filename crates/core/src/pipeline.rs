@@ -541,12 +541,18 @@ pub fn synthesize_traced(
 /// builds one prefix per [`passcache::prefix_key`] and replays it for
 /// every candidate with that key.
 ///
-/// The prefix must have been built under the same
-/// [`passcache::prefix_key`]: from this very `func` (every constant's
-/// format included), with the same merge policy, loop, array and
-/// interface directives, optimizer config and library. Only the clock,
-/// the FU limits and the stream shell may differ. Replaying any other
-/// prefix yields a design that does not implement `directives`.
+/// The prefix must be the one `directives` build from this very `func`
+/// and `lib`. One built under the same [`passcache::prefix_key`] is (the
+/// key covers the function, every constant's format included, the merge
+/// policy, the loop, array and interface directives, the optimizer config
+/// and the library; only the clock, the FU limits and the stream shell
+/// may differ). So is one built under another key when its transform
+/// result equals what `directives` transform `func` to, constant formats
+/// included, and the lowering inputs agree: the per-loop pipeline IIs,
+/// the interface mappings and the optimizer config. The explorer shares
+/// prefixes that way between, for instance, unroll factors at or above a
+/// loop's trip. Replaying any other prefix yields a design that does not
+/// implement `directives`.
 pub fn synthesize_traced_with_prefix(
     func: &Function,
     directives: &Directives,
