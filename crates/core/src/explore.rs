@@ -74,8 +74,8 @@ use hls_ir::{Expr, Function, Stmt};
 use crate::bound::{bound_from_profile, bound_profile, BoundProfile, DesignBound};
 use crate::directives::{ArrayMapping, Directives, InterfaceKind, MergePolicy, Unroll};
 use crate::error::SynthesisError;
-use crate::lower::{lower, Lowered};
-use crate::netlist::{optimize_lowered, NetlistOptConfig, NetlistReport};
+use crate::lower::lower;
+use crate::netlist::{optimize_lowered, NetlistOptConfig};
 use crate::passcache::{self, NetlistEntry};
 use crate::pipeline::{
     synthesize_traced, synthesize_traced_with_prefix, PassTrace, PipelineConfig,
@@ -900,28 +900,27 @@ fn explore_impl(
     // from the cache) and bounded once, across the worker pool, before any
     // job runs: pruning orders the jobs by their bounds.
     let budgeted = config.budget.is_some();
-    let built: Vec<(Option<(Lowered, NetlistReport)>, Option<BoundProfile>)> =
-        par_map(parallel, sources.len(), |k| {
-            let g = sources[k];
-            let d = groups[g].0;
-            let fresh = match &heads[g] {
-                Head::Transformed(t) => {
-                    let mut lowered = lower(&t.func, d);
-                    let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
-                    Some((lowered, report))
-                }
-                Head::Cached(_) => None,
+    let built = par_map(parallel, sources.len(), |k| {
+        let g = sources[k];
+        let d = groups[g].0;
+        let fresh = match &heads[g] {
+            Head::Transformed(t) => {
+                let mut lowered = lower(&t.func, d);
+                let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
+                Some((lowered, report))
+            }
+            Head::Cached(_) => None,
+        };
+        let profile = budgeted.then(|| {
+            let lowered = match (&fresh, &heads[g]) {
+                (Some((lowered, _)), _) => lowered,
+                (None, Head::Cached(entry)) => &entry.lowered,
+                (None, Head::Transformed(_)) => unreachable!("transformed designs are built"),
             };
-            let profile = budgeted.then(|| {
-                let lowered = match (&fresh, &heads[g]) {
-                    (Some((lowered, _)), _) => lowered,
-                    (None, Head::Cached(entry)) => &entry.lowered,
-                    (None, Head::Transformed(_)) => unreachable!("transformed designs are built"),
-                };
-                bound_profile(lowered, d, lib)
-            });
-            (fresh, profile)
+            bound_profile(lowered, d, lib)
         });
+        (fresh, profile)
+    });
     let prefix_builds = built.iter().filter(|(fresh, _)| fresh.is_some()).count();
     let missed: Vec<bool> = heads
         .iter()

@@ -279,7 +279,7 @@ fn netlist_grid_answer(level: OptLevel) -> String {
         MergePolicy::AllowHazards,
         MergePolicy::ExactOnly,
     ];
-    let mut rng = StdRng::seed_from_u64(0x6e65_746c_6973_74);
+    let mut rng = StdRng::seed_from_u64(0x006e_6574_6c69_7374);
     let mut answer = String::new();
     for _ in 0..64 {
         let mut d = Directives::new(10.0)
