@@ -1,8 +1,13 @@
-//! A multiply-rotate hasher (the `FxHash` scheme) for maps keyed by small
-//! integers derived from the design itself: the dependence analysis's
-//! access keys and the netlist rewriter's cell keys. The std default,
-//! SipHash, resists adversarial keys, which neither map sees, at several
-//! times the cost per key.
+//! A multiply-rotate hasher (the `FxHash` scheme) for the dependence
+//! analysis's access keys: a variable id, an element index and a write
+//! flag. It costs a fraction of the std default, SipHash, per key, but
+//! its hashes are fixed, so element indices taken from client source
+//! could be crafted to collide. That is tolerable only here: with every
+//! key colliding, each lookup scans the keys of one loop, so the
+//! analysis falls back to work quadratic in a loop's accesses, the order
+//! of the pairwise comparison the summaries replaced. A map whose
+//! collisions would cost more than the linear work it exists for, such
+//! as the netlist rewriter's memo, keeps SipHash.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

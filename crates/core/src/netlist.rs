@@ -42,13 +42,12 @@
 //! unsound rewrite cannot reach a verified artifact either way.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use fixpt::{Fixed, Format, Overflow, Quantization, Signedness};
 use hls_ir::{BinOp, Json, UnOp, VarId};
 
 use crate::dfg::{Dfg, NodeId, NodeKind};
-use crate::fxhash::FxHashMap;
 use crate::lower::{Lowered, Segment};
 use crate::tech::TechLibrary;
 
@@ -467,8 +466,11 @@ struct Rewriter<'a> {
     out: Dfg,
     /// src NodeId -> out NodeId (None until visited / for absorbed cells).
     map: Vec<Option<NodeId>>,
-    /// Structural memo over `out` cells.
-    memo: FxHashMap<CellKey, NodeId>,
+    /// Structural memo over `out` cells. Its keys carry constants from
+    /// client source, so it keeps the std hasher's random keys: a fixed
+    /// hash would let crafted constants collide and make each lookup
+    /// linear.
+    memo: HashMap<CellKey, NodeId>,
     /// Known constant value per out cell.
     consts: Vec<Option<Fixed>>,
     /// Arrival-time estimate per out cell (library delay model).
@@ -494,7 +496,7 @@ impl<'a> Rewriter<'a> {
             lib,
             out: Dfg::default(),
             map: vec![None; src.len()],
-            memo: FxHashMap::with_capacity_and_hasher(src.len(), Default::default()),
+            memo: HashMap::with_capacity(src.len()),
             consts: Vec::new(),
             arr: Vec::new(),
             share,
