@@ -89,6 +89,8 @@ fn bench_stages(c: &mut Criterion) {
 /// `optimize_lowered` at the default level (`Full`; the Table-1 rows pin
 /// `Off`) on the architecture's lowering. Each `netlist_opt` iteration
 /// optimizes a fresh copy of the lowering, so the copy is timed too.
+/// `transforms/fir32` transforms the 32-tap FIR under the default merge
+/// policy: its two loops are never adjacent, so nothing merges.
 fn bench_prefix_layers(c: &mut Criterion) {
     let func = parse_function(QAM_DECODER_SOURCE).expect("parses");
     let lib = table1_library();
@@ -99,6 +101,11 @@ fn bench_prefix_layers(c: &mut Criterion) {
             b.iter(|| apply_loop_transforms(&func, d))
         });
     }
+    let fir = parse_function(FIR_SOURCE).expect("parses");
+    let d = Directives::new(10.0);
+    g.bench_function("transforms/fir32", |b| {
+        b.iter(|| apply_loop_transforms(&fir, &d))
+    });
     for arch in table1_architectures() {
         let d = arch.directives.netlist_opt_level(OptLevel::Full);
         let lowered = lower(&apply_loop_transforms(&func, &d).func, &d);

@@ -327,7 +327,9 @@ fn merge_top_level(func: &mut Function, directives: &Directives) -> Vec<MergeRep
                  out: &mut Vec<Stmt>,
                  vars: &mut Vec<Var>,
                  reports: &mut Vec<MergeReport>| {
-        if run.is_empty() {
+        if run.len() < 2 {
+            // A lone loop has nothing to merge with.
+            out.extend(run.drain(..).map(Stmt::For));
             return;
         }
         // Each loop's accesses are summarized once; every pair check of
