@@ -68,8 +68,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fixpt::Format;
-use hls_ir::{Expr, Function, Stmt};
+use hls_ir::Function;
 
 use crate::bound::{bound_from_profile, bound_profile, BoundProfile, DesignBound};
 use crate::directives::{ArrayMapping, Directives, InterfaceKind, MergePolicy, Unroll};
@@ -424,36 +423,12 @@ impl<'a> LoweringInputs<'a> {
     }
 }
 
-/// Every constant of `f` as its raw bits and format, in pre-order.
-/// `Function`'s `==` compares constants by value alone, but a constant's
-/// format sets the width of the logic it feeds.
-fn constants(f: &Function) -> Vec<(i128, Format)> {
-    let mut out = Vec::new();
-    let mut push = |e: &Expr| {
-        e.visit(&mut |e| {
-            if let Expr::Const(c) = e {
-                out.push((c.raw(), c.format()));
-            }
-        })
-    };
-    for s in &f.body {
-        s.visit(&mut |s| match s {
-            Stmt::Assign { value, .. } => push(value),
-            Stmt::Store { index, value, .. } => {
-                push(index);
-                push(value);
-            }
-            Stmt::If { cond, .. } => push(cond),
-            Stmt::For(_) => {}
-        });
-    }
-    out
-}
-
 /// Whether two transform results are the same design: `==`, with every
-/// constant's format equal too.
+/// constant's format equal too (`Function`'s `==` compares constants by
+/// value alone, but a constant's format sets the width of the logic it
+/// feeds).
 fn same_transform(a: &TransformResult, b: &TransformResult) -> bool {
-    a.merges == b.merges && a.func == b.func && constants(&a.func) == constants(&b.func)
+    a.merges == b.merges && a.func == b.func && a.func.same_constants(&b.func)
 }
 
 /// An equivalence checker for one design point: `Ok(())` if the
@@ -900,59 +875,41 @@ fn explore_impl(
     // from the cache) and bounded once, across the worker pool, before any
     // job runs: pruning orders the jobs by their bounds.
     let budgeted = config.budget.is_some();
-    let built = par_map(parallel, sources.len(), |k| {
+    let prefixes: Vec<Prefix> = par_map(parallel, sources.len(), |k| {
         let g = sources[k];
         let d = groups[g].0;
-        let fresh = match &heads[g] {
+        let netlist = match &heads[g] {
+            Head::Cached(entry) => Arc::clone(entry),
             Head::Transformed(t) => {
                 let mut lowered = lower(&t.func, d);
                 let report = optimize_lowered(&mut lowered, &d.netlist_opt, lib);
-                Some((lowered, report))
+                Arc::new(NetlistEntry {
+                    transformed: t.clone(),
+                    lowered,
+                    report,
+                })
             }
-            Head::Cached(_) => None,
         };
-        let profile = budgeted.then(|| {
-            let lowered = match (&fresh, &heads[g]) {
-                (Some((lowered, _)), _) => lowered,
-                (None, Head::Cached(entry)) => &entry.lowered,
-                (None, Head::Transformed(_)) => unreachable!("transformed designs are built"),
-            };
-            bound_profile(lowered, d, lib)
-        });
-        (fresh, profile)
+        let profile = budgeted.then(|| bound_profile(&netlist.lowered, d, lib));
+        Prefix { netlist, profile }
     });
-    let prefix_builds = built.iter().filter(|(fresh, _)| fresh.is_some()).count();
-    let missed: Vec<bool> = heads
+    let prefix_builds = sources
         .iter()
-        .map(|h| matches!(h, Head::Transformed(_)))
-        .collect();
-    let mut heads: Vec<Option<Head>> = heads.into_iter().map(Some).collect();
-    let prefixes: Vec<Prefix> = sources
-        .iter()
-        .zip(built)
-        .map(|(&g, (fresh, profile))| {
-            let netlist = match (heads[g].take().expect("one source per design"), fresh) {
-                (Head::Cached(entry), _) => entry,
-                (Head::Transformed(transformed), Some((lowered, report))) => {
-                    Arc::new(NetlistEntry {
-                        transformed,
-                        lowered,
-                        report,
-                    })
-                }
-                (Head::Transformed(_), None) => unreachable!("transformed designs are built"),
-            };
-            Prefix { netlist, profile }
-        })
-        .collect();
+        .filter(|&&g| matches!(heads[g], Head::Transformed(_)))
+        .count();
     // Every group that missed the cache publishes its design's prefix
     // under its own key, so a later lookup of any key that maps to the
     // design hits.
     if let Some(cache) = cache {
-        for (g, _) in missed.iter().enumerate().filter(|(_, &m)| m) {
-            cache.put(&groups[g].1, &prefixes[design_of_group[g]].netlist);
+        for (g, head) in heads.iter().enumerate() {
+            if matches!(head, Head::Transformed(_)) {
+                cache.put(&groups[g].1, &prefixes[design_of_group[g]].netlist);
+            }
         }
     }
+    // Each design's prefix holds its own copy of its transform result, so
+    // the groups' copies go before any job runs.
+    drop(heads);
     let prefix_of_job: Vec<Option<usize>> = group_of_job
         .iter()
         .map(|g| g.map(|g| design_of_group[g]))
